@@ -1,0 +1,32 @@
+"""Graded index arithmetic on the length-lexicographic word basis.
+
+The words of length k fill the contiguous index block ``start[k]:start[k+1]``
+(``FockSpace._block_starts``) of size n^k, and a word's rank in its block is
+its base-n numeral (digit ``letter - 1``, first letter most significant).
+Hence index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u): for |w| = k and
+|u| = m the pairs (w, u) are block k + m reshaped to (n^k, n^m), row rank(w)
+and column rank(u), so every "pair against w u" loop is a reshape plus a slice
+with no ``Word`` objects.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .spaces import FockSpace
+
+
+def splits(depth: int) -> list[tuple[int, int]]:
+    """Every length pair (k, m) with k + m <= depth, in lexicographic order."""
+    return [(k, m) for k in range(depth + 1) for m in range(depth + 1 - k)]
+
+
+def block(space: FockSpace, arr, k: int):
+    """The entries of a basis-indexed sequence on the words of length k (a view)."""
+    starts = space._block_starts
+    return arr[starts[k] : starts[k + 1]]
+
+
+def split_block(space: FockSpace, arr: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Block k + m of ``arr`` as an (n^k, n^m) view: [rank(w), rank(u)] is arr[index(w u)]."""
+    return block(space, arr, k + m).reshape(space.n**k, space.n**m)

@@ -41,14 +41,6 @@ class DeltaImage:
     fold: int
     operator: Operator
 
-    def diagonal_coefficient(self, w: Word) -> complex:
-        """Coefficient of the all-w tensor basis vector in the vacuum image."""
-        target = self.operator.domain
-        assert isinstance(target, TensorSpace)
-        row = target.index_of(tuple([w] * self.fold))
-        col = target.index_of(tuple([Word()] * self.fold))
-        return complex(self.operator.matrix[row, col])
-
 
 def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> DeltaImage:
     """Realize sum a_w (L_w)^(x fold) on the fold-wise tensor power.

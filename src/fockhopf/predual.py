@@ -5,35 +5,37 @@ array is a faithful coordinate system because the truncated algebra is
 spanned by the realized word indicators.  Convolution then becomes exact
 pointwise multiplication of value arrays, which the slice-map oracle in the
 test-suite confirms against the tensor-comultiplication definition.
+Value arrays are laid out in word-length blocks (see :mod:`fockhopf.graded`),
+so every pairing against a concatenation w u is a block reshape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .spaces import FockSpace, Vector, basis_vector, inner
+from . import graded
+from .spaces import FockSpace, Vector, basis_vector
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
 
 
 def _rank_one_values(space: FockSpace, pairs: Sequence[RankOnePair]) -> np.ndarray:
+    # (L_w xi, eta) = sum_u xi_u conj(eta_wu): for |w| = k, |u| = m that is the
+    # (n^k, n^m) reshape of conj(eta) on block k + m applied to xi on block m.
     values = np.zeros(space.dim, dtype=np.complex128)
     for xi, eta in pairs:
         if xi.space != space or eta.space != space:
             raise ValueError("rank-one pair vectors must live on the functional's space")
-        for jw, w in enumerate(space.words):
-            lw = len(w)
-            total = 0j
-            for ju, u in enumerate(space.words):
-                if lw + len(u) > space.depth:
-                    break
-                total += xi.data[ju] * np.conj(eta.data[space.index_of(w.concat(u))])
-            values[jw] += total
+        conj_eta = np.conj(eta.data)
+        for k, m in graded.splits(space.depth):
+            pairing = graded.split_block(space, conj_eta, k, m) @ graded.block(space, xi.data, m)
+            graded.block(space, values, k)[:] += pairing
     return values
 
 
@@ -116,66 +118,77 @@ def counit_defect(f: Functional) -> float:
     return float(worst)
 
 
-def is_all_ones(f: Functional) -> bool:
-    return bool(np.all(f.values == 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class TensorFunctional:
-    """Functional on the two-leg tensor algebra, supported on admissible pairs."""
+    """Functional on the two-leg tensor algebra, supported on admissible pairs.
+
+    ``blocks[(k, m)]`` holds the values on the pairs (u, v) with |u| = k and
+    |v| = m, for every k + m <= depth, as an (n^k, n^m) array indexed by the
+    block ranks of u and v.
+    """
 
     space: FockSpace
-    values: dict[tuple[Word, Word], complex]
+    blocks: dict[tuple[int, int], np.ndarray]
 
     def value(self, u: Word, v: Word) -> complex:
         return self.values.get((u, v), 0j)
 
+    @cached_property
+    def values(self) -> dict[tuple[Word, Word], complex]:
+        """The values keyed by word pairs, every admissible pair included."""
+        words = self.space.words
+        out: dict[tuple[Word, Word], complex] = {}
+        for (k, m), b in self.blocks.items():
+            for u, row in zip(graded.block(self.space, words, k), b):
+                for v, val in zip(graded.block(self.space, words, m), row):
+                    out[(u, v)] = complex(val)
+        return out
+
 
 def predual_comult(f: Functional) -> TensorFunctional:
-    """Pull the value array back through multiplication: (u, v) -> phi(L_{uv})."""
-    space = f.space
-    out: dict[tuple[Word, Word], complex] = {}
-    for u in space.words:
-        for v in space.words:  # length-sorted, admissible pairs form a prefix
-            if len(u) + len(v) > space.depth:
-                break
-            out[(u, v)] = complex(f.values[space.index_of(u.concat(v))])
-    return TensorFunctional(space, out)
+    """Pull the value array back through multiplication: (u, v) -> phi(L_{uv}).
+
+    Each block is a zero-copy reshape of the value array.
+    """
+    blocks = {
+        (k, m): graded.split_block(f.space, f.values, k, m) for k, m in graded.splits(f.space.depth)
+    }
+    return TensorFunctional(f.space, blocks)
 
 
 def tensor_convolve(a: TensorFunctional, b: TensorFunctional) -> TensorFunctional:
     if a.space != b.space:
         raise ValueError("tensor functionals live on different spaces")
-    keys = set(a.values) | set(b.values)
-    return TensorFunctional(a.space, {k: a.value(*k) * b.value(*k) for k in keys})
+    return TensorFunctional(a.space, {key: a.blocks[key] * b.blocks[key] for key in a.blocks})
 
 
 def predual_coassociativity_defect(f: Functional) -> float:
-    """Both iterates of the predual comultiplication agree on triples exactly."""
+    """Both iterates of the predual comultiplication agree on triples exactly.
+
+    The iterates reshape the (|u v|, |w|) and (|u|, |v w|) blocks to triples;
+    the direct value phi(L_{uvw}) is read at the index given by explicit rank
+    arithmetic, start[|uvw|] + (rank(u) n^|v| + rank(v)) n^|w| + rank(w).
+    """
     space = f.space
     split = predual_comult(f)
+    n, starts = space.n, space._block_starts
     worst = 0.0
-    words = space.words  # length-sorted, so the inner loops can break early
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > space.depth:
-                break
-            for w in words:
-                if len(u) + len(v) + len(w) > space.depth:
-                    break
-                direct = f.values[space.index_of(u.concat(v).concat(w))]
-                first = split.value(u.concat(v), w)
-                second = split.value(u, v.concat(w))
-                worst = max(worst, abs(first - direct), abs(second - direct))
-    return worst
+    for a, b in graded.splits(space.depth):
+        for c in range(space.depth - a - b + 1):
+            shape = (n**a, n**b, n**c)
+            ru, rv, rw = np.ix_(*(np.arange(size) for size in shape))
+            direct = f.values[starts[a + b + c] + (ru * n**b + rv) * n**c + rw]
+            first = split.blocks[(a + b, c)].reshape(shape)
+            second = split.blocks[(a, b + c)].reshape(shape)
+            worst = max(worst, np.abs(first - direct).max(), np.abs(second - direct).max())
+    return float(worst)
 
 
 def predual_homomorphism_defect(f: Functional, g: Functional) -> float:
     """Defect of comult(f * g) = comult(f) * comult(g), componentwise."""
     lhs = predual_comult(convolve(f, g))
     rhs = tensor_convolve(predual_comult(f), predual_comult(g))
-    keys = set(lhs.values) | set(rhs.values)
-    return max((abs(lhs.value(*k) - rhs.value(*k)) for k in keys), default=0.0)
+    return max(float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()) for key in lhs.blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -295,8 +295,3 @@ def shift_composition_defect(space: FockSpace, u: Word, v: Word, side: str = "le
     composed = word_shift(space, u, side) @ word_shift(space, v, side)
     direct = word_shift(space, u.concat(v), side)
     return max_entry_diff(composed, direct, cols)
-
-
-def series_pairing(series: FourierSeries, values: Mapping[Word, complex]) -> complex:
-    """Bilinear pairing sum_w a_w values[w] used by duality checks."""
-    return sum(c * complex(values.get(w, 0j)) for w, c in series.items())

@@ -237,10 +237,6 @@ class SafeZone:
         return int(self.indices.size)
 
 
-def safe_columns(space: Space, slack: int) -> np.ndarray:
-    return SafeZone(space, slack).indices
-
-
 @dataclass(frozen=True, eq=False)
 class Vector:
     space: Space
@@ -373,21 +369,6 @@ class Operator:
 
     def adjoint(self) -> "Operator":
         return Operator(self.codomain, self.domain, self.matrix.conjugate().transpose().tocsr())
-
-    def norm_estimate(self, iterations: int = 60, seed: int = 0) -> float:
-        """Power-iteration estimate of the operator norm (report use only)."""
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.domain.dim) + 1j * rng.standard_normal(self.domain.dim)
-        x /= np.linalg.norm(x)
-        gram = (self.matrix.conjugate().transpose() @ self.matrix).tocsr()
-        value = 0.0
-        for _ in range(iterations):
-            x = gram @ x
-            norm = np.linalg.norm(x)
-            if norm == 0.0:
-                return 0.0
-            value, x = norm, x / norm
-        return float(np.sqrt(value))
 
 
 def tensor_op(*ops: Operator) -> Operator:

@@ -1,17 +1,15 @@
 """Check registry and deterministic report assembly for the verification CLI.
 
 Every check draws randomness from a generator derived solely from the seed
-and the check's identity, so reports are reproducible regardless of worker
-scheduling; results are assembled in canonical (config, suite, registration)
-order.  Exact contracts carry threshold 0; oracle comparisons use the
-configured tolerance.
+and the check's identity, so reports are reproducible; checks run serially
+and results are assembled in canonical (config, suite, registration) order.
+Exact contracts carry threshold 0; oracle comparisons use the configured
+tolerance.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +26,6 @@ from .words import Alphabet, Word
 
 ALL_SUITES = ("regrep", "hopf", "predual", "corep", "wandering")
 NON_TENSOR_SUITES = ("regrep", "predual")
-THREADS_ENV = "FOCKHOPF_THREADS"
 
 
 @dataclass(frozen=True)
@@ -294,12 +291,33 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
 # predual suite
 
 
+def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
+    """Every Delta(L_w) from :func:`hopf.comult` as concatenated COO entries.
+
+    Returns (rows, cols, vals, offsets) in basis order of w; the entries of
+    the word at basis index i start at offsets[i].
+    """
+    indicators = (reg.FourierSeries.indicator(space.alphabet, w) for w in space.words)
+    images = [hopf_mod.comult(s, space).operator.matrix.tocoo() for s in indicators]
+    offsets = np.cumsum([0] + [m.nnz for m in images[:-1]])
+    return (
+        np.concatenate([m.row for m in images]),
+        np.concatenate([m.col for m in images]),
+        np.concatenate([m.data for m in images]),
+        offsets,
+    )
+
+
+def _slice_oracle_defect(entries: tuple[np.ndarray, ...], conv_values, xx, ee) -> float:
+    """Largest miss, over w, between (Delta(L_w) xx, ee) and the convolution values."""
+    rows, cols, vals, offsets = entries
+    oracle = np.add.reduceat(np.conj(ee[rows]) * (vals * xx[cols]), offsets)
+    return float(np.abs(oracle - conv_values).max(initial=0.0))
+
+
 def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
-    pair_space_images = {
-        w: hopf_mod.comult(reg.FourierSeries.indicator(cfg.alphabet, w), space).operator
-        for w in space.words
-    }
+    entries = _slice_oracle_entries(space)
     worst = 0.0
     for _ in range(cfg.trials):
         f = sampling.random_rank_one_functional(rng, space)
@@ -309,9 +327,7 @@ def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> tuple[float, float]:
         (xi2, eta2) = g.provenance[0]
         xx = np.kron(xi1.data, xi2.data)
         ee = np.kron(eta1.data, eta2.data)
-        for w, image in pair_space_images.items():
-            oracle = complex(np.vdot(ee, image.matrix @ xx))
-            worst = max(worst, abs(oracle - conv.value(w)))
+        worst = max(worst, _slice_oracle_defect(entries, conv.values, xx, ee))
     return worst, cfg.tolerance
 
 
@@ -661,23 +677,9 @@ def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]
     return checks
 
 
-def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
-def run_checks(checks: list[Check], max_workers: int | None = None) -> list[CheckResult]:
-    """Run checks, possibly concurrently; results keep registration order."""
-    workers = worker_count() if max_workers is None else max(1, max_workers)
-    if workers == 1 or len(checks) <= 1:
-        return [c.run() for c in checks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: c.run(), checks))
+def run_checks(checks: list[Check]) -> list[CheckResult]:
+    """Run checks serially, in registration order."""
+    return [c.run() for c in checks]
 
 
 def default_grid(seed: int, tolerance: float, trials: int) -> list[SuiteConfig]:
@@ -698,13 +700,12 @@ def build_report(
     configs: list[SuiteConfig],
     inject_fault: bool = False,
     with_timestamp: bool = True,
-    max_workers: int | None = None,
 ) -> dict:
     """Run every config and assemble the canonical JSON-ready report."""
     all_checks: list[Check] = []
     for cfg in configs:
         all_checks.extend(build_checks(cfg, inject_fault=inject_fault))
-    results = run_checks(all_checks, max_workers=max_workers)
+    results = run_checks(all_checks)
     if not with_timestamp:
         for r in results:
             r.millis = 0.0  # timing is run-dependent; drop it with the timestamp

@@ -42,13 +42,7 @@ def wandering_dim(alphabet: Alphabet, k: int, depth: int) -> int:
     """Wandering dimension by enumeration over every basis tuple (vectorized)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    words = enumerate_words(alphabet, depth)
-    first = np.array([w.letters[0] if len(w) else 0 for w in words], dtype=np.int16)
-    grids = np.ix_(*([first] * k))
-    blocked = grids[0] > 0
-    for g in grids[1:]:
-        blocked = blocked & (g == grids[0])
-    return int(first.size**k - np.count_nonzero(blocked))
+    return int(np.count_nonzero(_wandering_mask(alphabet, k, depth)))
 
 
 def wandering_dim_closed_form(alphabet: Alphabet, k: int, depth: int) -> int:
@@ -103,21 +97,6 @@ class WanderingReport:
         }
 
 
-def _shift_index_table(alphabet: Alphabet, depth: int) -> dict[Word, np.ndarray]:
-    """Per word w, the map u-index -> (w u)-index over words of fitting length."""
-    from .spaces import FockSpace
-
-    space = FockSpace(alphabet, depth)
-    tables: dict[Word, np.ndarray] = {}
-    for w in space.words:
-        fit = count_words(alphabet, depth - len(w))
-        table = np.empty(fit, dtype=np.int64)
-        for j in range(fit):
-            table[j] = space.index_of(w.concat(space.word_at(j)))
-        tables[w] = table
-    return tables
-
-
 def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
     words = enumerate_words(alphabet, depth)
     first = np.array([w.letters[0] if len(w) else 0 for w in words], dtype=np.int16)
@@ -139,6 +118,9 @@ def wandering_check(
     orthogonal by construction.  On instances small enough, the Gram blocks
     of the actual sparse shift operators are computed as well.
     """
+    from .regular import shift_index_table
+    from .spaces import FockSpace
+
     if k < 1 or depth < 0:
         raise ValueError("need k >= 1 and depth >= 0")
     t = count_words(alphabet, depth)
@@ -148,11 +130,11 @@ def wandering_check(
     closed = wandering_dim_closed_form(alphabet, k, depth)
 
     # Unique-cover bitmap: every tuple is reached by exactly one (w, kappa).
+    space = FockSpace(alphabet, depth)
     counts = np.zeros(total, dtype=np.int32)
-    tables = _shift_index_table(alphabet, depth)
-    for w, table in tables.items():
-        fit = count_words(alphabet, depth - len(w))
-        sub = mask[tuple([slice(0, fit)] * k)]
+    for w in space.words:
+        table = shift_index_table(space, w)  # u -> w u over the words that fit
+        sub = mask[tuple([slice(0, table.size)] * k)]
         legs = np.ix_(*([table] * k))
         linear = legs[0].astype(np.int64) * (t ** (k - 1))
         for m, g in enumerate(legs[1:], start=2):

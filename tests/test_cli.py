@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fockhopf.cli import main
-from fockhopf.verify import SuiteConfig, build_checks, build_report, default_grid, worker_count
+from fockhopf.verify import SuiteConfig, build_checks, default_grid
 
 
 def run_cli(args):
@@ -109,25 +109,6 @@ def test_verify_timestamp_present_by_default(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert "timestamp" in report
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FOCKHOPF_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("FOCKHOPF_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("FOCKHOPF_THREADS", "bogus")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("FOCKHOPF_THREADS")
-    assert worker_count() >= 1
-
-
-def test_threaded_run_matches_serial(monkeypatch):
-    config = SuiteConfig(n=2, depth=2, trials=3, seed=5, suites=("regrep",))
-    serial = build_report([config], with_timestamp=False, max_workers=1)
-    threaded = build_report([config], with_timestamp=False, max_workers=4)
-    assert serial == threaded
 
 
 def test_default_grid_shape():

@@ -342,9 +342,3 @@ def test_values_frozen_after_construction():
     op = Operator.identity(space)
     with pytest.raises(ValueError):
         op.matrix.data[0] = 2.0
-
-
-def test_norm_estimate_on_known_operator():
-    space = FockSpace(A2, 2)
-    scaled = 3.0 * Operator.identity(space)
-    assert scaled.norm_estimate() == pytest.approx(3.0, rel=1e-6)
