@@ -8,6 +8,11 @@ B_u B_v = delta_{uv} B_u, with the three-leg identity kept as an independent
 cross-check.  Representations of the predual are stored by their values on
 the indicator basis, where convolution is pointwise and the representation
 law is exactly the same idempotent condition.
+
+Basis indices of concatenations come from the graded rule
+:func:`graded.concat` (directly in :func:`fundamental_corep`, through the
+shift index tables in :func:`corep_from_rep`); the independent checks sum
+Kronecker products instead (:func:`shift_tensor_sum`).
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .predual import Functional
-from .regular import FourierSeries, word_shift
 from scipy import sparse
 
+from . import graded
+from .predual import Functional
+from .regular import FourierSeries, shift_index_table, word_shift
 from .spaces import (
     SCALAR_SPACE,
     FockSpace,
@@ -30,7 +36,9 @@ from .spaces import (
     Vector,
     inner,
     leg_embed,
+    max_abs,
     max_entry_diff,
+    operator_sum,
     tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
@@ -97,12 +105,13 @@ class CorepReport:
         return max(self.reconstruction_defect, self.criterion_defect, legs)
 
 
-def _reconstruction(corep: Corepresentation) -> Operator:
-    fock = corep.hilbert
-    total = Operator.zero(corep.space)
-    for w, b in corep.family.items():
-        total = total + tensor_op(word_shift(fock, w, "left"), b)
-    return total
+def shift_tensor_sum(
+    fock: FockSpace, aux: Space, family: dict[Word, Operator], copies: int = 1
+) -> Operator:
+    """The Kronecker-product sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w]."""
+    space = tensor_space(*([fock] * copies), aux)
+    terms = (tensor_op(*([word_shift(fock, w, "left")] * copies), b) for w, b in family.items())
+    return operator_sum(space, terms)
 
 
 def idempotent_family_defect(family: dict[Word, Operator], aux: Space) -> float:
@@ -124,9 +133,7 @@ def idempotent_family_defect(family: dict[Word, Operator], aux: Space) -> float:
         target = sparse.coo_matrix(
             (mcoo.data, (mcoo.row, mcoo.col + pos * dk)), shape=products.shape
         ).tocsr()
-        diff = (products - target).tocoo()
-        if diff.nnz:
-            worst = max(worst, float(np.abs(diff.data).max()))
+        worst = max(worst, max_abs(products - target))
     return worst
 
 
@@ -141,10 +148,7 @@ def leg_identity_defect(corep: Corepresentation) -> float:
     ambient = tensor_space(fock, fock, corep.aux)
     v13 = leg_embed(corep.operator, (1, 3), ambient)
     v23 = leg_embed(corep.operator, (2, 3), ambient)
-    rhs = Operator.zero(ambient)
-    for w, b in corep.family.items():
-        shift = word_shift(fock, w, "left")
-        rhs = rhs + tensor_op(shift, shift, b)
+    rhs = shift_tensor_sum(fock, corep.aux, corep.family, copies=2)
     return max_entry_diff(v13 @ v23, rhs)
 
 
@@ -152,7 +156,7 @@ def corep_check(corep: Corepresentation | Operator, legs: bool = True) -> CorepR
     """Run the reconstruction, idempotent-criterion, and leg-identity checks."""
     if isinstance(corep, Operator):
         corep = Corepresentation.from_operator(corep)
-    recon = max_entry_diff(corep.operator, _reconstruction(corep))
+    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.hilbert, corep.aux, corep.family))
     crit = criterion_defect(corep)
     leg = leg_identity_defect(corep) if legs else None
     return CorepReport(recon, crit, leg)
@@ -162,19 +166,21 @@ def fundamental_corep(space: FockSpace) -> Corepresentation:
     """The word-swap isometry (xi_u (x) xi_v) -> (xi_{vu} (x) xi_v) on H (x) H.
 
     Its decomposition family is the diagonal of rank-one word projections, so
-    every corepresentation check is exact.
+    every corepresentation check is exact.  For |u| = a and |v| = b the
+    entries are one :func:`graded.concat` broadcast over the block ranks.
     """
     pair = tensor_space(space, space)
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in space.words:
-        for v in space.words:
-            if len(u) + len(v) > space.depth:
-                break
-            rows.append(pair.index_of((v.concat(u), v)))
-            cols.append(pair.index_of((u, v)))
-    vals = np.ones(len(rows), dtype=np.complex128)
-    return Corepresentation.from_operator(Operator.from_entries(pair, pair, rows, cols, vals))
+    starts, dim = space._block_starts, space.dim
+    row_parts: list[np.ndarray] = []
+    col_parts: list[np.ndarray] = []
+    for a, b in graded.splits(space.depth):
+        ru, rv = np.ix_(np.arange(space.n**a), np.arange(space.n**b))
+        v = starts[b] + rv
+        row_parts.append((graded.concat(space, b, rv, a, ru) * dim + v).ravel())
+        col_parts.append(((starts[a] + ru) * dim + v).ravel())
+    rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
+    op = Operator.from_entries(pair, pair, rows, cols, np.ones(rows.size))
+    return Corepresentation.from_operator(op)
 
 
 def fundamental_intertwining_defect(space: FockSpace, w: Word) -> float:
@@ -234,10 +240,8 @@ class PredualRep:
         """Image of a general functional: sum_w phi(L_w) pi_w."""
         if f.space != self.space:
             raise ValueError("functional lives on a different space")
-        out = Operator.zero(self.aux)
-        for w, op in self.family.items():
-            out = out + complex(f.values[self.space.index_of(w)]) * op
-        return out
+        terms = (complex(f.values[self.space.index_of(w)]) * op for w, op in self.family.items())
+        return operator_sum(self.aux, terms)
 
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":
@@ -263,32 +267,26 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     """Build V from the bilinear pairing (V(xi_a (x) x), xi_b (x) y) = (pi([xi_a xi_b*]) x, y).
 
     The rank-one functional of a word basis pair (a, b) is the indicator of
-    the prefix u with b = u a, so V assembles block-wise from the family; the
-    result is verified entrywise against the independent tensor-product sum
-    sum_w L_w (x) pi_w.
+    the prefix u with b = u a, so V assembles block-wise from the family: pi_u
+    lands at row index(u a) dk and column index(a) dk, read off the shift
+    index table of u.  The result is verified entrywise against the
+    independent Kronecker-product sum sum_w L_w (x) pi_w.
     """
     if rep.space != space:
         raise ValueError("representation indicator basis does not match the space")
     pair = tensor_space(space, rep.aux)
     dk = rep.aux.dim
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=np.complex128)]
     for u, pu in rep.family.items():
         coo = pu.matrix.tocoo()
-        for a in space.words:
-            if len(u) + len(a) > space.depth:
-                break
-            row_base = space.index_of(u.concat(a)) * dk
-            col_base = space.index_of(a) * dk
-            rows.extend(row_base + coo.row)
-            cols.extend(col_base + coo.col)
-            vals.extend(coo.data)
-    v = Operator.from_entries(pair, pair, rows, cols, vals)
+        table = shift_index_table(space, u)
+        rows.append((table[:, None] * dk + coo.row).ravel())
+        cols.append((np.arange(table.size)[:, None] * dk + coo.col).ravel())
+        vals.append(np.tile(coo.data, table.size))
+    v = Operator.from_entries(pair, pair, *(np.concatenate(parts) for parts in (rows, cols, vals)))
 
-    check = Operator.zero(pair)
-    for w, pw in rep.family.items():
-        check = check + tensor_op(word_shift(space, w, "left"), pw)
+    check = shift_tensor_sum(space, rep.aux, rep.family)
     if max_entry_diff(v, check) != 0.0:
         raise AssertionError("bilinear assembly disagrees with the tensor-product sum")
     return Corepresentation.from_operator(v)
@@ -329,12 +327,10 @@ def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:
         raise ValueError("representations have different indicator bases")
     space = r1.space
     aux = tensor_space(r1.aux, r2.aux)
-    family: dict[Word, Operator] = {}
+    terms: dict[Word, list[Operator]] = {}
     for u, pu in r1.family.items():
         for v, pv in r2.family.items():
             w = u.concat(v)
-            if len(w) > space.depth:
-                continue
-            term = tensor_op(pu, pv)
-            family[w] = family[w] + term if w in family else term
-    return PredualRep(space, aux, family)
+            if len(w) <= space.depth:
+                terms.setdefault(w, []).append(tensor_op(pu, pv))
+    return PredualRep(space, aux, {w: operator_sum(aux, ops) for w, ops in terms.items()})

@@ -6,7 +6,8 @@ its base-n numeral (digit ``letter - 1``, first letter most significant).
 Hence index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u): for |w| = k and
 |u| = m the pairs (w, u) are block k + m reshaped to (n^k, n^m), row rank(w)
 and column rank(u), so every "pair against w u" loop is a reshape plus a slice
-with no ``Word`` objects.
+with no ``Word`` objects.  :func:`concat` is that rule, and every shift,
+membership pattern and corepresentation assembly takes its indices from it.
 """
 
 from __future__ import annotations
@@ -30,3 +31,8 @@ def block(space: FockSpace, arr, k: int):
 def split_block(space: FockSpace, arr: np.ndarray, k: int, m: int) -> np.ndarray:
     """Block k + m of ``arr`` as an (n^k, n^m) view: [rank(w), rank(u)] is arr[index(w u)]."""
     return block(space, arr, k + m).reshape(space.n**k, space.n**m)
+
+
+def concat(space: FockSpace, k: int, ru, m: int, rv):
+    """Basis index of w u for |w| = k, |u| = m at block ranks ru, rv (numpy-broadcast)."""
+    return space._block_starts[k + m] + ru * space.n**m + rv

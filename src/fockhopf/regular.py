@@ -8,6 +8,9 @@ safe zone, and compositions satisfy ``L_u L_v = L_{uv}`` entrywise.
 Convention worth flagging once: composing right generators appends letters
 one at a time, so the word operator ``R_w`` appends the REVERSAL of w:
 ``R_w xi_u = xi_{u w~}``.
+
+Shift and membership indices come from the graded concatenation rule
+:func:`graded.concat`, index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .spaces import FockSpace, Operator, SafeZone, max_entry_diff, tensor_op
+from . import graded
+from .spaces import FockSpace, Operator, SafeZone, max_entry_diff, operator_sum, tensor_op
 from .words import Alphabet, Word
 
 
@@ -42,35 +46,28 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     R_w with R_w xi_u = xi_{u w~} (generators append letters, hence the
     reversal).  Both agree entrywise with composing single-letter shifts.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if len(w) > space.depth:
-        raise ValueError(f"word of length {len(w)} exceeds depth {space.depth}")
-    suffix = w if side == "left" else w.reverse()
-    rows, cols = [], []
-    for j, u in enumerate(space.words):
-        if len(u) + len(w) > space.depth:
-            break  # length-lex order: all later words are at least as long
-        target = suffix.concat(u) if side == "left" else u.concat(suffix)
-        rows.append(space.index_of(target))
-        cols.append(j)
-    vals = np.ones(len(rows), dtype=np.complex128)
-    return Operator.from_entries(space, space, rows, cols, vals)
+    table = shift_index_table(space, w, side)
+    cols = np.arange(table.size, dtype=np.int64)
+    return Operator.from_entries(space, space, table, cols, np.ones(table.size))
 
 
 @lru_cache(maxsize=None)
-def shift_index_table(space: FockSpace, w: Word) -> np.ndarray:
-    """Index map u -> wu over the words u with |wu| <= depth.
+def shift_index_table(space: FockSpace, w: Word, side: str = "left") -> np.ndarray:
+    """Index map u -> wu (``side="left"``) or u -> u w~ (``"right"``), |u| <= depth - |w|.
 
     By the length-lexicographic order those words occupy the leading basis
-    indices, so the table's length doubles as the admissibility bound.
+    indices, so the table's length doubles as the admissibility bound.  The
+    words u of length m are one :func:`graded.concat` broadcast over their
+    block ranks.
     """
-    rows = []
-    for u in space.words:
-        if len(u) + len(w) > space.depth:
-            break
-        rows.append(space.index_of(w.concat(u)))
-    return np.asarray(rows, dtype=np.int64)
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    k = len(w)
+    rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
+    ranks = (np.arange(space.n**m, dtype=np.int64) for m in range(space.depth - k + 1))
+    if side == "left":
+        return np.concatenate([graded.concat(space, k, rank, m, ru) for m, ru in enumerate(ranks)])
+    return np.concatenate([graded.concat(space, m, ru, k, rank) for m, ru in enumerate(ranks)])
 
 
 def length_projection(space: FockSpace, max_len: int) -> Operator:
@@ -200,40 +197,29 @@ def cesaro_error_bound(series: FourierSeries, k: int) -> float:
     return sum(min(len(w) / k, 1.0) * abs(c) for w, c in series.items())
 
 
-@lru_cache(maxsize=None)
-def _pattern_tables(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    # structured[i, j] is True when word_at(i) = u . word_at(j) for some u;
-    # prefix_index[i, j] is then the basis index of u.
-    dim = space.dim
-    structured = np.zeros((dim, dim), dtype=bool)
-    prefix_index = np.full((dim, dim), -1, dtype=np.int32)
-    for j, w in enumerate(space.words):
-        lw = len(w)
-        for i, v in enumerate(space.words):
-            if len(v) >= lw and v.letters[len(v) - lw :] == w.letters:
-                structured[i, j] = True
-                prefix_index[i, j] = space.index_of(Word(v.letters[: len(v) - lw]))
-    return structured, prefix_index
-
-
 def membership_defect(t: Operator) -> float:
     """Distance of T from the left-pattern algebra {sum a_w L_w}.
 
     The defect is the largest mismatch on structured entries (T xi_w, xi_{uw})
     against the vacuum-column coefficient a_u, plus the largest stray entry at
-    unstructured positions.  It vanishes exactly on realized series.
+    unstructured positions.  It vanishes exactly on realized series.  For
+    |u| = k and |w| = m the structured rows are the :func:`graded.concat`
+    block (k, m).
     """
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("membership_defect expects a square operator on a Fock space")
-    structured, prefix_index = _pattern_tables(space)
     dense = t.matrix.toarray()
-    coeff = dense[:, 0]
-    expected = np.zeros_like(dense)
-    expected[structured] = coeff[prefix_index[structured]]
-    diff = np.abs(dense - expected)
-    on_pattern = float(diff[structured].max(initial=0.0))
-    off_pattern = float(diff[~structured].max(initial=0.0))
+    coeff = dense[:, 0].copy()
+    starts = space._block_starts
+    on_pattern = 0.0
+    for k, m in graded.splits(space.depth):
+        ru, rw = np.ix_(np.arange(space.n**k), np.arange(space.n**m))
+        rows, cols = graded.concat(space, k, ru, m, rw), starts[m] + rw
+        mismatch = np.abs(dense[rows, cols] - coeff[starts[k] + ru])
+        on_pattern = max(on_pattern, float(mismatch.max()))
+        dense[rows, cols] = 0.0  # what is left once every block is cleared is off-pattern
+    off_pattern = float(np.abs(dense).max(initial=0.0))
     return on_pattern + off_pattern
 
 
@@ -251,10 +237,8 @@ def isometry_defect(space: FockSpace) -> float:
 
 def row_contraction_defect(space: FockSpace) -> float:
     """Max entrywise defect of sum_i L_i L_i* = I - (vacuum projection)."""
-    total = Operator.zero(space)
-    for i in space.alphabet.letters:
-        gen = left_shift(space, i)
-        total = total + gen @ gen.adjoint()
+    gens = (left_shift(space, i) for i in space.alphabet.letters)
+    total = operator_sum(space, (gen @ gen.adjoint() for gen in gens))
     target = Operator.identity(space) - Operator.from_entries(space, space, [0], [0], [1.0])
     return max_entry_diff(total, target)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -154,13 +154,6 @@ class TensorSpace:
             q, i = divmod(i, s)
             labels.append(f.word_at(q) if isinstance(f, FockSpace) else q)
         return tuple(labels)
-
-    def split_index(self, i: int) -> tuple[int, ...]:
-        parts = []
-        for s in self.strides:
-            q, i = divmod(i, s)
-            parts.append(q)
-        return tuple(parts)
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -371,6 +364,29 @@ class Operator:
         return Operator(self.codomain, self.domain, self.matrix.conjugate().transpose().tocsr())
 
 
+def operator_sum(space: Space, ops: Iterable[Operator]) -> Operator:
+    """Sum of square operators on ``space``, assembled in one COO pass.
+
+    Each term is reduced to its coordinate arrays as it arrives, so a
+    generator of terms never holds more than one of them in CSR form.
+    Entries that cancel are dropped, as ``Operator.__add__`` drops them.
+    """
+    rows, cols, vals = [], [], []
+    for op in ops:
+        _check_same_space(op.domain, space)
+        _check_same_space(op.codomain, space)
+        coo = op.matrix.tocoo()
+        rows.append(coo.row)
+        cols.append(coo.col)
+        vals.append(coo.data)
+    if not vals:
+        return Operator.zero(space)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    mat = sparse.coo_matrix(entries, shape=(space.dim, space.dim)).tocsr()
+    mat.eliminate_zeros()
+    return Operator(space, space, mat)
+
+
 def tensor_op(*ops: Operator) -> Operator:
     """Kronecker product, row-major: first factor is the slowest index."""
     if not ops:
@@ -520,17 +536,20 @@ def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> dict["Word", Operator
         mat = sparse.coo_matrix(
             (vals[sel], (rows[sel], cols[sel])), shape=(other.dim, other.dim)
         )
-        family[fock.word_at(int(key))] = Operator(other, other, mat.tocsr())
+        family[fock.words[key]] = Operator(other, other, mat.tocsr())
     return family
+
+
+def max_abs(mat: sparse.spmatrix) -> float:
+    """Largest entry modulus of a sparse matrix; 0.0 when it has no entries."""
+    return float(np.abs(mat.data).max(initial=0.0))
 
 
 def max_abs_entry(op: Operator, columns: np.ndarray | None = None) -> float:
     mat = op.matrix
     if columns is not None:
         mat = mat.tocsc()[:, columns]
-    if mat.nnz == 0:
-        return 0.0
-    return float(np.abs(mat.data).max(initial=0.0))
+    return max_abs(mat)
 
 
 def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) -> float:

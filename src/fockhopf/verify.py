@@ -21,7 +21,7 @@ from . import predual as predual_mod
 from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
-from .spaces import FockSpace, Operator, basis_vector, max_entry_diff, tensor_op, tensor_space
+from .spaces import FockSpace, Operator, basis_vector, max_entry_diff, tensor_op
 from .words import Alphabet, Word
 
 ALL_SUITES = ("regrep", "hopf", "predual", "corep", "wandering")
@@ -457,7 +457,7 @@ def _chk_roundtrips(cfg: SuiteConfig, rng) -> tuple[float, float]:
         )
         worst = max(worst, max_entry_diff(v_char.operator, expected))
         rep_back = corep_mod.rep_from_corep(v_char)
-        for u in space.words:
+        for u in rep_back.family.keys() | char.family.keys():
             worst = max(worst, max_entry_diff(rep_back.component(u), char.component(u)))
     return worst, 0.0
 
@@ -544,9 +544,7 @@ def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> tuple[float, float]:
     for w in space.words[1 : min(4, space.dim)]:
         mat = sampling.dyadic_complex(rng, aux.dim * aux.dim).reshape(aux.dim, aux.dim)
         family[w] = Operator.from_dense(aux, aux, mat)
-    total = Operator.zero(tensor_space(space, aux))
-    for w, b in family.items():
-        total = total + tensor_op(reg.word_shift(space, w, "left"), b)
+    total = corep_mod.shift_tensor_sum(space, aux, family)
     report = corep_mod.corep_check(total, legs=False)
     defect = report.reconstruction_defect
     if report.criterion_defect < 2.0:  # the 2I component alone forces >= 2

@@ -97,9 +97,6 @@ class Word:
         return cls(tuple(int(part) for part in text.split(".")))
 
 
-EMPTY_WORD = Word()
-
-
 def word(*letters: int) -> Word:
     return Word(tuple(letters))
 

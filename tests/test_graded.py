@@ -1,18 +1,22 @@
 """The graded block kernel against the literal Word-loop route.
 
-The reference implementations below are the word-by-word definitions of the
-rank-one values and of the predual comultiplication: (L_w xi, eta) summed
-over u as xi_u conj(eta_wu), and (u, v) -> phi(L_uv) looked up through
-``Word.concat`` and ``FockSpace.index_of``.  The kernel sums in a different
-order, so it must agree bit for bit on dyadic inputs, where every sum is
-exact, and to within rounding on general ones.
+The reference implementations below are the word-by-word definitions, looked
+up through ``Word.concat`` and ``FockSpace.index_of``: the rank-one values
+(L_w xi, eta) summed over u as xi_u conj(eta_wu), the predual comultiplication
+(u, v) -> phi(L_uv), the shift tables and word operators, the membership
+pattern, the fundamental corepresentation and the bilinear assembly of
+``corep_from_rep``.  The kernel sums in a different order, so it must agree
+bit for bit on dyadic inputs, where every sum is exact, and to within
+rounding on general ones; index placements must agree exactly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockhopf import predual
+from fockhopf import predual, regular, words
+from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep
+from fockhopf.hopf import _comult_columns, _legwise_columns, comult, leg_families
 from fockhopf.predual import (
     _rank_one_values,
     point_functional,
@@ -20,17 +24,26 @@ from fockhopf.predual import (
     predual_comult,
     predual_homomorphism_defect,
 )
+from fockhopf.regular import (
+    FourierSeries,
+    membership_defect,
+    realize,
+    shift_index_table,
+    word_shift,
+)
 from fockhopf.sampling import (
     EXACT_BITS,
     FINE_BITS,
+    dyadic_complex,
     random_ball_point,
     random_rank_one_functional,
+    random_series,
     random_vector,
     rng_for,
 )
-from fockhopf.spaces import FockSpace
+from fockhopf.spaces import AuxSpace, FockSpace, Operator, SafeZone, tensor_space
 from fockhopf.verify import SuiteConfig, _slice_oracle_defect, _slice_oracle_entries
-from fockhopf.words import Alphabet
+from fockhopf.words import Alphabet, Word
 
 # Every point of ``verify --full`` plus the deep (2, 7) point.
 GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
@@ -161,3 +174,194 @@ def test_slice_oracle_catches_each_perturbed_convolution_value():
         bad[i] += 1e-6
         assert _slice_oracle_defect(entries, bad, xx, ee) > cfg.tolerance
 
+
+
+# ---------------------------------------------------------------------------
+# Shifts, membership and corepresentation assembly: the Word-loop references.
+
+
+def literal_shift_index_table(space, w, side):
+    suffix = w if side == "left" else w.reverse()
+    rows = []
+    for u in space.words:
+        if len(u) + len(w) > space.depth:
+            break  # length-lex order: all later words are at least as long
+        rows.append(space.index_of(suffix.concat(u) if side == "left" else u.concat(suffix)))
+    return np.asarray(rows, dtype=np.int64)
+
+
+def literal_word_shift(space, w, side):
+    rows = literal_shift_index_table(space, w, side)
+    return Operator.from_entries(space, space, rows, np.arange(rows.size), np.ones(rows.size))
+
+
+def literal_pattern_tables(space):
+    # structured[i, j] is True when word_at(i) = u . word_at(j) for some u;
+    # prefix_index[i, j] is then the basis index of u.
+    dim = space.dim
+    structured = np.zeros((dim, dim), dtype=bool)
+    prefix_index = np.full((dim, dim), -1, dtype=np.int32)
+    for j, w in enumerate(space.words):
+        lw = len(w)
+        for i, v in enumerate(space.words):
+            if len(v) >= lw and v.letters[len(v) - lw :] == w.letters:
+                structured[i, j] = True
+                prefix_index[i, j] = space.index_of(Word(v.letters[: len(v) - lw]))
+    return structured, prefix_index
+
+
+def literal_membership_defect(t):
+    structured, prefix_index = literal_pattern_tables(t.domain)
+    dense = t.matrix.toarray()
+    expected = np.zeros_like(dense)
+    expected[structured] = dense[:, 0][prefix_index[structured]]
+    diff = np.abs(dense - expected)
+    return float(diff[structured].max(initial=0.0)) + float(diff[~structured].max(initial=0.0))
+
+
+def literal_fundamental_corep(space):
+    pair = tensor_space(space, space)
+    rows, cols = [], []
+    for u in space.words:
+        for v in space.words:
+            if len(u) + len(v) > space.depth:
+                break
+            rows.append(pair.index_of((v.concat(u), v)))
+            cols.append(pair.index_of((u, v)))
+    return Operator.from_entries(pair, pair, rows, cols, np.ones(len(rows)))
+
+
+def literal_corep_from_rep(rep, space):
+    pair = tensor_space(space, rep.aux)
+    dk = rep.aux.dim
+    rows, cols, vals = [], [], []
+    for u, pu in rep.family.items():
+        coo = pu.matrix.tocoo()
+        for a in space.words:
+            if len(u) + len(a) > space.depth:
+                break
+            rows.extend(space.index_of(u.concat(a)) * dk + coo.row)
+            cols.extend(space.index_of(a) * dk + coo.col)
+            vals.extend(coo.data)
+    return Operator.from_entries(pair, pair, rows, cols, vals)
+
+
+def same_operator(a, b):
+    return a.domain == b.domain and a.codomain == b.codomain and (a.matrix != b.matrix).nnz == 0
+
+
+def _words(n, max_len):
+    return st.lists(st.integers(1, n), max_size=max_len).map(lambda letters: Word(tuple(letters)))
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_shift_tables_and_word_shifts_match_literal(n, depth, data):
+    space = FockSpace(Alphabet(n), depth)
+    w = data.draw(_words(n, depth))
+    for side in ("left", "right"):
+        literal = literal_shift_index_table(space, w, side)
+        table = shift_index_table(space, w, side)
+        assert table.dtype == np.int64 and np.array_equal(table, literal)
+        assert same_operator(word_shift(space, w, side), literal_word_shift(space, w, side))
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+@given(seed=SEEDS)
+@settings(max_examples=3, deadline=None)
+def test_membership_matches_literal_pattern(n, depth, seed):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(seed, "graded-membership")
+    realized = realize(random_series(rng, space.alphabet, int(rng.integers(0, depth + 1))), space)
+    assert membership_defect(realized) == literal_membership_defect(realized) == 0.0
+    # One stray entry, on or off the pattern, and a fully random matrix.
+    i, j = (int(x) for x in rng.integers(0, space.dim, size=2))
+    stray = realized + Operator.from_entries(space, space, [i], [j], [dyadic_complex(rng)])
+    assert membership_defect(stray) == literal_membership_defect(stray)
+    noise = dyadic_complex(rng, space.dim * space.dim).reshape(space.dim, space.dim)
+    dense = Operator.from_dense(space, space, noise)
+    assert membership_defect(dense) == literal_membership_defect(dense)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_fundamental_corep_matches_literal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    assert same_operator(fundamental_corep(space).operator, literal_fundamental_corep(space))
+
+
+def _random_rep(rng, space):
+    # Distinct words carry orthogonal idempotents on a small auxiliary space:
+    # a non-diagonal rank-one idempotent e_0 (e_0 + a e_1)^T, then e_i e_i^T for i >= 2.
+    dk = int(rng.integers(2, 5))
+    aux = AuxSpace(dk)
+    picks = rng.choice(space.dim, size=min(dk - 1, space.dim), replace=False)
+    slots = [0] + list(range(2, dk))
+    family = {}
+    for slot, index in zip(slots, picks):
+        entries = ([slot], [slot], [1.0]) if slot else ([0, 0], [0, 1], [1.0, dyadic_complex(rng)])
+        family[space.word_at(int(index))] = Operator.from_entries(aux, aux, *entries)
+    return PredualRep(space, aux, family)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+@given(seed=SEEDS)
+@settings(max_examples=4, deadline=None)
+def test_corep_from_rep_matches_literal(n, depth, seed):
+    space = FockSpace(Alphabet(n), depth)
+    rep = _random_rep(rng_for(seed, "graded-corep"), space)
+    assert same_operator(corep_from_rep(rep, space).operator, literal_corep_from_rep(rep, space))
+
+
+# Triple tensor powers are materialized here, so only the small grid points.
+SMALL_GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n,depth", SMALL_GRID)
+@given(seed=SEEDS)
+@settings(max_examples=3, deadline=None)
+def test_coassociativity_routes_match_materialized_triple(n, depth, seed):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(seed, "graded-coassociativity")
+    series = random_series(rng, space.alphabet, int(rng.integers(0, depth + 1)), bits=EXACT_BITS)
+    triple = comult(series, space, fold=3).operator.matrix.tocsc()
+    every = np.arange(space.dim**3)
+    assert (_comult_columns(series, space, 3, every) != triple).nnz == 0
+    cols = SafeZone(tensor_space(space, space, space), series.degree).indices
+    first, second = leg_families(comult(series, space, fold=2).operator)
+    for route in (
+        _comult_columns(series, space, 3, cols),
+        _legwise_columns(first, space, family_leg=2, columns=cols),
+        _legwise_columns(second, space, family_leg=0, columns=cols),
+    ):
+        assert (route != triple[:, cols]).nnz == 0
+
+
+def test_index_routes_build_at_most_the_reversal(monkeypatch):
+    # The word table of a space is built once, at the API edge; past it the
+    # index routes construct no Word except the reversal of a right shift.
+    space = FockSpace(Alphabet(2), 7)
+    space.words
+    w = Word((1, 2, 2))
+    realized = realize(FourierSeries(space.alphabet, {w: 1.0, Word((2,)): 0.5}), space)
+    rep = PredualRep.character(space, w)
+    built = []
+    honest = words.Word.__post_init__
+
+    def counting(self):
+        built.append(self)
+        honest(self)
+
+    regular.shift_index_table.cache_clear()
+    regular.word_shift.cache_clear()
+    monkeypatch.setattr(words.Word, "__post_init__", counting)
+    for build in (
+        lambda: shift_index_table(space, w, "left"),
+        lambda: shift_index_table(space, w, "right"),
+        lambda: membership_defect(realized),
+        lambda: fundamental_corep(space),
+        lambda: corep_from_rep(rep, space),
+    ):
+        built.clear()
+        build()
+        assert len(built) <= 1

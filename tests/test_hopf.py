@@ -213,3 +213,14 @@ def test_grouplike_rejects_sum_of_indicators():
 def test_grouplike_defect_zero_on_indicators():
     for w in H3.words:
         assert grouplike_defect(FourierSeries.indicator(A2, w), H3) == 0.0
+
+
+def test_grouplike_equations_can_fail():
+    # Only the support enters the coefficient system, which still rejects
+    # 2 * 1_w (a_w a_w != a_w) and 1_u + 1_v (a_u a_v != 0).
+    from fockhopf.hopf import _satisfies_grouplike_equations
+
+    w = word(1, 2)
+    assert _satisfies_grouplike_equations(FourierSeries.indicator(A2, w), H3)
+    assert not _satisfies_grouplike_equations(FourierSeries(A2, {w: 2.0}), H3)
+    assert not _satisfies_grouplike_equations(FourierSeries(A2, {word(1): 1.0, word(2): 1.0}), H3)
