@@ -38,7 +38,6 @@ from .regular import (
     word_shift,
 )
 from .hopf import (
-    DeltaImage,
     coassociativity_defect,
     cocommutativity_defect,
     comult,

@@ -34,6 +34,7 @@ from .spaces import (
     Space,
     TensorSpace,
     Vector,
+    coo_sum,
     inner,
     leg_embed,
     max_abs,
@@ -224,24 +225,24 @@ class PredualRep:
             if op.nnz:
                 clean[w] = op
         self.family = clean
-        self.law_defect = self._law_defect()
+        self.law_defect = idempotent_family_defect(self.family, self.aux)
         if self.law_defect > REP_LAW_TOL:
             raise ValueError(
                 f"family violates the representation law (defect {self.law_defect:.3e})"
             )
 
-    def _law_defect(self) -> float:
-        return idempotent_family_defect(self.family, self.aux)
-
     def component(self, w: Word) -> Operator:
         return self.family.get(w, Operator.zero(self.aux))
 
     def evaluate(self, f: Functional) -> Operator:
-        """Image of a general functional: sum_w phi(L_w) pi_w."""
+        """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass."""
         if f.space != self.space:
             raise ValueError("functional lives on a different space")
-        terms = (complex(f.values[self.space.index_of(w)]) * op for w, op in self.family.items())
-        return operator_sum(self.aux, terms)
+        mats = [op.matrix for op in self.family.values()]
+        weights = f.values[[self.space.index_of(w) for w in self.family]]
+        rows = [np.repeat(np.arange(self.aux.dim), np.diff(m.indptr)) for m in mats]
+        vals = [m.data * x for m, x in zip(mats, weights)]
+        return coo_sum(self.aux, rows, [m.indices for m in mats], vals)
 
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":

@@ -7,7 +7,8 @@ Hence index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u): for |w| = k and
 |u| = m the pairs (w, u) are block k + m reshaped to (n^k, n^m), row rank(w)
 and column rank(u), so every "pair against w u" loop is a reshape plus a slice
 with no ``Word`` objects.  :func:`concat` is that rule, and every shift,
-membership pattern and corepresentation assembly takes its indices from it.
+membership pattern, corepresentation assembly and coassociativity iterate
+takes its indices from it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ def split_block(space: FockSpace, arr: np.ndarray, k: int, m: int) -> np.ndarray
     return block(space, arr, k + m).reshape(space.n**k, space.n**m)
 
 
-def concat(space: FockSpace, k: int, ru, m: int, rv):
-    """Basis index of w u for |w| = k, |u| = m at block ranks ru, rv (numpy-broadcast)."""
-    return space._block_starts[k + m] + ru * space.n**m + rv
+def length_rank(space: FockSpace, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Word length and block rank of each basis index, as int64 arrays."""
+    k = space.lengths[idx].astype(np.int64)
+    return k, idx - np.asarray(space._block_starts)[k]
+
+
+def concat(space: FockSpace, k, ru, m, rv):
+    """Basis index of w u for |w| = k, |u| = m at block ranks ru, rv.
+
+    Lengths and ranks numpy-broadcast together (array lengths as from
+    :func:`length_rank`); k + m must not exceed the depth.
+    """
+    return np.asarray(space._block_starts)[k + m] + ru * space.n**m + rv

@@ -9,17 +9,15 @@ defects are all contractually zero on their safe zones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
+from . import graded
 from .regular import FourierSeries, realize, shift_index_table
 from .spaces import (
     FockSpace,
     Operator,
     SafeZone,
-    TensorSpace,
     basis_vector,
     flip_operator,
     max_abs,
@@ -28,22 +26,12 @@ from .spaces import (
     slice_right,
     tensor_op,
     tensor_space,
-    vacuum_leg_decomposition,
+    vacuum_block,
 )
 from .words import Word
 
 
-@dataclass(eq=False)
-class DeltaImage:
-    """A comultiplied series together with its realized tensor operator."""
-
-    series: FourierSeries
-    space: FockSpace
-    fold: int
-    operator: Operator
-
-
-def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> DeltaImage:
+def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> Operator:
     """Realize sum a_w (L_w)^(x fold) on the fold-wise tensor power.
 
     Each word shift is a partial basis permutation, so the tensor power
@@ -76,7 +64,7 @@ def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> DeltaImage
         ).tocsr()
     else:
         mat = sparse.csr_matrix((target.dim, target.dim), dtype=np.complex128)
-    return DeltaImage(series, space, fold, Operator(target, target, mat))
+    return Operator(target, target, mat)
 
 
 def _comult_columns(
@@ -100,48 +88,42 @@ def _comult_columns(
     return mat.tocsc()
 
 
-def leg_families(delta_op: Operator) -> tuple[dict[Word, Operator], dict[Word, Operator]]:
-    """Slice decompositions sum_w L_w (x) C_w and sum_w D_w (x) L_w.
-
-    Reading the vacuum column blocks is entry-for-entry the slice of the
-    operator against the vacuum/word rank-one pairs on the respective leg.
-    """
-    first = vacuum_leg_decomposition(delta_op, leg=1)
-    second = vacuum_leg_decomposition(delta_op, leg=2)
-    return first, second
-
-
 def _legwise_columns(
-    family: dict[Word, Operator],
-    space: FockSpace,
-    family_leg: int,
-    columns: np.ndarray,
+    delta: Operator, space: FockSpace, family_leg: int, columns: np.ndarray
 ) -> sparse.csc_matrix:
-    """Columns of sum_w (tensor with L_w on the shift legs, family[w] on one leg).
+    """Columns of sum_w (L_w on the two shift legs, C_w on ``family_leg``).
 
-    ``family_leg`` is the 0-based leg carrying family[w]; the other two legs
-    carry the word shift L_w.
+    ``family_leg`` is the 0-based triple leg carrying the family of the pair
+    comultiplication ``delta``: leg 2 takes the first-leg family of
+    delta = sum_w L_w (x) C_w, giving (Delta (x) id) Delta, and leg 0 the
+    second-leg family of delta = sum_w C_w (x) L_w, giving (id (x) Delta) Delta.
+    Each stored entry C_w[y, x] of the vacuum block, for each requested column
+    whose family-leg index is x, lands at y on the family leg and at w u on
+    each shift leg (u that column's index there); entries with some
+    |w| + |u| > depth are dropped.
     """
-    shape = (space.dim,) * 3
+    dim, depth = space.dim, space.depth
+    shape = (dim,) * 3
     parts = np.unravel_index(columns, shape)
+    block = vacuum_block(delta, leg=1 if family_leg == 2 else 2)
+    # Gather the stored entries of block column x for every requested column.
+    first = block.indptr[parts[family_leg]]
+    counts = block.indptr[parts[family_leg] + 1] - first
+    col = np.repeat(np.arange(columns.size), counts)
+    pos = np.arange(col.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    w, y = np.divmod(block.indices[pos], dim)
     shift_legs = [leg for leg in range(3) if leg != family_leg]
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    vals = [np.empty(0, dtype=np.complex128)]
-    for w, op in family.items():
-        table = shift_index_table(space, w)
-        keep = np.flatnonzero(np.all([parts[leg] < table.size for leg in shift_legs], axis=0))
-        block = op.matrix.tocsc()[:, parts[family_leg][keep]]
-        counts = np.diff(block.indptr)
-        legs = {leg: np.repeat(table[parts[leg][keep]], counts) for leg in shift_legs}
-        legs[family_leg] = block.indices
-        rows.append(np.ravel_multi_index(tuple(legs[leg] for leg in range(3)), shape))
-        cols.append(np.repeat(keep, counts))
-        vals.append(block.data)
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim**3, len(columns)),
+    lengths = space.lengths
+    fits = np.logical_and.reduce(
+        [lengths[w] + lengths[parts[leg][col]] <= depth for leg in shift_legs]
     )
-    return mat.tocsc()
+    w, y, col, vals = w[fits], y[fits], col[fits], block.data[pos[fits]]
+    lw, rw = graded.length_rank(space, w)
+    legs = {family_leg: y}
+    for leg in shift_legs:
+        legs[leg] = graded.concat(space, lw, rw, *graded.length_rank(space, parts[leg][col]))
+    rows = np.ravel_multi_index(tuple(legs[leg] for leg in range(3)), shape)
+    return sparse.coo_matrix((vals, (rows, col)), shape=(dim**3, columns.size)).tocsc()
 
 
 def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
@@ -151,31 +133,28 @@ def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
     the pair comultiplication, so the three routes are independent; the
     defect is their largest disagreement on the slack-degree safe zone.
     """
-    image = comult(series, space, fold=2)
-    first, second = leg_families(image.operator)
-    triple = tensor_space(space, space, space)
-    cols = SafeZone(triple, series.degree).indices
-    route_a = _legwise_columns(first, space, family_leg=2, columns=cols)
-    route_b = _legwise_columns(second, space, family_leg=0, columns=cols)
+    delta = comult(series, space, fold=2)
+    cols = SafeZone(tensor_space(space, space, space), series.degree).indices
+    route_a = _legwise_columns(delta, space, family_leg=2, columns=cols)
+    route_b = _legwise_columns(delta, space, family_leg=0, columns=cols)
     route_c = _comult_columns(series, space, 3, cols)
     return max(max_abs(route_a - route_c), max_abs(route_b - route_c), max_abs(route_a - route_b))
 
 
 def cocommutativity_defect(series: FourierSeries, space: FockSpace) -> float:
     """Defect of flip-invariance of the comultiplied operator; contract: 0."""
-    image = comult(series, space, fold=2)
-    flip = flip_operator(image.operator.domain)  # square: both factors equal
-    conjugated = flip @ image.operator @ flip
-    return max_entry_diff(conjugated, image.operator)
+    delta = comult(series, space, fold=2)
+    flip = flip_operator(delta.domain)  # square: both factors equal
+    return max_entry_diff(flip @ delta @ flip, delta)
 
 
 def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) -> float:
     """Defect of multiplicativity on the slack-(deg s + deg t) safe zone."""
     if s.degree + t.degree > space.depth:
         raise ValueError("combined degree exceeds the depth")
-    product_image = comult(s * t, space, fold=2).operator
-    left = comult(s, space, fold=2).operator
-    right = comult(t, space, fold=2).operator
+    product_image = comult(s * t, space, fold=2)
+    left = comult(s, space, fold=2)
+    right = comult(t, space, fold=2)
     cols = SafeZone(product_image.domain, s.degree + t.degree).indices
     composed_cols = left.matrix @ right.matrix.tocsc()[:, cols]
     return max_abs(composed_cols - product_image.matrix.tocsc()[:, cols])
@@ -192,12 +171,12 @@ def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float
     Slicing either leg of the comultiplied operator against the vacuum
     rank-one functional must reproduce a_e times the identity.
     """
-    image = comult(series, space, fold=2)
+    delta = comult(series, space, fold=2)
     vacuum = basis_vector(space, Word())
     pairs = [(vacuum, vacuum)]
     target = integral_value(series) * Operator.identity(space)
-    left = slice_right(pairs, image.operator)
-    right = slice_left(pairs, image.operator)
+    left = slice_right(pairs, delta)
+    right = slice_left(pairs, delta)
     return max(max_entry_diff(left, target), max_entry_diff(right, target))
 
 
@@ -207,24 +186,22 @@ def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:
     The image of the vacuum tensor must carry a_w at the (w, w) diagonal
     positions and exactly zero at every (u, v) with u != v.
     """
-    image = comult(series, space, fold=2)
-    target = image.operator.domain
-    assert isinstance(target, TensorSpace)
-    vac = basis_vector(target, (Word(), Word()))
-    out = image.operator.apply(vac).data
+    delta = comult(series, space, fold=2)
+    vac = basis_vector(delta.domain, (Word(), Word()))
+    out = delta.apply(vac).data
     expected = np.zeros_like(out)
-    for w in space.words:
-        expected[target.index_of((w, w))] = series.coefficient(w)
+    for w, c in series.items():
+        i = space.index_of(w)
+        expected[i * space.dim + i] = c
     return float(np.abs(out - expected).max(initial=0.0))
 
 
 def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:
     """Entrywise defect of Delta(A) = A (x) A on the slack-degree safe zone."""
-    image = comult(series, space, fold=2)
+    delta = comult(series, space, fold=2)
     a = realize(series, space)
-    square = tensor_op(a, a)
-    cols = SafeZone(image.operator.domain, series.degree).indices
-    return max_entry_diff(image.operator, square, cols)
+    cols = SafeZone(delta.domain, series.degree).indices
+    return max_entry_diff(delta, tensor_op(a, a), cols)
 
 
 def _satisfies_grouplike_equations(series: FourierSeries, space: FockSpace) -> bool:

@@ -79,7 +79,11 @@ class Functional:
 def from_rank_one(space: FockSpace, pairs: Sequence[RankOnePair]) -> Functional:
     """The functional sum_j [xi_j eta_j*] with values (L_w xi_j, eta_j)."""
     pairs = tuple((xi, eta) for xi, eta in pairs)
-    return Functional(space, _rank_one_values(space, pairs), provenance=pairs)
+    f = Functional(space, _rank_one_values(space, pairs))
+    # The values were just computed from these pairs, so skip the re-check
+    # that a provenance passed to the constructor gets.
+    object.__setattr__(f, "provenance", pairs)
+    return f
 
 
 def vacuum_functional(space: FockSpace) -> Functional:

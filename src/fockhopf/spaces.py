@@ -379,6 +379,14 @@ def operator_sum(space: Space, ops: Iterable[Operator]) -> Operator:
         rows.append(coo.row)
         cols.append(coo.col)
         vals.append(coo.data)
+    return coo_sum(space, rows, cols, vals)
+
+
+def coo_sum(space: Space, rows: list, cols: list, vals: list) -> Operator:
+    """Square operator on ``space`` summing coordinate arrays part by part.
+
+    Duplicate entries add up and entries that cancel are dropped.
+    """
     if not vals:
         return Operator.zero(space)
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
@@ -502,42 +510,38 @@ def _tensor_pair(t: Operator) -> tuple[Space, Space]:
     return space.factors[0], space.factors[1]
 
 
-def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> dict["Word", Operator]:
-    """Coefficient family of a two-leg operator, read off a vacuum column block.
+def vacuum_block(t: Operator, leg: int = 1) -> sparse.csc_matrix:
+    """Coefficient family of a two-leg operator as one stacked vacuum column block.
 
-    For ``leg=1`` the family {w: C_w} satisfies C_w[y, x] = T[(w, y), (e, x)],
-    which is exactly the slice of T against the vacuum/word rank-one pair on
-    the first leg; ``leg=2`` reads the second leg symmetrically.  Only words
-    with a nonzero coefficient operator appear.
+    For ``leg=1`` the family {w: C_w} of T = sum_w L_w (x) C_w has
+    C_w[y, x] = T[(w, y), (e, x)], the slice of T against the vacuum/word
+    rank-one pair on the first leg; ``leg=2`` reads the second leg
+    symmetrically.  Either way C_w[y, x] sits at row index(w) d + y and
+    column x, with d the dimension of the other leg.
     """
-    first, second = _tensor_pair(t)
-    if leg == 1:
-        fock, other = first, second
-    elif leg == 2:
-        fock, other = second, first
-    else:
+    if leg not in (1, 2):
         raise ValueError(f"leg must be 1 or 2, got {leg}")
-    if not isinstance(fock, FockSpace):
+    first, second = _tensor_pair(t)
+    if not isinstance(first if leg == 1 else second, FockSpace):
         raise ValueError(f"tensor factor {leg} is not a Fock space")
-    coo = t.matrix.tocoo()
-    d2 = second.dim
-    r1, r2 = np.divmod(coo.row, d2)
-    c1, c2 = np.divmod(coo.col, d2)
+    d1, d2 = first.dim, second.dim
     if leg == 1:
-        keep = c1 == 0  # the vacuum word is basis index 0
-        keys, rows, cols = r1[keep], r2[keep], c2[keep]
-    else:
-        keep = c2 == 0
-        keys, rows, cols = r2[keep], r1[keep], c1[keep]
-    vals = coo.data[keep]
-    family: dict[Word, Operator] = {}
-    for key in np.unique(keys):
-        sel = keys == key
-        mat = sparse.coo_matrix(
-            (vals[sel], (rows[sel], cols[sel])), shape=(other.dim, other.dim)
-        )
-        family[fock.words[key]] = Operator(other, other, mat.tocsr())
-    return family
+        return t.matrix[:, :d2].tocsc()  # the vacuum word is basis index 0
+    # Columns (x, e) are every d2-th; rows (y, w) are re-keyed to (w, y).
+    rekey = np.arange(d1 * d2).reshape(d1, d2).T.ravel()
+    return t.matrix[:, ::d2][rekey].tocsc()
+
+
+def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> dict["Word", Operator]:
+    """The family of :func:`vacuum_block` keyed by word, one operator per word.
+
+    Only words whose row range of the block stores an entry appear.
+    """
+    block = vacuum_block(t, leg).tocsr()
+    fock, other = _tensor_pair(t)[:: 1 if leg == 1 else -1]
+    d = other.dim
+    keys = np.flatnonzero(np.diff(block.indptr[::d]))
+    return {fock.words[k]: Operator(other, other, block[k * d : (k + 1) * d]) for k in keys}
 
 
 def max_abs(mat: sparse.spmatrix) -> float:

@@ -298,7 +298,7 @@ def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     the word at basis index i start at offsets[i].
     """
     indicators = (reg.FourierSeries.indicator(space.alphabet, w) for w in space.words)
-    images = [hopf_mod.comult(s, space).operator.matrix.tocoo() for s in indicators]
+    images = [hopf_mod.comult(s, space).matrix.tocoo() for s in indicators]
     offsets = np.cumsum([0] + [m.nnz for m in images[:-1]])
     return (
         np.concatenate([m.row for m in images]),

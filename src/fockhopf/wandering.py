@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .regular import shift_index_table, word_shift
+from .spaces import FockSpace, tensor_op
 from .words import Alphabet, Word, count_words, enumerate_words, max_common_prefix
 
 
@@ -118,9 +120,6 @@ def wandering_check(
     orthogonal by construction.  On instances small enough, the Gram blocks
     of the actual sparse shift operators are computed as well.
     """
-    from .regular import shift_index_table
-    from .spaces import FockSpace
-
     if k < 1 or depth < 0:
         raise ValueError("need k >= 1 and depth >= 0")
     t = count_words(alphabet, depth)
@@ -135,10 +134,7 @@ def wandering_check(
     for w in space.words:
         table = shift_index_table(space, w)  # u -> w u over the words that fit
         sub = mask[tuple([slice(0, table.size)] * k)]
-        legs = np.ix_(*([table] * k))
-        linear = legs[0].astype(np.int64) * (t ** (k - 1))
-        for m, g in enumerate(legs[1:], start=2):
-            linear = linear + g.astype(np.int64) * (t ** (k - m))
+        linear = np.ravel_multi_index(np.ix_(*([table] * k)), (t,) * k)
         np.add.at(counts, linear[sub].ravel(), 1)
     cover_injective = bool(counts.max(initial=0) <= 1)
     cover_complete = bool(counts.min(initial=1) >= 1)
@@ -177,9 +173,6 @@ def wandering_check(
 
 def _gram_defect(alphabet: Alphabet, k: int, depth: int, mask: np.ndarray) -> float:
     """Sparse Gram cross-blocks of shifted wandering columns; contract: 0."""
-    from .regular import word_shift
-    from .spaces import FockSpace, tensor_op
-
     space = FockSpace(alphabet, depth)
     cols = np.flatnonzero(mask.ravel())
     worst = 0.0
@@ -200,9 +193,6 @@ def _gram_defect(alphabet: Alphabet, k: int, depth: int, mask: np.ndarray) -> fl
 
 def isometry_on_wandering_defect(alphabet: Alphabet, k: int, depth: int, w: Word) -> float:
     """Shifted wandering columns stay orthonormal when images fit the depth."""
-    from .regular import word_shift
-    from .spaces import FockSpace, tensor_op
-
     space = FockSpace(alphabet, depth)
     mask = _wandering_mask(alphabet, k, depth - len(w))
     sub = count_words(alphabet, depth - len(w))

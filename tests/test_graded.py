@@ -13,10 +13,11 @@ rounding on general ones; index placements must agree exactly.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from fockhopf import predual, regular, words
-from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep
-from fockhopf.hopf import _comult_columns, _legwise_columns, comult, leg_families
+from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep, rep_from_corep
+from fockhopf.hopf import _comult_columns, _legwise_columns, coassociativity_defect, comult
 from fockhopf.predual import (
     _rank_one_values,
     point_functional,
@@ -41,7 +42,14 @@ from fockhopf.sampling import (
     random_vector,
     rng_for,
 )
-from fockhopf.spaces import AuxSpace, FockSpace, Operator, SafeZone, tensor_space
+from fockhopf.spaces import (
+    AuxSpace,
+    FockSpace,
+    Operator,
+    SafeZone,
+    tensor_space,
+    vacuum_leg_decomposition,
+)
 from fockhopf.verify import SuiteConfig, _slice_oracle_defect, _slice_oracle_entries
 from fockhopf.words import Alphabet, Word
 
@@ -157,7 +165,7 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
     entries = _slice_oracle_entries(space)
     _, xx, ee = _oracle_inputs(space, 1)
     per_word = np.array([
-        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).operator.matrix @ xx)
+        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx)
         for w in space.words
     ])
     assert _slice_oracle_defect(entries, per_word, xx, ee) <= 1e-12
@@ -313,6 +321,30 @@ def test_corep_from_rep_matches_literal(n, depth, seed):
     assert same_operator(corep_from_rep(rep, space).operator, literal_corep_from_rep(rep, space))
 
 
+def literal_legwise_columns(family, space, family_leg, columns):
+    # One shift table and one column gather of family[w] per family word.
+    shape = (space.dim,) * 3
+    parts = np.unravel_index(columns, shape)
+    shift_legs = [leg for leg in range(3) if leg != family_leg]
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=np.complex128)]
+    for w, op in family.items():
+        table = shift_index_table(space, w)
+        keep = np.flatnonzero(np.all([parts[leg] < table.size for leg in shift_legs], axis=0))
+        block = op.matrix.tocsc()[:, parts[family_leg][keep]]
+        counts = np.diff(block.indptr)
+        legs = {leg: np.repeat(table[parts[leg][keep]], counts) for leg in shift_legs}
+        legs[family_leg] = block.indices
+        rows.append(np.ravel_multi_index(tuple(legs[leg] for leg in range(3)), shape))
+        cols.append(np.repeat(keep, counts))
+        vals.append(block.data)
+    mat = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim**3, len(columns)),
+    )
+    return mat.tocsc()
+
+
 # Triple tensor powers are materialized here, so only the small grid points.
 SMALL_GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
@@ -324,17 +356,22 @@ def test_coassociativity_routes_match_materialized_triple(n, depth, seed):
     space = FockSpace(Alphabet(n), depth)
     rng = rng_for(seed, "graded-coassociativity")
     series = random_series(rng, space.alphabet, int(rng.integers(0, depth + 1)), bits=EXACT_BITS)
-    triple = comult(series, space, fold=3).operator.matrix.tocsc()
+    triple = comult(series, space, fold=3).matrix.tocsc()
+    delta = comult(series, space, fold=2)
+    first = vacuum_leg_decomposition(delta, leg=1)
+    second = vacuum_leg_decomposition(delta, leg=2)
+    # Delta(A) is exact on its vacuum columns, so every route matches the
+    # triple on every column, not only on the safe zone.
     every = np.arange(space.dim**3)
-    assert (_comult_columns(series, space, 3, every) != triple).nnz == 0
-    cols = SafeZone(tensor_space(space, space, space), series.degree).indices
-    first, second = leg_families(comult(series, space, fold=2).operator)
-    for route in (
-        _comult_columns(series, space, 3, cols),
-        _legwise_columns(first, space, family_leg=2, columns=cols),
-        _legwise_columns(second, space, family_leg=0, columns=cols),
-    ):
-        assert (route != triple[:, cols]).nnz == 0
+    for cols in (every, SafeZone(tensor_space(space, space, space), series.degree).indices):
+        for route in (
+            _comult_columns(series, space, 3, cols),
+            _legwise_columns(delta, space, family_leg=2, columns=cols),
+            _legwise_columns(delta, space, family_leg=0, columns=cols),
+            literal_legwise_columns(first, space, family_leg=2, columns=cols),
+            literal_legwise_columns(second, space, family_leg=0, columns=cols),
+        ):
+            assert (route != triple[:, cols]).nnz == 0
 
 
 def test_index_routes_build_at_most_the_reversal(monkeypatch):
@@ -365,3 +402,26 @@ def test_index_routes_build_at_most_the_reversal(monkeypatch):
         built.clear()
         build()
         assert len(built) <= 1
+
+
+def test_coassociativity_and_evaluate_build_one_operator(monkeypatch):
+    # The coefficient families are read off one vacuum block, so past Delta(A)
+    # the coassociativity routes build no Operator, and evaluating a
+    # representation assembles its single image directly.
+    space = FockSpace(Alphabet(3), 4)
+    rng = rng_for(0, "operator-guard")
+    series = random_series(rng, space.alphabet, 2, bits=EXACT_BITS)
+    rep = rep_from_corep(fundamental_corep(space))
+    f = random_rank_one_functional(rng, space)
+    built = []
+    honest = Operator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        honest(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    for run in (lambda: coassociativity_defect(series, space), lambda: rep.evaluate(f)):
+        built.clear()
+        run()
+        assert len(built) == 1

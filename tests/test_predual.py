@@ -101,7 +101,7 @@ def test_convolution_matches_slice_oracle():
     # The pointwise product equals evaluating f (x) g against the
     # comultiplied word operators.
     rng = rng_for(0, "conv-oracle")
-    images = {w: comult(FourierSeries.indicator(A2, w), H4).operator for w in H4.words}
+    images = {w: comult(FourierSeries.indicator(A2, w), H4) for w in H4.words}
     for _ in range(100):
         f = random_rank_one_functional(rng, H4)
         g = random_rank_one_functional(rng, H4)

@@ -13,6 +13,7 @@ from fockhopf.spaces import (
     leg_embed,
     max_entry_diff,
     operator_entries,
+    operator_sum,
     slice_left,
     slice_right,
     tensor_op,
@@ -262,6 +263,31 @@ def test_slice_reads_first_leg_coefficients():
     fast = vacuum_leg_decomposition(t, leg=1)
     for w, b in families.items():
         assert max_entry_diff(fast[w], b) < 1e-12
+
+
+def test_vacuum_families_on_unequal_legs():
+    # The leg next to the Fock leg is an auxiliary space of another size, so
+    # the block rows must be keyed by that size on both legs.
+    from fockhopf.regular import word_shift
+
+    space = FockSpace(A2, 2)
+    aux = AuxSpace(3)
+    rng = np.random.default_rng(31)
+    families = {w: rnd_sparse_operator(rng, aux) for w in space.words[1:5]}
+    shifts = {w: word_shift(space, w, "left") for w in families}
+    first = operator_sum(
+        tensor_space(space, aux), (tensor_op(shifts[w], b) for w, b in families.items())
+    )
+    second = operator_sum(
+        tensor_space(aux, space), (tensor_op(b, shifts[w]) for w, b in families.items())
+    )
+    for t, leg in ((first, 1), (second, 2)):
+        family = vacuum_leg_decomposition(t, leg=leg)
+        assert sorted(family, key=space.index_of) == list(families)
+        for w, b in families.items():
+            assert max_entry_diff(family[w], b) == 0.0
+    with pytest.raises(ValueError):
+        vacuum_leg_decomposition(first, leg=2)
 
 
 def test_slice_linear_in_pairs():
