@@ -12,7 +12,6 @@ from .spaces import (
     AuxSpace,
     FockSpace,
     Operator,
-    SafeZone,
     TensorSpace,
     Vector,
     basis_vector,

@@ -18,6 +18,7 @@ Kronecker products instead (:func:`shift_tensor_sum`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .spaces import (
     SCALAR_SPACE,
     FockSpace,
     Operator,
-    SafeZone,
     Space,
     TensorSpace,
     Vector,
@@ -111,8 +111,11 @@ def shift_tensor_sum(
 ) -> Operator:
     """The Kronecker-product sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w]."""
     space = tensor_space(*([fock] * copies), aux)
-    terms = (tensor_op(*([word_shift(fock, w, "left")] * copies), b) for w, b in family.items())
-    return operator_sum(space, terms)
+    terms = []
+    for w, b in family.items():
+        shift = word_shift(fock, w, "left").matrix
+        terms.append(sparse.kron(reduce(sparse.kron, [shift] * copies), b.matrix, format="coo"))
+    return coo_sum(space, [t.row for t in terms], [t.col for t in terms], [t.data for t in terms])
 
 
 def idempotent_family_defect(family: dict[Word, Operator], aux: Space) -> float:
@@ -190,7 +193,7 @@ def fundamental_intertwining_defect(space: FockSpace, w: Word) -> float:
     shift = word_shift(space, w, "left")
     lhs = tensor_op(shift, shift) @ corep.operator
     rhs = corep.operator @ tensor_op(Operator.identity(space), shift)
-    cols = SafeZone(corep.space, len(w)).indices
+    cols = graded.within(space, space.depth - len(w), fold=2)
     return max_entry_diff(lhs, rhs, cols)
 
 
@@ -198,7 +201,7 @@ def fundamental_right_commutation_defect(space: FockSpace, u: Word) -> float:
     """Defect of W (R_u (x) I) = (R_u (x) I) W on the slack-|u| safe zone."""
     corep = fundamental_corep(space)
     side = tensor_op(word_shift(space, u, "right"), Operator.identity(space))
-    cols = SafeZone(corep.space, len(u)).indices
+    cols = graded.within(space, space.depth - len(u), fold=2)
     return max_entry_diff(corep.operator @ side, side @ corep.operator, cols)
 
 
@@ -256,11 +259,14 @@ class PredualRep:
         return cls(space, aux, {Word(): Operator.identity(aux)})
 
 
-def rep_from_corep(corep: Corepresentation, tol: float = REP_LAW_TOL) -> PredualRep:
-    """The representation phi -> (phi (x) id)(V); valid coreps only."""
-    report = corep_check(corep, legs=False)
-    if report.max_defect > tol:
-        raise ValueError(f"operator is not a corepresentation (defects {report})")
+def rep_from_corep(corep: Corepresentation) -> PredualRep:
+    """The representation phi -> (phi (x) id)(V); valid coreps only.
+
+    The constructor of :class:`PredualRep` checks the representation law.
+    """
+    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.hilbert, corep.aux, corep.family))
+    if recon > REP_LAW_TOL:
+        raise ValueError(f"operator is not a corepresentation (reconstruction defect {recon:.3e})")
     return PredualRep(corep.hilbert, corep.aux, dict(corep.family))
 
 

@@ -8,7 +8,8 @@ Hence index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u): for |w| = k and
 and column rank(u), so every "pair against w u" loop is a reshape plus a slice
 with no ``Word`` objects.  :func:`concat` is that rule, and every shift,
 membership pattern, corepresentation assembly and coassociativity iterate
-takes its indices from it.
+takes its indices from it, and :func:`within` reads the safe zones of
+tensor powers off the same block starts.
 """
 
 from __future__ import annotations
@@ -47,3 +48,23 @@ def concat(space: FockSpace, k, ru, m, rv):
     :func:`length_rank`); k + m must not exceed the depth.
     """
     return np.asarray(space._block_starts)[k + m] + ru * space.n**m + rv
+
+
+def within(space: FockSpace, bound: int, fold: int = 1) -> np.ndarray:
+    """Ascending basis indices of the fold-tuples of words of total length <= bound.
+
+    On one factor these are the leading start[bound + 1] indices; on a tensor
+    power (row-major, first factor slowest) block k of the first factor pairs
+    with ``within(space, bound - k, fold - 1)`` of the remaining factors, so no
+    dim^fold array of lengths is formed.
+    """
+    starts = space._block_starts
+    if fold == 1:
+        return np.arange(starts[min(max(bound + 1, 0), space.depth + 1)], dtype=np.int64)
+    stride = space.dim ** (fold - 1)
+    parts = [
+        (np.arange(starts[k], starts[k + 1], dtype=np.int64)[:, None] * stride
+         + within(space, bound - k, fold - 1)).ravel()
+        for k in range(min(bound, space.depth) + 1)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

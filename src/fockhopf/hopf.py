@@ -1,10 +1,11 @@
 """Comultiplication on the truncated shift algebra and its exact axioms.
 
 The comultiplication sends a generator shift to its tensor square, so a
-series sum a_w L_w maps to the diagonal form sum a_w (L_w (x) .. (x) L_w).
+series sum a_w L_w maps to the diagonal form sum a_w (L_w (x) .. (x) L_w),
+which is :func:`regular.realize` on the tensor power.
 Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
-defects are all contractually zero on their safe zones.
+defects are all contractually zero on their safe zones (:func:`graded.within`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .regular import FourierSeries, realize, shift_index_table
 from .spaces import (
     FockSpace,
     Operator,
-    SafeZone,
     basis_vector,
     flip_operator,
     max_abs,
@@ -25,46 +25,16 @@ from .spaces import (
     slice_left,
     slice_right,
     tensor_op,
-    tensor_space,
     vacuum_block,
 )
 from .words import Word
 
 
 def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> Operator:
-    """Realize sum a_w (L_w)^(x fold) on the fold-wise tensor power.
-
-    Each word shift is a partial basis permutation, so the tensor power
-    assembles directly from the shift index tables without forming Kronecker
-    factors.
-    """
+    """Realize sum a_w (L_w)^(x fold) on the fold-wise tensor power (fold >= 2)."""
     if fold < 2:
         raise ValueError(f"fold must be >= 2, got {fold}")
-    if series.degree > space.depth:
-        raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
-    target = tensor_space(*([space] * fold))
-    dim = space.dim
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    for w, c in series.items():
-        table = shift_index_table(space, w)
-        src = np.arange(table.size, dtype=np.int64)
-        rows, cols = table, src
-        for _ in range(fold - 1):
-            rows = (rows[:, None] * dim + table[None, :]).ravel()
-            cols = (cols[:, None] * dim + src[None, :]).ravel()
-        rows_parts.append(rows)
-        cols_parts.append(cols)
-        vals_parts.append(np.full(rows.size, c, dtype=np.complex128))
-    if rows_parts:
-        mat = sparse.coo_matrix(
-            (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-            shape=(target.dim, target.dim),
-        ).tocsr()
-    else:
-        mat = sparse.csr_matrix((target.dim, target.dim), dtype=np.complex128)
-    return Operator(target, target, mat)
+    return realize(series, space, fold)
 
 
 def _comult_columns(
@@ -134,7 +104,7 @@ def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
     defect is their largest disagreement on the slack-degree safe zone.
     """
     delta = comult(series, space, fold=2)
-    cols = SafeZone(tensor_space(space, space, space), series.degree).indices
+    cols = graded.within(space, space.depth - series.degree, fold=3)
     route_a = _legwise_columns(delta, space, family_leg=2, columns=cols)
     route_b = _legwise_columns(delta, space, family_leg=0, columns=cols)
     route_c = _comult_columns(series, space, 3, cols)
@@ -155,7 +125,7 @@ def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) ->
     product_image = comult(s * t, space, fold=2)
     left = comult(s, space, fold=2)
     right = comult(t, space, fold=2)
-    cols = SafeZone(product_image.domain, s.degree + t.degree).indices
+    cols = graded.within(space, space.depth - s.degree - t.degree, fold=2)
     composed_cols = left.matrix @ right.matrix.tocsc()[:, cols]
     return max_abs(composed_cols - product_image.matrix.tocsc()[:, cols])
 
@@ -200,7 +170,7 @@ def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:
     """Entrywise defect of Delta(A) = A (x) A on the slack-degree safe zone."""
     delta = comult(series, space, fold=2)
     a = realize(series, space)
-    cols = SafeZone(delta.domain, series.degree).indices
+    cols = graded.within(space, space.depth - series.degree, fold=2)
     return max_entry_diff(delta, tensor_op(a, a), cols)
 
 

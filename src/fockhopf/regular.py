@@ -22,23 +22,21 @@ from typing import Iterator
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Operator, SafeZone, max_entry_diff, operator_sum, tensor_op
+from .spaces import FockSpace, Operator, max_entry_diff, operator_sum, tensor_op, tensor_space
 from .words import Alphabet, Word
 
 
-@lru_cache(maxsize=None)
 def left_shift(space: FockSpace, letter: int) -> Operator:
     """L_i: xi_w -> xi_{iw}, compressed to the truncation."""
     return word_shift(space, Word((letter,)), side="left")
 
 
-@lru_cache(maxsize=None)
 def right_shift(space: FockSpace, letter: int) -> Operator:
     """R_i: xi_w -> xi_{wi}, compressed to the truncation."""
     return word_shift(space, Word((letter,)), side="right")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     """The compressed word operator: composition of generators in word order.
 
@@ -51,7 +49,7 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     return Operator.from_entries(space, space, table, cols, np.ones(table.size))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def shift_index_table(space: FockSpace, w: Word, side: str = "left") -> np.ndarray:
     """Index map u -> wu (``side="left"``) or u -> u w~ (``"right"``), |u| <= depth - |w|.
 
@@ -72,7 +70,7 @@ def shift_index_table(space: FockSpace, w: Word, side: str = "left") -> np.ndarr
 
 def length_projection(space: FockSpace, max_len: int) -> Operator:
     """Orthogonal projection onto the words of length <= max_len."""
-    idx = np.flatnonzero(space.lengths <= max_len)
+    idx = graded.within(space, max_len)
     vals = np.ones(idx.size, dtype=np.complex128)
     return Operator.from_entries(space, space, idx, idx, vals)
 
@@ -152,24 +150,34 @@ class FourierSeries:
             raise ValueError("series alphabets differ")
 
 
-def realize(series: FourierSeries, space: FockSpace) -> Operator:
-    """The operator sum a_w L_w on the truncated space."""
+def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
+    """The operator sum a_w (L_w)^(x fold), on the fold-wise tensor power of the space.
+
+    Each word shift is a partial basis permutation, so its tensor power is
+    assembled from the shift index table without forming Kronecker factors.
+    """
     if series.alphabet != space.alphabet:
         raise ValueError("series alphabet does not match the space")
     if series.degree > space.depth:
         raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
+    target = space if fold == 1 else tensor_space(*([space] * fold))
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     for w, c in series.items():
         table = shift_index_table(space, w)
-        rows.append(table)
-        cols.append(np.arange(table.size, dtype=np.int64))
-        vals.append(np.full(table.size, c, dtype=np.complex128))
+        src = np.arange(table.size, dtype=np.int64)
+        row, col = table, src
+        for _ in range(fold - 1):
+            row = (row[:, None] * space.dim + table[None, :]).ravel()
+            col = (col[:, None] * space.dim + src[None, :]).ravel()
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.full(row.size, c, dtype=np.complex128))
     if not rows:
-        return Operator.zero(space)
+        return Operator.zero(target)
     return Operator.from_entries(
-        space, space, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        target, target, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
 
 
@@ -245,7 +253,7 @@ def row_contraction_defect(space: FockSpace) -> float:
 
 def left_right_commutation_defect(space: FockSpace) -> float:
     """Max defect of L_i R_j = R_j L_i on the slack-2 safe zone; contract: 0."""
-    cols = SafeZone(space, 2).indices
+    cols = graded.within(space, space.depth - 2)
     worst = 0.0
     for i in space.alphabet.letters:
         for j in space.alphabet.letters:
@@ -269,13 +277,13 @@ def tensor_commutation_defect(
     lw = tensor_op(word_shift(space, u, "left"), word_shift(space, v, "left"))
     rw = tensor_op(word_shift(space, a, "right"), word_shift(space, b, "right"))
     slack = max(len(u) + len(a), len(v) + len(b))
-    cols = SafeZone(lw.domain, slack).indices
+    cols = graded.within(space, space.depth - slack, fold=2)
     return max_entry_diff(lw @ rw, rw @ lw, cols)
 
 
 def shift_composition_defect(space: FockSpace, u: Word, v: Word, side: str = "left") -> float:
     """Defect of S_u S_v = S_{uv} on the slack-(|u|+|v|) safe zone."""
-    cols = SafeZone(space, len(u) + len(v)).indices
+    cols = graded.within(space, space.depth - len(u) - len(v))
     composed = word_shift(space, u, side) @ word_shift(space, v, side)
     direct = word_shift(space, u.concat(v), side)
     return max_entry_diff(composed, direct, cols)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -106,10 +106,6 @@ class AuxSpace:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.zeros(self.dim, dtype=np.int16)
-
 
 SCALAR_SPACE = AuxSpace(1, "scalar")
 
@@ -155,11 +151,6 @@ class TensorSpace:
             labels.append(f.word_at(q) if isinstance(f, FockSpace) else q)
         return tuple(labels)
 
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """Total word length of each basis index (aux factors contribute 0)."""
-        return reduce(np.add.outer, (f.lengths for f in self.factors)).ravel()
-
 
 Space = Union[FockSpace, AuxSpace, TensorSpace]
 
@@ -186,48 +177,6 @@ def tensor_space(*spaces: Space) -> TensorSpace:
         else:
             flat.append(s)
     return TensorSpace(tuple(flat))
-
-
-def fock_depth(space: Space) -> int | None:
-    """Smallest depth among Fock factors; None if there is no Fock factor."""
-    if isinstance(space, FockSpace):
-        return space.depth
-    if isinstance(space, TensorSpace):
-        depths = [d for f in space.factors if (d := fock_depth(f)) is not None]
-        return min(depths) if depths else None
-    return None
-
-
-@dataclass(frozen=True)
-class SafeZone:
-    """Basis span on which degree-``slack`` shift identities hold exactly.
-
-    For a Fock space this keeps the words of length <= depth - slack; for a
-    tensor space it keeps the basis tuples whose total word length is at most
-    (minimal Fock factor depth) - slack.  Truncation can only disturb matrix
-    entries outside these columns.
-    """
-
-    space: Space
-    slack: int
-
-    def __post_init__(self) -> None:
-        if self.slack < 0:
-            raise ValueError(f"slack must be >= 0, got {self.slack}")
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        depth = fock_depth(self.space)
-        if depth is None:
-            return np.arange(self.space.dim, dtype=np.int64)
-        bound = depth - self.slack
-        if bound < 0:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self.space.lengths <= bound).astype(np.int64)
-
-    @property
-    def dim(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass(frozen=True, eq=False)

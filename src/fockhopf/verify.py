@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import corep as corep_mod
+from . import graded
 from . import hopf as hopf_mod
 from . import predual as predual_mod
 from . import regular as reg
@@ -160,7 +161,7 @@ def _chk_right_reversal(cfg: SuiteConfig, rng) -> tuple[float, float]:
 def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
     degree = min(3, cfg.depth - 1)
-    zone = np.flatnonzero(space.lengths <= space.depth - degree)
+    zone = graded.within(space, space.depth - degree)
     worst = 0.0
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, degree)

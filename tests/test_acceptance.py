@@ -25,6 +25,7 @@ from fockhopf.corep import (
     spectrum,
     tensor_product_rep,
 )
+from fockhopf.graded import within
 from fockhopf.hopf import (
     coassociativity_defect,
     cocommutativity_defect,
@@ -62,7 +63,6 @@ from fockhopf.sampling import (
 from fockhopf.spaces import (
     FockSpace,
     Operator,
-    SafeZone,
     basis_vector,
     max_entry_diff,
 )
@@ -112,7 +112,7 @@ def test_criterion_03_cesaro_bound():
     started = time.perf_counter()
     space = FockSpace(A2, 5)
     rng = rng_for(2024, "acceptance-cesaro")
-    zone = SafeZone(space, 3).indices
+    zone = within(space, space.depth - 3)
     worst_slack = 0.0
     for _ in range(100):
         s = random_series(rng, A2, 3)

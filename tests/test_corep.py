@@ -75,7 +75,8 @@ def test_fundamental_isometric_within_depth():
     gram = (w_corep.operator.adjoint() @ w_corep.operator).to_dense()
     pair = w_corep.space
     for i in range(pair.dim):
-        expected = 1.0 if pair.lengths[i] <= H3.depth else 0.0
+        u, v = divmod(i, H3.dim)
+        expected = 1.0 if H3.lengths[u] + H3.lengths[v] <= H3.depth else 0.0
         assert gram[i, i] == expected
     off = gram - np.diag(np.diag(gram))
     assert not off.any()

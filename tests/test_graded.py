@@ -10,6 +10,10 @@ bit for bit on dyadic inputs, where every sum is exact, and to within
 rounding on general ones; index placements must agree exactly.
 """
 
+import math
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,7 @@ from scipy import sparse
 
 from fockhopf import predual, regular, words
 from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep, rep_from_corep
+from fockhopf.graded import within
 from fockhopf.hopf import _comult_columns, _legwise_columns, coassociativity_defect, comult
 from fockhopf.predual import (
     _rank_one_values,
@@ -46,7 +51,7 @@ from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
     Operator,
-    SafeZone,
+    tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
@@ -321,6 +326,54 @@ def test_corep_from_rep_matches_literal(n, depth, seed):
     assert same_operator(corep_from_rep(rep, space).operator, literal_corep_from_rep(rep, space))
 
 
+# ---------------------------------------------------------------------------
+# Safe zones and tensor powers: against the dim^fold length array and the
+# Kronecker products of the literal word shifts.
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_within_matches_outer_lengths(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    for fold in (1, 2, 3):
+        lengths = reduce(np.add.outer, [space.lengths] * fold).ravel()
+        for bound in range(-1, fold * depth + 2):
+            zone = within(space, bound, fold)
+            assert zone.dtype == np.int64
+            assert np.array_equal(zone, np.flatnonzero(lengths <= bound))
+
+
+def test_within_builds_no_power_sized_array():
+    # A length array of this triple power would hold 1093^3 entries.
+    space = FockSpace(Alphabet(3), 6)
+    tracemalloc.start()
+    try:
+        zone = within(space, 4, fold=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Triples of total length t: C(t + 2, 2) length splits, 3^t words each.
+    assert zone.size == sum(math.comb(t + 2, 2) * 3**t for t in range(5)) == 1549
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+@given(seed=SEEDS)
+@settings(max_examples=3, deadline=None)
+def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(seed, "graded-realize")
+    series = random_series(rng, space.alphabet, int(rng.integers(0, depth + 1)), bits=EXACT_BITS)
+    # The (2, 7) triple power has 255^3 columns, too many to build twice.
+    for fold in (f for f in (1, 2, 3) if space.dim**f <= 2_000_000):
+        target = space if fold == 1 else tensor_space(*([space] * fold))
+        kron = sparse.csr_matrix((target.dim, target.dim), dtype=np.complex128)
+        for w, c in series.items():
+            kron = kron + c * tensor_op(*([literal_word_shift(space, w, "left")] * fold)).matrix
+        realized = realize(series, space, fold)
+        assert realized.domain == realized.codomain == target
+        assert (realized.matrix != kron).nnz == 0
+
+
 def literal_legwise_columns(family, space, family_leg, columns):
     # One shift table and one column gather of family[w] per family word.
     shape = (space.dim,) * 3
@@ -363,7 +416,7 @@ def test_coassociativity_routes_match_materialized_triple(n, depth, seed):
     # Delta(A) is exact on its vacuum columns, so every route matches the
     # triple on every column, not only on the safe zone.
     every = np.arange(space.dim**3)
-    for cols in (every, SafeZone(tensor_space(space, space, space), series.degree).indices):
+    for cols in (every, within(space, depth - series.degree, fold=3)):
         for route in (
             _comult_columns(series, space, 3, cols),
             _legwise_columns(delta, space, family_leg=2, columns=cols),

@@ -31,6 +31,12 @@ A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
 
 
+def test_comult_rejects_series_over_another_alphabet():
+    series = FourierSeries(A2, {word(1, 2): 1.0})
+    with pytest.raises(ValueError, match="alphabet"):
+        comult(series, FockSpace(Alphabet(3), 3))
+
+
 def test_comult_on_generators():
     for i in (1, 2):
         image = comult(FourierSeries.indicator(A2, word(i)), H3, fold=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fockhopf.graded import within
 from fockhopf.regular import (
     FourierSeries,
     cesaro_error_bound,
@@ -20,7 +21,7 @@ from fockhopf.regular import (
     word_shift,
 )
 from fockhopf.sampling import dyadic_complex, random_series, rng_for
-from fockhopf.spaces import FockSpace, Operator, SafeZone, basis_vector, max_entry_diff
+from fockhopf.spaces import FockSpace, Operator, basis_vector, max_entry_diff
 from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
@@ -186,7 +187,7 @@ def test_cesaro_weights():
 def test_cesaro_error_bound_numerically():
     space = FockSpace(A2, 5)
     rng = rng_for(0, "cesaro")
-    zone = SafeZone(space, 3).indices
+    zone = within(space, space.depth - 3)
     for _ in range(40):
         s = random_series(rng, A2, 3)
         a = realize(s, space)
@@ -302,7 +303,7 @@ def test_realize_is_multiplicative_on_series_property():
     @given(_series_strategy(), _series_strategy())
     @settings(max_examples=25, deadline=None)
     def check(a, b):
-        cols = SafeZone(space, a.degree + b.degree).indices
+        cols = within(space, space.depth - a.degree - b.degree)
         product = realize(a, space) @ realize(b, space)
         direct = realize(a * b, space)
         assert max_entry_diff(product, direct, cols) == 0.0

@@ -5,7 +5,6 @@ from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
     Operator,
-    SafeZone,
     Vector,
     basis_vector,
     flip_operator,
@@ -322,19 +321,6 @@ def test_matrix_entries_determine_operator():
             ej = basis_vector(pair, pair.labels_at(j))
             rebuilt[i, j] = inner(t.apply(ej), ei)
     assert np.allclose(rebuilt, t.to_dense(), atol=1e-12)
-
-
-def test_safe_zone_indices():
-    space = FockSpace(A2, 3)
-    assert SafeZone(space, 0).dim == 15
-    assert SafeZone(space, 1).dim == 7
-    assert SafeZone(space, 5).dim == 0
-    pair = tensor_space(space, space)
-    zone = SafeZone(pair, 1)
-    lengths = pair.lengths[zone.indices]
-    assert lengths.max(initial=0) <= 2
-    aux_pair = tensor_space(space, AuxSpace(4))
-    assert SafeZone(aux_pair, 1).dim == 7 * 4
 
 
 def test_aux_space_and_scalar():
