@@ -28,12 +28,12 @@ from .words import Alphabet, Word
 
 def left_shift(space: FockSpace, letter: int) -> Operator:
     """L_i: xi_w -> xi_{iw}, compressed to the truncation."""
-    return word_shift(space, Word((letter,)), side="left")
+    return word_shift(space, Word((letter,)), "left")
 
 
 def right_shift(space: FockSpace, letter: int) -> Operator:
     """R_i: xi_w -> xi_{wi}, compressed to the truncation."""
-    return word_shift(space, Word((letter,)), side="right")
+    return word_shift(space, Word((letter,)), "right")
 
 
 @lru_cache(maxsize=1024)
@@ -186,8 +186,13 @@ def fourier_coefficients(t: Operator) -> FourierSeries:
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("fourier_coefficients expects a square operator on a Fock space")
-    col = t.matrix.getcol(0).tocoo()
-    return FourierSeries(space.alphabet, {space.word_at(int(i)): v for i, v in zip(col.row, col.data)})
+    mat = t.matrix
+    rows = np.repeat(np.arange(space.dim), np.diff(mat.indptr))
+    vacuum = mat.indices == 0
+    words = space.words
+    return FourierSeries(
+        space.alphabet, {words[i]: v for i, v in zip(rows[vacuum].tolist(), mat.data[vacuum])}
+    )
 
 
 def cesaro_sum(series: FourierSeries, k: int) -> FourierSeries:

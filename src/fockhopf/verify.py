@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from . import corep as corep_mod
 from . import graded
@@ -56,8 +58,9 @@ class SuiteConfig:
     def alphabet(self) -> Alphabet:
         return Alphabet(self.n)
 
-    @property
+    @cached_property
     def space(self) -> FockSpace:
+        # One space per config, so its cached word and block tables are built once.
         return FockSpace(self.alphabet, self.depth)
 
 
@@ -158,6 +161,39 @@ def _chk_right_reversal(cfg: SuiteConfig, rng) -> tuple[float, float]:
     return worst, 0.0
 
 
+CESARO_ORDERS = range(4, 13)
+
+
+def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray) -> np.ndarray:
+    """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s).
+
+    Every difference has A's stored pattern: entry (r, c) belongs to the word
+    w with r = index(w u), u the word at c, so |w| = |r| - |c| and
+    rank(w) = (r - start[|r|]) // n^|c|; its value is the coefficient of
+    ``cesaro_sum(s, k)`` at w minus A's entry.  The differences stack into one
+    CSR sharing A's indices, so each output row sums in A's column order, as
+    the matvec of a single difference matrix does.
+    """
+    a = reg.realize(s, space).matrix
+    rows = np.repeat(np.arange(space.dim), np.diff(a.indptr))
+    kr, rr = graded.length_rank(space, rows)
+    kc, _ = graded.length_rank(space, a.indices)
+    word_index = np.asarray(space._block_starts)[kr - kc] + rr // space.n**kc
+    index = {w: space.index_of(w) for w in s.coeffs}
+    coeffs = np.zeros((len(CESARO_ORDERS), space.dim), dtype=np.complex128)
+    for j, k in enumerate(CESARO_ORDERS):
+        for w, c in reg.cesaro_sum(s, k).items():
+            coeffs[j, index[w]] = c
+    data = coeffs[:, word_index] - a.data
+    row_starts = np.arange(len(CESARO_ORDERS))[:, None] * a.nnz + a.indptr[None, :-1]
+    indptr = np.append(row_starts.ravel(), data.size)
+    stacked = sparse.csr_matrix(
+        (data.ravel(), np.tile(a.indices, len(CESARO_ORDERS)), indptr),
+        shape=(len(CESARO_ORDERS) * space.dim, space.dim),
+    )
+    return (stacked @ x).reshape(len(CESARO_ORDERS), space.dim)
+
+
 def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
     degree = min(3, cfg.depth - 1)
@@ -165,13 +201,11 @@ def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> tuple[float, float]:
     worst = 0.0
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, degree)
-        a = reg.realize(s, space)
         x = np.zeros(space.dim, dtype=np.complex128)
         x[zone] = sampling.dyadic_complex(rng, zone.size)
         nx = float(np.linalg.norm(x))
-        for k in range(4, 13):
-            approx = reg.realize(reg.cesaro_sum(s, k), space)
-            err = float(np.linalg.norm((approx.matrix - a.matrix) @ x))
+        for k, diff in zip(CESARO_ORDERS, _cesaro_error_vectors(s, space, x)):
+            err = float(np.linalg.norm(diff))
             bound = reg.cesaro_error_bound(s, k) * nx
             worst = max(worst, err - bound)
     return max(worst, 0.0), cfg.tolerance
@@ -293,20 +327,32 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
-    """Every Delta(L_w) from :func:`hopf.comult` as concatenated COO entries.
+    """Every Delta(L_w) from one :func:`hopf.comult`, as concatenated COO entries.
+
+    The comultiplied series tags the word at basis index i with coefficient
+    i + 1.  Delta is linear and sends column (u, v) to row (wu, wv), so no two
+    words share an entry and each entry's value is its word's tag.  A stable
+    sort by tag keeps each word's entries in their ``tocoo`` order; the real
+    part over the tag is Delta(L_w)'s own entry (complex division would not
+    be exact).
 
     Returns (rows, cols, vals, offsets) in basis order of w; the entries of
-    the word at basis index i start at offsets[i].
+    the word at basis index i start at offsets[i].  Raises ValueError when an
+    entry is not an exact tag or a word does not have T_{d-|w|}^2 entries.
     """
-    indicators = (reg.FourierSeries.indicator(space.alphabet, w) for w in space.words)
-    images = [hopf_mod.comult(s, space).matrix.tocoo() for s in indicators]
-    offsets = np.cumsum([0] + [m.nnz for m in images[:-1]])
-    return (
-        np.concatenate([m.row for m in images]),
-        np.concatenate([m.col for m in images]),
-        np.concatenate([m.data for m in images]),
-        offsets,
-    )
+    tagged = reg.FourierSeries(space.alphabet, dict(zip(space.words, range(1, space.dim + 1))))
+    coo = hopf_mod.comult(tagged, space).matrix.tocoo()  # only the COO entries stay alive
+    word = coo.data.real.astype(np.int64) - 1
+    if np.any((word < 0) | (word >= space.dim)) or np.any(coo.data != word + 1):
+        raise ValueError("a comultiplication entry is not an exact word tag")
+    counts = np.bincount(word, minlength=space.dim)
+    admissible = np.asarray(space._block_starts)[space.depth + 1 - space.lengths]
+    if np.any(counts != admissible**2):
+        raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
+    order = np.argsort(word, kind="stable")
+    vals = (coo.data.real[order] / (word[order] + 1)).astype(np.complex128)
+    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return coo.row[order], coo.col[order], vals, offsets
 
 
 def _slice_oracle_defect(entries: tuple[np.ndarray, ...], conv_values, xx, ee) -> float:
@@ -358,10 +404,13 @@ def _chk_predual_comult(cfg: SuiteConfig, rng) -> tuple[float, float]:
         worst = max(worst, predual_mod.predual_homomorphism_defect(f, g))
     for w in space.words[: min(8, space.dim)]:
         split = predual_mod.predual_comult(predual_mod.indicator_functional(space, w))
-        support = {k for k, v in split.values.items() if v != 0}
-        if len(support) != len(w) + 1:
-            worst = max(worst, 1.0)
-        if any(u.concat(v) != w for u, v in support):
+        target, support = space.index_of(w), 0
+        for (k, m), b in split.blocks.items():
+            ru, rv = np.nonzero(b)
+            support += ru.size
+            if np.any(graded.concat(space, k, ru, m, rv) != target):
+                worst = max(worst, 1.0)
+        if support != len(w) + 1:
             worst = max(worst, 1.0)
     return worst, 0.0
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from fockhopf import predual, regular, words
+from fockhopf import hopf, predual, regular, verify, words
 from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep, rep_from_corep
 from fockhopf.graded import within
 from fockhopf.hopf import _comult_columns, _legwise_columns, coassociativity_defect, comult
@@ -55,7 +55,12 @@ from fockhopf.spaces import (
     tensor_space,
     vacuum_leg_decomposition,
 )
-from fockhopf.verify import SuiteConfig, _slice_oracle_defect, _slice_oracle_entries
+from fockhopf.verify import (
+    SuiteConfig,
+    _cesaro_error_vectors,
+    _slice_oracle_defect,
+    _slice_oracle_entries,
+)
 from fockhopf.words import Alphabet, Word
 
 # Every point of ``verify --full`` plus the deep (2, 7) point.
@@ -176,6 +181,46 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
     assert _slice_oracle_defect(entries, per_word, xx, ee) <= 1e-12
 
 
+def literal_slice_oracle_entries(space):
+    # One comultiplication per word, concatenated in basis order.
+    indicators = (FourierSeries.indicator(space.alphabet, w) for w in space.words)
+    images = [comult(s, space).matrix.tocoo() for s in indicators]
+    offsets = np.cumsum([0] + [m.nnz for m in images[:-1]])
+    return (
+        np.concatenate([m.row for m in images]),
+        np.concatenate([m.col for m in images]),
+        np.concatenate([m.data for m in images]),
+        offsets,
+    )
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_slice_oracle_entries_match_per_word_comult(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    tagged = _slice_oracle_entries(space)
+    literal = literal_slice_oracle_entries(space)
+    for got, want in zip(tagged, literal):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("first,second", [(1, 2), (-2, -1)])
+def test_slice_oracle_entries_reject_merged_words(monkeypatch, first, second):
+    # A comultiplication that also lands the first word's image on the second
+    # word's entries: the sum is either some other word's tag, so the entry
+    # counts break, or no tag at all.
+    space = FockSpace(Alphabet(2), 3)
+    honest = hopf.comult
+
+    def merged(series, space, fold=2):
+        u, v = space.words[first], space.words[second]
+        extra = FourierSeries(series.alphabet, {v: series.coefficient(u)})
+        return honest(series, space, fold) + honest(extra, space, fold)
+
+    monkeypatch.setattr(hopf, "comult", merged)
+    with pytest.raises(ValueError):
+        _slice_oracle_entries(space)
+
+
 def test_slice_oracle_catches_each_perturbed_convolution_value():
     cfg = SuiteConfig(n=2, depth=3)
     space = cfg.space
@@ -187,6 +232,75 @@ def test_slice_oracle_catches_each_perturbed_convolution_value():
         bad[i] += 1e-6
         assert _slice_oracle_defect(entries, bad, xx, ee) > cfg.tolerance
 
+
+# ---------------------------------------------------------------------------
+# The Cesaro differences: nine realized partial sums against one stacked matvec.
+
+
+def literal_cesaro_error_vectors(s, space, x):
+    a = realize(s, space)
+    return np.array([
+        (realize(regular.cesaro_sum(s, k), space).matrix - a.matrix) @ x for k in range(4, 13)
+    ])
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_cesaro_error_vectors_match_nine_realizes(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "cesaro-differences", n)
+    degree = min(3, depth - 1)
+    zone = within(space, depth - degree)
+    for trial in range(4):
+        s = random_series(rng, space.alphabet, degree)
+        if trial % 2:  # a sparse support leaves gaps in A's pattern
+            s = FourierSeries(space.alphabet, {w: c for w, c in s.items() if rng.random() < 0.5})
+        x = np.zeros(space.dim, dtype=np.complex128)
+        x[zone] = dyadic_complex(rng, zone.size)
+        for vec in (x, random_vector(rng, space).data):
+            stacked = _cesaro_error_vectors(s, space, vec)
+            assert np.array_equal(stacked, literal_cesaro_error_vectors(s, space, vec))
+
+
+def test_checks_share_one_space_and_build_no_words_per_trial(monkeypatch):
+    # One Fock space per config, and after one warm-up (same seed, so the same
+    # series degrees) the Fourier round trip and the Cesaro check read every
+    # word from cached tables.
+    cfg = SuiteConfig(n=2, depth=7, trials=6)
+    assert cfg.space is cfg.space
+    checks = (verify._chk_fourier_round_trip, verify._chk_cesaro_bound)
+    for check in checks:
+        check(cfg, rng_for(0, "word-budget"))
+    built = []
+    honest = words.Word.__post_init__
+
+    def counting(self):
+        built.append(self)
+        honest(self)
+
+    monkeypatch.setattr(words.Word, "__post_init__", counting)
+    for check in checks:
+        built.clear()
+        check(cfg, rng_for(0, "word-budget"))
+        assert len(built) <= cfg.trials
+
+
+def test_predual_comult_check_catches_an_extra_support_pair(monkeypatch):
+    # Only indicator functionals are perturbed, so the random-functional
+    # defects stay 0 and the failure comes from the support read off the blocks.
+    cfg = SuiteConfig(n=2, depth=3)
+    assert verify._chk_predual_comult(cfg, rng_for(0, "support"))[0] == 0.0
+    honest = predual.predual_comult
+
+    def extra_pair(f):
+        split = honest(f)
+        if np.count_nonzero(f.values) != 1:
+            return split
+        blocks = dict(split.blocks)
+        blocks[(0, 1)] = blocks[(0, 1)] + 1.0
+        return predual.TensorFunctional(f.space, blocks)
+
+    monkeypatch.setattr(predual, "predual_comult", extra_pair)
+    assert verify._chk_predual_comult(cfg, rng_for(0, "support"))[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,11 @@ def test_realize_is_multiplicative_on_series_property():
         assert max_entry_diff(product, direct, cols) == 0.0
 
     check()
+
+
+def test_single_letter_shift_shares_the_word_shift_cache_entry():
+    word_shift.cache_clear()
+    left_shift(H3, 1)
+    word_shift(H3, Word((1,)), "left")
+    info = word_shift.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
