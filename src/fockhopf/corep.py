@@ -122,23 +122,14 @@ def idempotent_family_defect(family: dict[Word, Operator], aux: Space) -> float:
     """Largest entrywise failure of F_u F_v = delta_{uv} F_u over word pairs.
 
     Zero components satisfy every pair they touch, so only the stored
-    (nonzero) operators matter; their products are batched into one sparse
-    multiply per left factor.
+    (nonzero) operators matter.  Block (u, v) of vstack(F) @ hstack(F) is
+    F_u F_v, so one sparse multiply against block_diag(F) covers every pair.
     """
-    items = [(w, op.matrix) for w, op in family.items() if op.nnz]
-    if not items:
+    mats = [op.matrix for op in family.values() if op.nnz]
+    if not mats:
         return 0.0
-    dk = aux.dim
-    stacked = sparse.hstack([mat for _, mat in items], format="csc")
-    worst = 0.0
-    for pos, (_, mat) in enumerate(items):
-        products = (mat @ stacked).tocsr()
-        mcoo = mat.tocoo()
-        target = sparse.coo_matrix(
-            (mcoo.data, (mcoo.row, mcoo.col + pos * dk)), shape=products.shape
-        ).tocsr()
-        worst = max(worst, max_abs(products - target))
-    return worst
+    products = sparse.vstack(mats, format="csr") @ sparse.hstack(mats, format="csr")
+    return max_abs(products - sparse.block_diag(mats, format="csr"))
 
 
 def criterion_defect(corep: Corepresentation) -> float:

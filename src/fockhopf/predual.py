@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -135,18 +134,13 @@ class TensorFunctional:
     blocks: dict[tuple[int, int], np.ndarray]
 
     def value(self, u: Word, v: Word) -> complex:
-        return self.values.get((u, v), 0j)
-
-    @cached_property
-    def values(self) -> dict[tuple[Word, Word], complex]:
-        """The values keyed by word pairs, every admissible pair included."""
-        words = self.space.words
-        out: dict[tuple[Word, Word], complex] = {}
-        for (k, m), b in self.blocks.items():
-            for u, row in zip(graded.block(self.space, words, k), b):
-                for v, val in zip(graded.block(self.space, words, m), row):
-                    out[(u, v)] = complex(val)
-        return out
+        """The value on (u, v): block (|u|, |v|) at the block ranks; 0 past the depth."""
+        block = self.blocks.get((len(u), len(v)))
+        if block is None:
+            return 0j
+        starts = self.space._block_starts
+        ru, rv = self.space.index_of(u) - starts[len(u)], self.space.index_of(v) - starts[len(v)]
+        return complex(block[ru, rv])
 
 
 def predual_comult(f: Functional) -> TensorFunctional:

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
 from . import graded
 from .spaces import FockSpace, Operator, max_entry_diff, operator_sum, tensor_op, tensor_space
@@ -150,35 +151,55 @@ class FourierSeries:
             raise ValueError("series alphabets differ")
 
 
+@lru_cache(maxsize=64)
+def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarray, ...]:
+    """Read-only canonical CSR (indptr, indices) of sum_{|w| <= degree} L_w^(x fold).
+
+    The third array is the basis index of the word w behind each stored entry;
+    words never share a position, as L_w^(x fold) sends (u, ...) to (w u, ...).
+    """
+    rows, cols, ids = [], [], []
+    for i, w in enumerate(space.words[: space._block_starts[degree + 1]]):
+        table = shift_index_table(space, w)
+        src = np.arange(table.size, dtype=np.int64)
+        row, col = table, src
+        for _ in range(fold - 1):  # a tensor power of a partial permutation
+            row = (row[:, None] * space.dim + table[None, :]).ravel()
+            col = (col[:, None] * space.dim + src[None, :]).ravel()
+        rows.append(row)
+        cols.append(col)
+        ids.append(np.full(row.size, i, dtype=np.int32))
+    owner = np.concatenate(ids)
+    # The stored values are entry positions, so the CSR sort reads back as a permutation.
+    entries = (np.arange(owner.size), (np.concatenate(rows), np.concatenate(cols)))
+    mat = sparse.csr_matrix(entries, shape=(space.dim**fold,) * 2)
+    arrays = (mat.indptr, mat.indices, owner[mat.data])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
     """The operator sum a_w (L_w)^(x fold), on the fold-wise tensor power of the space.
 
-    Each word shift is a partial basis permutation, so its tensor power is
-    assembled from the shift index table without forming Kronecker factors.
+    The coefficients fill the cached pattern of the words up to the series
+    degree, and the entries of words outside the support are dropped.
     """
     if series.alphabet != space.alphabet:
         raise ValueError("series alphabet does not match the space")
     if series.degree > space.depth:
         raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
     target = space if fold == 1 else tensor_space(*([space] * fold))
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for w, c in series.items():
-        table = shift_index_table(space, w)
-        src = np.arange(table.size, dtype=np.int64)
-        row, col = table, src
-        for _ in range(fold - 1):
-            row = (row[:, None] * space.dim + table[None, :]).ravel()
-            col = (col[:, None] * space.dim + src[None, :]).ravel()
-        rows.append(row)
-        cols.append(col)
-        vals.append(np.full(row.size, c, dtype=np.complex128))
-    if not rows:
-        return Operator.zero(target)
-    return Operator.from_entries(
-        target, target, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    indptr, indices, word = _realize_pattern(space, series.degree, fold)
+    coef = np.zeros(space.dim, dtype=np.complex128)
+    coef[[space.positions[w] for w in series.coeffs]] = list(series.coeffs.values())
+    data = coef[word]
+    keep = data != 0
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        indptr = np.concatenate(([False], keep)).cumsum(dtype=indptr.dtype)[indptr]
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(target.dim, target.dim))
+    return Operator(target, target, mat)
 
 
 def fourier_coefficients(t: Operator) -> FourierSeries:

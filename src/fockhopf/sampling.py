@@ -75,7 +75,10 @@ def random_ball_point(
     """A point of the open ball of the given radius, coordinates on a dyadic grid.
 
     The coarse default grid keeps monomial identities exact in double
-    precision at the depths this package works with.  Rejection keeps the
+    precision only up to depth 5: the numerators of w(lambda) w(mu) and
+    w(lambda mu) need about 11 |w| bits, so past depth 5 the two float routes
+    can round apart (``predual.point_family`` misses its threshold-0 contract
+    by about 1e-19 at depths 7, 9 and 11).  Rejection keeps the
     coordinates on the grid but its acceptance rate collapses in high
     dimension, so after a bounded number of attempts the sample is halved
     into the ball instead (halving a dyadic stays dyadic).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -51,6 +51,11 @@ class FockSpace:
     @cached_property
     def words(self) -> tuple[Word, ...]:
         return tuple(enumerate_words(self.alphabet, self.depth))
+
+    @cached_property
+    def positions(self) -> dict[Word, int]:
+        """Basis index of each word, the inverse of :attr:`words`."""
+        return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
     def _block_starts(self) -> tuple[int, ...]:
@@ -141,15 +146,6 @@ class TensorSpace:
         for f, s, lab in zip(self.factors, self.strides, labels):
             idx += _factor_index(f, lab) * s
         return idx
-
-    def labels_at(self, i: int) -> tuple[Label, ...]:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} out of range for dim {self.dim}")
-        labels = []
-        for f, s in zip(self.factors, self.strides):
-            q, i = divmod(i, s)
-            labels.append(f.word_at(q) if isinstance(f, FockSpace) else q)
-        return tuple(labels)
 
 
 Space = Union[FockSpace, AuxSpace, TensorSpace]
@@ -367,6 +363,7 @@ def permutation_operator(domain: Space, codomain: Space, perm: np.ndarray) -> Op
     return Operator(domain, codomain, mat.tocsr())
 
 
+@lru_cache(maxsize=32)
 def flip_operator(space: TensorSpace) -> Operator:
     """The flip x (x) y -> y (x) x on a two-factor tensor space."""
     if len(space.factors) != 2:

@@ -179,7 +179,7 @@ def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray)
     kr, rr = graded.length_rank(space, rows)
     kc, _ = graded.length_rank(space, a.indices)
     word_index = np.asarray(space._block_starts)[kr - kc] + rr // space.n**kc
-    index = {w: space.index_of(w) for w in s.coeffs}
+    index = space.positions
     coeffs = np.zeros((len(CESARO_ORDERS), space.dim), dtype=np.complex128)
     for j, k in enumerate(CESARO_ORDERS):
         for w, c in reg.cesaro_sum(s, k).items():

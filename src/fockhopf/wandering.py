@@ -9,11 +9,11 @@ words of length <= N-1 (drop the forced first letter of a common prefix).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .regular import shift_index_table, word_shift
 from .spaces import FockSpace, tensor_op
@@ -32,12 +32,6 @@ def is_wandering_tuple(tup: Sequence[Word]) -> bool:
         return True
     first = {u.letters[0] for u in tup}
     return len(first) > 1
-
-
-def wandering_tuples(alphabet: Alphabet, k: int, depth: int) -> list[tuple[Word, ...]]:
-    """Materialized wandering basis; intended for small instances."""
-    words = enumerate_words(alphabet, depth)
-    return [tup for tup in itertools.product(words, repeat=k) if is_wandering_tuple(tup)]
 
 
 def wandering_dim(alphabet: Alphabet, k: int, depth: int) -> int:
@@ -172,23 +166,19 @@ def wandering_check(
 
 
 def _gram_defect(alphabet: Alphabet, k: int, depth: int, mask: np.ndarray) -> float:
-    """Sparse Gram cross-blocks of shifted wandering columns; contract: 0."""
+    """Largest Gram entry between differently shifted wandering columns; contract: 0.
+
+    The columns (L_w)^(x k) restricted to the wandering span, for each word w,
+    stand side by side in S; block (u, v) of S^H S is the Gram cross-block of
+    the copies shifted by u and v, so one product covers every pair.
+    """
     space = FockSpace(alphabet, depth)
     cols = np.flatnonzero(mask.ravel())
-    worst = 0.0
-    shifted = {}
-    for w in space.words:
-        shift = word_shift(space, w, "left")
-        power = tensor_op(*([shift] * k)).matrix.tocsc()[:, cols]
-        shifted[w] = power
-    words = list(space.words)
-    for i, u in enumerate(words):
-        gu = shifted[u]
-        for v in words[i + 1 :]:
-            cross = (gu.conjugate().transpose() @ shifted[v]).tocoo()
-            if cross.nnz:
-                worst = max(worst, float(np.abs(cross.data).max()))
-    return worst
+    powers = (tensor_op(*([word_shift(space, w, "left")] * k)).matrix.tocsc() for w in space.words)
+    stacked = sparse.hstack([power[:, cols] for power in powers], format="csc")
+    gram = (stacked.conjugate().transpose() @ stacked).tocoo()
+    across = gram.row // cols.size != gram.col // cols.size
+    return float(np.abs(gram.data[across]).max(initial=0.0))
 
 
 def isometry_on_wandering_defect(alphabet: Alphabet, k: int, depth: int, w: Word) -> float:

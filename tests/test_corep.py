@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fockhopf.corep import (
     SCALAR_SPACE,
@@ -26,6 +27,7 @@ from fockhopf.spaces import (
     FockSpace,
     Operator,
     basis_vector,
+    max_abs,
     max_entry_diff,
     slice_left,
     tensor_op,
@@ -243,6 +245,58 @@ def test_idempotent_family_defect_batching():
             target = bu if u == v else Operator.zero(aux)
             naive = max(naive, max_entry_diff(bu @ bv, target))
     assert idempotent_family_defect(family, aux) == pytest.approx(naive, rel=1e-12)
+
+
+def literal_idempotent_family_defect(family, aux):
+    # One sparse multiply per left factor against the stacked family.
+    items = [(w, op.matrix) for w, op in family.items() if op.nnz]
+    if not items:
+        return 0.0
+    dk = aux.dim
+    stacked = sparse.hstack([mat for _, mat in items], format="csc")
+    worst = 0.0
+    for pos, (_, mat) in enumerate(items):
+        products = (mat @ stacked).tocsr()
+        mcoo = mat.tocoo()
+        target = sparse.coo_matrix(
+            (mcoo.data, (mcoo.row, mcoo.col + pos * dk)), shape=products.shape
+        ).tocsr()
+        worst = max(worst, max_abs(products - target))
+    return worst
+
+
+def _families():
+    # Idempotent families (fundamental and corep_from_rep), the same with one
+    # member doubled or an extra off-diagonal entry, a random dense family,
+    # and families with zero members.
+    rng = rng_for(0, "idempotent-literal")
+    for space in (H3, FockSpace(Alphabet(3), 4)):
+        corep = fundamental_corep(space)
+        yield corep.family, corep.aux
+        words = list(corep.family)
+        doubled = dict(corep.family)
+        doubled[words[len(words) // 2]] = 2.0 * doubled[words[len(words) // 2]]
+        yield doubled, corep.aux
+        bumped = dict(corep.family)
+        stray = Operator.from_entries(corep.aux, corep.aux, [0], [corep.aux.dim - 1], [0.5])
+        bumped[words[0]] = bumped[words[0]] + stray
+        yield bumped, corep.aux
+    character = corep_from_rep(PredualRep.character(H3, word(1, 2)), H3)
+    yield character.family, character.aux
+    aux = FockSpace(A2, 1)
+    dense = {w: Operator.from_dense(aux, aux, rng.standard_normal((3, 3))) for w in H3.words[:6]}
+    yield dense, aux
+    yield {**dense, word(2, 2): Operator.zero(aux)}, aux
+    yield {Word(): Operator.zero(aux)}, aux
+
+
+def test_idempotent_family_defect_matches_per_word_products():
+    seen_failure = False
+    for family, aux in _families():
+        got = idempotent_family_defect(family, aux)
+        assert got == literal_idempotent_family_defect(family, aux)
+        seen_failure |= got > 0.0
+    assert seen_failure
 
 
 def test_spectrum_enumerates_words():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from fockhopf import hopf, predual, regular, verify, words
+from fockhopf import graded, hopf, predual, regular, verify, words
 from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep, rep_from_corep
 from fockhopf.graded import within
 from fockhopf.hopf import _comult_columns, _legwise_columns, coassociativity_defect, comult
@@ -125,8 +125,14 @@ def test_predual_comult_matches_literal(n, depth, seed):
     space = FockSpace(Alphabet(n), depth)
     f = random_rank_one_functional(rng_for(seed, "graded-comult"), space)
     split = predual_comult(f)
-    literal = literal_predual_comult(f)
-    assert split.values == literal
+    words = space.words
+    from_blocks = {
+        (u, v): complex(val)
+        for (k, m), block in split.blocks.items()
+        for u, row in zip(graded.block(space, words, k), block)
+        for v, val in zip(graded.block(space, words, m), row)
+    }
+    assert from_blocks == literal_predual_comult(f)
 
 
 def _perturbed_comult(monkeypatch, key, entry, delta):
@@ -486,6 +492,88 @@ def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
         realized = realize(series, space, fold)
         assert realized.domain == realized.codomain == target
         assert (realized.matrix != kron).nnz == 0
+
+
+def literal_realize(series, space, fold=1):
+    # One shift table per series word, tensor-powered by index arithmetic,
+    # then one COO -> CSR assembly of the concatenated entries.
+    target = space if fold == 1 else tensor_space(*([space] * fold))
+    rows, cols, vals = [], [], []
+    for w, c in series.items():
+        table = shift_index_table(space, w)
+        src = np.arange(table.size, dtype=np.int64)
+        row, col = table, src
+        for _ in range(fold - 1):
+            row = (row[:, None] * space.dim + table[None, :]).ravel()
+            col = (col[:, None] * space.dim + src[None, :]).ravel()
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.full(row.size, c, dtype=np.complex128))
+    if not rows:
+        return Operator.zero(target)
+    return Operator.from_entries(
+        target, target, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
+
+
+def _realize_cases(space, rng):
+    # Full support, gaps in the support, one indicator per word length (the
+    # last word of each block) and the zero series.
+    full = random_series(rng, space.alphabet, space.depth)
+    yield full
+    yield random_series(rng, space.alphabet, max(space.depth - 1, 0))
+    for _ in range(2):
+        yield FourierSeries(space.alphabet, {w: c for w, c in full.items() if rng.random() < 0.5})
+    for k in range(space.depth + 1):
+        yield FourierSeries.indicator(space.alphabet, space.words[space._block_starts[k + 1] - 1])
+    yield FourierSeries.zero(space.alphabet)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_realize_matches_literal_csr_arrays(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "realize-literal", n)
+    for series in _realize_cases(space, rng):
+        # The (2, 7) triple power has 255^3 rows, too many to build twice.
+        for fold in (f for f in (1, 2, 3) if space.dim**f <= 2_000_000):
+            got = realize(series, space, fold).matrix
+            want = literal_realize(series, space, fold).matrix
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (fold, name)
+
+
+def test_realize_reuses_one_pattern_per_degree_and_fold():
+    space = FockSpace(Alphabet(3), 4)
+    rng = rng_for(0, "realize-pattern-cache")
+    series = [random_series(rng, space.alphabet, d) for d in range(space.depth + 1)]
+    for s in series:
+        for fold in (1, 2):
+            realize(s, space, fold)
+    patterns = regular._realize_pattern.cache_info()
+    tables = regular.shift_index_table.cache_info()
+    for i in range(100):
+        realize(series[i % len(series)], space, 1 + i % 2)
+    assert regular._realize_pattern.cache_info().misses == patterns.misses
+    after = regular.shift_index_table.cache_info()
+    assert after.hits + after.misses == tables.hits + tables.misses
+    assert regular._realize_pattern.cache_parameters()["maxsize"] is not None
+
+
+def test_realized_index_arrays_reject_writes():
+    # A full-support series shares the cached pattern, a gapped one holds a
+    # filtered copy; an in-place write to either must not reach the cache.
+    space = FockSpace(Alphabet(2), 3)
+    full = random_series(rng_for(0, "realize-read-only"), space.alphabet, 2)
+    gapped = FourierSeries(space.alphabet, {w: c for w, c in full.items() if len(w) != 1})
+    for series in (full, gapped):
+        mat = realize(series, space, fold=2).matrix
+        for arr in (mat.indices, mat.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    assert not any(arr.flags.writeable for arr in regular._realize_pattern(space, 2, 2))
+    assert np.array_equal(
+        realize(full, space, 2).matrix.indices, literal_realize(full, space, 2).matrix.indices
+    )
 
 
 def literal_legwise_columns(family, space, family_leg, columns):

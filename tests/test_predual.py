@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fockhopf import graded
 from fockhopf.hopf import comult
 from fockhopf.predual import (
     Functional,
@@ -32,6 +33,17 @@ from fockhopf.words import Alphabet, Word, word
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
 H4 = FockSpace(A2, 4)
+
+
+def pair_values(split):
+    """Every admissible pair (u, v) with its value, read off the (|u|, |v|) blocks."""
+    words = split.space.words
+    return {
+        (u, v): complex(val)
+        for (k, m), block in split.blocks.items()
+        for u, row in zip(graded.block(split.space, words, k), block)
+        for v, val in zip(graded.block(split.space, words, m), row)
+    }
 
 
 def test_rank_one_indicator_values():
@@ -142,14 +154,14 @@ def test_convolution_space_mismatch():
 def test_predual_comult_factorization_counts():
     for w in H3.words:
         split = predual_comult(indicator_functional(H3, w))
-        support = {k for k, v in split.values.items() if v != 0}
+        support = {k for k, v in pair_values(split).items() if v != 0}
         assert len(support) == len(w) + 1
         assert all(u.concat(v) == w for u, v in support)
 
 
 def test_predual_comult_of_vacuum():
     split = predual_comult(vacuum_functional(H3))
-    support = {k for k, v in split.values.items() if v != 0}
+    support = {k for k, v in pair_values(split).items() if v != 0}
     assert support == {(Word(), Word())}
 
 
@@ -157,8 +169,9 @@ def test_predual_comult_pullback():
     rng = rng_for(0, "predual-pullback")
     f = random_rank_one_functional(rng, H3)
     split = predual_comult(f)
-    for (u, v), val in split.values.items():
-        assert val == f.value(u.concat(v))
+    for (u, v), val in pair_values(split).items():
+        assert val == f.value(u.concat(v)) == split.value(u, v)
+    assert split.value(word(1, 2), word(2, 1)) == 0j  # past the depth
 
 
 def test_predual_coassociativity_exact():
@@ -176,7 +189,7 @@ def test_predual_homomorphism_exact():
         assert predual_homomorphism_defect(f, g) == 0.0
         lhs = predual_comult(convolve(f, g))
         rhs = tensor_convolve(predual_comult(f), predual_comult(g))
-        for key, val in lhs.values.items():
+        for key, val in pair_values(lhs).items():
             assert rhs.value(*key) == val
 
 

@@ -24,6 +24,15 @@ from fockhopf.words import Alphabet, Word, word
 A2 = Alphabet(2)
 
 
+def labels_at(space, i):
+    # The factor labels of basis index i of a tensor space, by mixed-radix division.
+    labels = []
+    for f, stride in zip(space.factors, space.strides):
+        q, i = divmod(i, stride)
+        labels.append(f.word_at(q) if isinstance(f, FockSpace) else q)
+    return tuple(labels)
+
+
 def rnd_sparse_operator(rng, space, density=0.4):
     dense = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
         (space.dim, space.dim)
@@ -79,7 +88,7 @@ def test_tensor_space_row_major():
     pair = tensor_space(h, h)
     assert pair.dim == 9
     assert pair.index_of((word(1), word(2))) == 1 * 3 + 2
-    assert pair.labels_at(5) == (word(1), word(2))
+    assert labels_at(pair, 5) == (word(1), word(2))
     vec = basis_vector(pair, (word(1), word(2)))
     assert vec.data[5] == 1.0
     flat = tensor_space(pair, h)
@@ -170,6 +179,12 @@ def test_flip_involution_and_conjugation():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_flip_operator_is_cached_per_space():
+    pair = tensor_space(FockSpace(A2, 2), FockSpace(A2, 2))
+    assert flip_operator(pair) is flip_operator(pair)
+    assert flip_operator.cache_parameters()["maxsize"] is not None
+
+
 def test_flip_on_vectors():
     space = FockSpace(A2, 1)
     pair = tensor_space(space, space)
@@ -186,7 +201,7 @@ def leg_embed_oracle(v, legs, ambient):
     base = tensor_op(v, Operator.identity(other))
     perm = np.empty(ambient.dim, dtype=np.int64)
     for i in range(ambient.dim):
-        labels = ambient.labels_at(i)
+        labels = labels_at(ambient, i)
         i1, j1 = legs
         reordered = (labels[i1 - 1], labels[j1 - 1]) + tuple(
             lab for pos, lab in enumerate(labels, start=1) if pos not in legs
@@ -317,8 +332,8 @@ def test_matrix_entries_determine_operator():
     rebuilt = np.zeros((pair.dim, pair.dim), dtype=complex)
     for i in range(pair.dim):
         for j in range(pair.dim):
-            ei = basis_vector(pair, pair.labels_at(i))
-            ej = basis_vector(pair, pair.labels_at(j))
+            ei = basis_vector(pair, labels_at(pair, i))
+            ej = basis_vector(pair, labels_at(pair, j))
             rebuilt[i, j] = inner(t.apply(ej), ei)
     assert np.allclose(rebuilt, t.to_dense(), atol=1e-12)
 

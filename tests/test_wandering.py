@@ -1,19 +1,29 @@
 import itertools
 
+import numpy as np
+import pytest
+
 from fockhopf.regular import word_shift
 from fockhopf.spaces import FockSpace, basis_vector, inner, tensor_op, tensor_space
 from fockhopf.wandering import (
+    _gram_defect,
+    _wandering_mask,
     is_wandering_tuple,
     isometry_on_wandering_defect,
     strip_common_prefix,
     wandering_check,
     wandering_dim,
     wandering_dim_closed_form,
-    wandering_tuples,
 )
-from fockhopf.words import Alphabet, Word, enumerate_words, word
+from fockhopf.words import Alphabet, Word, count_words, enumerate_words, word
 
 A2 = Alphabet(2)
+
+
+def wandering_tuples(alphabet, k, depth):
+    # The wandering basis, materialized tuple by tuple (the literal route of wandering_dim).
+    words = enumerate_words(alphabet, depth)
+    return [tup for tup in itertools.product(words, repeat=k) if is_wandering_tuple(tup)]
 
 
 def test_strip_common_prefix_examples():
@@ -120,6 +130,42 @@ def test_wandering_check_gram_limit():
     big = wandering_check(A2, 2, 3, gram_limit=10)
     assert not big.gram_checked
     assert big.passed
+
+
+def literal_gram_defect(alphabet, k, depth, mask):
+    # One sparse cross-Gram product per pair of distinct shift words.
+    space = FockSpace(alphabet, depth)
+    cols = np.flatnonzero(mask.ravel())
+    shifted = {
+        w: tensor_op(*([word_shift(space, w, "left")] * k)).matrix.tocsc()[:, cols]
+        for w in space.words
+    }
+    words = list(space.words)
+    worst = 0.0
+    for i, u in enumerate(words):
+        for v in words[i + 1 :]:
+            cross = (shifted[u].conjugate().transpose() @ shifted[v]).tocoo()
+            if cross.nnz:
+                worst = max(worst, float(np.abs(cross.data).max()))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "n,k,depth", [(1, 2, 3), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+)
+def test_gram_defect_matches_pairwise_products(n, k, depth):
+    alphabet = Alphabet(n)
+    mask = _wandering_mask(alphabet, k, depth)
+    assert _gram_defect(alphabet, k, depth, mask) == literal_gram_defect(alphabet, k, depth, mask)
+    assert _gram_defect(alphabet, k, depth, mask) == 0.0
+    # (1, 1, ...) has the common prefix 1, so the copy of the vacuum tuple
+    # shifted by 1 meets it: both routes must see the overlap.
+    t = count_words(alphabet, depth)
+    broken = mask.copy()
+    broken[(1,) * k] = True
+    assert not mask[(1,) * k] and broken.ravel()[np.ravel_multi_index((1,) * k, (t,) * k)]
+    defect = _gram_defect(alphabet, k, depth, broken)
+    assert defect == literal_gram_defect(alphabet, k, depth, broken) == 1.0
 
 
 def test_wandering_check_k3():
