@@ -20,7 +20,6 @@ from .spaces import (
     leg_embed,
     max_abs_entry,
     max_entry_diff,
-    operator_entries,
     slice_left,
     slice_right,
     tensor_op,

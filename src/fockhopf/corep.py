@@ -81,16 +81,6 @@ class Corepresentation:
         family = vacuum_leg_decomposition(op, leg=1)
         return cls(space, op, family)
 
-    def to_json_dict(self) -> dict[str, list[list[list[float]]]]:
-        n = self.hilbert.n
-        out = {}
-        for w, b in sorted(self.family.items(), key=lambda kv: (len(kv[0]), kv[0].letters)):
-            dense = b.to_dense()
-            out[w.text(n)] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in dense
-            ]
-        return out
-
 
 @dataclass(frozen=True)
 class CorepReport:

@@ -6,21 +6,39 @@ which is :func:`regular.realize` on the tensor power.
 Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
 defects are all contractually zero on their safe zones (:func:`graded.within`).
+
+Those four checks run on cached plans.  Every series of one degree shares
+the sparsity pattern of its comultiplication, so each plan is built once per
+(space, degree), or per (space, deg s, deg t, deg st) for the homomorphism,
+and a series only gathers its coefficient array through it:
+
+* coassociativity, cocommutativity and integral invariance run their
+  operator routes once, on a series that tags each word with a distinct
+  value; every compared entry must be exactly one word's tag, so the plan
+  records which coefficient each side reads there and a series' defect is
+  the largest difference of two gathered coefficients, the same float
+  subtraction the operator routes make;
+* the homomorphism composes the fold-2 patterns of deg s and deg t over the
+  safe-zone columns, recording which coefficient pairs a_u b_v each entry of
+  Delta(s) Delta(t) sums, against the pattern of the product s t from
+  :meth:`FourierSeries.__mul__`.  On dyadic coefficients those products and
+  their sums are exact doubles, so the order of summation cannot matter.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
 from . import graded
-from .regular import FourierSeries, realize, shift_index_table
+from .regular import FourierSeries, _realize_pattern, coefficient_array, realize, shift_index_table
 from .spaces import (
     FockSpace,
     Operator,
     basis_vector,
     flip_operator,
-    max_abs,
     max_entry_diff,
     slice_left,
     slice_right,
@@ -96,6 +114,57 @@ def _legwise_columns(
     return sparse.coo_matrix((vals, (rows, col)), shape=(dim**3, columns.size)).tocsc()
 
 
+def _tagged_series(space: FockSpace, degree: int) -> FourierSeries:
+    """The words up to ``degree``, the word at basis index i tagged (i + 1) + (i + 1)^2 j."""
+    count = space._block_starts[degree + 1]
+    return FourierSeries(space.alphabet, dict(zip(space.words[:count], _tags(np.arange(count)))))
+
+
+def _tags(index: np.ndarray) -> np.ndarray:
+    t = index.astype(np.int64) + 1
+    return t + 1j * t**2
+
+
+def _read_tags(mats: list, dim: int) -> np.ndarray:
+    """The words that tagged matrices store over the union of their positions.
+
+    Row k holds, at each stored position of any of the matrices, the basis
+    index of the word whose tag ``mats[k]`` stores there, or -1 where it
+    stores nothing.  An entry summing several tags has an imaginary part
+    below the square of its real part, so it is rejected with any other
+    value that is not exactly one tag.
+    """
+    coos = [sparse.coo_matrix(m) for m in mats]
+    keys = [coo.row.astype(np.int64) * coo.shape[1] + coo.col for coo in coos]
+    union = np.unique(np.concatenate(keys))
+    plan = np.full((len(coos), union.size), -1, dtype=np.int32)
+    for row, coo, key in zip(plan, coos, keys):
+        word = coo.data.real.astype(np.int64) - 1
+        if np.any((word < 0) | (word >= dim)) or np.any(coo.data != _tags(word)):
+            raise ValueError("a tagged entry is not exactly one word's tag")
+        row[np.searchsorted(union, key)] = word
+    plan.setflags(write=False)
+    return plan
+
+
+def _gathered_defect(coef: np.ndarray, plan: np.ndarray, pairs) -> float:
+    """Largest difference between the plan rows in ``pairs``, read off the coefficients."""
+    vals = np.append(coef, 0)[plan]  # -1 reads the appended zero
+    return max(float(np.abs(vals[i] - vals[j]).max(initial=0.0)) for i, j in pairs)
+
+
+@lru_cache(maxsize=32)
+def _coassociativity_plan(space: FockSpace, degree: int) -> np.ndarray:
+    """Routes a, b and c of :func:`coassociativity_defect` on the tagged series."""
+    tagged = _tagged_series(space, degree)
+    delta = comult(tagged, space, fold=2)
+    cols = graded.within(space, space.depth - degree, fold=3)
+    route_a = _legwise_columns(delta, space, family_leg=2, columns=cols)
+    route_b = _legwise_columns(delta, space, family_leg=0, columns=cols)
+    route_c = _comult_columns(tagged, space, 3, cols)
+    return _read_tags([route_a, route_b, route_c], space.dim)
+
+
 def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
     """Compare both outer-leg iterates with the direct triple comultiplication.
 
@@ -103,36 +172,84 @@ def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
     the pair comultiplication, so the three routes are independent; the
     defect is their largest disagreement on the slack-degree safe zone.
     """
-    delta = comult(series, space, fold=2)
-    cols = graded.within(space, space.depth - series.degree, fold=3)
-    route_a = _legwise_columns(delta, space, family_leg=2, columns=cols)
-    route_b = _legwise_columns(delta, space, family_leg=0, columns=cols)
-    route_c = _comult_columns(series, space, 3, cols)
-    return max(max_abs(route_a - route_c), max_abs(route_b - route_c), max_abs(route_a - route_b))
+    coef = coefficient_array(series, space)
+    plan = _coassociativity_plan(space, series.degree)
+    return _gathered_defect(coef, plan, ((0, 2), (1, 2), (0, 1)))
+
+
+@lru_cache(maxsize=32)
+def _cocommutativity_plan(space: FockSpace, degree: int) -> np.ndarray:
+    """The flipped and the plain pair comultiplication of the tagged series."""
+    delta = comult(_tagged_series(space, degree), space, fold=2)
+    flip = flip_operator(delta.domain)  # square: both factors equal
+    return _read_tags([(flip @ delta @ flip).matrix, delta.matrix], space.dim)
 
 
 def cocommutativity_defect(series: FourierSeries, space: FockSpace) -> float:
     """Defect of flip-invariance of the comultiplied operator; contract: 0."""
-    delta = comult(series, space, fold=2)
-    flip = flip_operator(delta.domain)  # square: both factors equal
-    return max_entry_diff(flip @ delta @ flip, delta)
+    coef = coefficient_array(series, space)
+    return _gathered_defect(coef, _cocommutativity_plan(space, series.degree), ((0, 1),))
+
+
+@lru_cache(maxsize=32)
+def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.ndarray, ...]:
+    """Delta(s) Delta(t) and Delta(s t) on the slack-(ds + dt) zone, as index arrays.
+
+    Returns (slot, u, v, w): the compared positions are numbered by slot, the
+    product pair a_u b_v lands in slot[k], and w is the word of Delta(s t) at
+    each slot (-1 where it stores nothing).
+    """
+    cols = graded.within(space, space.depth - ds - dt, fold=2)
+    left = _pattern_ids(space, ds).tocsc()
+    right = _pattern_ids(space, dt).tocsc()[:, cols].tocoo()
+    step = left[:, right.row].tocoo()  # column k is the left column at right entry k's row
+    product = _pattern_ids(space, dp).tocsc()[:, cols].tocoo()
+    keys = step.row.astype(np.int64) * cols.size + right.col[step.col]
+    product_keys = product.row.astype(np.int64) * cols.size + product.col
+    union = np.unique(np.concatenate([keys, product_keys]))
+    word = np.full(union.size, -1, dtype=np.int64)
+    word[np.searchsorted(union, product_keys)] = product.data - 1
+    plan = (np.searchsorted(union, keys), step.data - 1, right.data[step.col] - 1, word)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _pattern_ids(space: FockSpace, degree: int) -> sparse.csr_matrix:
+    """The fold-2 realize pattern storing each entry's word index plus one (never zero)."""
+    indptr, indices, word = _realize_pattern(space, degree, 2)
+    return sparse.csr_matrix((word + 1, indices, indptr), shape=(space.dim**2,) * 2)
 
 
 def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) -> float:
     """Defect of multiplicativity on the slack-(deg s + deg t) safe zone."""
     if s.degree + t.degree > space.depth:
         raise ValueError("combined degree exceeds the depth")
-    product_image = comult(s * t, space, fold=2)
-    left = comult(s, space, fold=2)
-    right = comult(t, space, fold=2)
-    cols = graded.within(space, space.depth - s.degree - t.degree, fold=2)
-    composed_cols = left.matrix @ right.matrix.tocsc()[:, cols]
-    return max_abs(composed_cols - product_image.matrix.tocsc()[:, cols])
+    product = s * t
+    p = np.append(coefficient_array(product, space), 0)
+    a, b = coefficient_array(s, space), coefficient_array(t, space)
+    slot, u, v, w = _homomorphism_plan(space, s.degree, t.degree, product.degree)
+    composed = np.zeros(w.size, dtype=np.complex128)
+    np.add.at(composed, slot, a[u] * b[v])
+    return float(np.abs(composed - p[w]).max(initial=0.0))
 
 
 def integral_value(series: FourierSeries) -> complex:
     """The vacuum functional picks off the unit coefficient."""
     return series.coefficient(Word())
+
+
+@lru_cache(maxsize=32)
+def _integral_plan(space: FockSpace, degree: int) -> np.ndarray:
+    """Both vacuum slices of the tagged comultiplication and their target."""
+    tagged = _tagged_series(space, degree)
+    delta = comult(tagged, space, fold=2)
+    vacuum = basis_vector(space, Word())
+    pairs = [(vacuum, vacuum)]
+    target = integral_value(tagged) * Operator.identity(space)
+    left = slice_right(pairs, delta)
+    right = slice_left(pairs, delta)
+    return _read_tags([left.matrix, right.matrix, target.matrix], space.dim)
 
 
 def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float:
@@ -141,13 +258,8 @@ def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float
     Slicing either leg of the comultiplied operator against the vacuum
     rank-one functional must reproduce a_e times the identity.
     """
-    delta = comult(series, space, fold=2)
-    vacuum = basis_vector(space, Word())
-    pairs = [(vacuum, vacuum)]
-    target = integral_value(series) * Operator.identity(space)
-    left = slice_right(pairs, delta)
-    right = slice_left(pairs, delta)
-    return max(max_entry_diff(left, target), max_entry_diff(right, target))
+    coef = coefficient_array(series, space)
+    return _gathered_defect(coef, _integral_plan(space, series.degree), ((0, 2), (1, 2)))
 
 
 def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:

@@ -64,16 +64,6 @@ class Functional:
     def value(self, w: Word) -> complex:
         return complex(self.values[self.space.index_of(w)])
 
-    def value_map(self) -> dict[Word, complex]:
-        return {w: complex(v) for w, v in zip(self.space.words, self.values)}
-
-    def to_json_dict(self) -> dict[str, list[float]]:
-        n = self.space.n
-        return {
-            w.text(n): [float(v.real), float(v.imag)]
-            for w, v in zip(self.space.words, self.values)
-        }
-
 
 def from_rank_one(space: FockSpace, pairs: Sequence[RankOnePair]) -> Functional:
     """The functional sum_j [xi_j eta_j*] with values (L_w xi_j, eta_j)."""

@@ -179,20 +179,26 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
     return arrays
 
 
+def coefficient_array(series: FourierSeries, space: FockSpace) -> np.ndarray:
+    """The coefficients a_w in basis order of the space, zero off the support."""
+    if series.alphabet != space.alphabet:
+        raise ValueError("series alphabet does not match the space")
+    if series.degree > space.depth:
+        raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
+    coef = np.zeros(space.dim, dtype=np.complex128)
+    coef[[space.positions[w] for w in series.coeffs]] = list(series.coeffs.values())
+    return coef
+
+
 def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
     """The operator sum a_w (L_w)^(x fold), on the fold-wise tensor power of the space.
 
     The coefficients fill the cached pattern of the words up to the series
     degree, and the entries of words outside the support are dropped.
     """
-    if series.alphabet != space.alphabet:
-        raise ValueError("series alphabet does not match the space")
-    if series.degree > space.depth:
-        raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
+    coef = coefficient_array(series, space)
     target = space if fold == 1 else tensor_space(*([space] * fold))
     indptr, indices, word = _realize_pattern(space, series.degree, fold)
-    coef = np.zeros(space.dim, dtype=np.complex128)
-    coef[[space.positions[w] for w in series.coeffs]] = list(series.coeffs.values())
     data = coef[word]
     keep = data != 0
     if not keep.all():

@@ -233,7 +233,9 @@ class Operator:
     matrix: sparse.csr_matrix
 
     def __post_init__(self) -> None:
-        mat = sparse.csr_matrix(self.matrix, dtype=np.complex128)
+        mat = self.matrix
+        if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
+            mat = sparse.csr_matrix(mat, dtype=np.complex128)
         if mat.shape != (self.codomain.dim, self.domain.dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match spaces "
@@ -507,28 +509,3 @@ def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) 
     _check_same_space(a.codomain, b.codomain)
     return max_abs_entry(Operator(a.domain, a.codomain, a.matrix - b.matrix), columns)
 
-
-def label_text(space: Space, index: int) -> str:
-    if isinstance(space, FockSpace):
-        return space.word_at(index).text(space.n)
-    if isinstance(space, TensorSpace):
-        parts = []
-        for f, s in zip(space.factors, space.strides):
-            q, index = divmod(index, s)
-            parts.append(label_text(f, q))
-        return ",".join(parts)
-    return str(index)
-
-
-def operator_entries(op: Operator) -> list[dict]:
-    """Coordinate-list serialization: one record per structural nonzero."""
-    coo = op.matrix.tocoo()
-    return [
-        {
-            "row": label_text(op.codomain, int(r)),
-            "col": label_text(op.domain, int(c)),
-            "re": float(v.real),
-            "im": float(v.imag),
-        }
-        for r, c, v in zip(coo.row, coo.col, coo.data)
-    ]

@@ -10,7 +10,9 @@ bit for bit on dyadic inputs, where every sum is exact, and to within
 rounding on general ones; index placements must agree exactly.
 """
 
+import importlib
 import math
+import pkgutil
 import tracemalloc
 from functools import reduce
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import fockhopf
 from fockhopf import graded, hopf, predual, regular, verify, words
 from fockhopf.corep import PredualRep, corep_from_rep, fundamental_corep, rep_from_corep
 from fockhopf.graded import within
@@ -556,7 +559,22 @@ def test_realize_reuses_one_pattern_per_degree_and_fold():
     assert regular._realize_pattern.cache_info().misses == patterns.misses
     after = regular.shift_index_table.cache_info()
     assert after.hits + after.misses == tables.hits + tables.misses
-    assert regular._realize_pattern.cache_parameters()["maxsize"] is not None
+
+
+def test_every_lru_cache_is_bounded():
+    # Walk every module of the package, classes included, for lru_cache wrappers.
+    bounded = {}
+    for info in pkgutil.iter_modules(fockhopf.__path__):
+        module = importlib.import_module(f"fockhopf.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values() if isinstance(c, type)]
+        for scope in scopes:
+            for name, obj in scope.items():
+                if hasattr(obj, "cache_parameters"):
+                    bounded[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"] is not None
+    checks = ("coassociativity", "cocommutativity", "homomorphism", "integral")
+    plans = {f"hopf._{check}_plan" for check in checks}
+    assert plans | {"regular._realize_pattern", "spaces.flip_operator"} <= set(bounded)
+    assert all(bounded.values()), sorted(name for name, ok in bounded.items() if not ok)
 
 
 def test_realized_index_arrays_reject_writes():
@@ -661,7 +679,8 @@ def test_index_routes_build_at_most_the_reversal(monkeypatch):
 
 def test_coassociativity_and_evaluate_build_one_operator(monkeypatch):
     # The coefficient families are read off one vacuum block, so past Delta(A)
-    # the coassociativity routes build no Operator, and evaluating a
+    # of the tagged series the coassociativity plan builds no Operator, a
+    # trial on the cached plan builds none at all, and evaluating a
     # representation assembles its single image directly.
     space = FockSpace(Alphabet(3), 4)
     rng = rng_for(0, "operator-guard")
@@ -675,8 +694,10 @@ def test_coassociativity_and_evaluate_build_one_operator(monkeypatch):
         built.append(self)
         honest(self)
 
+    hopf._coassociativity_plan.cache_clear()
     monkeypatch.setattr(Operator, "__post_init__", counting)
-    for run in (lambda: coassociativity_defect(series, space), lambda: rep.evaluate(f)):
+    coassociativity = lambda: coassociativity_defect(series, space)  # noqa: E731
+    for run, count in ((coassociativity, 1), (coassociativity, 0), (lambda: rep.evaluate(f), 1)):
         built.clear()
         run()
-        assert len(built) == 1
+        assert len(built) == count

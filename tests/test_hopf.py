@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import _base
 
+from fockhopf import hopf
+from fockhopf.graded import within
 from fockhopf.hopf import (
+    _comult_columns,
+    _legwise_columns,
     coassociativity_defect,
     cocommutativity_defect,
     comult,
@@ -13,12 +19,14 @@ from fockhopf.hopf import (
     vacuum_expansion_defect,
 )
 from fockhopf.regular import FourierSeries, realize, word_shift
-from fockhopf.sampling import EXACT_BITS, random_series, rng_for
+from fockhopf.sampling import EXACT_BITS, FINE_BITS, random_series, rng_for
 from fockhopf.spaces import (
     FockSpace,
     Operator,
     basis_vector,
+    max_abs,
     max_entry_diff,
+    permutation_operator,
     slice_left,
     slice_right,
     tensor_op,
@@ -228,3 +236,266 @@ def test_grouplike_equations_can_fail():
     assert _satisfies_grouplike_equations(FourierSeries.indicator(A2, w), H3)
     assert not _satisfies_grouplike_equations(FourierSeries(A2, {w: 2.0}), H3)
     assert not _satisfies_grouplike_equations(FourierSeries(A2, {word(1): 1.0, word(2): 1.0}), H3)
+
+
+# ---------------------------------------------------------------------------
+# The four planned defects against the per-series operator routes they replace.
+# Each reference looks its routes up on the hopf module at call time, so a
+# mutant patched there reaches the reference and the plan alike.
+
+
+def reference_coassociativity(series, space):
+    delta = hopf.comult(series, space, fold=2)
+    cols = within(space, space.depth - series.degree, fold=3)
+    route_a = hopf._legwise_columns(delta, space, family_leg=2, columns=cols)
+    route_b = hopf._legwise_columns(delta, space, family_leg=0, columns=cols)
+    route_c = hopf._comult_columns(series, space, 3, cols)
+    return max(max_abs(route_a - route_c), max_abs(route_b - route_c), max_abs(route_a - route_b))
+
+
+def reference_cocommutativity(series, space):
+    delta = hopf.comult(series, space, fold=2)
+    flip = hopf.flip_operator(delta.domain)
+    return max_entry_diff(flip @ delta @ flip, delta)
+
+
+def reference_homomorphism(s, t, space):
+    if s.degree + t.degree > space.depth:
+        raise ValueError("combined degree exceeds the depth")
+    product_image = hopf.comult(s * t, space, fold=2)
+    left = hopf.comult(s, space, fold=2)
+    right = hopf.comult(t, space, fold=2)
+    cols = within(space, space.depth - s.degree - t.degree, fold=2)
+    composed_cols = left.matrix @ right.matrix.tocsc()[:, cols]
+    return max_abs(composed_cols - product_image.matrix.tocsc()[:, cols])
+
+
+def reference_integral_invariance(series, space):
+    delta = hopf.comult(series, space, fold=2)
+    vacuum = basis_vector(space, Word())
+    pairs = [(vacuum, vacuum)]
+    target = hopf.integral_value(series) * Operator.identity(space)
+    left = hopf.slice_right(pairs, delta)
+    right = hopf.slice_left(pairs, delta)
+    return max(max_entry_diff(left, target), max_entry_diff(right, target))
+
+
+PLANS = (
+    hopf._coassociativity_plan,
+    hopf._cocommutativity_plan,
+    hopf._homomorphism_plan,
+    hopf._integral_plan,
+)
+GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
+
+
+@pytest.fixture
+def fresh_plans():
+    # A mutant's plan must neither reuse an honest cached plan nor outlive the test.
+    for plan in PLANS:
+        plan.cache_clear()
+    yield
+    for plan in PLANS:
+        plan.cache_clear()
+
+
+def _series_kinds(space, degree, rng):
+    """A series with one zero coefficient, one whose top degree is all zero, and FINE_BITS data."""
+    full = random_series(rng, space.alphabet, degree, bits=EXACT_BITS)
+    words = [w for w, _ in full.items()]
+    hole = words[int(rng.integers(len(words)))]
+    yield FourierSeries(space.alphabet, {w: c for w, c in full.items() if w != hole}), 0.0
+    dropped = FourierSeries(space.alphabet, {w: c for w, c in full.items() if len(w) < degree})
+    assert degree == 0 or dropped.degree < degree
+    yield dropped, 0.0
+    yield random_series(rng, space.alphabet, degree, bits=FINE_BITS), 1e-12
+
+
+def _agree(got, want, tol):
+    assert got == want if tol == 0.0 else abs(got - want) <= tol, (got, want)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_planned_defects_match_the_operator_routes(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "hopf-plans", n)
+    for series, tol in _series_kinds(space, min(2, depth), rng):
+        for planned, reference in (
+            (coassociativity_defect, reference_coassociativity),
+            (cocommutativity_defect, reference_cocommutativity),
+            (integral_invariance_defect, reference_integral_invariance),
+        ):
+            _agree(planned(series, space), reference(series, space), tol)
+    degree = min(2, depth // 2)
+    for (s, tol), (t, _) in zip(_series_kinds(space, degree, rng), _series_kinds(space, degree, rng)):
+        _agree(homomorphism_defect(s, t, space), reference_homomorphism(s, t, space), tol)
+        _agree(homomorphism_defect(t, s, space), reference_homomorphism(t, s, space), tol)
+
+
+def test_a_dropped_degree_keys_the_lower_degree_plan(fresh_plans):
+    # Its safe zone is the larger one of the lower degree, as for the routes.
+    space = FockSpace(A2, 4)
+    rng = rng_for(0, "hopf-dropped-degree")
+    s = FourierSeries(A2, {w: c for w, c in random_series(rng, A2, 2).items() if len(w) < 2})
+    coassociativity_defect(s, space)
+    cocommutativity_defect(s, space)
+    integral_invariance_defect(s, space)
+    homomorphism_defect(s, s, space)
+    for plan, key in zip(PLANS, [(1,), (1,), (1, 1, 2), (1,)]):
+        assert plan.cache_info().currsize == 1
+        plan(space, *key)
+        assert plan.cache_info().currsize == 1, plan
+
+
+def test_planned_defects_raise_what_the_routes_raise():
+    other = FourierSeries.indicator(Alphabet(3), word(3))
+    deep = FourierSeries.indicator(A2, word(1, 1, 1, 1))
+    for defect in (coassociativity_defect, cocommutativity_defect, integral_invariance_defect):
+        for bad, message in ((other, "alphabet"), (deep, "exceeds depth")):
+            with pytest.raises(ValueError, match=message):
+                defect(bad, H3)
+    two = FourierSeries.indicator(A2, word(1, 2))
+    with pytest.raises(ValueError, match="combined degree"):
+        homomorphism_defect(two, two, H3)
+    with pytest.raises(ValueError, match="alphabets differ"):
+        homomorphism_defect(FourierSeries.unit(A2), other, H3)
+
+
+def test_trials_on_cached_plans_build_no_sparse_matrix(monkeypatch):
+    space = FockSpace(Alphabet(3), 4)
+    rng = rng_for(0, "hopf-plan-trials")
+    s, t = (random_series(rng, space.alphabet, 2, bits=EXACT_BITS) for _ in range(2))
+    runs = (
+        lambda: coassociativity_defect(s, space),
+        lambda: cocommutativity_defect(s, space),
+        lambda: homomorphism_defect(s, t, space),
+        lambda: integral_invariance_defect(s, space),
+    )
+    for run in runs:
+        run()  # builds or reuses the plan
+    built = []
+    honest = _base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(_base._spbase, "__init__", counting)
+    for run in runs:
+        assert run() == 0.0
+    assert built == []
+
+
+# Mutants: each plan must carry a fault of its routes into every trial.
+H4 = FockSpace(A2, 4)
+
+
+def _mutant_series(seed):
+    rng = rng_for(seed, "hopf-plan-mutants")
+    return [random_series(rng, A2, 2, bits=EXACT_BITS) for _ in range(3)]
+
+
+def _legs_swapped(delta, space, family_leg, columns):
+    # The iterate lands its first two legs in each other's place.
+    mat = _legwise_columns(delta, space, family_leg, columns).tocoo()
+    shape = (space.dim,) * 3
+    i0, i1, i2 = np.unravel_index(mat.row, shape)
+    rows = np.ravel_multi_index((i1, i0, i2), shape)
+    return sparse.coo_matrix((mat.data, (rows, mat.col)), shape=mat.shape).tocsc()
+
+
+def _first_word_dropped(series, space, fold, columns):
+    rest = FourierSeries(series.alphabet, dict(list(series.items())[1:]))
+    return _comult_columns(rest, space, fold, columns)
+
+
+@pytest.mark.parametrize(
+    "name,mutant", [("_legwise_columns", _legs_swapped), ("_comult_columns", _first_word_dropped)]
+)
+def test_coassociativity_plan_carries_route_mutants(monkeypatch, fresh_plans, name, mutant):
+    monkeypatch.setattr(hopf, name, mutant)
+    defects = [coassociativity_defect(s, H4) for s in _mutant_series(1)]
+    assert min(defects) > 0.0
+    assert defects == [reference_coassociativity(s, H4) for s in _mutant_series(1)]
+
+
+def _collapsed_flip(space):
+    # The flip index a d + a instead of b d + a: every (a, b) lands on (a, a).
+    d1, d2 = (f.dim for f in space.factors)
+    a, _ = np.divmod(np.arange(space.dim), d2)
+    return permutation_operator(space, space, a * d1 + a)
+
+
+def _left_leg_only(series, space, fold=2):
+    # A (x) 1 instead of the tensor square: not flip-invariant.
+    return tensor_op(realize(series, space), Operator.identity(space))
+
+
+@pytest.mark.parametrize(
+    "name,mutant", [("flip_operator", _collapsed_flip), ("comult", _left_leg_only)]
+)
+def test_cocommutativity_plan_carries_route_mutants(monkeypatch, fresh_plans, name, mutant):
+    monkeypatch.setattr(hopf, name, mutant)
+    defects = [cocommutativity_defect(s, H4) for s in _mutant_series(2)]
+    assert min(defects) > 0.0
+    assert defects == [reference_cocommutativity(s, H4) for s in _mutant_series(2)]
+
+
+def test_plans_reject_entries_that_are_not_one_tag(monkeypatch, fresh_plans):
+    # A comultiplication that also lands the coefficients of the unit and the
+    # word 1 on each other's entries stores sums of two tags there, which no
+    # plan may read as one word.
+    honest = hopf.comult
+
+    def merged(series, space, fold=2):
+        swapped = {word(1): series.coefficient(Word()), Word(): series.coefficient(word(1))}
+        extra = FourierSeries(series.alphabet, swapped)
+        return honest(series, space, fold) + honest(extra, space, fold)
+
+    monkeypatch.setattr(hopf, "comult", merged)
+    for defect in (coassociativity_defect, cocommutativity_defect, integral_invariance_defect):
+        with pytest.raises(ValueError, match="tag"):
+            defect(random_series(rng_for(0, "hopf-merged"), A2, 2, bits=EXACT_BITS), H4)
+
+
+def _slice_against_word_1(pairs, t):
+    # The output leg pairs against xi_1 instead of the vacuum.
+    return slice_left([(xi, basis_vector(xi.space, word(1))) for xi, _ in pairs], t)
+
+
+@pytest.mark.parametrize(
+    "name,mutant",
+    [("slice_left", _slice_against_word_1), ("integral_value", lambda s: s.coefficient(word(1)))],
+)
+def test_integral_plan_carries_route_mutants(monkeypatch, fresh_plans, name, mutant):
+    monkeypatch.setattr(hopf, name, mutant)
+    defects = [integral_invariance_defect(s, H4) for s in _mutant_series(3)]
+    assert min(defects) > 0.0
+    assert defects == [reference_integral_invariance(s, H4) for s in _mutant_series(3)]
+
+
+def test_homomorphism_plan_misses_a_dropped_factorization_pair(monkeypatch, fresh_plans):
+    honest = hopf._homomorphism_plan
+
+    def dropped(space, ds, dt, dp):
+        slot, u, v, w = honest(space, ds, dt, dp)
+        return slot[1:], u[1:], v[1:], w
+
+    monkeypatch.setattr(hopf, "_homomorphism_plan", dropped)
+    s, t, _ = _mutant_series(4)
+    assert homomorphism_defect(s, t, H4) > 0.0
+    assert reference_homomorphism(s, t, H4) == 0.0
+
+
+def test_homomorphism_plan_catches_a_reversed_product(monkeypatch, fresh_plans):
+    def reversed_product(self, other):
+        out = {}
+        for u, a in self.coeffs.items():
+            for v, b in other.coeffs.items():
+                out[v.concat(u)] = out.get(v.concat(u), 0j) + a * b
+        return FourierSeries(self.alphabet, out)
+
+    monkeypatch.setattr(FourierSeries, "__mul__", reversed_product)
+    s, t, _ = _mutant_series(5)
+    assert homomorphism_defect(s, t, H4) > 0.0
+    assert homomorphism_defect(s, t, H4) == reference_homomorphism(s, t, H4)

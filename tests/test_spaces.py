@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import _compressed
 
 from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
     Operator,
+    TensorSpace,
     Vector,
     basis_vector,
     flip_operator,
     inner,
     leg_embed,
     max_entry_diff,
-    operator_entries,
     operator_sum,
     slice_left,
     slice_right,
@@ -31,6 +33,19 @@ def labels_at(space, i):
         q, i = divmod(i, stride)
         labels.append(f.word_at(q) if isinstance(f, FockSpace) else q)
     return tuple(labels)
+
+
+def operator_entries(op):
+    # The coordinate list of the stored entries, each position labelled by its words.
+    def text(space, i):
+        labels = labels_at(space, i) if isinstance(space, TensorSpace) else (space.word_at(i),)
+        return ",".join(w.text(A2.n) for w in labels)
+
+    coo = op.matrix.tocoo()
+    return [
+        {"row": text(op.codomain, r), "col": text(op.domain, c), "re": v.real, "im": v.imag}
+        for r, c, v in zip(coo.row, coo.col, coo.data)
+    ]
 
 
 def rnd_sparse_operator(rng, space, density=0.4):
@@ -182,7 +197,6 @@ def test_flip_involution_and_conjugation():
 def test_flip_operator_is_cached_per_space():
     pair = tensor_space(FockSpace(A2, 2), FockSpace(A2, 2))
     assert flip_operator(pair) is flip_operator(pair)
-    assert flip_operator.cache_parameters()["maxsize"] is not None
 
 
 def test_flip_on_vectors():
@@ -356,6 +370,38 @@ def test_operator_entries_serialization():
     pair = tensor_space(space, space)
     flip_entries = operator_entries(flip_operator(pair))
     assert {"row": "2,1", "col": "1,2", "re": 1.0, "im": 0.0} in flip_entries
+
+
+def test_operator_keeps_a_canonical_complex_csr(monkeypatch):
+    # A complex csr_matrix is taken as it is: no second scipy constructor pass.
+    space = FockSpace(A2, 2)
+    mat = sparse.random(space.dim, space.dim, density=0.3, format="csr", random_state=1) * (1 + 1j)
+    assert type(mat) is sparse.csr_matrix and mat.dtype == np.complex128
+    calls = []
+    honest = _compressed._cs_matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(type(self))
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
+    op = Operator(space, space, mat)
+    assert calls == []
+    assert op.matrix is mat and not op.matrix.data.flags.writeable
+    Operator(space, space, mat.real)  # a real matrix is still converted
+    assert calls
+
+
+def test_operator_checks_shape_and_sums_duplicates():
+    space = FockSpace(A2, 1)
+    with pytest.raises(ValueError, match="does not match spaces"):
+        Operator(space, space, sparse.csr_matrix((2, 3), dtype=np.complex128))
+    # Row 0 stores column 1 twice; the operator keeps one summed entry.
+    data = np.array([1 + 1j, 2.0, 0.5j], dtype=np.complex128)
+    mat = sparse.csr_matrix((data, [1, 1, 2], [0, 2, 3, 3]), shape=(3, 3))
+    op = Operator(space, space, mat)
+    assert op.nnz == 2
+    assert op.matrix[0, 1] == 3 + 1j and op.matrix[1, 2] == 0.5j
 
 
 def test_values_frozen_after_construction():
