@@ -9,16 +9,19 @@ cross-check.  Representations of the predual are stored by their values on
 the indicator basis, where convolution is pointwise and the representation
 law is exactly the same idempotent condition.
 
-Basis indices of concatenations come from the graded rule
+Both kinds of object hold their family as one :class:`spaces.StackedFamily`
+(B_w[y, x] at row index(w) dim K + y, column x), built once, and every check
+reads that stack.  Basis indices of concatenations come from the graded rule
 :func:`graded.concat` (directly in :func:`fundamental_corep`, through the
-shift index tables in :func:`corep_from_rep`); the independent checks sum
-Kronecker products instead (:func:`shift_tensor_sum`).
+shift index tables in :func:`corep_from_rep`); the independent check
+:func:`shift_tensor_sum` instead realigns one sparse product of the
+vectorized word shifts and family members (Van Loan--Pitsianis).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -32,10 +35,10 @@ from .spaces import (
     FockSpace,
     Operator,
     Space,
+    StackedFamily,
     TensorSpace,
     Vector,
     coo_sum,
-    inner,
     leg_embed,
     max_abs,
     max_entry_diff,
@@ -47,15 +50,20 @@ from .spaces import (
 from .words import Word
 
 REP_LAW_TOL = 1e-9
+# Every character's one member; an Operator is immutable, so they share it.
+_SCALAR_ONE = Operator.identity(SCALAR_SPACE)
 
 
 @dataclass(eq=False)
 class Corepresentation:
-    """Operator on H (x) K together with its sliced decomposition family."""
+    """Operator on H (x) K together with its sliced decomposition family.
+
+    ``family`` is the stacked vacuum column block of the operator.
+    """
 
     space: TensorSpace
     operator: Operator
-    family: dict[Word, Operator]
+    family: StackedFamily
 
     @property
     def hilbert(self) -> FockSpace:
@@ -68,7 +76,7 @@ class Corepresentation:
         return self.space.factors[1]
 
     def component(self, w: Word) -> Operator:
-        return self.family.get(w, Operator.zero(self.aux))
+        return self.family[w] if w in self.family else Operator.zero(self.aux)
 
     @classmethod
     def from_operator(cls, op: Operator) -> "Corepresentation":
@@ -78,8 +86,7 @@ class Corepresentation:
         fock = space.factors[0]
         if not isinstance(fock, FockSpace):
             raise ValueError("the first tensor factor must be a Fock space")
-        family = vacuum_leg_decomposition(op, leg=1)
-        return cls(space, op, family)
+        return cls(space, op, vacuum_leg_decomposition(op, leg=1))
 
 
 @dataclass(frozen=True)
@@ -96,35 +103,92 @@ class CorepReport:
         return max(self.reconstruction_defect, self.criterion_defect, legs)
 
 
-def shift_tensor_sum(
-    fock: FockSpace, aux: Space, family: dict[Word, Operator], copies: int = 1
-) -> Operator:
-    """The Kronecker-product sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w]."""
+def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
+    """The sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w].
+
+    One sparse product, by the Van Loan--Pitsianis rearrangement: with
+    M_w = L_w (x) .. (x) L_w, row p of Lvec the row-major vec(M_{w_p}) and
+    row p of Bvec vec(B_{w_p}), entry [y d + x, i D + k] of Bvec^T Lvec is
+    sum_w B_w[y, x] M_w[i, k], the entry of the sum at row i d + y and
+    column k d + x (D = dim H^copies, d = dim K).  Only the vec positions
+    that some member stores are kept as rows and columns, so the product
+    never spans D^2 or d^2 of them.  The shifts are read through
+    :func:`word_shift` alone.
+    """
+    fock, aux = family.fock, family.aux
     space = tensor_space(*([fock] * copies), aux)
-    terms = []
-    for w, b in family.items():
-        shift = word_shift(fock, w, "left").matrix
-        terms.append(sparse.kron(reduce(sparse.kron, [shift] * copies), b.matrix, format="coo"))
-    return coo_sum(space, [t.row for t in terms], [t.col for t in terms], [t.data for t in terms])
+    if not family:
+        return Operator.zero(space)
+    legs_dim, d = fock.dim**copies, aux.dim
+    lpos, lval, lcount = [], [], []
+    for k in family.support:
+        shift = word_shift(fock, fock.words[k], "left").matrix
+        i, j, v = np.repeat(np.arange(fock.dim), np.diff(shift.indptr)), shift.indices, shift.data
+        rows, cols, vals = i, j, v
+        for _ in range(copies - 1):
+            rows = (rows[:, None] * fock.dim + i).ravel()
+            cols = (cols[:, None] * fock.dim + j).ravel()
+            vals = (vals[:, None] * v).ravel()
+        lpos.append(rows * legs_dim + cols)
+        lval.append(vals)
+        lcount.append(vals.size)
+    lkeys, lcol = np.unique(np.concatenate(lpos), return_inverse=True)
+    lvec = sparse.csr_matrix(
+        (np.concatenate(lval), lcol, np.concatenate(([0], np.cumsum(lcount)))),
+        shape=(len(lcount), lkeys.size),
+    )
+    word, y = family.entry_rows
+    block = family.block
+    bkeys, brow = np.unique(y * d + block.indices, return_inverse=True)
+    order = np.argsort(brow, kind="stable")
+    bvec_t = sparse.csr_matrix(
+        (
+            block.data[order],
+            np.searchsorted(family.support, word)[order],
+            np.concatenate(([0], np.cumsum(np.bincount(brow, minlength=bkeys.size)))),
+        ),
+        shape=(bkeys.size, len(lcount)),
+    )
+    product = bvec_t @ lvec
+    by, bx = np.divmod(bkeys[np.repeat(np.arange(bkeys.size), np.diff(product.indptr))], d)
+    li, lk = np.divmod(lkeys[product.indices], legs_dim)
+    # Distinct product entries land at distinct positions, none of them zero,
+    # so sorting them is the whole CSR assembly.
+    rows, cols = li * d + by, lk * d + bx
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=space.dim))))
+    mat = sparse.csr_matrix((product.data[order], cols[order], indptr), shape=(space.dim,) * 2)
+    return Operator(space, space, mat)
 
 
-def idempotent_family_defect(family: dict[Word, Operator], aux: Space) -> float:
+def idempotent_family_defect(family: StackedFamily) -> float:
     """Largest entrywise failure of F_u F_v = delta_{uv} F_u over word pairs.
 
     Zero components satisfy every pair they touch, so only the stored
-    (nonzero) operators matter.  Block (u, v) of vstack(F) @ hstack(F) is
-    F_u F_v, so one sparse multiply against block_diag(F) covers every pair.
+    members matter.  Block (u, v) of vstack(F) @ hstack(F) is F_u F_v, so one
+    sparse multiply against block_diag(F) covers every pair.  The stack is
+    vstack(F) with a block per basis word, and the other two operands are
+    read off its arrays: F_w[y, x] sits at column index(w) d + x of both,
+    in row y of hstack(F) and in the stack's own row of block_diag(F).
     """
-    mats = [op.matrix for op in family.values() if op.nnz]
-    if not mats:
+    block = family.block
+    if not block.nnz:
         return 0.0
-    products = sparse.vstack(mats, format="csr") @ sparse.hstack(mats, format="csr")
-    return max_abs(products - sparse.block_diag(mats, format="csr"))
+    size, d = block.shape
+    word, y = family.entry_rows
+    cols = word * d + block.indices
+    order = np.argsort(y, kind="stable")
+    hstack = sparse.csr_matrix(
+        (block.data[order], cols[order], np.concatenate(([0], np.cumsum(np.bincount(y, minlength=d))))),
+        shape=(d, size),
+    )
+    diag = sparse.csr_matrix((block.data, cols, block.indptr), shape=(size, size))
+    return max_abs(block @ hstack - diag)
 
 
 def criterion_defect(corep: Corepresentation) -> float:
     """Largest entrywise failure of B_u B_v = delta_{uv} B_u over word pairs."""
-    return idempotent_family_defect(corep.family, corep.aux)
+    return idempotent_family_defect(corep.family)
 
 
 def leg_identity_defect(corep: Corepresentation) -> float:
@@ -133,7 +197,7 @@ def leg_identity_defect(corep: Corepresentation) -> float:
     ambient = tensor_space(fock, fock, corep.aux)
     v13 = leg_embed(corep.operator, (1, 3), ambient)
     v23 = leg_embed(corep.operator, (2, 3), ambient)
-    rhs = shift_tensor_sum(fock, corep.aux, corep.family, copies=2)
+    rhs = shift_tensor_sum(corep.family, copies=2)
     return max_entry_diff(v13 @ v23, rhs)
 
 
@@ -141,7 +205,7 @@ def corep_check(corep: Corepresentation | Operator, legs: bool = True) -> CorepR
     """Run the reconstruction, idempotent-criterion, and leg-identity checks."""
     if isinstance(corep, Operator):
         corep = Corepresentation.from_operator(corep)
-    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.hilbert, corep.aux, corep.family))
+    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
     crit = criterion_defect(corep)
     leg = leg_identity_defect(corep) if legs else None
     return CorepReport(recon, crit, leg)
@@ -191,48 +255,42 @@ class PredualRep:
     """Representation of the predual via its values on the indicator basis.
 
     ``family[w]`` is the image of the indicator functional of w; missing words
-    act as zero.  The representation law is validated on construction.
+    act as zero.  Any word-keyed mapping is stacked on construction (a
+    :class:`spaces.StackedFamily` on the same spaces is kept as it is), and
+    the representation law is validated on the stack.
     """
 
     space: FockSpace
     aux: Space
-    family: dict[Word, Operator]
+    family: Mapping[Word, Operator]
     law_defect: float = field(init=False)
 
     def __post_init__(self) -> None:
-        clean: dict[Word, Operator] = {}
-        for w, op in self.family.items():
-            if len(w) > self.space.depth:
-                raise ValueError(f"family word {w} exceeds depth {self.space.depth}")
-            if op.domain != self.aux or op.codomain != self.aux:
-                raise ValueError("family operators must be square on the auxiliary space")
-            if op.nnz:
-                clean[w] = op
-        self.family = clean
-        self.law_defect = idempotent_family_defect(self.family, self.aux)
+        if not isinstance(self.family, StackedFamily):
+            self.family = StackedFamily.from_members(self.space, self.aux, self.family)
+        elif self.family.fock != self.space or self.family.aux != self.aux:
+            raise ValueError("stacked family lives on different spaces")
+        self.law_defect = idempotent_family_defect(self.family)
         if self.law_defect > REP_LAW_TOL:
             raise ValueError(
                 f"family violates the representation law (defect {self.law_defect:.3e})"
             )
 
     def component(self, w: Word) -> Operator:
-        return self.family.get(w, Operator.zero(self.aux))
+        return self.family[w] if w in self.family else Operator.zero(self.aux)
 
     def evaluate(self, f: Functional) -> Operator:
-        """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass."""
+        """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass over the stack."""
         if f.space != self.space:
             raise ValueError("functional lives on a different space")
-        mats = [op.matrix for op in self.family.values()]
-        weights = f.values[[self.space.index_of(w) for w in self.family]]
-        rows = [np.repeat(np.arange(self.aux.dim), np.diff(m.indptr)) for m in mats]
-        vals = [m.data * x for m, x in zip(mats, weights)]
-        return coo_sum(self.aux, rows, [m.indices for m in mats], vals)
+        block = self.family.block
+        word, y = self.family.entry_rows
+        return coo_sum(self.aux, [y], [block.indices], [block.data * f.values[word]])
 
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":
         """The one-dimensional representation picking out the word w."""
-        one = Operator.from_entries(SCALAR_SPACE, SCALAR_SPACE, [0], [0], [1.0])
-        return cls(space, SCALAR_SPACE, {w: one})
+        return cls(space, SCALAR_SPACE, {w: _SCALAR_ONE})
 
     @classmethod
     def trivial(cls, space: FockSpace, aux: Space) -> "PredualRep":
@@ -243,38 +301,42 @@ class PredualRep:
 def rep_from_corep(corep: Corepresentation) -> PredualRep:
     """The representation phi -> (phi (x) id)(V); valid coreps only.
 
-    The constructor of :class:`PredualRep` checks the representation law.
+    The constructor of :class:`PredualRep` checks the representation law on
+    the corepresentation's own stacked family.
     """
-    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.hilbert, corep.aux, corep.family))
+    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
     if recon > REP_LAW_TOL:
         raise ValueError(f"operator is not a corepresentation (reconstruction defect {recon:.3e})")
-    return PredualRep(corep.hilbert, corep.aux, dict(corep.family))
+    return PredualRep(corep.hilbert, corep.aux, corep.family)
 
 
 def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     """Build V from the bilinear pairing (V(xi_a (x) x), xi_b (x) y) = (pi([xi_a xi_b*]) x, y).
 
     The rank-one functional of a word basis pair (a, b) is the indicator of
-    the prefix u with b = u a, so V assembles block-wise from the family: pi_u
-    lands at row index(u a) dk and column index(a) dk, read off the shift
-    index table of u.  The result is verified entrywise against the
-    independent Kronecker-product sum sum_w L_w (x) pi_w.
+    the prefix u with b = u a, so V assembles block-wise from the stacked
+    family: each stored entry of pi_u lands at row index(u a) dk and column
+    index(a) dk, read off the shift index table of u.  The result is
+    verified entrywise against the independent Kronecker-product sum
+    sum_w L_w (x) pi_w.
     """
     if rep.space != space:
         raise ValueError("representation indicator basis does not match the space")
     pair = tensor_space(space, rep.aux)
-    dk = rep.aux.dim
+    family, dk = rep.family, rep.aux.dim
+    block, (_, y) = family.block, family.entry_rows
+    starts = block.indptr[::dk]
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
-    for u, pu in rep.family.items():
-        coo = pu.matrix.tocoo()
-        table = shift_index_table(space, u)
-        rows.append((table[:, None] * dk + coo.row).ravel())
-        cols.append((np.arange(table.size)[:, None] * dk + coo.col).ravel())
-        vals.append(np.tile(coo.data, table.size))
+    for k in family.support:
+        table = shift_index_table(space, space.words[k])
+        lo, hi = starts[k], starts[k + 1]
+        rows.append((table[:, None] * dk + y[lo:hi]).ravel())
+        cols.append((np.arange(table.size)[:, None] * dk + block.indices[lo:hi]).ravel())
+        vals.append(np.tile(block.data[lo:hi], table.size))
     v = Operator.from_entries(pair, pair, *(np.concatenate(parts) for parts in (rows, cols, vals)))
 
-    check = shift_tensor_sum(space, rep.aux, rep.family)
+    check = shift_tensor_sum(family)
     if max_entry_diff(v, check) != 0.0:
         raise AssertionError("bilinear assembly disagrees with the tensor-product sum")
     return Corepresentation.from_operator(v)
@@ -296,13 +358,17 @@ def spectrum(space: FockSpace) -> list[Word]:
 
 
 def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries:
-    """The series c with c_w = (pi_w x, y), realizable inside the shift algebra."""
+    """The series c with c_w = (pi_w x, y), realizable inside the shift algebra.
+
+    One product of the stack with x gives every pi_w x, one block per word.
+    """
     if x.space != rep.aux or y.space != rep.aux:
         raise ValueError("coefficient vectors must live on the auxiliary space")
-    return FourierSeries(
-        rep.space.alphabet,
-        {w: inner(op.apply(x), y) for w, op in rep.family.items()},
-    )
+    family = rep.family
+    images = (family.block @ x.data).reshape(rep.space.dim, rep.aux.dim)[family.support]
+    values = images @ np.conj(y.data)
+    words = rep.space.words
+    return FourierSeries(rep.space.alphabet, {words[k]: c for k, c in zip(family.support, values)})
 
 
 def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:

@@ -93,7 +93,7 @@ def _legwise_columns(
     dim, depth = space.dim, space.depth
     shape = (dim,) * 3
     parts = np.unravel_index(columns, shape)
-    block = vacuum_block(delta, leg=1 if family_leg == 2 else 2)
+    block = vacuum_block(delta, leg=1 if family_leg == 2 else 2).tocsc()
     # Gather the stored entries of block column x for every requested column.
     first = block.indptr[parts[family_leg]]
     counts = block.indptr[parts[family_leg] + 1] - first
@@ -308,12 +308,19 @@ def grouplike_series(space: FockSpace) -> list[FourierSeries]:
     word indicators; each one is re-verified both against the coefficient
     equations and at the operator level before being returned.
     """
-    solutions: list[FourierSeries] = []
+    return [FourierSeries.indicator(space.alphabet, w) for w in _grouplike_words(space)]
+
+
+@lru_cache(maxsize=32)
+def _grouplike_words(space: FockSpace) -> tuple[Word, ...]:
+    # The solved words, not the series: a FourierSeries is mutable, so each
+    # call hands out fresh indicators.
+    solutions: list[Word] = []
     for w in space.words:
         candidate = FourierSeries.indicator(space.alphabet, w)
         if not _satisfies_grouplike_equations(candidate, space):
             continue
         if grouplike_defect(candidate, space) != 0.0:
             continue
-        solutions.append(candidate)
-    return solutions
+        solutions.append(w)
+    return tuple(solutions)

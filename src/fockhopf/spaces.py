@@ -17,9 +17,10 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -458,7 +459,7 @@ def _tensor_pair(t: Operator) -> tuple[Space, Space]:
     return space.factors[0], space.factors[1]
 
 
-def vacuum_block(t: Operator, leg: int = 1) -> sparse.csc_matrix:
+def vacuum_block(t: Operator, leg: int = 1) -> sparse.csr_matrix:
     """Coefficient family of a two-leg operator as one stacked vacuum column block.
 
     For ``leg=1`` the family {w: C_w} of T = sum_w L_w (x) C_w has
@@ -474,38 +475,112 @@ def vacuum_block(t: Operator, leg: int = 1) -> sparse.csc_matrix:
         raise ValueError(f"tensor factor {leg} is not a Fock space")
     d1, d2 = first.dim, second.dim
     if leg == 1:
-        return t.matrix[:, :d2].tocsc()  # the vacuum word is basis index 0
+        return t.matrix[:, :d2]  # the vacuum word is basis index 0
     # Columns (x, e) are every d2-th; rows (y, w) are re-keyed to (w, y).
     rekey = np.arange(d1 * d2).reshape(d1, d2).T.ravel()
-    return t.matrix[:, ::d2][rekey].tocsc()
+    return t.matrix[:, ::d2][rekey]
 
 
-def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> dict["Word", Operator]:
-    """The family of :func:`vacuum_block` keyed by word, one operator per word.
+@dataclass(frozen=True, eq=False)
+class StackedFamily(Mapping):
+    """A word-keyed family {w: B_w} of operators on ``aux``, held as one stacked CSR.
+
+    B_w[y, x] sits at row index(w) d + y and column x of ``block`` (d the
+    dimension of ``aux``), the layout of :func:`vacuum_block`.  As a mapping it
+    shows, in basis order, the words whose row range stores an entry; each
+    member is sliced off the CSR arrays when first read.
+    """
+
+    fock: FockSpace
+    aux: Space
+    block: sparse.csr_matrix
+
+    def __post_init__(self) -> None:
+        mat = self.block
+        if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
+            mat = sparse.csr_matrix(mat, dtype=np.complex128)
+        if mat.shape != (self.fock.dim * self.aux.dim, self.aux.dim):
+            raise ValueError(f"stacked block shape {mat.shape} does not match the spaces")
+        mat.sum_duplicates()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "block", mat)
+
+    @classmethod
+    def from_members(
+        cls, fock: FockSpace, aux: Space, family: Mapping[Word, Operator]
+    ) -> "StackedFamily":
+        """Stack a word-keyed family; members that store no entry are left out."""
+        for w, op in family.items():
+            if len(w) > fock.depth:
+                raise ValueError(f"family word {w} exceeds depth {fock.depth}")
+            if op.domain != aux or op.codomain != aux:
+                raise ValueError("family operators must be square on the auxiliary space")
+        d = aux.dim
+        members = sorted((fock.index_of(w), op.matrix) for w, op in family.items() if op.nnz)
+        counts = np.zeros((fock.dim, d), dtype=np.int64)
+        for k, mat in members:
+            counts[k] = np.diff(mat.indptr)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        data = np.concatenate([np.empty(0, dtype=np.complex128)] + [m.data for _, m in members])
+        indices = np.concatenate([np.empty(0, dtype=np.int64)] + [m.indices for _, m in members])
+        return cls(fock, aux, sparse.csr_matrix((data, indices, indptr), shape=(fock.dim * d, d)))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Ascending basis indices of the words whose members store an entry."""
+        return np.flatnonzero(np.diff(self.block.indptr[:: self.aux.dim]))
+
+    @cached_property
+    def entry_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Word index and member row of each stored entry, in storage order."""
+        rows = np.repeat(np.arange(self.block.shape[0]), np.diff(self.block.indptr))
+        return np.divmod(rows, self.aux.dim)
+
+    @cached_property
+    def _members(self) -> dict[Word, Operator]:
+        d, block = self.aux.dim, self.block
+        data, indices, indptr = block.data, block.indices, block.indptr
+        members = {}
+        for k in self.support:
+            rows = indptr[k * d : (k + 1) * d + 1]
+            lo, hi = rows[0], rows[-1]
+            mat = sparse.csr_matrix((data[lo:hi], indices[lo:hi], rows - lo), shape=(d, d))
+            members[self.fock.words[k]] = Operator(self.aux, self.aux, mat)
+        return members
+
+    def __getitem__(self, w: Word) -> Operator:
+        return self._members[w]
+
+    def __iter__(self) -> Iterator[Word]:
+        return (self.fock.words[k] for k in self.support)
+
+    def __len__(self) -> int:
+        return int(self.support.size)
+
+
+def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> StackedFamily:
+    """The family of :func:`vacuum_block` as a word-keyed :class:`StackedFamily`.
 
     Only words whose row range of the block stores an entry appear.
     """
-    block = vacuum_block(t, leg).tocsr()
+    block = vacuum_block(t, leg)
     fock, other = _tensor_pair(t)[:: 1 if leg == 1 else -1]
-    d = other.dim
-    keys = np.flatnonzero(np.diff(block.indptr[::d]))
-    return {fock.words[k]: Operator(other, other, block[k * d : (k + 1) * d]) for k in keys}
+    return StackedFamily(fock, other, block)
 
 
-def max_abs(mat: sparse.spmatrix) -> float:
-    """Largest entry modulus of a sparse matrix; 0.0 when it has no entries."""
+def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:
+    """Largest entry modulus of a sparse matrix, over ``columns`` when given; 0.0 when it has no entries."""
+    if columns is not None:
+        mat = mat.tocsc()[:, columns]
     return float(np.abs(mat.data).max(initial=0.0))
 
 
 def max_abs_entry(op: Operator, columns: np.ndarray | None = None) -> float:
-    mat = op.matrix
-    if columns is not None:
-        mat = mat.tocsc()[:, columns]
-    return max_abs(mat)
+    return max_abs(op.matrix, columns)
 
 
 def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) -> float:
     _check_same_space(a.domain, b.domain)
     _check_same_space(a.codomain, b.codomain)
-    return max_abs_entry(Operator(a.domain, a.codomain, a.matrix - b.matrix), columns)
-
+    return max_abs(a.matrix - b.matrix, columns)

@@ -24,7 +24,7 @@ from . import predual as predual_mod
 from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
-from .spaces import FockSpace, Operator, basis_vector, max_entry_diff, tensor_op
+from .spaces import FockSpace, Operator, StackedFamily, basis_vector, max_entry_diff, tensor_op
 from .words import Alphabet, Word
 
 ALL_SUITES = ("regrep", "hopf", "predual", "corep", "wandering")
@@ -594,7 +594,7 @@ def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> tuple[float, float]:
     for w in space.words[1 : min(4, space.dim)]:
         mat = sampling.dyadic_complex(rng, aux.dim * aux.dim).reshape(aux.dim, aux.dim)
         family[w] = Operator.from_dense(aux, aux, mat)
-    total = corep_mod.shift_tensor_sum(space, aux, family)
+    total = corep_mod.shift_tensor_sum(StackedFamily.from_members(space, aux, family))
     report = corep_mod.corep_check(total, legs=False)
     defect = report.reconstruction_defect
     if report.criterion_defect < 2.0:  # the 2I component alone forces >= 2

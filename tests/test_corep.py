@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import _base
 
 from fockhopf.corep import (
     SCALAR_SPACE,
@@ -16,19 +19,31 @@ from fockhopf.corep import (
     idempotent_family_defect,
     leg_identity_defect,
     rep_from_corep,
+    shift_tensor_sum,
     spectrum,
     tensor_product_rep,
 )
 from fockhopf.hopf import grouplike_series
 from fockhopf.predual import convolve
 from fockhopf.regular import FourierSeries, membership_defect, realize, word_shift
-from fockhopf.sampling import random_rank_one_functional, random_vector, rng_for
+from fockhopf.sampling import (
+    EXACT_BITS,
+    dyadic_complex,
+    random_rank_one_functional,
+    random_vector,
+    rng_for,
+)
 from fockhopf.spaces import (
+    AuxSpace,
     FockSpace,
     Operator,
+    StackedFamily,
     basis_vector,
+    coo_sum,
+    inner,
     max_abs,
     max_entry_diff,
+    operator_sum,
     slice_left,
     tensor_op,
     tensor_space,
@@ -37,6 +52,8 @@ from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
+# Every point of ``verify --full`` plus the deep (2, 7) point.
+GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
 
 
 def test_fundamental_action():
@@ -244,7 +261,8 @@ def test_idempotent_family_defect_batching():
         for v, bv in family.items():
             target = bu if u == v else Operator.zero(aux)
             naive = max(naive, max_entry_diff(bu @ bv, target))
-    assert idempotent_family_defect(family, aux) == pytest.approx(naive, rel=1e-12)
+    stacked = StackedFamily.from_members(H3, aux, family)
+    assert idempotent_family_defect(stacked) == pytest.approx(naive, rel=1e-12)
 
 
 def literal_idempotent_family_defect(family, aux):
@@ -265,38 +283,173 @@ def literal_idempotent_family_defect(family, aux):
     return worst
 
 
-def _families():
-    # Idempotent families (fundamental and corep_from_rep), the same with one
-    # member doubled or an extra off-diagonal entry, a random dense family,
-    # and families with zero members.
-    rng = rng_for(0, "idempotent-literal")
-    for space in (H3, FockSpace(Alphabet(3), 4)):
-        corep = fundamental_corep(space)
-        yield corep.family, corep.aux
-        words = list(corep.family)
-        doubled = dict(corep.family)
-        doubled[words[len(words) // 2]] = 2.0 * doubled[words[len(words) // 2]]
-        yield doubled, corep.aux
-        bumped = dict(corep.family)
-        stray = Operator.from_entries(corep.aux, corep.aux, [0], [corep.aux.dim - 1], [0.5])
-        bumped[words[0]] = bumped[words[0]] + stray
-        yield bumped, corep.aux
-    character = corep_from_rep(PredualRep.character(H3, word(1, 2)), H3)
-    yield character.family, character.aux
-    aux = FockSpace(A2, 1)
-    dense = {w: Operator.from_dense(aux, aux, rng.standard_normal((3, 3))) for w in H3.words[:6]}
-    yield dense, aux
-    yield {**dense, word(2, 2): Operator.zero(aux)}, aux
-    yield {Word(): Operator.zero(aux)}, aux
+def literal_vstack_idempotent_defect(family, aux):
+    # One sparse multiply: block (u, v) of vstack(F) @ hstack(F) is F_u F_v.
+    mats = [op.matrix for op in family.values() if op.nnz]
+    if not mats:
+        return 0.0
+    products = sparse.vstack(mats, format="csr") @ sparse.hstack(mats, format="csr")
+    return max_abs(products - sparse.block_diag(mats, format="csr"))
+
+
+def literal_shift_tensor_sum(fock, aux, family, copies=1):
+    # One Kronecker product per member word.
+    space = tensor_space(*([fock] * copies), aux)
+    terms = []
+    for w, b in family.items():
+        shift = word_shift(fock, w, "left").matrix
+        terms.append(sparse.kron(reduce(sparse.kron, [shift] * copies), b.matrix, format="coo"))
+    return coo_sum(space, [t.row for t in terms], [t.col for t in terms], [t.data for t in terms])
+
+
+def same_operator(a, b):
+    return a.domain == b.domain and a.codomain == b.codomain and (a.matrix != b.matrix).nnz == 0
+
+
+def _families(space, seed=0):
+    # (name, word-keyed family, aux): the fundamental family, the same with
+    # one member doubled or an extra off-diagonal entry, every character,
+    # random dense families (dyadic, with and without zero members, and
+    # Gaussian), and the empty family.
+    rng = rng_for(seed, "corep-families", space.n, space.depth)
+    corep = fundamental_corep(space)
+    fundamental = dict(corep.family)
+    yield "fundamental", fundamental, corep.aux
+    words = list(fundamental)
+    doubled = dict(fundamental)
+    doubled[words[len(words) // 2]] = 2.0 * doubled[words[len(words) // 2]]
+    yield "doubled", doubled, corep.aux
+    bumped = dict(fundamental)
+    stray = Operator.from_entries(corep.aux, corep.aux, [0], [corep.aux.dim - 1], [0.5])
+    bumped[words[0]] = bumped[words[0]] + stray
+    yield "bumped", bumped, corep.aux
+    for w in space.words:
+        yield "character", dict(PredualRep.character(space, w).family), SCALAR_SPACE
+    aux = AuxSpace(3)
+    picks = rng.choice(space.dim, size=min(6, space.dim), replace=False)
+    dense = {
+        space.words[int(k)]: Operator.from_dense(
+            aux, aux, dyadic_complex(rng, 9, bits=EXACT_BITS).reshape(3, 3)
+        )
+        for k in picks
+    }
+    yield "dense", dense, aux
+    normal = {w: Operator.from_dense(aux, aux, rng.standard_normal((3, 3))) for w in dense}
+    yield "normal", normal, aux
+    zeros = {**dense, space.words[-1]: Operator.zero(aux), space.words[0]: Operator.zero(aux)}
+    yield "zero members", zeros, aux
+    yield "empty", {}, aux
 
 
 def test_idempotent_family_defect_matches_per_word_products():
-    seen_failure = False
-    for family, aux in _families():
-        got = idempotent_family_defect(family, aux)
-        assert got == literal_idempotent_family_defect(family, aux)
-        seen_failure |= got > 0.0
-    assert seen_failure
+    for n, depth in GRID:
+        space = FockSpace(Alphabet(n), depth)
+        failures = set()
+        for name, family, aux in _families(space):
+            got = idempotent_family_defect(StackedFamily.from_members(space, aux, family))
+            assert got == literal_vstack_idempotent_defect(family, aux), (n, depth, name)
+            assert got == literal_idempotent_family_defect(family, aux), (n, depth, name)
+            if got > 0.0:
+                failures.add(name)
+        assert {"doubled", "bumped"} <= failures
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_shift_tensor_sum_matches_literal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    for name, family, aux in _families(space):
+        stacked = StackedFamily.from_members(space, aux, family)
+        for copies in (1, 2):
+            got = shift_tensor_sum(stacked, copies)
+            assert same_operator(got, literal_shift_tensor_sum(space, aux, family, copies)), name
+
+
+def _valid_reps(space, seed=0):
+    # (rep, the word-keyed members it must act by): the fundamental
+    # representation, every character, the zero one, and orthogonal dyadic
+    # idempotents on distinct words of a small aux space.
+    rng = rng_for(seed, "corep-valid-reps", space.n, space.depth)
+    projections = {
+        w: Operator.from_entries(space, space, [k], [k], [1.0]) for k, w in enumerate(space.words)
+    }
+    yield rep_from_corep(fundamental_corep(space)), projections
+    one = Operator.identity(SCALAR_SPACE)
+    for w in space.words:
+        yield PredualRep.character(space, w), {w: one}
+    aux = AuxSpace(4)
+    yield PredualRep(space, aux, {}), {}
+    picks = rng.choice(space.dim, size=min(3, space.dim), replace=False)
+    family = {}
+    for slot, k in zip((0, 2, 3), picks):
+        if slot:
+            entries = ([slot], [slot], [1.0])
+        else:
+            entries = ([0, 0], [0, 1], [1.0, dyadic_complex(rng, bits=EXACT_BITS)])
+        family[space.words[int(k)]] = Operator.from_entries(aux, aux, *entries)
+    yield PredualRep(space, aux, family), family
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_evaluate_and_coefficients_match_per_member_sums(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(0, "corep-evaluate", n, depth)
+    f = random_rank_one_functional(rng, space)
+    for rep, members in _valid_reps(space):
+        literal = operator_sum(rep.aux, (op * f.value(w) for w, op in members.items()))
+        assert same_operator(rep.evaluate(f), literal)
+        x, y = random_vector(rng, rep.aux), random_vector(rng, rep.aux)
+        series = coefficient_operator(rep, x, y)
+        expected = {w: inner(op.apply(x), y) for w, op in members.items()}
+        assert series == FourierSeries(space.alphabet, expected)
+
+
+def test_stacked_family_keys_members_by_word():
+    aux = AuxSpace(3)
+    rng = rng_for(0, "corep-stack-keys")
+    family = {
+        w: Operator.from_dense(aux, aux, dyadic_complex(rng, 9, bits=EXACT_BITS).reshape(3, 3))
+        for w in (H3.words[9], H3.words[2], H3.words[5])
+    }
+    stacked = StackedFamily.from_members(H3, aux, {**family, word(1): Operator.zero(aux)})
+    assert list(stacked) == [H3.words[2], H3.words[5], H3.words[9]]
+    assert list(stacked.support) == [2, 5, 9]
+    for w, op in family.items():
+        assert same_operator(stacked[w], op)
+        k = H3.index_of(w)
+        assert same_operator(
+            Operator(aux, aux, stacked.block[k * 3 : (k + 1) * 3]), op
+        )
+    assert word(1) not in stacked and stacked.get(word(1)) is None
+
+
+def test_stacked_passes_build_no_per_word_sparse_matrix(monkeypatch):
+    # The stacked law check, Kronecker sum and evaluation build the same
+    # number of scipy matrices at every size, so none loops over the words.
+    built = []
+    honest = _base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        honest(self, *args, **kwargs)
+
+    counts = []
+    for space in (FockSpace(A2, 3), FockSpace(Alphabet(3), 4)):
+        rep = rep_from_corep(fundamental_corep(space))
+        f = random_rank_one_functional(rng_for(0, "corep-guard"), space)
+        runs = (
+            lambda: shift_tensor_sum(rep.family),
+            lambda: idempotent_family_defect(rep.family),
+            lambda: rep.evaluate(f),
+        )
+        for run in runs:
+            run()  # fills the word-shift cache and the stack's entry arrays
+        monkeypatch.setattr(_base._spbase, "__init__", counting)
+        for run in runs:
+            built.clear()
+            run()
+            counts.append(len(built))
+        monkeypatch.setattr(_base._spbase, "__init__", honest)
+    assert counts[:3] == counts[3:]
 
 
 def test_spectrum_enumerates_words():

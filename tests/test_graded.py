@@ -573,7 +573,8 @@ def test_every_lru_cache_is_bounded():
                     bounded[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"] is not None
     checks = ("coassociativity", "cocommutativity", "homomorphism", "integral")
     plans = {f"hopf._{check}_plan" for check in checks}
-    assert plans | {"regular._realize_pattern", "spaces.flip_operator"} <= set(bounded)
+    required = {"regular._realize_pattern", "spaces.flip_operator", "hopf._grouplike_words"}
+    assert plans | required <= set(bounded)
     assert all(bounded.values()), sorted(name for name, ok in bounded.items() if not ok)
 
 

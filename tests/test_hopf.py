@@ -184,6 +184,17 @@ def test_grouplike_solutions_are_indicators():
         assert set(s.coeffs.values()) == {1.0}
 
 
+def test_grouplike_series_are_fresh_per_call():
+    # The solved words are cached; the series handed out must not be shared.
+    space = FockSpace(A2, 2)
+    first = grouplike_series(space)
+    first[0].coeffs.clear()
+    second = grouplike_series(space)
+    assert second[0] is not first[0]
+    assert second[0] == FourierSeries.indicator(A2, Word())
+    assert [s.support for s in second] == [(w,) for w in space.words]
+
+
 def test_grouplike_enumeration_oracle():
     # Independent oracle at n=2, depth=2: the coefficient equations force
     # every entry into {0, 1}, so scan all 0/1 support patterns.
