@@ -18,7 +18,6 @@ from .spaces import (
     flip_operator,
     inner,
     leg_embed,
-    max_abs_entry,
     max_entry_diff,
     slice_left,
     slice_right,
@@ -57,7 +56,6 @@ from .predual import (
     point_functional,
     pointwise_product,
     predual_comult,
-    vacuum_functional,
 )
 from .corep import (
     Corepresentation,

@@ -116,7 +116,7 @@ def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
     :func:`word_shift` alone.
     """
     fock, aux = family.fock, family.aux
-    space = tensor_space(*([fock] * copies), aux)
+    space = TensorSpace((*[fock] * copies, aux))  # an aux that is itself a product stays one leg
     if not family:
         return Operator.zero(space)
     legs_dim, d = fock.dim**copies, aux.dim
@@ -194,7 +194,7 @@ def criterion_defect(corep: Corepresentation) -> float:
 def leg_identity_defect(corep: Corepresentation) -> float:
     """Entrywise defect of V_{1,3} V_{2,3} = sum_w L_w (x) L_w (x) B_w."""
     fock = corep.hilbert
-    ambient = tensor_space(fock, fock, corep.aux)
+    ambient = TensorSpace((fock, fock, corep.aux))
     v13 = leg_embed(corep.operator, (1, 3), ambient)
     v23 = leg_embed(corep.operator, (2, 3), ambient)
     rhs = shift_tensor_sum(corep.family, copies=2)
@@ -292,11 +292,6 @@ class PredualRep:
         """The one-dimensional representation picking out the word w."""
         return cls(space, SCALAR_SPACE, {w: _SCALAR_ONE})
 
-    @classmethod
-    def trivial(cls, space: FockSpace, aux: Space) -> "PredualRep":
-        """Unit for the tensor product: the identity sitting at the empty word."""
-        return cls(space, aux, {Word(): Operator.identity(aux)})
-
 
 def rep_from_corep(corep: Corepresentation) -> PredualRep:
     """The representation phi -> (phi (x) id)(V); valid coreps only.
@@ -322,7 +317,7 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     """
     if rep.space != space:
         raise ValueError("representation indicator basis does not match the space")
-    pair = tensor_space(space, rep.aux)
+    pair = TensorSpace((space, rep.aux))
     family, dk = rep.family, rep.aux.dim
     block, (_, y) = family.block, family.entry_rows
     starts = block.indptr[::dk]
@@ -364,11 +359,8 @@ def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries
     """
     if x.space != rep.aux or y.space != rep.aux:
         raise ValueError("coefficient vectors must live on the auxiliary space")
-    family = rep.family
-    images = (family.block @ x.data).reshape(rep.space.dim, rep.aux.dim)[family.support]
-    values = images @ np.conj(y.data)
-    words = rep.space.words
-    return FourierSeries(rep.space.alphabet, {words[k]: c for k, c in zip(family.support, values)})
+    images = (rep.family.block @ x.data).reshape(rep.space.dim, rep.aux.dim)
+    return FourierSeries(rep.space.alphabet, images @ np.conj(y.data))
 
 
 def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:

@@ -20,9 +20,10 @@ and a series only gathers its coefficient array through it:
   subtraction the operator routes make;
 * the homomorphism composes the fold-2 patterns of deg s and deg t over the
   safe-zone columns, recording which coefficient pairs a_u b_v each entry of
-  Delta(s) Delta(t) sums, against the pattern of the product s t from
-  :meth:`FourierSeries.__mul__`.  On dyadic coefficients those products and
-  their sums are exact doubles, so the order of summation cannot matter.
+  Delta(s) Delta(t) sums, against the pattern of the product s t, the graded
+  Cauchy product of :meth:`FourierSeries.__mul__`.  On dyadic coefficients
+  those products and their sums are exact doubles, so the order of
+  summation cannot matter.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .regular import FourierSeries, _realize_pattern, coefficient_array, realize, shift_index_table
+from .regular import FourierSeries, _coefficients_on, _realize_pattern, realize, shift_index_table
 from .spaces import (
     FockSpace,
     Operator,
@@ -116,8 +117,7 @@ def _legwise_columns(
 
 def _tagged_series(space: FockSpace, degree: int) -> FourierSeries:
     """The words up to ``degree``, the word at basis index i tagged (i + 1) + (i + 1)^2 j."""
-    count = space._block_starts[degree + 1]
-    return FourierSeries(space.alphabet, dict(zip(space.words[:count], _tags(np.arange(count)))))
+    return FourierSeries(space.alphabet, _tags(np.arange(space._block_starts[degree + 1])))
 
 
 def _tags(index: np.ndarray) -> np.ndarray:
@@ -172,7 +172,7 @@ def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
     the pair comultiplication, so the three routes are independent; the
     defect is their largest disagreement on the slack-degree safe zone.
     """
-    coef = coefficient_array(series, space)
+    coef = _coefficients_on(series, space)
     plan = _coassociativity_plan(space, series.degree)
     return _gathered_defect(coef, plan, ((0, 2), (1, 2), (0, 1)))
 
@@ -187,7 +187,7 @@ def _cocommutativity_plan(space: FockSpace, degree: int) -> np.ndarray:
 
 def cocommutativity_defect(series: FourierSeries, space: FockSpace) -> float:
     """Defect of flip-invariance of the comultiplied operator; contract: 0."""
-    coef = coefficient_array(series, space)
+    coef = _coefficients_on(series, space)
     return _gathered_defect(coef, _cocommutativity_plan(space, series.degree), ((0, 1),))
 
 
@@ -226,8 +226,8 @@ def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) ->
     if s.degree + t.degree > space.depth:
         raise ValueError("combined degree exceeds the depth")
     product = s * t
-    p = np.append(coefficient_array(product, space), 0)
-    a, b = coefficient_array(s, space), coefficient_array(t, space)
+    p = np.append(product.coeffs, 0)
+    a, b = _coefficients_on(s, space), _coefficients_on(t, space)
     slot, u, v, w = _homomorphism_plan(space, s.degree, t.degree, product.degree)
     composed = np.zeros(w.size, dtype=np.complex128)
     np.add.at(composed, slot, a[u] * b[v])
@@ -235,8 +235,8 @@ def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) ->
 
 
 def integral_value(series: FourierSeries) -> complex:
-    """The vacuum functional picks off the unit coefficient."""
-    return series.coefficient(Word())
+    """The vacuum functional picks off the unit coefficient (basis index 0)."""
+    return complex(series.coeffs[0])
 
 
 @lru_cache(maxsize=32)
@@ -258,7 +258,7 @@ def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float
     Slicing either leg of the comultiplied operator against the vacuum
     rank-one functional must reproduce a_e times the identity.
     """
-    coef = coefficient_array(series, space)
+    coef = _coefficients_on(series, space)
     return _gathered_defect(coef, _integral_plan(space, series.degree), ((0, 2), (1, 2)))
 
 
@@ -269,12 +269,9 @@ def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:
     positions and exactly zero at every (u, v) with u != v.
     """
     delta = comult(series, space, fold=2)
-    vac = basis_vector(delta.domain, (Word(), Word()))
-    out = delta.apply(vac).data
+    out = delta.matrix[:, 0].toarray().ravel()  # the vacuum (e, e) is basis index 0
     expected = np.zeros_like(out)
-    for w, c in series.items():
-        i = space.index_of(w)
-        expected[i * space.dim + i] = c
+    expected[np.arange(series.coeffs.size) * (space.dim + 1)] = series.coeffs
     return float(np.abs(out - expected).max(initial=0.0))
 
 
@@ -289,15 +286,9 @@ def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:
 def _satisfies_grouplike_equations(series: FourierSeries, space: FockSpace) -> bool:
     # The coefficient system a_u a_v = delta_{uv} a_u over all words in depth.
     # A pair with a zero coefficient satisfies it, so only the support counts.
-    support = [w for w in series.support if len(w) <= space.depth]
-    for u in support:
-        au = series.coefficient(u)
-        for v in support:
-            av = series.coefficient(v)
-            expected = au if u == v else 0j
-            if au * av != expected:
-                return False
-    return True
+    coef = series.coeffs[: space.dim]
+    a = coef[np.flatnonzero(coef)]
+    return bool(np.array_equal(np.multiply.outer(a, a), np.diag(a)))
 
 
 def grouplike_series(space: FockSpace) -> list[FourierSeries]:
@@ -313,8 +304,7 @@ def grouplike_series(space: FockSpace) -> list[FourierSeries]:
 
 @lru_cache(maxsize=32)
 def _grouplike_words(space: FockSpace) -> tuple[Word, ...]:
-    # The solved words, not the series: a FourierSeries is mutable, so each
-    # call hands out fresh indicators.
+    # The solved words, not the series: each call hands out fresh indicators.
     solutions: list[Word] = []
     for w in space.words:
         candidate = FourierSeries.indicator(space.alphabet, w)

@@ -75,12 +75,6 @@ def from_rank_one(space: FockSpace, pairs: Sequence[RankOnePair]) -> Functional:
     return f
 
 
-def vacuum_functional(space: FockSpace) -> Functional:
-    """The vacuum rank-one state; its value array is the unit-word indicator."""
-    vac = basis_vector(space, Word())
-    return from_rank_one(space, [(vac, vac)])
-
-
 def indicator_functional(space: FockSpace, w: Word) -> Functional:
     """[xi_e xi_w*]: the functional whose value array is the indicator of w."""
     return from_rank_one(space, [(basis_vector(space, Word()), basis_vector(space, w))])
@@ -102,13 +96,11 @@ def counit_defect(f: Functional) -> float:
     """Distance of a functional from the counit equations.
 
     A convolution unit must take the value 1 on the identity and on every
-    generator; the defect is the largest miss among those constraints.
+    generator; the defect is the largest miss among those constraints.  In
+    basis order those are the leading n + 1 values: e, then the letters.
     """
-    space = f.space
-    worst = abs(f.value(Word()) - 1.0)
-    for i in space.alphabet.letters:
-        worst = max(worst, abs(f.value(Word((i,))) - 1.0))
-    return float(worst)
+    miss = f.values[: f.space.n + 1] - 1.0
+    return float(np.hypot(miss.real, miss.imag).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,20 +11,23 @@ one at a time, so the word operator ``R_w`` appends the REVERSAL of w:
 
 Shift and membership indices come from the graded concatenation rule
 :func:`graded.concat`, index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u).
+A :class:`FourierSeries` holds its coefficients in that basis order, so its
+product s t is the graded Cauchy product: block k + m of s t accumulates, k
+ascending, the outer product of s on block k with t on block m.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
 
 from . import graded
 from .spaces import FockSpace, Operator, max_entry_diff, operator_sum, tensor_op, tensor_space
-from .words import Alphabet, Word
+from .words import Alphabet, Word, count_words
 
 
 def left_shift(space: FockSpace, letter: int) -> Operator:
@@ -76,72 +79,100 @@ def length_projection(space: FockSpace, max_len: int) -> Operator:
     return Operator.from_entries(space, space, idx, idx, vals)
 
 
-@dataclass
-class FourierSeries:
-    """Finitely supported word-indexed coefficients, a_w for w -> a_w L_w.
+@lru_cache(maxsize=64)
+def _layout(alphabet: Alphabet, degree: int) -> FockSpace:
+    """The space whose basis indexes a series of the given degree (one word table per key)."""
+    return FockSpace(alphabet, degree)
 
-    Zero coefficients are never stored, which makes equality structural.
+
+@dataclass(frozen=True, eq=False)
+class FourierSeries:
+    """The coefficients a_w of w -> a_w L_w, as one read-only array in basis order.
+
+    The array ends with the block of the longest word whose coefficient is
+    nonzero, so equality is structural.  A word-keyed mapping is read into
+    the array once; :meth:`coefficient`, :meth:`items` and :attr:`support`
+    give the words back.
     """
 
     alphabet: Alphabet
-    coeffs: dict[Word, complex] = field(default_factory=dict)
+    coeffs: np.ndarray | Mapping[Word, complex] = ()
+    degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        clean: dict[Word, complex] = {}
-        for w, c in self.coeffs.items():
-            if len(w) and max(w.letters) > self.alphabet.n:
-                raise ValueError(f"word {w} uses letters beyond alphabet size {self.alphabet.n}")
-            c = complex(c)
-            if c != 0:
-                clean[w] = c
-        self.coeffs = clean
+        coeffs = self.coeffs
+        if isinstance(coeffs, Mapping):
+            space = _layout(self.alphabet, max(map(len, coeffs), default=0))
+            coeffs = np.zeros(space.dim, dtype=np.complex128)
+            for w, c in self.coeffs.items():
+                coeffs[space.index_of(w)] = c
+        arr = np.asarray(coeffs, dtype=np.complex128).ravel()
+        nonzero = np.flatnonzero(arr)
+        size = int(nonzero[-1]) + 1 if nonzero.size else 0
+        degree = 0
+        while count_words(self.alphabet, degree) < size:
+            degree += 1
+        trimmed = np.zeros(count_words(self.alphabet, degree), dtype=np.complex128)
+        trimmed[:size] = arr[:size]
+        trimmed.setflags(write=False)
+        object.__setattr__(self, "coeffs", trimmed)
+        object.__setattr__(self, "degree", degree)
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "FourierSeries":
-        return cls(alphabet, {})
+        return cls(alphabet)
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "FourierSeries":
-        return cls(alphabet, {Word(): 1.0})
+        return cls(alphabet, [1.0])
 
     @classmethod
     def indicator(cls, alphabet: Alphabet, w: Word) -> "FourierSeries":
-        return cls(alphabet, {w: 1.0})
-
-    @property
-    def degree(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
+        space = _layout(alphabet, len(w))
+        coeffs = np.zeros(space.dim, dtype=np.complex128)
+        coeffs[space.index_of(w)] = 1.0
+        return cls(alphabet, coeffs)
 
     @property
     def support(self) -> tuple[Word, ...]:
-        return tuple(sorted(self.coeffs, key=lambda w: (len(w), w.letters)))
+        return tuple(w for w, _ in self.items())
 
     def coefficient(self, w: Word) -> complex:
-        return self.coeffs.get(w, 0j)
+        if len(w) > self.degree:
+            return 0j
+        return complex(self.coeffs[_layout(self.alphabet, self.degree).index_of(w)])
 
     def items(self) -> Iterator[tuple[Word, complex]]:
-        return iter(self.coeffs.items())
+        words = _layout(self.alphabet, self.degree).words
+        return ((words[i], complex(self.coeffs[i])) for i in np.flatnonzero(self.coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FourierSeries):
+            return NotImplemented
+        return self.alphabet == other.alphabet and np.array_equal(self.coeffs, other.coeffs)
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0j) + c
+        out = np.zeros(max(self.coeffs.size, other.coeffs.size), dtype=np.complex128)
+        out[: self.coeffs.size] = self.coeffs
+        out[: other.coeffs.size] += other.coeffs
         return FourierSeries(self.alphabet, out)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + (-1.0) * other
 
     def __mul__(self, other: "FourierSeries | complex") -> "FourierSeries":
-        if isinstance(other, FourierSeries):
-            self._check(other)
-            out: dict[Word, complex] = {}
-            for u, a in self.coeffs.items():
-                for v, b in other.coeffs.items():
-                    w = u.concat(v)
-                    out[w] = out.get(w, 0j) + a * b
-            return FourierSeries(self.alphabet, out)
-        return FourierSeries(self.alphabet, {w: c * other for w, c in self.coeffs.items()})
+        """The graded Cauchy product (prefixes of each word in order), or scaling by a number."""
+        if not isinstance(other, FourierSeries):
+            return FourierSeries(self.alphabet, self.coeffs * other)
+        self._check(other)
+        space = _layout(self.alphabet, self.degree + other.degree)
+        out = np.zeros(space.dim, dtype=np.complex128)
+        for k in range(self.degree + 1):
+            for m in range(other.degree + 1):
+                a, b = graded.block(space, self.coeffs, k), graded.block(space, other.coeffs, m)
+                graded.split_block(space, out, k, m)[:] += np.multiply.outer(a, b)
+        return FourierSeries(self.alphabet, out)
 
     def __rmul__(self, scalar: complex) -> "FourierSeries":
         return self * scalar
@@ -149,6 +180,15 @@ class FourierSeries:
     def _check(self, other: "FourierSeries") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("series alphabets differ")
+
+
+def _coefficients_on(series: FourierSeries, space: FockSpace) -> np.ndarray:
+    """The series' coefficient array, checked to index a prefix of the space's basis."""
+    if series.alphabet != space.alphabet:
+        raise ValueError("series alphabet does not match the space")
+    if series.degree > space.depth:
+        raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
+    return series.coeffs
 
 
 @lru_cache(maxsize=64)
@@ -179,24 +219,13 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
     return arrays
 
 
-def coefficient_array(series: FourierSeries, space: FockSpace) -> np.ndarray:
-    """The coefficients a_w in basis order of the space, zero off the support."""
-    if series.alphabet != space.alphabet:
-        raise ValueError("series alphabet does not match the space")
-    if series.degree > space.depth:
-        raise ValueError(f"series degree {series.degree} exceeds depth {space.depth}")
-    coef = np.zeros(space.dim, dtype=np.complex128)
-    coef[[space.positions[w] for w in series.coeffs]] = list(series.coeffs.values())
-    return coef
-
-
 def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
     """The operator sum a_w (L_w)^(x fold), on the fold-wise tensor power of the space.
 
     The coefficients fill the cached pattern of the words up to the series
     degree, and the entries of words outside the support are dropped.
     """
-    coef = coefficient_array(series, space)
+    coef = _coefficients_on(series, space)
     target = space if fold == 1 else tensor_space(*([space] * fold))
     indptr, indices, word = _realize_pattern(space, series.degree, fold)
     data = coef[word]
@@ -209,32 +238,31 @@ def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
 
 
 def fourier_coefficients(t: Operator) -> FourierSeries:
-    """Read the coefficients a_w = (T xi_e, xi_w) off the vacuum column."""
+    """Read the coefficients a_w = (T xi_e, xi_w) off the vacuum column T xi_e, exactly."""
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("fourier_coefficients expects a square operator on a Fock space")
-    mat = t.matrix
-    rows = np.repeat(np.arange(space.dim), np.diff(mat.indptr))
-    vacuum = mat.indices == 0
-    words = space.words
-    return FourierSeries(
-        space.alphabet, {words[i]: v for i, v in zip(rows[vacuum].tolist(), mat.data[vacuum])}
-    )
+    return FourierSeries(space.alphabet, t.matrix @ np.eye(space.dim, 1))  # xi_e is index 0
 
 
 def cesaro_sum(series: FourierSeries, k: int) -> FourierSeries:
     """Degree-weighted partial sum: coefficient (1 - |w|/k) a_w for |w| < k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return FourierSeries(
-        series.alphabet,
-        {w: (1.0 - len(w) / k) * c for w, c in series.items() if len(w) < k},
-    )
+    space = _layout(series.alphabet, min(series.degree, k - 1))
+    return FourierSeries(series.alphabet, (1.0 - space.lengths / k) * series.coeffs[: space.dim])
 
 
 def cesaro_error_bound(series: FourierSeries, k: int) -> float:
-    """Triangle-inequality bound sum_w (|w|/k) |a_w| on the safe-zone error."""
-    return sum(min(len(w) / k, 1.0) * abs(c) for w, c in series.items())
+    """Triangle-inequality bound sum_w (|w|/k) |a_w| on the safe-zone error.
+
+    The terms are summed one after another in basis order, and the moduli
+    are ``hypot``'s, as Python's ``abs`` of a complex number gives them
+    (numpy's complex ``abs`` can differ in the last bit).
+    """
+    weights = np.minimum(_layout(series.alphabet, series.degree).lengths / k, 1.0)
+    coeffs = series.coeffs
+    return float(np.cumsum(weights * np.hypot(coeffs.real, coeffs.imag))[-1])
 
 
 def membership_defect(t: Operator) -> float:

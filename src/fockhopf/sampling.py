@@ -11,14 +11,13 @@ Every stream is derived from an explicit seed, so runs are reproducible.
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 
 import numpy as np
 
 from .predual import Functional, from_rank_one
 from .regular import FourierSeries
 from .spaces import FockSpace, Vector
-from .words import Alphabet, Word, enumerate_words
+from .words import Alphabet, count_words
 
 EXACT_BITS = 4
 FINE_BITS = 10
@@ -45,14 +44,7 @@ def random_series(
     rng: np.random.Generator, alphabet: Alphabet, degree: int, bits: int = FINE_BITS
 ) -> FourierSeries:
     """Fully supported random series of the given degree."""
-    words = _words_upto(alphabet, int(degree))
-    values = dyadic_complex(rng, len(words), bits=bits)
-    return FourierSeries(alphabet, dict(zip(words, values)))
-
-
-@lru_cache(maxsize=64)
-def _words_upto(alphabet: Alphabet, degree: int) -> tuple[Word, ...]:
-    return tuple(enumerate_words(alphabet, degree))
+    return FourierSeries(alphabet, dyadic_complex(rng, count_words(alphabet, int(degree)), bits=bits))
 
 
 def random_vector(rng: np.random.Generator, space, bits: int = FINE_BITS) -> Vector:

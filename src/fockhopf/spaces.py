@@ -54,11 +54,6 @@ class FockSpace:
         return tuple(enumerate_words(self.alphabet, self.depth))
 
     @cached_property
-    def positions(self) -> dict[Word, int]:
-        """Basis index of each word, the inverse of :attr:`words`."""
-        return {w: i for i, w in enumerate(self.words)}
-
-    @cached_property
     def _block_starts(self) -> tuple[int, ...]:
         # _block_starts[k] = index of the first word of length k.
         starts = [0]
@@ -278,9 +273,6 @@ class Operator:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def apply(self, v: Vector) -> Vector:
         _check_same_space(self.domain, v.space)
@@ -574,10 +566,6 @@ def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:
     if columns is not None:
         mat = mat.tocsc()[:, columns]
     return float(np.abs(mat.data).max(initial=0.0))
-
-
-def max_abs_entry(op: Operator, columns: np.ndarray | None = None) -> float:
-    return max_abs(op.matrix, columns)
 
 
 def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) -> float:

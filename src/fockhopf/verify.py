@@ -126,11 +126,7 @@ def _chk_fourier_round_trip(cfg: SuiteConfig, rng) -> tuple[float, float]:
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
         back = reg.fourier_coefficients(reg.realize(s, cfg.space))
-        support = set(s.coeffs) | set(back.coeffs)
-        worst = max(
-            worst,
-            max((abs(s.coefficient(w) - back.coefficient(w)) for w in support), default=0.0),
-        )
+        worst = max(worst, float(np.abs((s - back).coeffs).max()))
     return worst, 0.0
 
 
@@ -167,28 +163,22 @@ CESARO_ORDERS = range(4, 13)
 def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray) -> np.ndarray:
     """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s).
 
-    Every difference has A's stored pattern: entry (r, c) belongs to the word
-    w with r = index(w u), u the word at c, so |w| = |r| - |c| and
-    rank(w) = (r - start[|r|]) // n^|c|; its value is the coefficient of
-    ``cesaro_sum(s, k)`` at w minus A's entry.  The differences stack into one
-    CSR sharing A's indices, so each output row sums in A's column order, as
-    the matvec of a single difference matrix does.
+    Every difference lies on A's realize pattern, whose entries each belong
+    to one word w; there it holds the coefficient of ``cesaro_sum(s, k)`` at
+    w minus a_w.  The differences stack into one CSR sharing the pattern's
+    indices, so each output row sums in A's column order, as the matvec of a
+    single difference matrix does (the pattern's entries of words with
+    a_w = 0, which A drops, add exact zeros).
     """
-    a = reg.realize(s, space).matrix
-    rows = np.repeat(np.arange(space.dim), np.diff(a.indptr))
-    kr, rr = graded.length_rank(space, rows)
-    kc, _ = graded.length_rank(space, a.indices)
-    word_index = np.asarray(space._block_starts)[kr - kc] + rr // space.n**kc
-    index = space.positions
-    coeffs = np.zeros((len(CESARO_ORDERS), space.dim), dtype=np.complex128)
-    for j, k in enumerate(CESARO_ORDERS):
-        for w, c in reg.cesaro_sum(s, k).items():
-            coeffs[j, index[w]] = c
-    data = coeffs[:, word_index] - a.data
-    row_starts = np.arange(len(CESARO_ORDERS))[:, None] * a.nnz + a.indptr[None, :-1]
-    indptr = np.append(row_starts.ravel(), data.size)
+    indptr, indices, word = reg._realize_pattern(space, s.degree, 1)
+    coeffs = np.zeros((len(CESARO_ORDERS), s.coeffs.size), dtype=np.complex128)
+    for row, k in zip(coeffs, CESARO_ORDERS):
+        partial = reg.cesaro_sum(s, k).coeffs
+        row[: partial.size] = partial
+    data = coeffs[:, word] - s.coeffs[word]
+    row_starts = np.arange(len(CESARO_ORDERS))[:, None] * word.size + indptr[None, :-1]
     stacked = sparse.csr_matrix(
-        (data.ravel(), np.tile(a.indices, len(CESARO_ORDERS)), indptr),
+        (data.ravel(), np.tile(indices, len(CESARO_ORDERS)), np.append(row_starts, data.size)),
         shape=(len(CESARO_ORDERS) * space.dim, space.dim),
     )
     return (stacked @ x).reshape(len(CESARO_ORDERS), space.dim)
@@ -314,10 +304,8 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
     found = {s.support[0] for s in solutions if len(s.support) == 1}
     if found != expected:
         defect = max(defect, 1.0)
-    words = space.words
-    if len(words) >= 3:
-        u, v = words[1], words[2]  # two distinct non-unit words
-        double = reg.FourierSeries(cfg.alphabet, {u: 1.0, v: 1.0})
+    if space.dim >= 3:
+        double = reg.FourierSeries(cfg.alphabet, [0.0, 1.0, 1.0])  # two distinct non-unit words
         defect = max(defect, abs(hopf_mod.grouplike_defect(double, space) - 1.0))
     return defect, 0.0
 
@@ -340,7 +328,7 @@ def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     the word at basis index i start at offsets[i].  Raises ValueError when an
     entry is not an exact tag or a word does not have T_{d-|w|}^2 entries.
     """
-    tagged = reg.FourierSeries(space.alphabet, dict(zip(space.words, range(1, space.dim + 1))))
+    tagged = reg.FourierSeries(space.alphabet, np.arange(1, space.dim + 1))
     coo = hopf_mod.comult(tagged, space).matrix.tocoo()  # only the COO entries stay alive
     word = coo.data.real.astype(np.int64) - 1
     if np.any((word < 0) | (word >= space.dim)) or np.any(coo.data != word + 1):

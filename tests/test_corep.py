@@ -38,9 +38,11 @@ from fockhopf.spaces import (
     FockSpace,
     Operator,
     StackedFamily,
+    TensorSpace,
     basis_vector,
     coo_sum,
     inner,
+    leg_embed,
     max_abs,
     max_entry_diff,
     operator_sum,
@@ -91,7 +93,7 @@ def test_fundamental_passes_all_checks():
 
 def test_fundamental_isometric_within_depth():
     w_corep = fundamental_corep(H3)
-    gram = (w_corep.operator.adjoint() @ w_corep.operator).to_dense()
+    gram = (w_corep.operator.adjoint() @ w_corep.operator).matrix.toarray()
     pair = w_corep.space
     for i in range(pair.dim):
         u, v = divmod(i, H3.dim)
@@ -125,7 +127,7 @@ def test_rep_from_fundamental_acts_diagonally():
     rep = rep_from_corep(fundamental_corep(H3))
     rng = rng_for(0, "corep-action")
     f = random_rank_one_functional(rng, H3)
-    image = rep.evaluate(f).to_dense()
+    image = rep.evaluate(f).matrix.toarray()
     expected = np.diag([f.value(u) for u in H3.words])
     assert np.allclose(image, expected, atol=1e-13)
 
@@ -524,12 +526,38 @@ def test_tensor_product_of_characters():
     assert not vanished.family
 
 
+def trivial_rep(space, aux):
+    """Unit for the tensor product: the identity sitting at the empty word."""
+    return PredualRep(space, aux, {Word(): Operator.identity(aux)})
+
+
 def test_tensor_product_with_trivial_rep():
     rep = rep_from_corep(fundamental_corep(FockSpace(A2, 2)))
-    trivial = PredualRep.trivial(rep.space, SCALAR_SPACE)
+    trivial = trivial_rep(rep.space, SCALAR_SPACE)
     prod = tensor_product_rep(rep, trivial)
     for w, op in rep.family.items():
         assert max_entry_diff(prod.component(w), tensor_op(op, Operator.identity(SCALAR_SPACE))) == 0.0
+
+
+@pytest.mark.parametrize("n,depth", [(2, 3), (3, 3), (2, 4)])
+def test_product_representations_cross_the_bijection(n, depth):
+    # A product's aux space K1 (x) K2 stays one leg of H (x) (K1 (x) K2), so
+    # the product crosses to a corepresentation, which is V1_12 V2_13 on
+    # H (x) K1 (x) K2; the shifts of the two factors do not commute, so the
+    # reversed order misses.
+    space = FockSpace(Alphabet(n), depth)
+    fundamental = rep_from_corep(fundamental_corep(space))
+    first, second = PredualRep.character(space, word(1, 1)), PredualRep.character(space, word(2))
+    for r1, r2 in ((fundamental, first), (first, second), (fundamental, fundamental)):
+        prod = tensor_product_rep(r1, r2)
+        corep = corep_from_rep(prod, space)
+        assert corep_check(corep).max_defect == 0.0
+        assert (rep_from_corep(corep).family.block != prod.family.block).nnz == 0
+        ambient = TensorSpace((space, r1.aux, r2.aux))
+        v1 = leg_embed(corep_from_rep(r1, space).operator, (1, 2), ambient).matrix
+        v2 = leg_embed(corep_from_rep(r2, space).operator, (1, 3), ambient).matrix
+        assert max_abs(v1 @ v2 - corep.operator.matrix) == 0.0
+        assert max_abs(v2 @ v1 - corep.operator.matrix) == 1.0
 
 
 def test_tensor_product_of_fundamental_reps():
@@ -543,7 +571,7 @@ def corep_json(corep):
     # Each family word's dense coefficient block as nested [re, im] pairs.
     n = corep.hilbert.n
     return {
-        w.text(n): [[[z.real, z.imag] for z in row] for row in b.to_dense()]
+        w.text(n): [[[z.real, z.imag] for z in row] for row in b.matrix.toarray()]
         for w, b in corep.family.items()
     }
 

@@ -17,7 +17,6 @@ from fockhopf.predual import (
     predual_comult,
     predual_homomorphism_defect,
     tensor_convolve,
-    vacuum_functional,
 )
 from fockhopf.regular import FourierSeries
 from fockhopf.sampling import (
@@ -33,6 +32,12 @@ from fockhopf.words import Alphabet, Word, word
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
 H4 = FockSpace(A2, 4)
+
+
+def vacuum_functional(space):
+    """The vacuum rank-one state; its value array is the unit-word indicator."""
+    vac = basis_vector(space, Word())
+    return from_rank_one(space, [(vac, vac)])
 
 
 def pair_values(split):
@@ -291,6 +296,18 @@ def test_counit_defect_positive_on_ball():
         d = counit_defect(point_functional(H3, lam).functional)
         assert d >= 1.0 - max(abs(z) for z in lam) - 1e-15
         assert d > 0.0
+
+
+def test_counit_defect_reads_the_unit_and_letter_values():
+    # Against the word-keyed definition: the largest miss of phi(L_e) and
+    # phi(L_i) from 1, one value looked up per word.
+    rng = rng_for(0, "counit-literal")
+    for n in (1, 2, 3):
+        space = FockSpace(Alphabet(n), 3)
+        for _ in range(10):
+            f = random_rank_one_functional(rng, space)
+            words = [Word()] + [Word((i,)) for i in space.alphabet.letters]
+            assert counit_defect(f) == max(abs(f.value(w) - 1.0) for w in words)
 
 
 def test_all_ones_unreachable_from_points():

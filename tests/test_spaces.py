@@ -128,8 +128,8 @@ def test_operator_apply_identity_and_compose():
     rng = np.random.default_rng(3)
     a = rnd_sparse_operator(rng, space)
     b = rnd_sparse_operator(rng, space)
-    composed = (a @ b).to_dense()
-    assert np.allclose(composed, a.to_dense() @ b.to_dense())
+    composed = (a @ b).matrix.toarray()
+    assert np.allclose(composed, a.matrix.toarray() @ b.matrix.toarray())
 
 
 def test_adjoint_reverses_composition_dense_oracle():
@@ -138,10 +138,10 @@ def test_adjoint_reverses_composition_dense_oracle():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        lhs = (a @ b).adjoint().to_dense()
-        rhs = (b.adjoint() @ a.adjoint()).to_dense()
+        lhs = (a @ b).adjoint().matrix.toarray()
+        rhs = (b.adjoint() @ a.adjoint()).matrix.toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(a.adjoint().adjoint().to_dense(), a.to_dense())
+        assert np.allclose(a.adjoint().adjoint().matrix.toarray(), a.matrix.toarray())
 
 
 def test_shape_mismatch_raises():
@@ -159,8 +159,8 @@ def test_tensor_op_matches_dense_kron():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        direct = tensor_op(a, b).to_dense()
-        oracle = np.kron(a.to_dense(), b.to_dense())
+        direct = tensor_op(a, b).matrix.toarray()
+        oracle = np.kron(a.matrix.toarray(), b.matrix.toarray())
         assert np.allclose(direct, oracle, atol=1e-12)
     ident = Operator.identity(space)
     assert max_entry_diff(tensor_op(ident, ident), Operator.identity(tensor_space(space, space))) == 0.0
@@ -189,8 +189,8 @@ def test_flip_involution_and_conjugation():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        lhs = (flip @ tensor_op(a, b) @ flip).to_dense()
-        rhs = tensor_op(b, a).to_dense()
+        lhs = (flip @ tensor_op(a, b) @ flip).matrix.toarray()
+        rhs = tensor_op(b, a).matrix.toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -268,10 +268,10 @@ def test_slice_elementary_tensor():
     eta = basis_vector(space, word(2, 1))
     left = slice_left([(xi, eta)], t)
     scale = inner(a.apply(xi), eta)
-    assert np.allclose(left.to_dense(), scale * b.to_dense(), atol=1e-12)
+    assert np.allclose(left.matrix.toarray(), scale * b.matrix.toarray(), atol=1e-12)
     right = slice_right([(basis_vector(space, Word()), basis_vector(space, Word()))], t)
     scale_r = inner(b.apply(basis_vector(space, Word())), basis_vector(space, Word()))
-    assert np.allclose(right.to_dense(), scale_r * a.to_dense(), atol=1e-12)
+    assert np.allclose(right.matrix.toarray(), scale_r * a.matrix.toarray(), atol=1e-12)
 
 
 def test_slice_reads_first_leg_coefficients():
@@ -349,7 +349,7 @@ def test_matrix_entries_determine_operator():
             ei = basis_vector(pair, labels_at(pair, i))
             ej = basis_vector(pair, labels_at(pair, j))
             rebuilt[i, j] = inner(t.apply(ej), ei)
-    assert np.allclose(rebuilt, t.to_dense(), atol=1e-12)
+    assert np.allclose(rebuilt, t.matrix.toarray(), atol=1e-12)
 
 
 def test_aux_space_and_scalar():
