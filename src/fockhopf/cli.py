@@ -61,15 +61,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _report_text(report: dict) -> str:
@@ -109,7 +107,6 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         )
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
-        return 2  # unreachable; parser.error raises SystemExit
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     else:
@@ -124,8 +121,7 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         space = FockSpace(Alphabet(args.n), args.depth)
         chars = spectrum(space)
     except ValueError as exc:
-        parser.error(str(exc))
-        return 2
+        parser.error(str(exc))  # exits with code 2
     names = [w.text(args.n) for w in chars]
     if args.format == "json":
         _emit(json.dumps({"n": args.n, "depth": args.depth, "characters": names}, indent=2), None)
@@ -142,8 +138,7 @@ def _cmd_wandering(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             raise ValueError("depth must be >= 1")
         report = wandering_check(Alphabet(args.n), args.k, args.depth)
     except ValueError as exc:
-        parser.error(str(exc))
-        return 2
+        parser.error(str(exc))  # exits with code 2
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), None)
     else:

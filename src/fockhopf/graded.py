@@ -6,10 +6,10 @@ its base-n numeral (digit ``letter - 1``, first letter most significant).
 Hence index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u): for |w| = k and
 |u| = m the pairs (w, u) are block k + m reshaped to (n^k, n^m), row rank(w)
 and column rank(u), so every "pair against w u" loop is a reshape plus a slice
-with no ``Word`` objects.  :func:`concat` is that rule, and every shift,
-membership pattern, corepresentation assembly and coassociativity iterate
-takes its indices from it, and :func:`within` reads the safe zones of
-tensor powers off the same block starts.
+with no ``Word`` objects.  :func:`concat` is that rule: every shift, the
+realize pattern, the membership defect, each corepresentation assembly and
+coassociativity iterate takes its indices from it, and :func:`within` reads
+the safe zones of tensor powers off the same block starts.
 """
 
 from __future__ import annotations

@@ -197,19 +197,23 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
 
     The third array is the basis index of the word w behind each stored entry;
     words never share a position, as L_w^(x fold) sends (u, ...) to (w u, ...).
+    Per length k, one :func:`graded.concat` broadcast holds the shift tables:
+    row rank(w) is index(w u) over the u with |u| <= depth - k.
     """
-    rows, cols, ids = [], [], []
-    for i, w in enumerate(space.words[: space._block_starts[degree + 1]]):
-        table = shift_index_table(space, w)
-        src = np.arange(table.size, dtype=np.int64)
+    starts = space._block_starts
+    rows, cols, owners = [], [], []
+    for k in range(degree + 1):
+        src = graded.within(space, space.depth - k)
+        ranks = np.arange(space.n**k)[:, None]
+        table = graded.concat(space, k, ranks, *graded.length_rank(space, src))
         row, col = table, src
         for _ in range(fold - 1):  # a tensor power of a partial permutation
-            row = (row[:, None] * space.dim + table[None, :]).ravel()
+            row = (row[:, :, None] * space.dim + table[:, None, :]).reshape(table.shape[0], -1)
             col = (col[:, None] * space.dim + src[None, :]).ravel()
-        rows.append(row)
-        cols.append(col)
-        ids.append(np.full(row.size, i, dtype=np.int32))
-    owner = np.concatenate(ids)
+        rows.append(row.ravel())
+        cols.append(np.tile(col, table.shape[0]))
+        owners.append(np.repeat(np.arange(starts[k], starts[k + 1], dtype=np.int32), row.shape[1]))
+    owner = np.concatenate(owners)
     # The stored values are entry positions, so the CSR sort reads back as a permutation.
     entries = (np.arange(owner.size), (np.concatenate(rows), np.concatenate(cols)))
     mat = sparse.csr_matrix(entries, shape=(space.dim**fold,) * 2)
@@ -270,24 +274,28 @@ def membership_defect(t: Operator) -> float:
 
     The defect is the largest mismatch on structured entries (T xi_w, xi_{uw})
     against the vacuum-column coefficient a_u, plus the largest stray entry at
-    unstructured positions.  It vanishes exactly on realized series.  For
-    |u| = k and |w| = m the structured rows are the :func:`graded.concat`
-    block (k, m).
+    unstructured positions.  It vanishes exactly on realized series.  By
+    :func:`graded.concat`, a stored (r, c) is structured iff |r| >= |c| and
+    rank(r) = rank(c) mod n^|c|, with u at start[|r| - |c|] + rank(r) // n^|c|;
+    a u with fewer than T_{d-|u|} stored ones has a zero one, missing by |a_u|.
     """
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("membership_defect expects a square operator on a Fock space")
-    dense = t.matrix.toarray()
-    coeff = dense[:, 0].copy()
-    starts = space._block_starts
-    on_pattern = 0.0
-    for k, m in graded.splits(space.depth):
-        ru, rw = np.ix_(np.arange(space.n**k), np.arange(space.n**m))
-        rows, cols = graded.concat(space, k, ru, m, rw), starts[m] + rw
-        mismatch = np.abs(dense[rows, cols] - coeff[starts[k] + ru])
-        on_pattern = max(on_pattern, float(mismatch.max()))
-        dense[rows, cols] = 0.0  # what is left once every block is cleared is off-pattern
-    off_pattern = float(np.abs(dense).max(initial=0.0))
+    coo = t.matrix.tocoo()
+    coo.sum_duplicates()
+    rows, cols, vals = coo.row, coo.col, coo.data
+    coeff = np.zeros(space.dim, dtype=np.complex128)
+    coeff[rows[cols == 0]] = vals[cols == 0]
+    (kr, rr), (kc, rc) = graded.length_rank(space, rows), graded.length_rank(space, cols)
+    scale = space.n**kc
+    on = (kr >= kc) & (rr % scale == rc)
+    starts = np.asarray(space._block_starts)
+    prefix = starts[kr[on] - kc[on]] + rr[on] // scale[on]
+    on_pattern = float(np.abs(vals[on] - coeff[prefix]).max(initial=0.0))
+    missing = np.bincount(prefix, minlength=space.dim) < starts[space.depth + 1 - space.lengths]
+    on_pattern = max(on_pattern, float(np.abs(coeff[missing]).max(initial=0.0)))
+    off_pattern = float(np.abs(vals[~on]).max(initial=0.0))
     return on_pattern + off_pattern
 
 

@@ -418,30 +418,30 @@ def slice_left(pairs: RankOnePairs, t: Operator) -> Operator:
     With ``pairs = [(xi_j, eta_j)]`` the result S satisfies
     ``(S x, y) = sum_j (t(xi_j (x) x), eta_j (x) y)``.
     """
-    first, second = _tensor_pair(t)
-    ident = sparse.identity(second.dim, dtype=np.complex128, format="csr")
-    acc = sparse.csr_matrix((second.dim, second.dim), dtype=np.complex128)
-    for xi, eta in pairs:
-        _check_same_space(xi.space, first)
-        _check_same_space(eta.space, first)
-        embed = sparse.kron(_sparse_column(xi), ident, format="csr")
-        pair_out = sparse.kron(_sparse_column(eta).conjugate().transpose(), ident, format="csr")
-        acc = acc + pair_out @ t.matrix @ embed
-    return Operator(second, second, acc)
+    return _slice(pairs, t, leg=0)
 
 
 def slice_right(pairs: RankOnePairs, t: Operator) -> Operator:
     """Same as :func:`slice_left` with the roles of the tensor legs swapped."""
-    first, second = _tensor_pair(t)
-    ident = sparse.identity(first.dim, dtype=np.complex128, format="csr")
-    acc = sparse.csr_matrix((first.dim, first.dim), dtype=np.complex128)
+    return _slice(pairs, t, leg=1)
+
+
+def _slice(pairs: RankOnePairs, t: Operator, leg: int) -> Operator:
+    factors = _tensor_pair(t)
+    paired, kept = factors[leg], factors[1 - leg]
+    ident = sparse.identity(kept.dim, dtype=np.complex128, format="csr")
+
+    def on_leg(column: sparse.csr_matrix) -> sparse.csr_matrix:
+        return sparse.kron(*((column, ident) if leg == 0 else (ident, column)), format="csr")
+
+    acc = sparse.csr_matrix((kept.dim, kept.dim), dtype=np.complex128)
     for xi, eta in pairs:
-        _check_same_space(xi.space, second)
-        _check_same_space(eta.space, second)
-        embed = sparse.kron(ident, _sparse_column(xi), format="csr")
-        pair_out = sparse.kron(ident, _sparse_column(eta).conjugate().transpose(), format="csr")
+        _check_same_space(xi.space, paired)
+        _check_same_space(eta.space, paired)
+        embed = on_leg(_sparse_column(xi))
+        pair_out = on_leg(_sparse_column(eta).conjugate().transpose())
         acc = acc + pair_out @ t.matrix @ embed
-    return Operator(first, first, acc)
+    return Operator(kept, kept, acc)
 
 
 def _tensor_pair(t: Operator) -> tuple[Space, Space]:

@@ -9,6 +9,8 @@ tolerance.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,10 +47,12 @@ class SuiteConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not self.suites:
+            raise ValueError("at least one suite is required")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -252,20 +256,21 @@ def _hopf_degree(cfg: SuiteConfig) -> int:
     return min(2, cfg.depth)
 
 
-def _chk_coassociativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _hopf_trials(cfg: SuiteConfig, rng, trials: int, defect) -> tuple[float, float]:
+    """Worst ``defect(s, space)`` over one random exact series of the hopf degree per trial."""
     worst = 0.0
-    for _ in range(cfg.trials):
+    for _ in range(trials):
         s = sampling.random_series(rng, cfg.alphabet, _hopf_degree(cfg), bits=sampling.EXACT_BITS)
-        worst = max(worst, hopf_mod.coassociativity_defect(s, cfg.space))
+        worst = max(worst, defect(s, cfg.space))
     return worst, 0.0
+
+
+def _chk_coassociativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
+    return _hopf_trials(cfg, rng, cfg.trials, hopf_mod.coassociativity_defect)
 
 
 def _chk_cocommutativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
-    for _ in range(cfg.trials):
-        s = sampling.random_series(rng, cfg.alphabet, _hopf_degree(cfg), bits=sampling.EXACT_BITS)
-        worst = max(worst, hopf_mod.cocommutativity_defect(s, cfg.space))
-    return worst, 0.0
+    return _hopf_trials(cfg, rng, cfg.trials, hopf_mod.cocommutativity_defect)
 
 
 def _chk_homomorphism(cfg: SuiteConfig, rng) -> tuple[float, float]:
@@ -279,21 +284,15 @@ def _chk_homomorphism(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def _chk_integral(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
-    for _ in range(min(cfg.trials, 25)):
-        s = sampling.random_series(rng, cfg.alphabet, _hopf_degree(cfg), bits=sampling.EXACT_BITS)
-        worst = max(worst, hopf_mod.integral_invariance_defect(s, cfg.space))
-        vac = hopf_mod.integral_value(s)
-        worst = max(worst, abs(vac - s.coefficient(Word())))
-    return worst, 0.0
+    def defect(s: reg.FourierSeries, space: FockSpace) -> float:
+        vacuum = abs(hopf_mod.integral_value(s) - s.coefficient(Word()))
+        return max(hopf_mod.integral_invariance_defect(s, space), vacuum)
+
+    return _hopf_trials(cfg, rng, min(cfg.trials, 25), defect)
 
 
 def _chk_vacuum_expansion(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
-    for _ in range(min(cfg.trials, 25)):
-        s = sampling.random_series(rng, cfg.alphabet, _hopf_degree(cfg), bits=sampling.EXACT_BITS)
-        worst = max(worst, hopf_mod.vacuum_expansion_defect(s, cfg.space))
-    return worst, 0.0
+    return _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.vacuum_expansion_defect)
 
 
 def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
@@ -320,12 +319,11 @@ def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     The comultiplied series tags the word at basis index i with coefficient
     i + 1.  Delta is linear and sends column (u, v) to row (wu, wv), so no two
     words share an entry and each entry's value is its word's tag.  A stable
-    sort by tag keeps each word's entries in their ``tocoo`` order; the real
-    part over the tag is Delta(L_w)'s own entry (complex division would not
-    be exact).
+    sort by tag keeps each word's entries in their ``tocoo`` order.  Every
+    entry of Delta(L_w) is 1, so no values are returned.
 
-    Returns (rows, cols, vals, offsets) in basis order of w; the entries of
-    the word at basis index i start at offsets[i].  Raises ValueError when an
+    Returns (rows, cols, offsets) in basis order of w; the entries of the
+    word at basis index i start at offsets[i].  Raises ValueError when an
     entry is not an exact tag or a word does not have T_{d-|w|}^2 entries.
     """
     tagged = reg.FourierSeries(space.alphabet, np.arange(1, space.dim + 1))
@@ -338,15 +336,14 @@ def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     if np.any(counts != admissible**2):
         raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
     order = np.argsort(word, kind="stable")
-    vals = (coo.data.real[order] / (word[order] + 1)).astype(np.complex128)
     offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return coo.row[order], coo.col[order], vals, offsets
+    return coo.row[order], coo.col[order], offsets
 
 
 def _slice_oracle_defect(entries: tuple[np.ndarray, ...], conv_values, xx, ee) -> float:
     """Largest miss, over w, between (Delta(L_w) xx, ee) and the convolution values."""
-    rows, cols, vals, offsets = entries
-    oracle = np.add.reduceat(np.conj(ee[rows]) * (vals * xx[cols]), offsets)
+    rows, cols, offsets = entries
+    oracle = np.add.reduceat(np.conj(ee[rows]) * xx[cols], offsets)
     return float(np.abs(oracle - conv_values).max(initial=0.0))
 
 
@@ -458,26 +455,19 @@ def _chk_fundamental(cfg: SuiteConfig, rng) -> tuple[float, float]:
     return report.max_defect, 0.0
 
 
+def _letters_then_random_words(cfg: SuiteConfig, rng, defect) -> tuple[float, float]:
+    """Worst ``defect(space, w)`` over the single letters, then three random words."""
+    drawn = (_random_word(rng, cfg.alphabet, cfg.depth) for _ in range(3))
+    words = itertools.chain((Word((i,)) for i in cfg.alphabet.letters), drawn)
+    return max([0.0] + [defect(cfg.space, w) for w in words]), 0.0
+
+
 def _chk_fundamental_intertwining(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    space = cfg.space
-    worst = 0.0
-    for i in cfg.alphabet.letters:
-        worst = max(worst, corep_mod.fundamental_intertwining_defect(space, Word((i,))))
-    for _ in range(3):
-        w = _random_word(rng, cfg.alphabet, cfg.depth)
-        worst = max(worst, corep_mod.fundamental_intertwining_defect(space, w))
-    return worst, 0.0
+    return _letters_then_random_words(cfg, rng, corep_mod.fundamental_intertwining_defect)
 
 
 def _chk_fundamental_r_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    space = cfg.space
-    worst = 0.0
-    for i in cfg.alphabet.letters:
-        worst = max(worst, corep_mod.fundamental_right_commutation_defect(space, Word((i,))))
-    for _ in range(3):
-        u = _random_word(rng, cfg.alphabet, cfg.depth)
-        worst = max(worst, corep_mod.fundamental_right_commutation_defect(space, u))
-    return worst, 0.0
+    return _letters_then_random_words(cfg, rng, corep_mod.fundamental_right_commutation_defect)
 
 
 def _chk_roundtrips(cfg: SuiteConfig, rng) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from .regular import shift_index_table, word_shift
 from .spaces import FockSpace, tensor_op
-from .words import Alphabet, Word, count_words, enumerate_words, max_common_prefix
+from .words import Alphabet, Word, count_words, max_common_prefix
 
 
 def strip_common_prefix(tup: Sequence[Word]) -> tuple[Word, tuple[Word, ...]]:
@@ -94,8 +94,15 @@ class WanderingReport:
 
 
 def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
-    words = enumerate_words(alphabet, depth)
-    first = np.array([w.letters[0] if len(w) else 0 for w in words], dtype=np.int16)
+    """Wandering flags of the k-tuples of words of length <= depth, one axis per factor.
+
+    Block m >= 1 lists the first letters 1..n, n^(m-1) times each; the empty word has 0.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    letters = np.arange(1, alphabet.n + 1, dtype=np.int16)
+    blocks = (np.repeat(letters, alphabet.n ** (m - 1)) for m in range(1, depth + 1))
+    first = np.concatenate([np.zeros(1, dtype=np.int16), *blocks])
     grids = np.ix_(*([first] * k))
     blocked = grids[0] > 0
     for g in grids[1:]:
@@ -184,11 +191,8 @@ def _gram_defect(alphabet: Alphabet, k: int, depth: int, mask: np.ndarray) -> fl
 def isometry_on_wandering_defect(alphabet: Alphabet, k: int, depth: int, w: Word) -> float:
     """Shifted wandering columns stay orthonormal when images fit the depth."""
     space = FockSpace(alphabet, depth)
-    mask = _wandering_mask(alphabet, k, depth - len(w))
-    sub = count_words(alphabet, depth - len(w))
-    full_mask = np.zeros((space.dim,) * k, dtype=bool)
-    full_mask[tuple([slice(0, sub)] * k)] = mask
-    cols = np.flatnonzero(full_mask.ravel())
+    mask = _wandering_mask(alphabet, k, depth - len(w))  # raises when |w| > depth
+    cols = np.flatnonzero(np.pad(mask, [(0, space.dim - mask.shape[0])] * k))
     shift = word_shift(space, w, "left")
     power = tensor_op(*([shift] * k)).matrix.tocsc()[:, cols]
     gram = (power.conjugate().transpose() @ power).toarray()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,12 @@ def test_verify_usage_errors():
     with pytest.raises(SystemExit) as err:
         run_cli(["wandering", "--n", "2", "--k", "0", "--depth", "1"])
     assert err.value.code == 2
+    # An empty suite list, and tolerances that break the JSON or every gate.
+    for extra in (["--suites", ","], ["--tolerance", "nan"], ["--tolerance", "inf"],
+                  ["--full", "--tolerance", "nan"], ["--tolerance", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--n", "2", "--depth", "2", *extra])
+        assert err.value.code == 2, extra
 
 
 def test_verify_inject_fault(capsys):
@@ -135,3 +142,8 @@ def test_config_validation():
         SuiteConfig(n=2, depth=2, trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(n=2, depth=2, suites=("bogus",))
+    with pytest.raises(ValueError):
+        SuiteConfig(n=2, depth=2, suites=())
+    for tolerance in (math.nan, math.inf, -math.inf, -1e-9):
+        with pytest.raises(ValueError):
+            SuiteConfig(n=2, depth=2, tolerance=tolerance)

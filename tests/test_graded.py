@@ -6,7 +6,8 @@ up through ``Word.concat`` and ``FockSpace.index_of``: the rank-one values
 (u, v) -> phi(L_uv), the shift tables and word operators, the membership
 pattern, the fundamental corepresentation, the bilinear assembly of
 ``corep_from_rep``, and the series product and Cesaro sums over word-keyed
-coefficients.  The kernel sums in a different order, so it must agree
+coefficients.  The per-word realize pattern, the dense membership defect and
+the Word-list wandering mask are kept as the bodies they replaced.  The kernel sums in a different order, so it must agree
 bit for bit on dyadic inputs, where every sum is exact, and to within
 rounding on general ones; index placements must agree exactly.
 """
@@ -78,13 +79,14 @@ from fockhopf.spaces import (
     tensor_space,
     vacuum_leg_decomposition,
 )
+from fockhopf.wandering import _wandering_mask, isometry_on_wandering_defect
 from fockhopf.verify import (
     SuiteConfig,
     _cesaro_error_vectors,
     _slice_oracle_defect,
     _slice_oracle_entries,
 )
-from fockhopf.words import Alphabet, Word
+from fockhopf.words import Alphabet, Word, count_words, enumerate_words
 
 # Every point of ``verify --full`` plus the deep (2, 7) point.
 GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
@@ -226,9 +228,11 @@ def literal_slice_oracle_entries(space):
 @pytest.mark.parametrize("n,depth", GRID)
 def test_slice_oracle_entries_match_per_word_comult(n, depth):
     space = FockSpace(Alphabet(n), depth)
+    rows, cols, data, offsets = literal_slice_oracle_entries(space)
+    assert np.all(data == 1.0)  # the tagged route returns no values
     tagged = _slice_oracle_entries(space)
-    literal = literal_slice_oracle_entries(space)
-    for got, want in zip(tagged, literal):
+    assert len(tagged) == 3
+    for got, want in zip(tagged, (rows, cols, offsets)):
         assert np.array_equal(got, want)
 
 
@@ -707,6 +711,151 @@ def test_realized_index_arrays_reject_writes():
     )
 
 
+# ---------------------------------------------------------------------------
+# The realize pattern, the membership defect and the wandering mask against
+# their per-word, dense and Word-list bodies.
+
+
+def literal_realize_pattern(space, degree, fold):
+    # One shift table per word, tensor-powered by index arithmetic, owned by
+    # the word's basis index.
+    rows, cols, ids = [], [], []
+    for i, w in enumerate(space.words[: space._block_starts[degree + 1]]):
+        table = shift_index_table(space, w)
+        src = np.arange(table.size, dtype=np.int64)
+        row, col = table, src
+        for _ in range(fold - 1):
+            row = (row[:, None] * space.dim + table[None, :]).ravel()
+            col = (col[:, None] * space.dim + src[None, :]).ravel()
+        rows.append(row)
+        cols.append(col)
+        ids.append(np.full(row.size, i, dtype=np.int32))
+    owner = np.concatenate(ids)
+    entries = (np.arange(owner.size), (np.concatenate(rows), np.concatenate(cols)))
+    mat = sparse.csr_matrix(entries, shape=(space.dim**fold,) * 2)
+    return mat.indptr, mat.indices, owner[mat.data]
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_realize_pattern_matches_per_word_literal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    for fold in (f for f in (1, 2, 3) if space.dim**f <= 2_000_000):
+        for degree in range(depth + 1):
+            got = regular._realize_pattern.__wrapped__(space, degree, fold)
+            want = literal_realize_pattern(space, degree, fold)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (fold, degree)
+
+
+def test_realize_pattern_reads_no_word_table():
+    space = FockSpace(Alphabet(2), 6)
+    tables = regular.shift_index_table.cache_info()
+    regular._realize_pattern.__wrapped__(space, space.depth, 2)
+    after = regular.shift_index_table.cache_info()
+    assert "words" not in vars(space)
+    assert after.hits + after.misses == tables.hits + tables.misses
+
+
+def literal_dense_membership_defect(t):
+    # Clear every graded.concat block of a dim x dim copy; what is left is off-pattern.
+    space = t.domain
+    dense = t.matrix.toarray()
+    coeff = dense[:, 0].copy()
+    starts = space._block_starts
+    on_pattern = 0.0
+    for k, m in graded.splits(space.depth):
+        ru, rw = np.ix_(np.arange(space.n**k), np.arange(space.n**m))
+        rows, cols = graded.concat(space, k, ru, m, rw), starts[m] + rw
+        mismatch = np.abs(dense[rows, cols] - coeff[starts[k] + ru])
+        on_pattern = max(on_pattern, float(mismatch.max()))
+        dense[rows, cols] = 0.0
+    off_pattern = float(np.abs(dense).max(initial=0.0))
+    return on_pattern + off_pattern
+
+
+def _membership_cases(space, rng):
+    # A realized series, the two rejected shifts, random sparse dyadic
+    # matrices, and the series with one stored entry perturbed or deleted:
+    # the vacuum entry a_e, then entries off the vacuum column (changing a_u
+    # alone for a word u of top length would leave a member).
+    realized = realize(random_series(rng, space.alphabet, space.depth), space)
+    yield realized
+    yield regular.left_shift(space, 1).adjoint()
+    yield regular.right_shift(space, 1)
+    for density in (0.01, 0.2):
+        count = max(1, int(density * space.dim**2))
+        rows, cols = rng.integers(0, space.dim, size=(2, count))
+        yield Operator.from_entries(space, space, rows, cols, dyadic_complex(rng, count))
+    mat = realized.matrix
+    off_vacuum = np.flatnonzero(mat.indices != 0)
+    for pos in [0, *rng.choice(off_vacuum, size=min(4, off_vacuum.size), replace=False)]:
+        bumped, deleted = mat.copy(), mat.copy()
+        bumped.data[pos] += 0.5
+        deleted.data[pos] = 0.0
+        deleted.eliminate_zeros()
+        yield Operator(space, space, bumped)
+        yield Operator(space, space, deleted)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_membership_matches_dense_literal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "membership-dense", n)
+    defects = [
+        (membership_defect(t), literal_dense_membership_defect(t))
+        for t in _membership_cases(space, rng)
+    ]
+    assert all(got == want for got, want in defects), defects
+    assert defects[0] == (0.0, 0.0)
+    assert defects[1][0] > 0.0 and (n == 1 or defects[2][0] > 0.0)
+    # Every random, perturbed or deleted case misses (realize stores no zero).
+    assert all(got > 0.0 for got, _ in defects[3:])
+
+
+def test_membership_defect_makes_no_dense_copy(monkeypatch):
+    space = FockSpace(Alphabet(2), 11)
+    realized = realize(random_series(rng_for(0, "membership-sparse"), space.alphabet, 11), space)
+    stray = realized + Operator.from_entries(space, space, [5], [3], [0.25])  # xi_11 -> xi_21
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("membership_defect densified its operator")
+
+    for cls in (sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    tracemalloc.start()
+    try:
+        assert membership_defect(realized) == 0.0
+        assert membership_defect(stray) == 0.25
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one dense copy is 4095^2 complex entries, 268 MB
+
+
+def literal_wandering_mask(alphabet, k, depth):
+    words = enumerate_words(alphabet, depth)
+    first = np.array([w.letters[0] if len(w) else 0 for w in words], dtype=np.int16)
+    grids = np.ix_(*([first] * k))
+    blocked = grids[0] > 0
+    for g in grids[1:]:
+        blocked = blocked & (g == grids[0])
+    return ~blocked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wandering_mask_matches_word_literal(n):
+    alphabet = Alphabet(n)
+    for depth in range(7):
+        for k in (k for k in (1, 2, 3) if count_words(alphabet, depth) ** k <= 2_000_000):
+            got = _wandering_mask(alphabet, k, depth)
+            assert np.array_equal(got, literal_wandering_mask(alphabet, k, depth)), (depth, k)
+    with pytest.raises(ValueError):
+        _wandering_mask(alphabet, 2, -1)
+    with pytest.raises(ValueError):  # |w| > depth leaves no wandering span to shift
+        isometry_on_wandering_defect(alphabet, 2, 2, Word((1, 1, 1)))
+
+
 def literal_legwise_columns(family, space, family_leg, columns):
     # One shift table and one column gather of family[w] per family word.
     shape = (space.dim,) * 3
@@ -786,7 +935,9 @@ def test_index_routes_build_at_most_the_reversal(monkeypatch):
     for build, limit in (
         (lambda: shift_index_table(space, w, "left"), 1),
         (lambda: shift_index_table(space, w, "right"), 1),
-        (lambda: membership_defect(realized), 1),
+        (lambda: membership_defect(realized), 0),
+        (lambda: regular._realize_pattern.__wrapped__(space, space.depth, 2), 0),
+        (lambda: _wandering_mask(space.alphabet, 2, 5), 0),
         (lambda: fundamental_corep(space), 1),
         (lambda: corep_from_rep(rep, space), 1),
         (lambda: s * t, 0),
