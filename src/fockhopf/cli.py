@@ -158,10 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify(args, parser)
     if args.command == "spectrum":
         return _cmd_spectrum(args, parser)
-    if args.command == "wandering":
-        return _cmd_wandering(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return _cmd_wandering(args, parser)
 
 
 def entry() -> None:

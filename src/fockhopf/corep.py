@@ -12,10 +12,12 @@ law is exactly the same idempotent condition.
 Both kinds of object hold their family as one :class:`spaces.StackedFamily`
 (B_w[y, x] at row index(w) dim K + y, column x), built once, and every check
 reads that stack.  Basis indices of concatenations come from the graded rule
-:func:`graded.concat` (directly in :func:`fundamental_corep`, through the
-shift index tables in :func:`corep_from_rep`); the independent check
-:func:`shift_tensor_sum` instead realigns one sparse product of the
-vectorized word shifts and family members (Van Loan--Pitsianis).
+:func:`graded.concat`: directly in :func:`fundamental_corep` and
+:func:`tensor_product_rep`, and through the cached realize pattern in
+:func:`corep_from_rep`.  The check :func:`shift_tensor_sum` instead realigns
+one sparse product of the vectorized word shifts and family members
+(Van Loan--Pitsianis), each shift built on its own by :func:`word_shift`, so
+it shares no index table with the assembly it checks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy import sparse
 
 from . import graded
 from .predual import Functional
-from .regular import FourierSeries, shift_index_table, word_shift
+from .regular import FourierSeries, _realize_pattern, word_shift
 from .spaces import (
     SCALAR_SPACE,
     FockSpace,
@@ -42,7 +44,6 @@ from .spaces import (
     leg_embed,
     max_abs,
     max_entry_diff,
-    operator_sum,
     tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
@@ -309,27 +310,30 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     """Build V from the bilinear pairing (V(xi_a (x) x), xi_b (x) y) = (pi([xi_a xi_b*]) x, y).
 
     The rank-one functional of a word basis pair (a, b) is the indicator of
-    the prefix u with b = u a, so V assembles block-wise from the stacked
-    family: each stored entry of pi_u lands at row index(u a) dk and column
-    index(a) dk, read off the shift index table of u.  The result is
-    verified entrywise against the independent Kronecker-product sum
-    sum_w L_w (x) pi_w.
+    the prefix u with b = u a, so V assembles from the stacked family: each
+    stored entry (y, x) of pi_u pairs with every entry (index(u a), index(a))
+    that the realize pattern of the depth assigns to u, landing at row
+    index(u a) dk + y and column index(a) dk + x.  The result is verified
+    entrywise against the independent Kronecker-product sum
+    sum_w L_w (x) pi_w, whose shifts come from :func:`word_shift`.
     """
     if rep.space != space:
         raise ValueError("representation indicator basis does not match the space")
     pair = TensorSpace((space, rep.aux))
     family, dk = rep.family, rep.aux.dim
-    block, (_, y) = family.block, family.entry_rows
-    starts = block.indptr[::dk]
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    vals = [np.empty(0, dtype=np.complex128)]
-    for k in family.support:
-        table = shift_index_table(space, space.words[k])
-        lo, hi = starts[k], starts[k + 1]
-        rows.append((table[:, None] * dk + y[lo:hi]).ravel())
-        cols.append((np.arange(table.size)[:, None] * dk + block.indices[lo:hi]).ravel())
-        vals.append(np.tile(block.data[lo:hi], table.size))
-    v = Operator.from_entries(pair, pair, *(np.concatenate(parts) for parts in (rows, cols, vals)))
+    block, (word, y) = family.block, family.entry_rows
+    indptr, source, owner = _realize_pattern(space, space.depth, 1)
+    image = np.repeat(np.arange(space.dim), np.diff(indptr))
+    # Pattern entries grouped by owner word; family entry e takes the group of its word.
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=space.dim)
+    reps = counts[word]
+    entry = np.repeat(np.arange(word.size), reps)
+    first = (np.cumsum(counts) - counts)[word] - (np.cumsum(reps) - reps)
+    pos = order[np.arange(entry.size) + np.repeat(first, reps)]
+    rows = image[pos] * dk + y[entry]
+    cols = source[pos] * dk + block.indices[entry]
+    v = Operator.from_entries(pair, pair, rows, cols, block.data[entry])
 
     check = shift_tensor_sum(family)
     if max_entry_diff(v, check) != 0.0:
@@ -367,16 +371,22 @@ def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:
     """Multiplication of representations through the predual comultiplication.
 
     The component at w collects every factorization w = u v:
-    (r1 x r2)_w = sum_{uv=w} pi1_u (x) pi2_v on K1 (x) K2.
+    (r1 x r2)_w = sum_{uv=w} pi1_u (x) pi2_v on K1 (x) K2.  Each pair of
+    stored entries pi1_u[y1, x1] = a and pi2_v[y2, x2] = b with
+    |u| + |v| <= depth adds a b at row index(u v) d1 d2 + y1 d2 + y2 and
+    column x1 d2 + x2 of the product stack.
     """
     if r1.space != r2.space:
         raise ValueError("representations have different indicator bases")
     space = r1.space
     aux = tensor_space(r1.aux, r2.aux)
-    terms: dict[Word, list[Operator]] = {}
-    for u, pu in r1.family.items():
-        for v, pv in r2.family.items():
-            w = u.concat(v)
-            if len(w) <= space.depth:
-                terms.setdefault(w, []).append(tensor_op(pu, pv))
-    return PredualRep(space, aux, {w: operator_sum(aux, ops) for w, ops in terms.items()})
+    b1, b2, d2 = r1.family.block, r2.family.block, r2.aux.dim
+    (u, y1), (v, y2) = r1.family.entry_rows, r2.family.entry_rows
+    (ku, ru), (kv, rv) = graded.length_rank(space, u), graded.length_rank(space, v)
+    i, j = np.nonzero(ku[:, None] + kv[None, :] <= space.depth)
+    rows = graded.concat(space, ku[i], ru[i], kv[j], rv[j]) * aux.dim + y1[i] * d2 + y2[j]
+    cols = b1.indices[i] * d2 + b2.indices[j]
+    entries = (b1.data[i] * b2.data[j], (rows, cols))
+    stack = sparse.coo_matrix(entries, shape=(space.dim * aux.dim, aux.dim)).tocsr()
+    stack.eliminate_zeros()
+    return PredualRep(space, aux, StackedFamily(space, aux, stack))

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .regular import FourierSeries, _coefficients_on, _realize_pattern, realize, shift_index_table
+from .regular import FourierSeries, _coefficients_on, _realize_pattern, realize
 from .spaces import (
     FockSpace,
     Operator,
@@ -65,7 +65,10 @@ def _comult_columns(
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
     for w, c in series.items():
-        table = shift_index_table(space, w)
+        k = len(w)
+        rank = space.index_of(w) - space._block_starts[k]
+        src = graded.within(space, space.depth - k)
+        table = graded.concat(space, k, rank, *graded.length_rank(space, src))
         keep = np.flatnonzero(np.all([p < table.size for p in parts], axis=0))
         rows.append(np.ravel_multi_index(tuple(table[p[keep]] for p in parts), shape))
         cols.append(keep)

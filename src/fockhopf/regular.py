@@ -11,6 +11,9 @@ one at a time, so the word operator ``R_w`` appends the REVERSAL of w:
 
 Shift and membership indices come from the graded concatenation rule
 :func:`graded.concat`, index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u).
+:func:`word_shift` applies it to one word and the realize pattern to every
+word of a length at once; they share no table, so the word shifts can serve
+as an independent check of what reads the pattern.
 A :class:`FourierSeries` holds its coefficients in that basis order, so its
 product s t is the graded Cauchy product: block k + m of s t accumulates, k
 ascending, the outer product of s on block k with t on block m.
@@ -26,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .spaces import FockSpace, Operator, max_entry_diff, operator_sum, tensor_op, tensor_space
+from .spaces import FockSpace, Operator, max_entry_diff, tensor_op, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -47,29 +50,21 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     ``side="left"`` gives L_w with L_w xi_u = xi_{wu}; ``side="right"`` gives
     R_w with R_w xi_u = xi_{u w~} (generators append letters, hence the
     reversal).  Both agree entrywise with composing single-letter shifts.
-    """
-    table = shift_index_table(space, w, side)
-    cols = np.arange(table.size, dtype=np.int64)
-    return Operator.from_entries(space, space, table, cols, np.ones(table.size))
-
-
-@lru_cache(maxsize=1024)
-def shift_index_table(space: FockSpace, w: Word, side: str = "left") -> np.ndarray:
-    """Index map u -> wu (``side="left"``) or u -> u w~ (``"right"``), |u| <= depth - |w|.
-
-    By the length-lexicographic order those words occupy the leading basis
-    indices, so the table's length doubles as the admissibility bound.  The
-    words u of length m are one :func:`graded.concat` broadcast over their
-    block ranks.
+    The admissible u, |u| <= depth - |w|, are the leading basis indices, and
+    their images are one :func:`graded.concat` broadcast over their lengths
+    and block ranks.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     k = len(w)
     rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
-    ranks = (np.arange(space.n**m, dtype=np.int64) for m in range(space.depth - k + 1))
+    src = graded.within(space, space.depth - k)
+    m, ru = graded.length_rank(space, src)
     if side == "left":
-        return np.concatenate([graded.concat(space, k, rank, m, ru) for m, ru in enumerate(ranks)])
-    return np.concatenate([graded.concat(space, m, ru, k, rank) for m, ru in enumerate(ranks)])
+        table = graded.concat(space, k, rank, m, ru)
+    else:
+        table = graded.concat(space, m, ru, k, rank)
+    return Operator.from_entries(space, space, table, src, np.ones(table.size))
 
 
 def length_projection(space: FockSpace, max_len: int) -> Operator:
@@ -314,7 +309,7 @@ def isometry_defect(space: FockSpace) -> float:
 def row_contraction_defect(space: FockSpace) -> float:
     """Max entrywise defect of sum_i L_i L_i* = I - (vacuum projection)."""
     gens = (left_shift(space, i) for i in space.alphabet.letters)
-    total = operator_sum(space, (gen @ gen.adjoint() for gen in gens))
+    total = sum((gen @ gen.adjoint() for gen in gens), Operator.zero(space))
     target = Operator.identity(space) - Operator.from_entries(space, space, [0], [0], [1.0])
     return max_entry_diff(total, target)
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -302,24 +302,6 @@ class Operator:
 
     def adjoint(self) -> "Operator":
         return Operator(self.codomain, self.domain, self.matrix.conjugate().transpose().tocsr())
-
-
-def operator_sum(space: Space, ops: Iterable[Operator]) -> Operator:
-    """Sum of square operators on ``space``, assembled in one COO pass.
-
-    Each term is reduced to its coordinate arrays as it arrives, so a
-    generator of terms never holds more than one of them in CSR form.
-    Entries that cancel are dropped, as ``Operator.__add__`` drops them.
-    """
-    rows, cols, vals = [], [], []
-    for op in ops:
-        _check_same_space(op.domain, space)
-        _check_same_space(op.codomain, space)
-        coo = op.matrix.tocoo()
-        rows.append(coo.row)
-        cols.append(coo.col)
-        vals.append(coo.data)
-    return coo_sum(space, rows, cols, vals)
 
 
 def coo_sum(space: Space, rows: list, cols: list, vals: list) -> Operator:

@@ -284,11 +284,7 @@ def _chk_homomorphism(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def _chk_integral(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    def defect(s: reg.FourierSeries, space: FockSpace) -> float:
-        vacuum = abs(hopf_mod.integral_value(s) - s.coefficient(Word()))
-        return max(hopf_mod.integral_invariance_defect(s, space), vacuum)
-
-    return _hopf_trials(cfg, rng, min(cfg.trials, 25), defect)
+    return _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.integral_invariance_defect)
 
 
 def _chk_vacuum_expansion(cfg: SuiteConfig, rng) -> tuple[float, float]:

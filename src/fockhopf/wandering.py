@@ -9,13 +9,14 @@ words of length <= N-1 (drop the forced first letter of a common prefix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .regular import shift_index_table, word_shift
+from . import graded
+from .regular import word_shift
 from .spaces import FockSpace, tensor_op
 from .words import Alphabet, Word, count_words, max_common_prefix
 
@@ -76,21 +77,7 @@ class WanderingReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "depth": self.depth,
-            "dim": self.dim,
-            "dim_closed_form": self.dim_closed_form,
-            "dims_by_depth": list(self.dims_by_depth),
-            "orthogonality_defect": self.orthogonality_defect,
-            "cover_injective": self.cover_injective,
-            "cover_complete": self.cover_complete,
-            "counting_identity": self.counting_identity,
-            "growth_strict": self.growth_strict,
-            "gram_checked": self.gram_checked,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
@@ -108,6 +95,24 @@ def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
     for g in grids[1:]:
         blocked = blocked & (g == grids[0])
     return ~blocked
+
+
+def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
+    """How often the shift map (w, wandering tuple) -> w-shifted tuple hits each basis tuple.
+
+    Row rank(w) of the length-m :func:`graded.concat` table maps u -> w u over
+    the words u that fit; the rows are taken one at a time, as all rows of a
+    length at once would hold n^m times the index array.
+    """
+    counts = np.zeros(space.dim**k, dtype=np.int32)
+    for m in range(space.depth + 1):
+        src = graded.within(space, space.depth - m)
+        sub = mask[tuple([slice(0, src.size)] * k)]
+        ranks = np.arange(space.n**m)[:, None]
+        for table in graded.concat(space, m, ranks, *graded.length_rank(space, src)):
+            linear = np.ravel_multi_index(np.ix_(*([table] * k)), (space.dim,) * k)
+            np.add.at(counts, linear[sub].ravel(), 1)
+    return counts
 
 
 def wandering_check(
@@ -130,13 +135,7 @@ def wandering_check(
     closed = wandering_dim_closed_form(alphabet, k, depth)
 
     # Unique-cover bitmap: every tuple is reached by exactly one (w, kappa).
-    space = FockSpace(alphabet, depth)
-    counts = np.zeros(total, dtype=np.int32)
-    for w in space.words:
-        table = shift_index_table(space, w)  # u -> w u over the words that fit
-        sub = mask[tuple([slice(0, table.size)] * k)]
-        linear = np.ravel_multi_index(np.ix_(*([table] * k)), (t,) * k)
-        np.add.at(counts, linear[sub].ravel(), 1)
+    counts = _cover_counts(FockSpace(alphabet, depth), k, mask)
     cover_injective = bool(counts.max(initial=0) <= 1)
     cover_complete = bool(counts.min(initial=1) >= 1)
 

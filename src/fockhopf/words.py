@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,6 @@ class Word:
         if not prefix.is_prefix_of(self):
             raise ValueError(f"{prefix} is not a prefix of {self}")
         return Word(self.letters[len(prefix) :])
-
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Substitute point coordinates for the letters and multiply out.
-
-        The empty product is 1; evaluation is multiplicative over
-        concatenation and blind to letter order.
-        """
-        if self.letters and max(self.letters) > len(point):
-            raise ValueError(f"word {self} uses letters beyond the {len(point)}-point")
-        out = complex(1.0)
-        for a in self.letters:
-            out *= point[a - 1]
-        return out
 
     def text(self, n: int) -> str:
         """Render for reports: empty word is "e"; digits run together while

@@ -78,6 +78,10 @@ def test_verify_usage_errors():
     with pytest.raises(SystemExit) as err:
         run_cli(["wandering", "--n", "2", "--k", "0", "--depth", "1"])
     assert err.value.code == 2
+    for argv in ([], ["bogus"]):  # a missing or unknown command
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 2, argv
     # An empty suite list, and tolerances that break the JSON or every gate.
     for extra in (["--suites", ","], ["--tolerance", "nan"], ["--tolerance", "inf"],
                   ["--full", "--tolerance", "nan"], ["--tolerance", "-1"]):

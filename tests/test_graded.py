@@ -6,17 +6,20 @@ up through ``Word.concat`` and ``FockSpace.index_of``: the rank-one values
 (u, v) -> phi(L_uv), the shift tables and word operators, the membership
 pattern, the fundamental corepresentation, the bilinear assembly of
 ``corep_from_rep``, and the series product and Cesaro sums over word-keyed
-coefficients.  The per-word realize pattern, the dense membership defect and
-the Word-list wandering mask are kept as the bodies they replaced.  The kernel sums in a different order, so it must agree
-bit for bit on dyadic inputs, where every sum is exact, and to within
-rounding on general ones; index placements must agree exactly.
+coefficients.  The per-word realize pattern, the dense membership defect,
+the Word-list wandering mask, the per-word shift-table bodies of
+``corep_from_rep`` and of the wandering cover, and the per-pair Kronecker
+body of ``tensor_product_rep`` are kept as the bodies they replaced.  The
+kernel sums in a different order, so it must agree bit for bit on dyadic
+inputs, where every sum is exact, and to within rounding on general ones;
+index placements must agree exactly.
 """
 
 import importlib
 import math
 import pkgutil
 import tracemalloc
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from fockhopf.corep import (
     corep_from_rep,
     fundamental_corep,
     rep_from_corep,
+    tensor_product_rep,
 )
 from fockhopf.graded import within
 from fockhopf.hopf import (
@@ -56,7 +60,6 @@ from fockhopf.regular import (
     fourier_coefficients,
     membership_defect,
     realize,
-    shift_index_table,
     word_shift,
 )
 from fockhopf.sampling import (
@@ -73,13 +76,14 @@ from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
     Operator,
+    TensorSpace,
     basis_vector,
     max_entry_diff,
     tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
-from fockhopf.wandering import _wandering_mask, isometry_on_wandering_defect
+from fockhopf.wandering import _cover_counts, _wandering_mask, isometry_on_wandering_defect
 from fockhopf.verify import (
     SuiteConfig,
     _cesaro_error_vectors,
@@ -432,6 +436,7 @@ def test_predual_comult_check_catches_an_extra_support_pair(monkeypatch):
 # Shifts, membership and corepresentation assembly: the Word-loop references.
 
 
+@lru_cache(maxsize=4096)
 def literal_shift_index_table(space, w, side):
     suffix = w if side == "left" else w.reverse()
     rows = []
@@ -514,9 +519,9 @@ def test_shift_tables_and_word_shifts_match_literal(n, depth, data):
     w = data.draw(_words(n, depth))
     for side in ("left", "right"):
         literal = literal_shift_index_table(space, w, side)
-        table = shift_index_table(space, w, side)
-        assert table.dtype == np.int64 and np.array_equal(table, literal)
-        assert same_operator(word_shift(space, w, side), literal_word_shift(space, w, side))
+        shift = word_shift(space, w, side)
+        assert np.array_equal(shift.matrix.tocsc().indices, literal)  # the row of each column
+        assert same_operator(shift, literal_word_shift(space, w, side))
 
 
 @pytest.mark.parametrize("n,depth", GRID)
@@ -565,6 +570,105 @@ def test_corep_from_rep_matches_literal(n, depth, seed):
     assert same_operator(corep_from_rep(rep, space).operator, literal_corep_from_rep(rep, space))
 
 
+def literal_table_corep_from_rep(rep, space):
+    # One shift index table per support word, its rows paired with the
+    # word's stored entries.
+    pair = TensorSpace((space, rep.aux))
+    family, dk = rep.family, rep.aux.dim
+    block, (_, y) = family.block, family.entry_rows
+    starts = block.indptr[::dk]
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=np.complex128)]
+    for k in family.support:
+        table = literal_shift_index_table(space, space.words[k], "left")
+        lo, hi = starts[k], starts[k + 1]
+        rows.append((table[:, None] * dk + y[lo:hi]).ravel())
+        cols.append((np.arange(table.size)[:, None] * dk + block.indices[lo:hi]).ravel())
+        vals.append(np.tile(block.data[lo:hi], table.size))
+    entries = (np.concatenate(parts) for parts in (rows, cols, vals))
+    return Operator.from_entries(pair, pair, *entries)
+
+
+def literal_operator_sum(space, ops):
+    # Every term's coordinates in one COO -> CSR pass; cancelled entries dropped.
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=np.complex128)]
+    for op in ops:
+        coo = op.matrix.tocoo()
+        rows.append(coo.row)
+        cols.append(coo.col)
+        vals.append(coo.data)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    mat = sparse.coo_matrix(entries, shape=(space.dim, space.dim)).tocsr()
+    mat.eliminate_zeros()
+    return Operator(space, space, mat)
+
+
+def literal_tensor_product_rep(r1, r2):
+    # One Kronecker product per member pair, summed per concatenated word.
+    space = r1.space
+    aux = tensor_space(r1.aux, r2.aux)
+    terms = {}
+    for u, pu in r1.family.items():
+        for v, pv in r2.family.items():
+            w = u.concat(v)
+            if len(w) <= space.depth:
+                terms.setdefault(w, []).append(tensor_op(pu, pv))
+    return PredualRep(space, aux, {w: literal_operator_sum(aux, ops) for w, ops in terms.items()})
+
+
+def _block_end_words(space):
+    # The first and the last word of every length.
+    starts = space._block_starts
+    ends = {i for k in range(space.depth + 1) for i in (starts[k], starts[k + 1] - 1)}
+    return [space.word_at(i) for i in sorted(ends)]
+
+
+def same_csr_arrays(a, b):
+    names = ("indptr", "indices", "data")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_corep_from_rep_matches_table_literal_csr_arrays(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "corep-join", n)
+    reps = [rep_from_corep(fundamental_corep(space))]
+    reps += [PredualRep.character(space, w) for w in _block_end_words(space)]
+    reps += [_random_rep(rng, space) for _ in range(3)]
+    for rep in reps:
+        got = corep_from_rep(rep, space).operator.matrix
+        assert same_csr_arrays(got, literal_table_corep_from_rep(rep, space).matrix)
+
+
+def test_corep_from_rep_catches_a_reversed_shift_table(monkeypatch):
+    # Word shifts that look up the reversed word build L_{w~} for L_w.  The
+    # assembly reads the realize pattern, not the shifts, so the Kronecker-sum
+    # check must disagree with it (by 1.0 for the character of 12).
+    space = FockSpace(Alphabet(2), 4)
+    rep = PredualRep.character(space, Word((1, 2)))
+    honest = FockSpace.index_of
+    regular.word_shift.cache_clear()
+    monkeypatch.setattr(FockSpace, "index_of", lambda self, w: honest(self, w.reverse()))
+    try:
+        with pytest.raises(AssertionError, match="bilinear assembly"):
+            corep_from_rep(rep, space)
+    finally:
+        regular.word_shift.cache_clear()
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_tensor_product_rep_matches_kronecker_literal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    chars = [PredualRep.character(space, w) for w in _block_end_words(space)]
+    fundamental = rep_from_corep(fundamental_corep(space))
+    pairs = [(a, b) for a in chars for b in chars]
+    pairs += [(fundamental, c) for c in chars] + [(c, fundamental) for c in chars]
+    for r1, r2 in pairs:
+        got, want = tensor_product_rep(r1, r2), literal_tensor_product_rep(r1, r2)
+        assert got.aux == want.aux and same_csr_arrays(got.family.block, want.family.block)
+
+
 # ---------------------------------------------------------------------------
 # Safe zones and tensor powers: against the dim^fold length array and the
 # Kronecker products of the literal word shifts.
@@ -605,9 +709,16 @@ def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
     # The (2, 7) triple power has 255^3 columns, too many to build twice.
     for fold in (f for f in (1, 2, 3) if space.dim**f <= 2_000_000):
         target = space if fold == 1 else tensor_space(*([space] * fold))
-        kron = sparse.csr_matrix((target.dim, target.dim), dtype=np.complex128)
+        # Every term's entries, assembled in one COO -> CSR pass.
+        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        vals = [np.empty(0, dtype=np.complex128)]
         for w, c in series.items():
-            kron = kron + c * tensor_op(*([literal_word_shift(space, w, "left")] * fold)).matrix
+            term = (c * tensor_op(*([literal_word_shift(space, w, "left")] * fold)).matrix).tocoo()
+            rows.append(term.row)
+            cols.append(term.col)
+            vals.append(term.data)
+        entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        kron = sparse.coo_matrix(entries, shape=(target.dim, target.dim)).tocsr()
         realized = realize(series, space, fold)
         assert realized.domain == realized.codomain == target
         assert (realized.matrix != kron).nnz == 0
@@ -619,7 +730,7 @@ def literal_realize(series, space, fold=1):
     target = space if fold == 1 else tensor_space(*([space] * fold))
     rows, cols, vals = [], [], []
     for w, c in series.items():
-        table = shift_index_table(space, w)
+        table = literal_shift_index_table(space, w, "left")
         src = np.arange(table.size, dtype=np.int64)
         row, col = table, src
         for _ in range(fold - 1):
@@ -669,11 +780,11 @@ def test_realize_reuses_one_pattern_per_degree_and_fold():
         for fold in (1, 2):
             realize(s, space, fold)
     patterns = regular._realize_pattern.cache_info()
-    tables = regular.shift_index_table.cache_info()
+    tables = regular.word_shift.cache_info()
     for i in range(100):
         realize(series[i % len(series)], space, 1 + i % 2)
     assert regular._realize_pattern.cache_info().misses == patterns.misses
-    after = regular.shift_index_table.cache_info()
+    after = regular.word_shift.cache_info()
     assert after.hits + after.misses == tables.hits + tables.misses
 
 
@@ -721,7 +832,7 @@ def literal_realize_pattern(space, degree, fold):
     # the word's basis index.
     rows, cols, ids = [], [], []
     for i, w in enumerate(space.words[: space._block_starts[degree + 1]]):
-        table = shift_index_table(space, w)
+        table = literal_shift_index_table(space, w, "left")
         src = np.arange(table.size, dtype=np.int64)
         row, col = table, src
         for _ in range(fold - 1):
@@ -749,9 +860,9 @@ def test_realize_pattern_matches_per_word_literal(n, depth):
 
 def test_realize_pattern_reads_no_word_table():
     space = FockSpace(Alphabet(2), 6)
-    tables = regular.shift_index_table.cache_info()
+    tables = regular.word_shift.cache_info()
     regular._realize_pattern.__wrapped__(space, space.depth, 2)
-    after = regular.shift_index_table.cache_info()
+    after = regular.word_shift.cache_info()
     assert "words" not in vars(space)
     assert after.hits + after.misses == tables.hits + tables.misses
 
@@ -856,6 +967,31 @@ def test_wandering_mask_matches_word_literal(n):
         isometry_on_wandering_defect(alphabet, 2, 2, Word((1, 1, 1)))
 
 
+def literal_cover_counts(space, k, mask):
+    # One shift index table per word, its k-th tensor power scattered over the mask.
+    counts = np.zeros(space.dim**k, dtype=np.int32)
+    for w in space.words:
+        table = literal_shift_index_table(space, w, "left")
+        sub = mask[tuple([slice(0, table.size)] * k)]
+        linear = np.ravel_multi_index(np.ix_(*([table] * k)), (space.dim,) * k)
+        np.add.at(counts, linear[sub].ravel(), 1)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cover_counts_match_word_loop(n):
+    alphabet = Alphabet(n)
+    rng = rng_for(n, "cover-counts")
+    for depth in range(5):
+        space = FockSpace(alphabet, depth)
+        for k in (k for k in (2, 3) if space.dim**k <= 300_000):
+            # The wandering mask covers each tuple once; a random one covers some twice.
+            for mask in (_wandering_mask(alphabet, k, depth), rng.random((space.dim,) * k) < 0.5):
+                got = _cover_counts(space, k, mask)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, literal_cover_counts(space, k, mask)), (depth, k)
+
+
 def literal_legwise_columns(family, space, family_leg, columns):
     # One shift table and one column gather of family[w] per family word.
     shape = (space.dim,) * 3
@@ -864,7 +1000,7 @@ def literal_legwise_columns(family, space, family_leg, columns):
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
     for w, op in family.items():
-        table = shift_index_table(space, w)
+        table = literal_shift_index_table(space, w, "left")
         keep = np.flatnonzero(np.all([parts[leg] < table.size for leg in shift_legs], axis=0))
         block = op.matrix.tocsc()[:, parts[family_leg][keep]]
         counts = np.diff(block.indptr)
@@ -929,12 +1065,11 @@ def test_index_routes_build_at_most_the_reversal(monkeypatch):
         built.append(self)
         honest(self)
 
-    regular.shift_index_table.cache_clear()
     regular.word_shift.cache_clear()
     monkeypatch.setattr(words.Word, "__post_init__", counting)
     for build, limit in (
-        (lambda: shift_index_table(space, w, "left"), 1),
-        (lambda: shift_index_table(space, w, "right"), 1),
+        (lambda: word_shift(space, w, "left"), 1),
+        (lambda: word_shift(space, w, "right"), 1),
         (lambda: membership_defect(realized), 0),
         (lambda: regular._realize_pattern.__wrapped__(space, space.depth, 2), 0),
         (lambda: _wandering_mask(space.alphabet, 2, 5), 0),
@@ -948,6 +1083,8 @@ def test_index_routes_build_at_most_the_reversal(monkeypatch):
         (lambda: coefficient_operator(rep, one, one), 0),
         (lambda: homomorphism_defect(s, t, space), 0),
         (lambda: counit_defect(f), 0),
+        (lambda: point_functional(space, (0.5, 0.25j)), 0),
+        (lambda: tensor_product_rep(rep, rep), 0),
     ):
         built.clear()
         build()

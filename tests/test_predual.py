@@ -34,6 +34,14 @@ H3 = FockSpace(A2, 3)
 H4 = FockSpace(A2, 4)
 
 
+def literal_monomial(w, point):
+    """w(point): the coordinates multiplied out letter by letter as Python complex numbers."""
+    out = complex(1.0)
+    for a in w.letters:
+        out *= point[a - 1]
+    return out
+
+
 def vacuum_functional(space):
     """The vacuum rank-one state; its value array is the unit-word indicator."""
     vac = basis_vector(space, Word())
@@ -202,11 +210,28 @@ def test_point_functional_values_are_monomials():
     lam = (0.5, 0.25)
     pf = point_functional(H3, lam)
     for w in H3.words:
-        assert pf.functional.value(w) == w.evaluate(lam)
+        assert pf.functional.value(w) == literal_monomial(w, lam)
     p = FourierSeries(A2, {Word(): 2.0, word(1, 2): 4.0})
     values = dict(zip(H3.words, pf.functional.values))
     pairing = sum(c * values[w] for w, c in p.items())
     assert pairing == 2.0 + 4.0 * 0.5 * 0.25
+
+
+@pytest.mark.parametrize("n,depth", [(1, 6), (2, 7), (3, 4)])
+def test_point_functional_matches_word_products_bit_for_bit(n, depth):
+    # Dyadic points, standard-normal points scaled into the ball, and signed zeros.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(0, "point-bits", n, depth)
+    points = [random_ball_point(rng, n) for _ in range(20)]
+    for _ in range(20):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        points.append(tuple(z * (rng.uniform(0.05, 0.99) / np.linalg.norm(z))))
+    points.append(tuple(complex(-0.0, (-1) ** a * 0.0) for a in range(n)))
+    for point in points:
+        got = point_functional(space, point).functional.values
+        want = np.array([literal_monomial(w, point) for w in space.words])
+        assert got.real.tobytes() == want.real.tobytes()
+        assert got.imag.tobytes() == want.imag.tobytes()
 
 
 def test_point_functional_at_zero_is_vacuum():
@@ -267,7 +292,7 @@ def test_nu_reconstruction_matches_tail_formula():
     t = pf.ball_norm_sq
     partial = [sum(t**j for j in range(m + 1)) for m in range(depth + 1)]
     for w in space.words:
-        exact = w.evaluate(lam) * partial[depth - len(w)] / partial[depth]
+        exact = literal_monomial(w, lam) * partial[depth - len(w)] / partial[depth]
         assert approx.value(w) == pytest.approx(exact, abs=1e-14)
         err = abs(approx.value(w) - pf.functional.value(w))
         assert err <= pf.reconstruction_tail_bound(w) + 1e-15

@@ -16,7 +16,6 @@ from fockhopf.regular import (
     right_shift,
     row_contraction_defect,
     shift_composition_defect,
-    shift_index_table,
     tensor_commutation_defect,
     word_shift,
 )
@@ -109,7 +108,7 @@ def test_shift_composition_on_safe_zone():
 
 
 def test_shift_index_table():
-    table = shift_index_table(H3, word(1))
+    table = word_shift(H3, word(1)).matrix.tocsc().indices  # the image row of each column
     assert table.size == 7  # words of length <= 2 can still be shifted
     assert table[0] == H3.index_of(word(1))
     assert table[2] == H3.index_of(word(1, 2))

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockhopf.predual import point_functional
+from fockhopf.spaces import FockSpace
 from fockhopf.words import (
     Alphabet,
     Word,
@@ -120,19 +122,20 @@ def test_enumerate_matches_product_oracle():
 
 
 def test_eval_examples():
-    assert Word().evaluate((0.5, 0.25)) == 1
-    assert word(1, 2).evaluate((0.5, 0.25)) == pytest.approx(0.125)
-    assert word(1, 1).evaluate((0.5, 0.25)) == pytest.approx(0.25)
+    phi = point_functional(FockSpace(Alphabet(2), 2), (0.5, 0.25)).functional
+    assert phi.value(Word()) == 1
+    assert phi.value(word(1, 2)) == pytest.approx(0.125)
+    assert phi.value(word(1, 1)) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        word(3).evaluate((0.5, 0.25))
+        phi.value(word(3))
 
 
 @given(words_strategy(n=2, max_len=4), words_strategy(n=2, max_len=4))
 @settings(max_examples=40)
 def test_eval_multiplicative_and_reversal_blind(u, v):
-    point = (0.5, 0.25j)
-    assert (u * v).evaluate(point) == pytest.approx(u.evaluate(point) * v.evaluate(point))
-    assert u.reverse().evaluate(point) == pytest.approx(u.evaluate(point))
+    phi = point_functional(FockSpace(Alphabet(2), 8), (0.5, 0.25j)).functional
+    assert phi.value(u * v) == pytest.approx(phi.value(u) * phi.value(v))
+    assert phi.value(u.reverse()) == pytest.approx(phi.value(u))
 
 
 def test_text_rendering():
