@@ -11,13 +11,14 @@ law is exactly the same idempotent condition.
 
 Both kinds of object hold their family as one :class:`spaces.StackedFamily`
 (B_w[y, x] at row index(w) dim K + y, column x), built once, and every check
-reads that stack.  Basis indices of concatenations come from the graded rule
-:func:`graded.concat`: directly in :func:`fundamental_corep` and
-:func:`tensor_product_rep`, and through the cached realize pattern in
-:func:`corep_from_rep`.  The check :func:`shift_tensor_sum` instead realigns
-one sparse product of the vectorized word shifts and family members
-(Van Loan--Pitsianis), each shift built on its own by :func:`word_shift`, so
-it shares no index table with the assembly it checks.
+reads that stack.  All characters at once are one such family,
+:func:`characters`, the diagonal of the matrix units E_ww.  Basis indices of
+concatenations come from the graded rule :func:`graded.concat`: directly in
+:func:`fundamental_corep` and :func:`tensor_product_rep`, and through the
+cached realize pattern in :func:`corep_from_rep`.  The check
+:func:`shift_tensor_sum` instead joins the family entries with the entries
+of each shift, built on its own by :func:`word_shift`, so it shares no index
+table with the assembly it checks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .predual import Functional
 from .regular import FourierSeries, _realize_pattern, word_shift
 from .spaces import (
     SCALAR_SPACE,
+    AuxSpace,
     FockSpace,
     Operator,
     Space,
@@ -107,59 +109,41 @@ class CorepReport:
 def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
     """The sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w].
 
-    One sparse product, by the Van Loan--Pitsianis rearrangement: with
-    M_w = L_w (x) .. (x) L_w, row p of Lvec the row-major vec(M_{w_p}) and
-    row p of Bvec vec(B_{w_p}), entry [y d + x, i D + k] of Bvec^T Lvec is
-    sum_w B_w[y, x] M_w[i, k], the entry of the sum at row i d + y and
-    column k d + x (D = dim H^copies, d = dim K).  Only the vec positions
-    that some member stores are kept as rows and columns, so the product
-    never spans D^2 or d^2 of them.  The shifts are read through
-    :func:`word_shift` alone.
+    A direct join of entries: with M_w = L_w (x) .. (x) L_w, each stored
+    entry M_w[i, k] = m and each stored entry B_w[y, x] = b give m b at row
+    i d + y and column k d + x (d = dim K), all summed in one COO pass.  The
+    shifts are read through :func:`word_shift` alone, one word at a time;
+    the family entries join their word's shift entries once, after the loop.
     """
     fock, aux = family.fock, family.aux
     space = TensorSpace((*[fock] * copies, aux))  # an aux that is itself a product stays one leg
     if not family:
         return Operator.zero(space)
-    legs_dim, d = fock.dim**copies, aux.dim
-    lpos, lval, lcount = [], [], []
+    lrows, lcols, lvals = [], [], []
     for k in family.support:
         shift = word_shift(fock, fock.words[k], "left").matrix
         i, j, v = np.repeat(np.arange(fock.dim), np.diff(shift.indptr)), shift.indices, shift.data
-        rows, cols, vals = i, j, v
+        rows, cols, vals = i, j.astype(np.int64), v
         for _ in range(copies - 1):
             rows = (rows[:, None] * fock.dim + i).ravel()
             cols = (cols[:, None] * fock.dim + j).ravel()
             vals = (vals[:, None] * v).ravel()
-        lpos.append(rows * legs_dim + cols)
-        lval.append(vals)
-        lcount.append(vals.size)
-    lkeys, lcol = np.unique(np.concatenate(lpos), return_inverse=True)
-    lvec = sparse.csr_matrix(
-        (np.concatenate(lval), lcol, np.concatenate(([0], np.cumsum(lcount)))),
-        shape=(len(lcount), lkeys.size),
-    )
+        lrows.append(rows)
+        lcols.append(cols)
+        lvals.append(vals)
+    # Shift entries are grouped by word in support order; family entry e
+    # takes every entry of its word's group.
+    counts = np.array([part.size for part in lvals])
     word, y = family.entry_rows
-    block = family.block
-    bkeys, brow = np.unique(y * d + block.indices, return_inverse=True)
-    order = np.argsort(brow, kind="stable")
-    bvec_t = sparse.csr_matrix(
-        (
-            block.data[order],
-            np.searchsorted(family.support, word)[order],
-            np.concatenate(([0], np.cumsum(np.bincount(brow, minlength=bkeys.size)))),
-        ),
-        shape=(bkeys.size, len(lcount)),
-    )
-    product = bvec_t @ lvec
-    by, bx = np.divmod(bkeys[np.repeat(np.arange(bkeys.size), np.diff(product.indptr))], d)
-    li, lk = np.divmod(lkeys[product.indices], legs_dim)
-    # Distinct product entries land at distinct positions, none of them zero,
-    # so sorting them is the whole CSR assembly.
-    rows, cols = li * d + by, lk * d + bx
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=space.dim))))
-    mat = sparse.csr_matrix((product.data[order], cols[order], indptr), shape=(space.dim,) * 2)
-    return Operator(space, space, mat)
+    block, d = family.block, aux.dim
+    group = np.searchsorted(family.support, word)
+    reps = counts[group]
+    entry = np.repeat(np.arange(word.size), reps)
+    first = (np.cumsum(counts) - counts)[group] - (np.cumsum(reps) - reps)
+    pos = np.arange(entry.size) + np.repeat(first, reps)
+    rows = np.concatenate(lrows)[pos] * d + y[entry]
+    cols = np.concatenate(lcols)[pos] * d + block.indices[entry]
+    return coo_sum(space, [rows], [cols], [np.concatenate(lvals)[pos] * block.data[entry]])
 
 
 def idempotent_family_defect(family: StackedFamily) -> float:
@@ -202,11 +186,16 @@ def leg_identity_defect(corep: Corepresentation) -> float:
     return max_entry_diff(v13 @ v23, rhs)
 
 
+def _reconstruction_defect(corep: Corepresentation) -> float:
+    """Entrywise defect of V = sum_w L_w (x) B_w."""
+    return max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
+
+
 def corep_check(corep: Corepresentation | Operator, legs: bool = True) -> CorepReport:
     """Run the reconstruction, idempotent-criterion, and leg-identity checks."""
     if isinstance(corep, Operator):
         corep = Corepresentation.from_operator(corep)
-    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
+    recon = _reconstruction_defect(corep)
     crit = criterion_defect(corep)
     leg = leg_identity_defect(corep) if legs else None
     return CorepReport(recon, crit, leg)
@@ -300,7 +289,7 @@ def rep_from_corep(corep: Corepresentation) -> PredualRep:
     The constructor of :class:`PredualRep` checks the representation law on
     the corepresentation's own stacked family.
     """
-    recon = max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
+    recon = _reconstruction_defect(corep)
     if recon > REP_LAW_TOL:
         raise ValueError(f"operator is not a corepresentation (reconstruction defect {recon:.3e})")
     return PredualRep(corep.hilbert, corep.aux, corep.family)
@@ -341,19 +330,28 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     return Corepresentation.from_operator(v)
 
 
+def characters(space: FockSpace) -> PredualRep:
+    """Every character at once: the direct sum of the chi_w on C^dim.
+
+    Member w is the matrix unit E_ww, so the stack holds a single 1 at row
+    index(w) (dim + 1) and column index(w).  The family is block-diagonal in
+    the aux index, so its one law check, and any defect taken on it, is the
+    maximum over the characters one by one.
+    """
+    dim, aux, k = space.dim, AuxSpace(space.dim), np.arange(space.dim)
+    stack = sparse.csr_matrix((np.ones(dim), (k * (dim + 1), k)), shape=(dim * dim, dim))
+    return PredualRep(space, aux, StackedFamily(space, aux, stack))
+
+
 def spectrum(space: FockSpace) -> list[Word]:
     """All characters of the truncated convolution algebra, as words.
 
     A character is a nonzero scalar family with b_u b_v = delta_{uv} b_u,
     which forces a single indicator; the words of length <= depth enumerate
-    them, one evaluation character per word.
+    them.  They are read off the support of the law-checked diagonal family
+    :func:`characters`.
     """
-    chars: list[Word] = []
-    for w in space.words:
-        rep = PredualRep.character(space, w)
-        if rep.law_defect == 0.0 and rep.family:
-            chars.append(w)
-    return chars
+    return list(characters(space).family)
 
 
 def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries:

@@ -26,7 +26,7 @@ from . import predual as predual_mod
 from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
-from .spaces import FockSpace, Operator, StackedFamily, basis_vector, max_entry_diff, tensor_op
+from .spaces import FockSpace, Operator, StackedFamily, basis_vector, max_abs, max_entry_diff, tensor_op
 from .words import Alphabet, Word
 
 ALL_SUITES = ("regrep", "hopf", "predual", "corep", "wandering")
@@ -468,22 +468,17 @@ def _chk_fundamental_r_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]
 
 def _chk_roundtrips(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
-    worst = 0.0
     w_corep = corep_mod.fundamental_corep(space)
     rep = corep_mod.rep_from_corep(w_corep)
     back = corep_mod.corep_from_rep(rep, space)
-    worst = max(worst, max_entry_diff(back.operator, w_corep.operator))
-    for w in space.words:
-        char = corep_mod.PredualRep.character(space, w)
-        v_char = corep_mod.corep_from_rep(char, space)
-        expected = tensor_op(
-            reg.word_shift(space, w, "left"), Operator.identity(char.aux)
-        )
-        worst = max(worst, max_entry_diff(v_char.operator, expected))
-        rep_back = corep_mod.rep_from_corep(v_char)
-        for u in rep_back.family.keys() | char.family.keys():
-            worst = max(worst, max_entry_diff(rep_back.component(u), char.component(u)))
-    return worst, 0.0
+    worst = max_entry_diff(back.operator, w_corep.operator)
+    # The fundamental family is the diagonal of the word projections, so the
+    # direct sum of all characters has its stack and its operator.
+    chars = corep_mod.characters(space)
+    v_chars = corep_mod.corep_from_rep(chars, space)
+    worst = max(worst, max_abs(v_chars.operator.matrix - w_corep.operator.matrix))
+    rep_back = corep_mod.rep_from_corep(v_chars)
+    return max(worst, max_abs(rep_back.family.block - chars.family.block)), 0.0
 
 
 def _chk_rep_multiplicativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
@@ -530,10 +525,10 @@ def _chk_coefficient_membership(cfg: SuiteConfig, rng) -> tuple[float, float]:
         y = sampling.random_vector(rng, rep.aux)
         series = corep_mod.coefficient_operator(rep, x, y)
         worst = max(worst, reg.membership_defect(reg.realize(series, space)))
-    one = basis_vector(corep_mod.SCALAR_SPACE, 0)
-    for w in space.words:
-        char = corep_mod.PredualRep.character(space, w)
-        series = corep_mod.coefficient_operator(char, one, one)
+    chars = corep_mod.characters(space)
+    for k, w in enumerate(space.words):
+        e_w = basis_vector(chars.aux, k)
+        series = corep_mod.coefficient_operator(chars, e_w, e_w)
         expected = reg.FourierSeries.indicator(cfg.alphabet, w)
         if series != expected:
             worst = max(worst, 1.0)

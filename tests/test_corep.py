@@ -5,10 +5,12 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _base
 
+from fockhopf import corep, verify
 from fockhopf.corep import (
     SCALAR_SPACE,
     Corepresentation,
     PredualRep,
+    characters,
     coefficient_operator,
     corep_check,
     corep_from_rep,
@@ -49,6 +51,7 @@ from fockhopf.spaces import (
     tensor_op,
     tensor_space,
 )
+from fockhopf.verify import SuiteConfig
 from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
@@ -482,6 +485,72 @@ def test_spectrum_matches_grouplike_words():
         chars = set(spectrum(space))
         grouplike = {s.support[0] for s in grouplike_series(space)}
         assert chars == grouplike
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_characters_stack_every_character_on_the_diagonal(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    chars = characters(space)
+    aux = AuxSpace(space.dim)
+    assert chars.aux == aux and chars.law_defect == 0.0
+    assert list(chars.family) == list(space.words)
+    for k, w in enumerate(space.words):
+        one = PredualRep.character(space, w).family[w].matrix
+        literal = Operator.from_entries(aux, aux, [k], [k], one.toarray().ravel())
+        assert same_operator(chars.family[w], literal)
+    fundamental = rep_from_corep(fundamental_corep(space)).family.block
+    for arr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(chars.family.block, arr), getattr(fundamental, arr))
+    per_word = [PredualRep.character(space, w) for w in space.words]
+    assert spectrum(space) == [
+        w for w, rep in zip(space.words, per_word) if rep.law_defect == 0.0 and rep.family
+    ]
+
+
+def _swapped_characters(space):
+    # The characters of words 1 and 2 exchange their aux coordinates: still a
+    # valid family on the same words, but no longer chi_w at coordinate w.
+    members = dict(characters(space).family)
+    a, b = space.words[1], space.words[2]
+    members[a], members[b] = members[b], members[a]
+    return PredualRep(space, AuxSpace(space.dim), members)
+
+
+def _characters_without_vacuum(space):
+    members = {w: op for w, op in characters(space).family.items() if len(w)}
+    return PredualRep(space, AuxSpace(space.dim), members)
+
+
+@pytest.mark.parametrize(
+    "mutant,spectrum_defect", [(_swapped_characters, 0.0), (_characters_without_vacuum, 1.0)]
+)
+def test_character_checks_catch_a_wrong_diagonal_family(monkeypatch, mutant, spectrum_defect):
+    # A swap keeps the set of words, so only the spectrum check misses it.
+    cfg = SuiteConfig(n=2, depth=3)
+    checks = (verify._chk_roundtrips, verify._chk_coefficient_membership, verify._chk_spectrum)
+    assert [check(cfg, rng_for(0, "chars"))[0] for check in checks] == [0.0, 0.0, 0.0]
+    monkeypatch.setattr(corep, "characters", mutant)
+    got = [check(cfg, rng_for(0, "chars"))[0] for check in checks]
+    assert got == [1.0, 1.0, spectrum_defect]
+
+
+def test_shift_tensor_sum_literal_check_catches_right_shifts_and_a_missing_copy(monkeypatch):
+    honest = corep.shift_tensor_sum
+    test_shift_tensor_sum_matches_literal(2, 3)
+    monkeypatch.setattr(corep, "word_shift", lambda fock, w, side: word_shift(fock, w, "right"))
+    with pytest.raises(AssertionError):
+        test_shift_tensor_sum_matches_literal(2, 3)
+    monkeypatch.undo()
+
+    def one_copy_short(family, copies=1):
+        # The first of several legs is left as the identity.
+        if copies == 1:
+            return honest(family)
+        return tensor_op(Operator.identity(family.fock), honest(family, copies - 1))
+
+    monkeypatch.setitem(globals(), "shift_tensor_sum", one_copy_short)
+    with pytest.raises(AssertionError):
+        test_shift_tensor_sum_matches_literal(2, 3)
 
 
 def test_sum_of_characters_is_not_a_character():

@@ -5,11 +5,12 @@ up through ``Word.concat`` and ``FockSpace.index_of``: the rank-one values
 (L_w xi, eta) summed over u as xi_u conj(eta_wu), the predual comultiplication
 (u, v) -> phi(L_uv), the shift tables and word operators, the membership
 pattern, the fundamental corepresentation, the bilinear assembly of
-``corep_from_rep``, and the series product and Cesaro sums over word-keyed
-coefficients.  The per-word realize pattern, the dense membership defect,
-the Word-list wandering mask, the per-word shift-table bodies of
-``corep_from_rep`` and of the wandering cover, and the per-pair Kronecker
-body of ``tensor_product_rep`` are kept as the bodies they replaced.  The
+``corep_from_rep``, the series product over the basis index of each
+concatenation, and the Cesaro sums over word-keyed coefficients.  The
+per-word realize pattern, the dense membership defect, the Word-list
+wandering mask, the per-word shift-table bodies of ``corep_from_rep`` and of
+the wandering cover, and the per-pair Kronecker body of
+``tensor_product_rep`` are kept as the bodies they replaced.  The
 kernel sums in a different order, so it must agree bit for bit on dyadic
 inputs, where every sum is exact, and to within rounding on general ones;
 index placements must agree exactly.
@@ -275,12 +276,18 @@ def test_slice_oracle_catches_each_perturbed_convolution_value():
 # the word-keyed definitions.
 
 
-def literal_product(s, t):
-    out = {}
-    for u, a in s.items():
-        for v, b in t.items():
-            w = u.concat(v)
-            out[w] = out.get(w, 0j) + a * b
+def literal_concat_table(space):
+    # table[i, j] is the basis index of u v (u, v the words at i and j) among
+    # the words of length <= 2 depth.
+    doubled = FockSpace(space.alphabet, 2 * space.depth)
+    return np.array([[doubled.index_of(u.concat(v)) for v in space.words] for u in space.words])
+
+
+def literal_product(s, t, table):
+    # Each coefficient pair adds a b at the index of u v, in (u, v) basis order.
+    i, j = np.flatnonzero(s.coeffs), np.flatnonzero(t.coeffs)
+    out = np.zeros(table[-1, -1] + 1, dtype=np.complex128)
+    np.add.at(out, table[np.ix_(i, j)].ravel(), np.multiply.outer(s.coeffs[i], t.coeffs[j]).ravel())
     return FourierSeries(s.alphabet, out)
 
 
@@ -316,11 +323,12 @@ def transposed_star(s, t):
 
 
 def products_match_literal(space, rng):
+    table = literal_concat_table(space)
     for bits in (EXACT_BITS, FINE_BITS):
         kinds = series_kinds(rng, space, bits)
         for s in kinds:
             for t in kinds:
-                if s * t != literal_product(s, t):
+                if s * t != literal_product(s, t, table):
                     return False
     return True
 
