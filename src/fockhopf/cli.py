@@ -16,7 +16,11 @@ from .corep import spectrum
 from .spaces import FockSpace
 from .verify import ALL_SUITES, SuiteConfig, build_report, default_grid
 from .wandering import wandering_check
-from .words import Alphabet
+from .words import Alphabet, count_words
+
+# The spectrum lists one character per word, so inputs with more words are
+# refused; this admits n=2 up to depth 17.
+SPECTRUM_WORD_BUDGET = 1 << 18
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -118,8 +122,10 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     try:
         if args.depth < 1:
             raise ValueError("depth must be >= 1")
-        space = FockSpace(Alphabet(args.n), args.depth)
-        chars = spectrum(space)
+        alphabet = Alphabet(args.n)
+        if count_words(alphabet, args.depth) > SPECTRUM_WORD_BUDGET:
+            raise ValueError(f"more than {SPECTRUM_WORD_BUDGET} words; lower --n or --depth")
+        chars = spectrum(FockSpace(alphabet, args.depth))
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     names = [w.text(args.n) for w in chars]

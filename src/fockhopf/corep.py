@@ -9,10 +9,12 @@ cross-check.  Representations of the predual are stored by their values on
 the indicator basis, where convolution is pointwise and the representation
 law is exactly the same idempotent condition.
 
-Both kinds of object hold their family as one :class:`spaces.StackedFamily`
-(B_w[y, x] at row index(w) dim K + y, column x), built once, and every check
-reads that stack.  All characters at once are one such family,
-:func:`characters`, the diagonal of the matrix units E_ww.  Basis indices of
+Both kinds of object hold their family as one :class:`spaces.StackedFamily`:
+its entries (index(w), y, x, B_w[y, x]) in sorted arrays, built once, and
+every check reads those arrays.  The law check joins the entries with
+themselves on the aux index, so it needs memory linear in the joined pairs.
+All characters at once are one such family, :func:`characters`, the dim
+entries of the matrix units E_ww.  Basis indices of
 concatenations come from the graded rule :func:`graded.concat`: directly in
 :func:`fundamental_corep` and :func:`tensor_product_rep`, and through the
 cached realize pattern in :func:`corep_from_rep`.  The check
@@ -28,8 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scipy import sparse
-
 from . import graded
 from .predual import Functional
 from .regular import FourierSeries, _realize_pattern, word_shift
@@ -43,9 +43,10 @@ from .spaces import (
     TensorSpace,
     Vector,
     coo_sum,
+    gather_groups,
     leg_embed,
-    max_abs,
     max_entry_diff,
+    sum_by_key,
     tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
@@ -61,7 +62,7 @@ _SCALAR_ONE = Operator.identity(SCALAR_SPACE)
 class Corepresentation:
     """Operator on H (x) K together with its sliced decomposition family.
 
-    ``family`` is the stacked vacuum column block of the operator.
+    ``family`` holds the entries of the operator's vacuum columns.
     """
 
     space: TensorSpace
@@ -78,18 +79,10 @@ class Corepresentation:
     def aux(self) -> Space:
         return self.space.factors[1]
 
-    def component(self, w: Word) -> Operator:
-        return self.family[w] if w in self.family else Operator.zero(self.aux)
-
     @classmethod
     def from_operator(cls, op: Operator) -> "Corepresentation":
-        space = op.domain
-        if op.codomain != space or not isinstance(space, TensorSpace) or len(space.factors) != 2:
-            raise ValueError("a corepresentation operator must be square on a two-factor space")
-        fock = space.factors[0]
-        if not isinstance(fock, FockSpace):
-            raise ValueError("the first tensor factor must be a Fock space")
-        return cls(space, op, vacuum_leg_decomposition(op, leg=1))
+        """Slice the family off a square operator on H (x) K; ValueError on any other."""
+        return cls(op.domain, op, vacuum_leg_decomposition(op, leg=1))
 
 
 @dataclass(frozen=True)
@@ -131,44 +124,30 @@ def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
         lrows.append(rows)
         lcols.append(cols)
         lvals.append(vals)
-    # Shift entries are grouped by word in support order; family entry e
-    # takes every entry of its word's group.
-    counts = np.array([part.size for part in lvals])
-    word, y = family.entry_rows
-    block, d = family.block, aux.dim
-    group = np.searchsorted(family.support, word)
-    reps = counts[group]
-    entry = np.repeat(np.arange(word.size), reps)
-    first = (np.cumsum(counts) - counts)[group] - (np.cumsum(reps) - reps)
-    pos = np.arange(entry.size) + np.repeat(first, reps)
-    rows = np.concatenate(lrows)[pos] * d + y[entry]
-    cols = np.concatenate(lcols)[pos] * d + block.indices[entry]
-    return coo_sum(space, [rows], [cols], [np.concatenate(lvals)[pos] * block.data[entry]])
+    # Family entry e takes every shift entry of its word.
+    owner = np.repeat(family.support, [part.size for part in lvals])
+    entry, pos = gather_groups(owner, family.word, fock.dim)
+    rows = np.concatenate(lrows)[pos] * aux.dim + family.row[entry]
+    cols = np.concatenate(lcols)[pos] * aux.dim + family.col[entry]
+    return coo_sum(space, [rows], [cols], [np.concatenate(lvals)[pos] * family.val[entry]])
 
 
 def idempotent_family_defect(family: StackedFamily) -> float:
     """Largest entrywise failure of F_u F_v = delta_{uv} F_u over word pairs.
 
     Zero components satisfy every pair they touch, so only the stored
-    members matter.  Block (u, v) of vstack(F) @ hstack(F) is F_u F_v, so one
-    sparse multiply against block_diag(F) covers every pair.  The stack is
-    vstack(F) with a block per basis word, and the other two operands are
-    read off its arrays: F_w[y, x] sits at column index(w) d + x of both,
-    in row y of hstack(F) and in the stack's own row of block_diag(F).
+    entries matter.  An entry join: each stored (u, y, x, a) pairs with every
+    stored (v, x, z, b), the products a b sum per key (u, y, v, z) over x
+    ascending, and each stored F_u[y, z] is then subtracted at (u, y, u, z),
+    the order of a sparse product followed by its difference.  Memory is
+    linear in the joined pairs.
     """
-    block = family.block
-    if not block.nnz:
-        return 0.0
-    size, d = block.shape
-    word, y = family.entry_rows
-    cols = word * d + block.indices
-    order = np.argsort(y, kind="stable")
-    hstack = sparse.csr_matrix(
-        (block.data[order], cols[order], np.concatenate(([0], np.cumsum(np.bincount(y, minlength=d))))),
-        shape=(d, size),
-    )
-    diag = sparse.csr_matrix((block.data, cols, block.indptr), shape=(size, size))
-    return max_abs(block @ hstack - diag)
+    u, y, x, a = family.word, family.row, family.col, family.val
+    left, right = gather_groups(y, x, family.aux.dim)  # right in (v, z) order
+    pairs = ((u[left], u), (y[left], y), (u[right], u), (x[right], x))
+    keys = [np.concatenate(pair) for pair in pairs]
+    products = sum_by_key(keys, np.concatenate((a[left] * a[right], -a)))[1]
+    return float(np.abs(products).max(initial=0.0))
 
 
 def criterion_defect(corep: Corepresentation) -> float:
@@ -266,16 +245,12 @@ class PredualRep:
                 f"family violates the representation law (defect {self.law_defect:.3e})"
             )
 
-    def component(self, w: Word) -> Operator:
-        return self.family[w] if w in self.family else Operator.zero(self.aux)
-
     def evaluate(self, f: Functional) -> Operator:
         """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass over the stack."""
         if f.space != self.space:
             raise ValueError("functional lives on a different space")
-        block = self.family.block
-        word, y = self.family.entry_rows
-        return coo_sum(self.aux, [y], [block.indices], [block.data * f.values[word]])
+        fam = self.family
+        return coo_sum(self.aux, [fam.row], [fam.col], [fam.val * f.values[fam.word]])
 
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":
@@ -310,19 +285,13 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
         raise ValueError("representation indicator basis does not match the space")
     pair = TensorSpace((space, rep.aux))
     family, dk = rep.family, rep.aux.dim
-    block, (word, y) = family.block, family.entry_rows
     indptr, source, owner = _realize_pattern(space, space.depth, 1)
     image = np.repeat(np.arange(space.dim), np.diff(indptr))
-    # Pattern entries grouped by owner word; family entry e takes the group of its word.
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=space.dim)
-    reps = counts[word]
-    entry = np.repeat(np.arange(word.size), reps)
-    first = (np.cumsum(counts) - counts)[word] - (np.cumsum(reps) - reps)
-    pos = order[np.arange(entry.size) + np.repeat(first, reps)]
-    rows = image[pos] * dk + y[entry]
-    cols = source[pos] * dk + block.indices[entry]
-    v = Operator.from_entries(pair, pair, rows, cols, block.data[entry])
+    # Family entry e takes every pattern entry of its word.
+    entry, pos = gather_groups(owner, family.word, space.dim)
+    rows = image[pos] * dk + family.row[entry]
+    cols = source[pos] * dk + family.col[entry]
+    v = Operator.from_entries(pair, pair, rows, cols, family.val[entry])
 
     check = shift_tensor_sum(family)
     if max_entry_diff(v, check) != 0.0:
@@ -333,14 +302,13 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
 def characters(space: FockSpace) -> PredualRep:
     """Every character at once: the direct sum of the chi_w on C^dim.
 
-    Member w is the matrix unit E_ww, so the stack holds a single 1 at row
-    index(w) (dim + 1) and column index(w).  The family is block-diagonal in
-    the aux index, so its one law check, and any defect taken on it, is the
-    maximum over the characters one by one.
+    Member w is the matrix unit E_ww, so the family is the dim entries
+    (index(w), index(w), index(w), 1).  It is block-diagonal in the aux
+    index, so its one law check, and any defect taken on it, is the maximum
+    over the characters one by one.
     """
-    dim, aux, k = space.dim, AuxSpace(space.dim), np.arange(space.dim)
-    stack = sparse.csr_matrix((np.ones(dim), (k * (dim + 1), k)), shape=(dim * dim, dim))
-    return PredualRep(space, aux, StackedFamily(space, aux, stack))
+    aux, k = AuxSpace(space.dim), np.arange(space.dim)
+    return PredualRep(space, aux, StackedFamily(space, aux, k, k, k, np.ones(space.dim)))
 
 
 def spectrum(space: FockSpace) -> list[Word]:
@@ -357,12 +325,16 @@ def spectrum(space: FockSpace) -> list[Word]:
 def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries:
     """The series c with c_w = (pi_w x, y), realizable inside the shift algebra.
 
-    One product of the stack with x gives every pi_w x, one block per word.
+    Each stored entry pi_w[r, s] = b adds b x_s to (pi_w x)_r, in column
+    order, and each (pi_w x)_r then adds its product with conj(y_r) to c_w.
     """
     if x.space != rep.aux or y.space != rep.aux:
         raise ValueError("coefficient vectors must live on the auxiliary space")
-    images = (rep.family.block @ x.data).reshape(rep.space.dim, rep.aux.dim)
-    return FourierSeries(rep.space.alphabet, images @ np.conj(y.data))
+    fam = rep.family
+    (word, row), images = sum_by_key([fam.word, fam.row], fam.val * x.data[fam.col])
+    coeffs = np.zeros(rep.space.dim, dtype=np.complex128)
+    np.add.at(coeffs, word, images * np.conj(y.data[row]))
+    return FourierSeries(rep.space.alphabet, coeffs)
 
 
 def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:
@@ -371,20 +343,18 @@ def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:
     The component at w collects every factorization w = u v:
     (r1 x r2)_w = sum_{uv=w} pi1_u (x) pi2_v on K1 (x) K2.  Each pair of
     stored entries pi1_u[y1, x1] = a and pi2_v[y2, x2] = b with
-    |u| + |v| <= depth adds a b at row index(u v) d1 d2 + y1 d2 + y2 and
-    column x1 d2 + x2 of the product stack.
+    |u| + |v| <= depth adds a b to the entry (index(u v), y1 d2 + y2,
+    x1 d2 + x2) of the product family; entries that sum to zero are dropped.
     """
     if r1.space != r2.space:
         raise ValueError("representations have different indicator bases")
     space = r1.space
     aux = tensor_space(r1.aux, r2.aux)
-    b1, b2, d2 = r1.family.block, r2.family.block, r2.aux.dim
-    (u, y1), (v, y2) = r1.family.entry_rows, r2.family.entry_rows
-    (ku, ru), (kv, rv) = graded.length_rank(space, u), graded.length_rank(space, v)
+    f1, f2, d2 = r1.family, r2.family, r2.aux.dim
+    (ku, ru), (kv, rv) = graded.length_rank(space, f1.word), graded.length_rank(space, f2.word)
     i, j = np.nonzero(ku[:, None] + kv[None, :] <= space.depth)
-    rows = graded.concat(space, ku[i], ru[i], kv[j], rv[j]) * aux.dim + y1[i] * d2 + y2[j]
-    cols = b1.indices[i] * d2 + b2.indices[j]
-    entries = (b1.data[i] * b2.data[j], (rows, cols))
-    stack = sparse.coo_matrix(entries, shape=(space.dim * aux.dim, aux.dim)).tocsr()
-    stack.eliminate_zeros()
-    return PredualRep(space, aux, StackedFamily(space, aux, stack))
+    word = graded.concat(space, ku[i], ru[i], kv[j], rv[j])
+    keys = [word, f1.row[i] * d2 + f2.row[j], f1.col[i] * d2 + f2.col[j]]
+    keys, vals = sum_by_key(keys, f1.val[i] * f2.val[j])
+    keep = vals != 0
+    return PredualRep(space, aux, StackedFamily(space, aux, *(k[keep] for k in keys), vals[keep]))

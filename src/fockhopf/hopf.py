@@ -40,11 +40,12 @@ from .spaces import (
     Operator,
     basis_vector,
     flip_operator,
+    gather_groups,
     max_entry_diff,
     slice_left,
     slice_right,
     tensor_op,
-    vacuum_block,
+    vacuum_leg_decomposition,
 )
 from .words import Word
 
@@ -89,7 +90,7 @@ def _legwise_columns(
     comultiplication ``delta``: leg 2 takes the first-leg family of
     delta = sum_w L_w (x) C_w, giving (Delta (x) id) Delta, and leg 0 the
     second-leg family of delta = sum_w C_w (x) L_w, giving (id (x) Delta) Delta.
-    Each stored entry C_w[y, x] of the vacuum block, for each requested column
+    Each stored entry C_w[y, x] of that family, for each requested column
     whose family-leg index is x, lands at y on the family leg and at w u on
     each shift leg (u that column's index there); entries with some
     |w| + |u| > depth are dropped.
@@ -97,19 +98,16 @@ def _legwise_columns(
     dim, depth = space.dim, space.depth
     shape = (dim,) * 3
     parts = np.unravel_index(columns, shape)
-    block = vacuum_block(delta, leg=1 if family_leg == 2 else 2).tocsc()
-    # Gather the stored entries of block column x for every requested column.
-    first = block.indptr[parts[family_leg]]
-    counts = block.indptr[parts[family_leg] + 1] - first
-    col = np.repeat(np.arange(columns.size), counts)
-    pos = np.arange(col.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    w, y = np.divmod(block.indices[pos], dim)
+    family = vacuum_leg_decomposition(delta, leg=1 if family_leg == 2 else 2)
+    # Gather the stored entries of family column x for every requested column.
+    col, pos = gather_groups(family.col, parts[family_leg], dim)
+    w, y = family.word[pos], family.row[pos]
     shift_legs = [leg for leg in range(3) if leg != family_leg]
     lengths = space.lengths
     fits = np.logical_and.reduce(
         [lengths[w] + lengths[parts[leg][col]] <= depth for leg in shift_legs]
     )
-    w, y, col, vals = w[fits], y[fits], col[fits], block.data[pos[fits]]
+    w, y, col, vals = w[fits], y[fits], col[fits], family.val[pos[fits]]
     lw, rw = graded.length_rank(space, w)
     legs = {family_leg: y}
     for leg in shift_legs:

@@ -433,52 +433,35 @@ def _tensor_pair(t: Operator) -> tuple[Space, Space]:
     return space.factors[0], space.factors[1]
 
 
-def vacuum_block(t: Operator, leg: int = 1) -> sparse.csr_matrix:
-    """Coefficient family of a two-leg operator as one stacked vacuum column block.
-
-    For ``leg=1`` the family {w: C_w} of T = sum_w L_w (x) C_w has
-    C_w[y, x] = T[(w, y), (e, x)], the slice of T against the vacuum/word
-    rank-one pair on the first leg; ``leg=2`` reads the second leg
-    symmetrically.  Either way C_w[y, x] sits at row index(w) d + y and
-    column x, with d the dimension of the other leg.
-    """
-    if leg not in (1, 2):
-        raise ValueError(f"leg must be 1 or 2, got {leg}")
-    first, second = _tensor_pair(t)
-    if not isinstance(first if leg == 1 else second, FockSpace):
-        raise ValueError(f"tensor factor {leg} is not a Fock space")
-    d1, d2 = first.dim, second.dim
-    if leg == 1:
-        return t.matrix[:, :d2]  # the vacuum word is basis index 0
-    # Columns (x, e) are every d2-th; rows (y, w) are re-keyed to (w, y).
-    rekey = np.arange(d1 * d2).reshape(d1, d2).T.ravel()
-    return t.matrix[:, ::d2][rekey]
-
-
 @dataclass(frozen=True, eq=False)
 class StackedFamily(Mapping):
-    """A word-keyed family {w: B_w} of operators on ``aux``, held as one stacked CSR.
+    """A word-keyed family {w: B_w} of operators on ``aux``, held as its entries.
 
-    B_w[y, x] sits at row index(w) d + y and column x of ``block`` (d the
-    dimension of ``aux``), the layout of :func:`vacuum_block`.  As a mapping it
-    shows, in basis order, the words whose row range stores an entry; each
-    member is sliced off the CSR arrays when first read.
+    Each stored entry B_w[y, x] = b is one position of the arrays ``word``
+    (index(w)), ``row`` (y), ``col`` (x) and ``val`` (b), sorted by
+    (word, row, col) with duplicates summed; the arrays are read-only.
+    Memory is linear in the stored entries, whatever the dimension of
+    ``aux``.  As a mapping it shows, in basis order, the words that store an
+    entry; each member is built from its entries when read.
     """
 
     fock: FockSpace
     aux: Space
-    block: sparse.csr_matrix
+    word: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = self.block
-        if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
-            mat = sparse.csr_matrix(mat, dtype=np.complex128)
-        if mat.shape != (self.fock.dim * self.aux.dim, self.aux.dim):
-            raise ValueError(f"stacked block shape {mat.shape} does not match the spaces")
-        mat.sum_duplicates()
-        for arr in (mat.data, mat.indices, mat.indptr):
+        keys = [np.asarray(a, dtype=np.int64).ravel() for a in (self.word, self.row, self.col)]
+        val = np.asarray(self.val, dtype=np.complex128).ravel()
+        bounds = (self.fock.dim, self.aux.dim, self.aux.dim)
+        if any(k.size != val.size or np.any((k < 0) | (k >= b)) for k, b in zip(keys, bounds)):
+            raise ValueError("family entries do not match the spaces")
+        keys, val = sum_by_key(keys, val)
+        for name, arr in zip(("word", "row", "col", "val"), (*keys, val)):
             arr.setflags(write=False)
-        object.__setattr__(self, "block", mat)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_members(
@@ -490,41 +473,26 @@ class StackedFamily(Mapping):
                 raise ValueError(f"family word {w} exceeds depth {fock.depth}")
             if op.domain != aux or op.codomain != aux:
                 raise ValueError("family operators must be square on the auxiliary space")
-        d = aux.dim
-        members = sorted((fock.index_of(w), op.matrix) for w, op in family.items() if op.nnz)
-        counts = np.zeros((fock.dim, d), dtype=np.int64)
-        for k, mat in members:
-            counts[k] = np.diff(mat.indptr)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        data = np.concatenate([np.empty(0, dtype=np.complex128)] + [m.data for _, m in members])
-        indices = np.concatenate([np.empty(0, dtype=np.int64)] + [m.indices for _, m in members])
-        return cls(fock, aux, sparse.csr_matrix((data, indices, indptr), shape=(fock.dim * d, d)))
+        members = [(fock.index_of(w), op.matrix.tocoo()) for w, op in family.items() if op.nnz]
+        parts = [(np.full(c.nnz, k), c.row, c.col, c.data) for k, c in members]
+        empty = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)
+        return cls(fock, aux, *(np.concatenate(arrs) for arrs in zip(empty, *parts)))
 
     @cached_property
     def support(self) -> np.ndarray:
         """Ascending basis indices of the words whose members store an entry."""
-        return np.flatnonzero(np.diff(self.block.indptr[:: self.aux.dim]))
-
-    @cached_property
-    def entry_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Word index and member row of each stored entry, in storage order."""
-        rows = np.repeat(np.arange(self.block.shape[0]), np.diff(self.block.indptr))
-        return np.divmod(rows, self.aux.dim)
-
-    @cached_property
-    def _members(self) -> dict[Word, Operator]:
-        d, block = self.aux.dim, self.block
-        data, indices, indptr = block.data, block.indices, block.indptr
-        members = {}
-        for k in self.support:
-            rows = indptr[k * d : (k + 1) * d + 1]
-            lo, hi = rows[0], rows[-1]
-            mat = sparse.csr_matrix((data[lo:hi], indices[lo:hi], rows - lo), shape=(d, d))
-            members[self.fock.words[k]] = Operator(self.aux, self.aux, mat)
-        return members
+        return np.unique(self.word)
 
     def __getitem__(self, w: Word) -> Operator:
-        return self._members[w]
+        try:
+            k = self.fock.index_of(w)
+        except ValueError:
+            raise KeyError(w) from None
+        lo, hi = np.searchsorted(self.word, [k, k + 1])
+        if lo == hi:
+            raise KeyError(w)
+        entries = (self.row[lo:hi], self.col[lo:hi], self.val[lo:hi])
+        return Operator.from_entries(self.aux, self.aux, *entries)
 
     def __iter__(self) -> Iterator[Word]:
         return (self.fock.words[k] for k in self.support)
@@ -534,13 +502,62 @@ class StackedFamily(Mapping):
 
 
 def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> StackedFamily:
-    """The family of :func:`vacuum_block` as a word-keyed :class:`StackedFamily`.
+    """Coefficient family of a two-leg operator, read off its vacuum columns.
 
-    Only words whose row range of the block stores an entry appear.
+    For ``leg=1`` the family {w: C_w} of T = sum_w L_w (x) C_w has
+    C_w[y, x] = T[(w, y), (e, x)], the slice of T against the vacuum/word
+    rank-one pair on the first leg; ``leg=2`` reads the second leg
+    symmetrically, C_w[y, x] = T[(y, w), (x, e)].  Each stored entry of those
+    columns is one family entry (index(w), y, x), so only words that store an
+    entry appear.
     """
-    block = vacuum_block(t, leg)
-    fock, other = _tensor_pair(t)[:: 1 if leg == 1 else -1]
-    return StackedFamily(fock, other, block)
+    if leg not in (1, 2):
+        raise ValueError(f"leg must be 1 or 2, got {leg}")
+    first, second = _tensor_pair(t)
+    fock, other = (first, second) if leg == 1 else (second, first)
+    if not isinstance(fock, FockSpace):
+        raise ValueError(f"tensor factor {leg} is not a Fock space")
+    mat, d2 = t.matrix, second.dim
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    cols = mat.indices
+    # The vacuum word is basis index 0: its columns are (e, x) = x, or (x, e) = x d2.
+    if leg == 1:
+        keep = np.flatnonzero(cols < d2)
+        (w, y), x = np.divmod(rows[keep], d2), cols[keep]
+    else:
+        keep = np.flatnonzero(cols % d2 == 0)
+        (y, w), x = np.divmod(rows[keep], d2), cols[keep] // d2
+    return StackedFamily(fock, other, w, y, x, mat.data[keep])
+
+
+def gather_groups(key: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair every item with every position of ``key`` that holds its group.
+
+    Item i belongs to group ``groups[i]``, and keys and groups lie below
+    ``size``.  Returns (item, pos), item by item, each item's positions
+    ascending.
+    """
+    counts = np.bincount(key, minlength=size)
+    reps = counts[groups]
+    item = np.repeat(np.arange(groups.size), reps)
+    first = (np.cumsum(counts) - counts)[groups] - (np.cumsum(reps) - reps)
+    return item, np.argsort(key, kind="stable")[np.arange(item.size) + np.repeat(first, reps)]
+
+
+def sum_by_key(keys: Sequence[np.ndarray], vals: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct keys in lexicographic order, with the sum of each key's values.
+
+    ``keys`` are parallel index arrays, the first most significant.  The
+    values of one key are added in array order, starting from zero, as a
+    sparse product accumulates them.
+    """
+    order = np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    sums = np.zeros(np.count_nonzero(new), dtype=np.complex128)
+    np.add.at(sums, np.cumsum(new) - 1, vals[order])
+    return [k[new] for k in keys], sums
 
 
 def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:

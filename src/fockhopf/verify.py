@@ -477,8 +477,11 @@ def _chk_roundtrips(cfg: SuiteConfig, rng) -> tuple[float, float]:
     chars = corep_mod.characters(space)
     v_chars = corep_mod.corep_from_rep(chars, space)
     worst = max(worst, max_abs(v_chars.operator.matrix - w_corep.operator.matrix))
-    rep_back = corep_mod.rep_from_corep(v_chars)
-    return max(worst, max_abs(rep_back.family.block - chars.family.block)), 0.0
+    # The entries of both families, the second negated, sum to their difference.
+    back, want = corep_mod.rep_from_corep(v_chars).family, chars.family
+    arrays = zip((back.word, back.row, back.col, back.val), (want.word, want.row, want.col, -want.val))
+    diff = StackedFamily(space, chars.aux, *(np.concatenate(pair) for pair in arrays))
+    return max(worst, float(np.abs(diff.val).max(initial=0.0))), 0.0
 
 
 def _chk_rep_multiplicativity(cfg: SuiteConfig, rng) -> tuple[float, float]:

@@ -20,6 +20,9 @@ from .regular import word_shift
 from .spaces import FockSpace, tensor_op
 from .words import Alphabet, Word, count_words, max_common_prefix
 
+# The Gram blocks of the shift operators are checked up to this many basis tuples.
+GRAM_LIMIT = 4096
+
 
 def strip_common_prefix(tup: Sequence[Word]) -> tuple[Word, tuple[Word, ...]]:
     """Factor a tuple as (w, wandering tuple) with w the maximal common prefix."""
@@ -115,9 +118,7 @@ def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
     return counts
 
 
-def wandering_check(
-    alphabet: Alphabet, k: int, depth: int, gram_limit: int = 4096
-) -> WanderingReport:
+def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
     """Verify orthogonality, unique-cover completeness, and dimension growth.
 
     The shifted copies of the wandering span are certified pairwise orthogonal
@@ -151,7 +152,7 @@ def wandering_check(
 
     orthogonality_defect = 0.0 if cover_injective else 1.0
     gram_checked = False
-    if total <= gram_limit:
+    if total <= GRAM_LIMIT:
         orthogonality_defect = max(orthogonality_defect, _gram_defect(alphabet, k, depth, mask))
         gram_checked = True
 

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from fockhopf import cli
 from fockhopf.cli import main
+from fockhopf.spaces import FockSpace
 from fockhopf.verify import SuiteConfig, build_checks, default_grid
+from fockhopf.words import Alphabet, count_words
 
 
 def run_cli(args):
@@ -21,6 +24,21 @@ def test_spectrum_json(capsys):
     assert run_cli(["spectrum", "--n", "1", "--depth", "3", "--format", "json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob == {"n": 1, "depth": 3, "characters": ["e", "1", "11", "111"]}
+
+
+def test_spectrum_refuses_inputs_over_the_word_budget(monkeypatch):
+    # Refused before any word table or character array is built; n=2 at
+    # depth 16 is admitted.
+    assert count_words(Alphabet(2), 16) <= cli.SPECTRUM_WORD_BUDGET
+
+    def unreachable(*args):
+        raise AssertionError("the oversized input was not refused")
+
+    monkeypatch.setattr(FockSpace, "words", property(unreachable))
+    monkeypatch.setattr(cli, "spectrum", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectrum", "--n", "2", "--depth", "30"])
+    assert exc.value.code == 2
 
 
 def test_wandering_text(capsys):

@@ -583,16 +583,14 @@ def literal_table_corep_from_rep(rep, space):
     # word's stored entries.
     pair = TensorSpace((space, rep.aux))
     family, dk = rep.family, rep.aux.dim
-    block, (_, y) = family.block, family.entry_rows
-    starts = block.indptr[::dk]
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
     for k in family.support:
         table = literal_shift_index_table(space, space.words[k], "left")
-        lo, hi = starts[k], starts[k + 1]
-        rows.append((table[:, None] * dk + y[lo:hi]).ravel())
-        cols.append((np.arange(table.size)[:, None] * dk + block.indices[lo:hi]).ravel())
-        vals.append(np.tile(block.data[lo:hi], table.size))
+        at = family.word == k
+        rows.append((table[:, None] * dk + family.row[at]).ravel())
+        cols.append((np.arange(table.size)[:, None] * dk + family.col[at]).ravel())
+        vals.append(np.tile(family.val[at], table.size))
     entries = (np.concatenate(parts) for parts in (rows, cols, vals))
     return Operator.from_entries(pair, pair, *entries)
 
@@ -630,6 +628,10 @@ def _block_end_words(space):
     starts = space._block_starts
     ends = {i for k in range(space.depth + 1) for i in (starts[k], starts[k + 1] - 1)}
     return [space.word_at(i) for i in sorted(ends)]
+
+
+def same_family_entries(a, b):
+    return all(np.array_equal(getattr(a, arr), getattr(b, arr)) for arr in ("word", "row", "col", "val"))
 
 
 def same_csr_arrays(a, b):
@@ -674,7 +676,7 @@ def test_tensor_product_rep_matches_kronecker_literal(n, depth):
     pairs += [(fundamental, c) for c in chars] + [(c, fundamental) for c in chars]
     for r1, r2 in pairs:
         got, want = tensor_product_rep(r1, r2), literal_tensor_product_rep(r1, r2)
-        assert got.aux == want.aux and same_csr_arrays(got.family.block, want.family.block)
+        assert got.aux == want.aux and same_family_entries(got.family, want.family)
 
 
 # ---------------------------------------------------------------------------

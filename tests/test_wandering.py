@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fockhopf import wandering
 from fockhopf.regular import word_shift
 from fockhopf.spaces import FockSpace, basis_vector, inner, tensor_op, tensor_space
 from fockhopf.wandering import (
@@ -126,8 +127,9 @@ def test_wandering_check_report():
     assert report.growth_strict
 
 
-def test_wandering_check_gram_limit():
-    big = wandering_check(A2, 2, 3, gram_limit=10)
+def test_wandering_check_gram_limit(monkeypatch):
+    monkeypatch.setattr(wandering, "GRAM_LIMIT", 10)
+    big = wandering_check(A2, 2, 3)
     assert not big.gram_checked
     assert big.passed
 
