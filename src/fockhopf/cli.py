@@ -21,6 +21,26 @@ from .words import Alphabet, count_words
 # The spectrum lists one character per word, so inputs with more words are
 # refused; this admits n=2 up to depth 17.
 SPECTRUM_WORD_BUDGET = 1 << 18
+# The wandering check holds a few arrays of one entry per basis k-tuple (about
+# 21 bytes a tuple: 353 MB peak at n=2, k=3, depth=7, 16.6M tuples), so inputs
+# with more tuples are refused.
+WANDERING_TUPLE_BUDGET = 1 << 24
+
+
+def _over_budget(alphabet: Alphabet, depth: int, k: int, budget: int) -> bool:
+    """Whether count_words(alphabet, depth) ** k exceeds the budget, for depth, k >= 1.
+
+    No integer much larger than the budget is built, so a huge --depth or --k
+    is refused at once: with n >= 2 there are at least 2^(depth+1) - 1 words.
+    """
+    if alphabet.n > 1 and depth >= budget.bit_length():
+        return True
+    words, total = count_words(alphabet, depth), 1
+    for _ in range(k):
+        total *= words
+        if total > budget:
+            return True
+    return False
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -123,7 +143,7 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if args.depth < 1:
             raise ValueError("depth must be >= 1")
         alphabet = Alphabet(args.n)
-        if count_words(alphabet, args.depth) > SPECTRUM_WORD_BUDGET:
+        if _over_budget(alphabet, args.depth, 1, SPECTRUM_WORD_BUDGET):
             raise ValueError(f"more than {SPECTRUM_WORD_BUDGET} words; lower --n or --depth")
         chars = spectrum(FockSpace(alphabet, args.depth))
     except ValueError as exc:
@@ -142,7 +162,12 @@ def _cmd_wandering(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             raise ValueError("k must be >= 1")
         if args.depth < 1:
             raise ValueError("depth must be >= 1")
-        report = wandering_check(Alphabet(args.n), args.k, args.depth)
+        alphabet = Alphabet(args.n)
+        if _over_budget(alphabet, args.depth, args.k, WANDERING_TUPLE_BUDGET):
+            raise ValueError(
+                f"more than {WANDERING_TUPLE_BUDGET} k-tuples; lower --n, --k or --depth"
+            )
+        report = wandering_check(alphabet, args.k, args.depth)
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
     if args.format == "json":

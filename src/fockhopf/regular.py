@@ -244,24 +244,43 @@ def fourier_coefficients(t: Operator) -> FourierSeries:
     return FourierSeries(space.alphabet, t.matrix @ np.eye(space.dim, 1))  # xi_e is index 0
 
 
+def _cesaro_ratios(series: FourierSeries, orders) -> np.ndarray:
+    """|w| / k for every word w of the series (columns) and every k in orders (rows)."""
+    return _layout(series.alphabet, series.degree).lengths / np.asarray(orders)[:, None]
+
+
+def cesaro_coefficients(series: FourierSeries, orders) -> np.ndarray:
+    """The coefficients of ``cesaro_sum(series, k)``, one row per k in orders.
+
+    Row k holds (1 - |w|/k)_+ a_w over every word of the series, so it is
+    zero past length k - 1.
+    """
+    return np.maximum(1.0 - _cesaro_ratios(series, orders), 0.0) * series.coeffs
+
+
 def cesaro_sum(series: FourierSeries, k: int) -> FourierSeries:
     """Degree-weighted partial sum: coefficient (1 - |w|/k) a_w for |w| < k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     space = _layout(series.alphabet, min(series.degree, k - 1))
-    return FourierSeries(series.alphabet, (1.0 - space.lengths / k) * series.coeffs[: space.dim])
+    return FourierSeries(series.alphabet, cesaro_coefficients(series, (k,))[0, : space.dim])
 
 
-def cesaro_error_bound(series: FourierSeries, k: int) -> float:
-    """Triangle-inequality bound sum_w (|w|/k) |a_w| on the safe-zone error.
+def cesaro_error_bounds(series: FourierSeries, orders) -> np.ndarray:
+    """Triangle-inequality bounds sum_w min(|w|/k, 1) |a_w| on the safe-zone error, one per k.
 
     The terms are summed one after another in basis order, and the moduli
     are ``hypot``'s, as Python's ``abs`` of a complex number gives them
     (numpy's complex ``abs`` can differ in the last bit).
     """
-    weights = np.minimum(_layout(series.alphabet, series.degree).lengths / k, 1.0)
+    weights = np.minimum(_cesaro_ratios(series, orders), 1.0)
     coeffs = series.coeffs
-    return float(np.cumsum(weights * np.hypot(coeffs.real, coeffs.imag))[-1])
+    return np.cumsum(weights * np.hypot(coeffs.real, coeffs.imag), axis=1)[:, -1]
+
+
+def cesaro_error_bound(series: FourierSeries, k: int) -> float:
+    """The bound of :func:`cesaro_error_bounds` for the one order k."""
+    return float(cesaro_error_bounds(series, (k,))[0])
 
 
 def membership_defect(t: Operator) -> float:

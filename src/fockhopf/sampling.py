@@ -70,19 +70,36 @@ def random_ball_point(
     precision only up to depth 5: the numerators of w(lambda) w(mu) and
     w(lambda mu) need about 11 |w| bits, so past depth 5 the two float routes
     can round apart (``predual.point_family`` misses its threshold-0 contract
-    by about 1e-19 at depths 7, 9 and 11).  Rejection keeps the
-    coordinates on the grid but its acceptance rate collapses in high
-    dimension, so after a bounded number of attempts the sample is halved
-    into the ball instead (halving a dyadic stays dyadic).
+    by about 1e-19 at depths 7, 9 and 11).
+
+    The point is the first of up to 65 grid samples, each drawn as by
+    :func:`dyadic_complex` (n real parts, then n imaginary parts), whose
+    squared moduli, summed left to right, fall below radius^2.  All 65 are
+    drawn at once and tested together; the generator is then rewound and
+    redraws exactly the samples up to the accepted one, so it ends where a
+    sample-by-sample loop would leave it.  Rejection keeps the coordinates on
+    the grid but its acceptance rate collapses in high dimension, so when the
+    first 64 samples all miss, the 65th is halved into the ball instead
+    (halving a dyadic stays dyadic).
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     bound = radius**2
-    coords = dyadic_complex(rng, n, bits=bits)
-    for _ in range(64):
-        if sum(abs(z) ** 2 for z in coords) < bound:
-            return tuple(complex(z) for z in coords)
-        coords = dyadic_complex(rng, n, bits=bits)
+    scale = 1 << bits
+    state = rng.bit_generator.state
+    draws = rng.integers(-scale, scale + 1, size=(65, 2, n))
+    samples = (draws[:, 0] + 1j * draws[:, 1]) / scale
+    squares = np.abs(samples) ** 2
+    norms = squares[:, 0]
+    for j in range(1, n):
+        norms = norms + squares[:, j]
+    inside = np.flatnonzero(norms[:64] < bound)
+    if inside.size:
+        used = int(inside[0]) + 1
+        rng.bit_generator.state = state
+        rng.integers(-scale, scale + 1, size=(used, 2, n))
+        return tuple(complex(z) for z in samples[used - 1])
+    coords = samples[64]
     while sum(abs(z) ** 2 for z in coords) >= bound:
         coords = coords / 2
     return tuple(complex(z) for z in coords)

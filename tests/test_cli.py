@@ -36,9 +36,35 @@ def test_spectrum_refuses_inputs_over_the_word_budget(monkeypatch):
 
     monkeypatch.setattr(FockSpace, "words", property(unreachable))
     monkeypatch.setattr(cli, "spectrum", unreachable)
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["spectrum", "--n", "2", "--depth", "30"])
-    assert exc.value.code == 2
+    for depth in ("30", "1000000000"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["spectrum", "--n", "2", "--depth", depth])
+        assert exc.value.code == 2
+
+
+def test_wandering_refuses_inputs_over_the_tuple_budget(monkeypatch):
+    # n=2, k=8, depth=3 has 15^8 (about 2.6e9) basis tuples and is refused
+    # before wandering_check runs, as are a huge --k and a huge --depth;
+    # n=2, k=3, depth=7 is admitted.
+    assert count_words(Alphabet(2), 7) ** 3 <= cli.WANDERING_TUPLE_BUDGET
+
+    def unreachable(*args):
+        raise AssertionError("the oversized input was not refused")
+
+    monkeypatch.setattr(cli, "wandering_check", unreachable)
+    for k, depth in (("8", "3"), ("1000000000", "3"), ("2", "1000000000")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["wandering", "--n", "2", "--k", k, "--depth", depth])
+        assert exc.value.code == 2
+
+
+def test_budget_test_matches_the_exact_power():
+    for budget in (cli.SPECTRUM_WORD_BUDGET, cli.WANDERING_TUPLE_BUDGET, 1000):
+        for n in (1, 2, 3, 7):
+            for depth in range(1, 30):
+                for k in range(1, 9):
+                    exact = count_words(Alphabet(n), depth) ** k > budget
+                    assert cli._over_budget(Alphabet(n), depth, k, budget) == exact
 
 
 def test_wandering_text(capsys):

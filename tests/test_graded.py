@@ -56,7 +56,9 @@ from fockhopf.predual import (
 )
 from fockhopf.regular import (
     FourierSeries,
+    cesaro_coefficients,
     cesaro_error_bound,
+    cesaro_error_bounds,
     cesaro_sum,
     fourier_coefficients,
     membership_defect,
@@ -86,6 +88,7 @@ from fockhopf.spaces import (
 )
 from fockhopf.wandering import _cover_counts, _wandering_mask, isometry_on_wandering_defect
 from fockhopf.verify import (
+    CESARO_ORDERS,
     SuiteConfig,
     _cesaro_error_vectors,
     _slice_oracle_defect,
@@ -368,6 +371,24 @@ def test_cesaro_weights_match_literal(n, depth):
         for k in range(1, 14):
             assert cesaro_sum(s, k) == literal_cesaro_sum(s, k)
             assert cesaro_error_bound(s, k) == literal_cesaro_error_bound(s, k)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_batched_cesaro_rows_match_each_order(n, depth):
+    # Fully and sparsely supported series of every degree, and the zero series.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "cesaro-batch", n)
+    kinds = series_kinds(rng, space, FINE_BITS)
+    sparse_kinds = [{w: c for w, c in s.items() if rng.random() < 0.5} for s in kinds]
+    kinds += [FourierSeries(space.alphabet, coeffs) for coeffs in sparse_kinds]
+    orders = (1, 2, 3, *CESARO_ORDERS, 13)
+    for s in kinds:
+        coeffs, bounds = cesaro_coefficients(s, orders), cesaro_error_bounds(s, orders)
+        assert coeffs.shape == (len(orders), s.coeffs.size) and bounds.shape == (len(orders),)
+        for row, bound, k in zip(coeffs, bounds, orders):
+            partial = cesaro_sum(s, k).coeffs
+            assert np.array_equal(row, np.pad(partial, (0, s.coeffs.size - partial.size)))
+            assert bound == cesaro_error_bound(s, k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from fockhopf.predual import (
 from fockhopf.regular import FourierSeries
 from fockhopf.sampling import (
     EXACT_BITS,
+    dyadic_complex,
     random_ball_point,
     random_rank_one_functional,
     random_vector,
@@ -370,3 +371,34 @@ def test_ball_sampling_terminates_in_high_dimension():
             scaled = [z * 2**12 for z in lam]
             for z in scaled:
                 assert float(z.real).is_integer() and float(z.imag).is_integer()
+
+
+def looped_ball_point(rng, n, radius, bits):
+    """Rejection one sample at a time, then halving: what the one-draw replay reproduces."""
+    bound = radius**2
+    coords = dyadic_complex(rng, n, bits=bits)
+    for _ in range(64):
+        if sum(abs(z) ** 2 for z in coords) < bound:
+            return tuple(complex(z) for z in coords)
+        coords = dyadic_complex(rng, n, bits=bits)
+    while sum(abs(z) ** 2 for z in coords) >= bound:
+        coords = coords / 2
+    return tuple(complex(z) for z in coords)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
+def test_ball_sampling_replays_the_rejection_loop(n):
+    # Same coordinates bit for bit (signed zeros included) and the same
+    # generator state after every call.  Radius 0.05 mostly ends in halving;
+    # on radius 0.5 the grid meets the sphere, where only the strict test rejects.
+    for radius in (0.05, 0.5, 0.7, 0.97):
+        for bits in (3, 5):
+            replayed = rng_for(0, "ball-replay", n, radius, bits)
+            looped = rng_for(0, "ball-replay", n, radius, bits)
+            for _ in range(40):
+                got = random_ball_point(replayed, n, radius=radius, bits=bits)
+                want = looped_ball_point(looped, n, radius, bits)
+                assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                    (z.real.hex(), z.imag.hex()) for z in want
+                ]
+                assert replayed.bit_generator.state == looped.bit_generator.state
