@@ -51,10 +51,10 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run verification suites and emit a report")
-    verify.add_argument("--n", type=int, default=2, help="number of generators (default 2)")
-    verify.add_argument("--depth", type=int, default=3, help="truncation depth (default 3)")
-    verify.add_argument("--suites", type=str, default=",".join(ALL_SUITES),
-                        help="comma-separated subset of: " + ",".join(ALL_SUITES))
+    verify.add_argument("--n", type=int, help="number of generators (default 2)")
+    verify.add_argument("--depth", type=int, help="truncation depth (default 3)")
+    verify.add_argument("--suites", type=str,
+                        help=f"comma-separated subset of: {','.join(ALL_SUITES)} (default all)")
     verify.add_argument("--tolerance", type=float, default=1e-9,
                         help="absolute per-entry tolerance for oracle checks (default 1e-9)")
     verify.add_argument("--trials", type=int, default=100,
@@ -109,19 +109,22 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    given = [f"--{name}" for name in ("n", "depth", "suites") if getattr(args, name) is not None]
+    if args.full and given:
+        parser.error(f"--full runs its own grid and would ignore {', '.join(given)}")
     try:
         if args.full:
             configs = default_grid(args.seed, args.tolerance, args.trials)
         else:
+            names = ",".join(ALL_SUITES) if args.suites is None else args.suites
             configs = [
                 SuiteConfig(
-                    n=args.n,
-                    depth=args.depth,
+                    n=2 if args.n is None else args.n,
+                    depth=3 if args.depth is None else args.depth,
                     tolerance=args.tolerance,
                     trials=args.trials,
                     seed=args.seed,
-                    suites=suites,
+                    suites=tuple(s.strip() for s in names.split(",") if s.strip()),
                 )
             ]
         report = build_report(

@@ -7,23 +7,25 @@ Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
 defects are all contractually zero on their safe zones (:func:`graded.within`).
 
-Those four checks run on cached plans.  Every series of one degree shares
-the sparsity pattern of its comultiplication, so each plan is built once per
-(space, degree), or per (space, deg s, deg t, deg st) for the homomorphism,
-and a series only gathers its coefficient array through it:
+Those four checks run on cached plans, and the grouplike solve on one
+comparison per space.  Each reads a series that tags every word with a
+distinct value, through the one decoder :func:`_decode_tags`.  Every series
+of one degree shares the sparsity pattern of its comultiplication, so each
+plan is built once per (space, degree), or per (space, deg s, deg t, deg st)
+for the homomorphism, and a series only gathers its coefficient array
+through it:
 
 * coassociativity, cocommutativity and integral invariance run their
-  operator routes once, on a series that tags each word with a distinct
-  value; every compared entry must be exactly one word's tag, so the plan
-  records which coefficient each side reads there and a series' defect is
-  the largest difference of two gathered coefficients, the same float
-  subtraction the operator routes make;
-* the homomorphism composes the fold-2 patterns of deg s and deg t over the
-  safe-zone columns, recording which coefficient pairs a_u b_v each entry of
-  Delta(s) Delta(t) sums, against the pattern of the product s t, the graded
-  Cauchy product of :meth:`FourierSeries.__mul__`.  On dyadic coefficients
-  those products and their sums are exact doubles, so the order of
-  summation cannot matter.
+  operator routes once, on the tagged series; every compared entry must be
+  exactly one word's tag, so the plan records which coefficient each side
+  reads there and a series' defect is the largest difference of two
+  gathered coefficients, the same float subtraction the operator routes make;
+* the homomorphism composes the tagged comultiplications of deg s and deg t
+  over the safe-zone columns, recording which coefficient pairs a_u b_v each
+  entry of Delta(s) Delta(t) sums, against that of the product s t, the
+  graded Cauchy product of :meth:`FourierSeries.__mul__`.  On dyadic
+  coefficients those products and their sums are exact doubles, so the
+  order of summation cannot matter.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .regular import FourierSeries, _coefficients_on, _realize_pattern, realize
+from .corep import shift_tensor_sum
+from .regular import FourierSeries, _coefficients_on, realize
 from .spaces import (
+    SCALAR_SPACE,
     FockSpace,
     Operator,
+    StackedFamily,
     basis_vector,
     flip_operator,
     gather_groups,
@@ -126,24 +131,30 @@ def _tags(index: np.ndarray) -> np.ndarray:
     return t + 1j * t**2
 
 
+def _decode_tags(values: np.ndarray, dim: int) -> np.ndarray:
+    """The basis index of the word whose tag each value is; ValueError on any other value.
+
+    A sum of tags has an imaginary part below the square of its real part, so it is no tag.
+    """
+    word = values.real.astype(np.int64) - 1
+    if np.any((word < 0) | (word >= dim)) or np.any(values != _tags(word)):
+        raise ValueError("a tagged entry is not exactly one word's tag")
+    return word
+
+
 def _read_tags(mats: list, dim: int) -> np.ndarray:
     """The words that tagged matrices store over the union of their positions.
 
     Row k holds, at each stored position of any of the matrices, the basis
     index of the word whose tag ``mats[k]`` stores there, or -1 where it
-    stores nothing.  An entry summing several tags has an imaginary part
-    below the square of its real part, so it is rejected with any other
-    value that is not exactly one tag.
+    stores nothing; an entry that is not exactly one tag raises ValueError.
     """
     coos = [sparse.coo_matrix(m) for m in mats]
     keys = [coo.row.astype(np.int64) * coo.shape[1] + coo.col for coo in coos]
     union = np.unique(np.concatenate(keys))
     plan = np.full((len(coos), union.size), -1, dtype=np.int32)
     for row, coo, key in zip(plan, coos, keys):
-        word = coo.data.real.astype(np.int64) - 1
-        if np.any((word < 0) | (word >= dim)) or np.any(coo.data != _tags(word)):
-            raise ValueError("a tagged entry is not exactly one word's tag")
-        row[np.searchsorted(union, key)] = word
+        row[np.searchsorted(union, key)] = _decode_tags(coo.data, dim)
     plan.setflags(write=False)
     return plan
 
@@ -201,25 +212,19 @@ def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.
     each slot (-1 where it stores nothing).
     """
     cols = graded.within(space, space.depth - ds - dt, fold=2)
-    left = _pattern_ids(space, ds).tocsc()
-    right = _pattern_ids(space, dt).tocsc()[:, cols].tocoo()
+    tagged = [comult(_tagged_series(space, d), space).matrix.tocsc() for d in (ds, dt, dp)]
+    left, right, product = tagged[0], tagged[1][:, cols].tocoo(), tagged[2][:, cols].tocoo()
     step = left[:, right.row].tocoo()  # column k is the left column at right entry k's row
-    product = _pattern_ids(space, dp).tocsc()[:, cols].tocoo()
     keys = step.row.astype(np.int64) * cols.size + right.col[step.col]
     product_keys = product.row.astype(np.int64) * cols.size + product.col
     union = np.unique(np.concatenate([keys, product_keys]))
     word = np.full(union.size, -1, dtype=np.int64)
-    word[np.searchsorted(union, product_keys)] = product.data - 1
-    plan = (np.searchsorted(union, keys), step.data - 1, right.data[step.col] - 1, word)
+    word[np.searchsorted(union, product_keys)] = _decode_tags(product.data, space.dim)
+    u, v = (_decode_tags(tags, space.dim) for tags in (step.data, right.data[step.col]))
+    plan = (np.searchsorted(union, keys), u, v, word)
     for arr in plan:
         arr.setflags(write=False)
     return plan
-
-
-def _pattern_ids(space: FockSpace, degree: int) -> sparse.csr_matrix:
-    """The fold-2 realize pattern storing each entry's word index plus one (never zero)."""
-    indptr, indices, word = _realize_pattern(space, degree, 2)
-    return sparse.csr_matrix((word + 1, indices, indptr), shape=(space.dim**2,) * 2)
 
 
 def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) -> float:
@@ -284,21 +289,14 @@ def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:
     return max_entry_diff(delta, tensor_op(a, a), cols)
 
 
-def _satisfies_grouplike_equations(series: FourierSeries, space: FockSpace) -> bool:
-    # The coefficient system a_u a_v = delta_{uv} a_u over all words in depth.
-    # A pair with a zero coefficient satisfies it, so only the support counts.
-    coef = series.coeffs[: space.dim]
-    a = coef[np.flatnonzero(coef)]
-    return bool(np.array_equal(np.multiply.outer(a, a), np.diag(a)))
-
-
 def grouplike_series(space: FockSpace) -> list[FourierSeries]:
     """All nonzero series with Delta(A) = A (x) A, solved from the coefficients.
 
     The quadratic system a_u a_v = delta_{uv} a_u forces every coefficient
     into {0, 1} with at most one nonzero, so the candidates are exactly the
-    word indicators; each one is re-verified both against the coefficient
-    equations and at the operator level before being returned.
+    word indicators, all verified at once: the tagged comultiplication, read
+    off the realize pattern, against the tagged sum_w L_w (x) L_w of
+    :func:`corep.shift_tensor_sum`, which shares no index table with it.
     """
     return [FourierSeries.indicator(space.alphabet, w) for w in _grouplike_words(space)]
 
@@ -306,12 +304,12 @@ def grouplike_series(space: FockSpace) -> list[FourierSeries]:
 @lru_cache(maxsize=32)
 def _grouplike_words(space: FockSpace) -> tuple[Word, ...]:
     # The solved words, not the series: each call hands out fresh indicators.
-    solutions: list[Word] = []
-    for w in space.words:
-        candidate = FourierSeries.indicator(space.alphabet, w)
-        if not _satisfies_grouplike_equations(candidate, space):
-            continue
-        if grouplike_defect(candidate, space) != 0.0:
-            continue
-        solutions.append(w)
-    return tuple(solutions)
+    # No two words share a position of either route, so a word fails exactly
+    # where one route reads it and the other reads another word or nothing.
+    k = np.arange(space.dim)
+    tagged = StackedFamily(space, SCALAR_SPACE, k, np.zeros_like(k), np.zeros_like(k), _tags(k))
+    routes = [comult(_tagged_series(space, space.depth), space), shift_tensor_sum(tagged, copies=2)]
+    plan = _read_tags([route.matrix for route in routes], space.dim)
+    failed = np.zeros(space.dim + 1, dtype=bool)  # -1, nothing stored, marks the extra slot
+    failed[plan[:, plan[0] != plan[1]]] = True
+    return tuple(space.words[i] for i in np.flatnonzero(~failed[:-1]))

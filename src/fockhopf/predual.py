@@ -197,11 +197,12 @@ class PointFunctional:
     def rank_one_functional(self) -> Functional:
         return from_rank_one(self.space, [(self.vector, self.vector)])
 
-    def reconstruction_tail_bound(self, w: Word) -> float:
-        t = self.ball_norm_sq
-        if t == 0.0:
-            return 0.0
-        return t ** (self.space.depth - len(w) + 1) / (1.0 - t)
+    def reconstruction_tail_bound(self) -> np.ndarray:
+        """The tail bound of every basis word, from one value per length."""
+        t, depth = self.ball_norm_sq, self.space.depth
+        # Python's float power: np.power can round the last bit differently.
+        per_length = [t ** (depth - k + 1) / (1.0 - t) for k in range(depth + 1)]
+        return np.array(per_length)[self.space.lengths]
 
 
 def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctional:

@@ -290,9 +290,7 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
     solutions = hopf_mod.grouplike_series(space)
     defect = float(abs(len(solutions) - space.dim))
-    expected = {w for w in space.words}
-    found = {s.support[0] for s in solutions if len(s.support) == 1}
-    if found != expected:
+    if [s.support for s in solutions] != [(w,) for w in space.words]:
         defect = max(defect, 1.0)
     if space.dim >= 3:
         double = reg.FourierSeries(cfg.alphabet, [0.0, 1.0, 1.0])  # two distinct non-unit words
@@ -307,21 +305,20 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
 def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     """Every Delta(L_w) from one :func:`hopf.comult`, as concatenated COO entries.
 
-    The comultiplied series tags the word at basis index i with coefficient
-    i + 1.  Delta is linear and sends column (u, v) to row (wu, wv), so no two
-    words share an entry and each entry's value is its word's tag.  A stable
-    sort by tag keeps each word's entries in their ``tocoo`` order.  Every
-    entry of Delta(L_w) is 1, so no values are returned.
+    The comultiplied series is the tagged series of :mod:`hopf`, read back
+    through its tag decoder.  Delta is linear and sends column (u, v) to
+    row (wu, wv), so no two words share an entry and each entry's value is
+    its word's tag.  A stable sort by word keeps each word's entries in
+    their ``tocoo`` order.  Every entry of Delta(L_w) is 1, so no values are
+    returned.
 
     Returns (rows, cols, offsets) in basis order of w; the entries of the
     word at basis index i start at offsets[i].  Raises ValueError when an
-    entry is not an exact tag or a word does not have T_{d-|w|}^2 entries.
+    entry is not exactly one tag or a word does not have T_{d-|w|}^2 entries.
     """
-    tagged = reg.FourierSeries(space.alphabet, np.arange(1, space.dim + 1))
+    tagged = hopf_mod._tagged_series(space, space.depth)
     coo = hopf_mod.comult(tagged, space).matrix.tocoo()  # only the COO entries stay alive
-    word = coo.data.real.astype(np.int64) - 1
-    if np.any((word < 0) | (word >= space.dim)) or np.any(coo.data != word + 1):
-        raise ValueError("a comultiplication entry is not an exact word tag")
+    word = hopf_mod._decode_tags(coo.data, space.dim)
     counts = np.bincount(word, minlength=space.dim)
     admissible = np.asarray(space._block_starts)[space.depth + 1 - space.lengths]
     if np.any(counts != admissible**2):
@@ -430,10 +427,9 @@ def _chk_nu_reconstruction(cfg: SuiteConfig, rng) -> tuple[float, float]:
     for _ in range(5):
         lam = sampling.random_ball_point(rng, cfg.n)
         pf = predual_mod.point_functional(space, lam)
-        approx = pf.rank_one_functional()
-        for w in space.words:
-            err = abs(approx.value(w) - pf.functional.value(w))
-            worst = max(worst, err - pf.reconstruction_tail_bound(w))
+        diff = pf.rank_one_functional().values - pf.functional.values
+        err = np.hypot(diff.real, diff.imag)
+        worst = max(worst, float(np.max(err - pf.reconstruction_tail_bound())))
     return max(worst, 0.0), cfg.tolerance
 
 

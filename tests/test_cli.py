@@ -128,10 +128,25 @@ def test_verify_usage_errors():
         assert err.value.code == 2, argv
     # An empty suite list, and tolerances that break the JSON or every gate.
     for extra in (["--suites", ","], ["--tolerance", "nan"], ["--tolerance", "inf"],
-                  ["--full", "--tolerance", "nan"], ["--tolerance", "-1"]):
+                  ["--tolerance", "-1"]):
         with pytest.raises(SystemExit) as err:
             run_cli(["verify", "--n", "2", "--depth", "2", *extra])
         assert err.value.code == 2, extra
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--full", "--tolerance", "nan"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "1"), ("--depth", "9"), ("--suites", "hopf")])
+def test_verify_full_refuses_a_flag_it_would_ignore(monkeypatch, capsys, flag, value):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "build_report", unreachable)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--full", flag, value, "--seed", "7"])
+    assert err.value.code == 2
+    assert f"ignore {flag}" in capsys.readouterr().err
 
 
 def test_verify_inject_fault(capsys):

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _base
 
-from fockhopf import hopf
+from fockhopf import corep, hopf
 from fockhopf.graded import within
 from fockhopf.hopf import (
     _comult_columns,
@@ -33,6 +33,7 @@ from fockhopf.spaces import (
     tensor_space,
     vacuum_leg_decomposition,
 )
+from fockhopf.verify import SuiteConfig, _slice_oracle_entries, build_report
 from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
@@ -236,17 +237,6 @@ def test_grouplike_rejects_sum_of_indicators():
 def test_grouplike_defect_zero_on_indicators():
     for w in H3.words:
         assert grouplike_defect(FourierSeries.indicator(A2, w), H3) == 0.0
-
-
-def test_grouplike_equations_can_fail():
-    # Only the support enters the coefficient system, which still rejects
-    # 2 * 1_w (a_w a_w != a_w) and 1_u + 1_v (a_u a_v != 0).
-    from fockhopf.hopf import _satisfies_grouplike_equations
-
-    w = word(1, 2)
-    assert _satisfies_grouplike_equations(FourierSeries.indicator(A2, w), H3)
-    assert not _satisfies_grouplike_equations(FourierSeries(A2, {w: 2.0}), H3)
-    assert not _satisfies_grouplike_equations(FourierSeries(A2, {word(1): 1.0, word(2): 1.0}), H3)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +454,12 @@ def test_plans_reject_entries_that_are_not_one_tag(monkeypatch, fresh_plans):
         return honest(series, space, fold) + honest(extra, space, fold)
 
     monkeypatch.setattr(hopf, "comult", merged)
+    s = random_series(rng_for(0, "hopf-merged"), A2, 2, bits=EXACT_BITS)
     for defect in (coassociativity_defect, cocommutativity_defect, integral_invariance_defect):
         with pytest.raises(ValueError, match="tag"):
-            defect(random_series(rng_for(0, "hopf-merged"), A2, 2, bits=EXACT_BITS), H4)
+            defect(s, H4)
+    with pytest.raises(ValueError, match="tag"):
+        homomorphism_defect(s, s, H4)
 
 
 def _slice_against_word_1(pairs, t):
@@ -510,3 +503,71 @@ def test_homomorphism_plan_catches_a_reversed_product(monkeypatch, fresh_plans):
     s, t, _ = _mutant_series(5)
     assert homomorphism_defect(s, t, H4) > 0.0
     assert homomorphism_defect(s, t, H4) == reference_homomorphism(s, t, H4)
+
+
+# ---------------------------------------------------------------------------
+# The grouplike solve: one tagged comparison per space against the per-word
+# operator defect, and the faults of either route it must show.
+
+
+@pytest.fixture
+def fresh_grouplike():
+    # A mutant's words must neither come from an honest cached solve nor outlive the test.
+    hopf._grouplike_words.cache_clear()
+    yield
+    hopf._grouplike_words.cache_clear()
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_grouplike_words_are_the_indicators_without_defect(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    indicators = ((w, FourierSeries.indicator(space.alphabet, w)) for w in space.words)
+    assert hopf._grouplike_words(space) == tuple(
+        w for w, s in indicators if grouplike_defect(s, space) == 0.0
+    )
+
+
+def test_grouplike_solve_drops_the_word_whose_shift_loses_an_entry(monkeypatch, fresh_grouplike):
+    lossy_word = word(1, 2)
+    honest = corep.word_shift
+
+    def lossy(space, w, side="left"):
+        shift = honest(space, w, side)
+        if w != lossy_word:
+            return shift
+        coo = shift.matrix.tocoo()
+        return Operator.from_entries(space, space, coo.row[1:], coo.col[1:], coo.data[1:])
+
+    monkeypatch.setattr(corep, "word_shift", lossy)
+    assert hopf._grouplike_words(H3) == tuple(w for w in H3.words if w != lossy_word)
+    report = build_report([SuiteConfig(n=2, depth=3, trials=2, suites=("hopf",))])
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["grouplike"]
+
+
+def test_grouplike_solve_drops_two_words_whose_tags_swap(monkeypatch, fresh_grouplike):
+    u, v = word(2), word(1, 1)
+    honest = hopf.comult
+
+    def swapped(series, space, fold=2):
+        coeffs = dict(series.items())
+        coeffs[u], coeffs[v] = series.coefficient(v), series.coefficient(u)
+        return honest(FourierSeries(series.alphabet, coeffs), space, fold)
+
+    monkeypatch.setattr(hopf, "comult", swapped)
+    assert hopf._grouplike_words(H3) == tuple(w for w in H3.words if w not in (u, v))
+
+
+def test_slice_oracle_rejects_two_words_on_one_position(monkeypatch):
+    # The vacuum's image lands on the entries of the word 1 too.  A real tag
+    # i + 1 would read the sum there (1 + 2) as the word 2, and only the
+    # entry counts would show it; the complex tags read no word at all.
+    honest = hopf.comult
+
+    def merged(series, space, fold=2):
+        extra = FourierSeries(series.alphabet, {word(1): series.coefficient(Word())})
+        return honest(series, space, fold) + honest(extra, space, fold)
+
+    monkeypatch.setattr(hopf, "comult", merged)
+    with pytest.raises(ValueError, match="tag"):
+        _slice_oracle_entries(H3)

@@ -292,11 +292,14 @@ def test_nu_reconstruction_matches_tail_formula():
     approx = pf.rank_one_functional()
     t = pf.ball_norm_sq
     partial = [sum(t**j for j in range(m + 1)) for m in range(depth + 1)]
-    for w in space.words:
+    bound = pf.reconstruction_tail_bound()
+    assert bound.shape == (space.dim,)
+    for i, w in enumerate(space.words):
+        assert bound[i] == t ** (depth - len(w) + 1) / (1.0 - t)
         exact = literal_monomial(w, lam) * partial[depth - len(w)] / partial[depth]
         assert approx.value(w) == pytest.approx(exact, abs=1e-14)
         err = abs(approx.value(w) - pf.functional.value(w))
-        assert err <= pf.reconstruction_tail_bound(w) + 1e-15
+        assert err <= bound[i] + 1e-15
         if len(w) <= 2:
             assert err < 1e-3
 
