@@ -49,6 +49,7 @@ from .spaces import (
     max_entry_diff,
     slice_left,
     slice_right,
+    sorted_unique,
     tensor_op,
     vacuum_leg_decomposition,
 )
@@ -151,7 +152,7 @@ def _read_tags(mats: list, dim: int) -> np.ndarray:
     """
     coos = [sparse.coo_matrix(m) for m in mats]
     keys = [coo.row.astype(np.int64) * coo.shape[1] + coo.col for coo in coos]
-    union = np.unique(np.concatenate(keys))
+    union = sorted_unique(np.concatenate(keys))
     plan = np.full((len(coos), union.size), -1, dtype=np.int32)
     for row, coo, key in zip(plan, coos, keys):
         row[np.searchsorted(union, key)] = _decode_tags(coo.data, dim)
@@ -217,7 +218,7 @@ def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.
     step = left[:, right.row].tocoo()  # column k is the left column at right entry k's row
     keys = step.row.astype(np.int64) * cols.size + right.col[step.col]
     product_keys = product.row.astype(np.int64) * cols.size + product.col
-    union = np.unique(np.concatenate([keys, product_keys]))
+    union = sorted_unique(np.concatenate([keys, product_keys]))
     word = np.full(union.size, -1, dtype=np.int64)
     word[np.searchsorted(union, product_keys)] = _decode_tags(product.data, space.dim)
     u, v = (_decode_tags(tags, space.dim) for tags in (step.data, right.data[step.col]))

@@ -481,7 +481,7 @@ class StackedFamily(Mapping):
     @cached_property
     def support(self) -> np.ndarray:
         """Ascending basis indices of the words whose members store an entry."""
-        return np.unique(self.word)
+        return sorted_unique(self.word)
 
     def __getitem__(self, w: Word) -> Operator:
         try:
@@ -542,6 +542,14 @@ def gather_groups(key: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.nd
     item = np.repeat(np.arange(groups.size), reps)
     first = (np.cumsum(counts) - counts)[groups] - (np.cumsum(reps) - reps)
     return item, np.argsort(key, kind="stable")[np.arange(item.size) + np.repeat(first, reps)]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in ascending order, as ``np.unique`` gives them but without its hash pass."""
+    keys = np.sort(keys)
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
 
 
 def sum_by_key(keys: Sequence[np.ndarray], vals: np.ndarray) -> tuple[list, np.ndarray]:

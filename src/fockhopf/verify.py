@@ -303,51 +303,61 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
-    """Every Delta(L_w) from one :func:`hopf.comult`, as concatenated COO entries.
+    """Every Delta(L_w) from one :func:`hopf.comult`, as one row table per word length.
 
     The comultiplied series is the tagged series of :mod:`hopf`, read back
     through its tag decoder.  Delta is linear and sends column (u, v) to
-    row (wu, wv), so no two words share an entry and each entry's value is
-    its word's tag.  A stable sort by word keeps each word's entries in
-    their ``tocoo`` order.  Every entry of Delta(L_w) is 1, so no values are
-    returned.
+    row (wu, wv), so no two words share an entry and every entry of
+    Delta(L_w) is 1.  Sorted by (word, column), a word's columns must be the
+    leading T x T block {u dim + v : u, v < T}, T = T_{d-|w|}, in graded order.
 
-    Returns (rows, cols, offsets) in basis order of w; the entries of the
-    word at basis index i start at offsets[i].  Raises ValueError when an
-    entry is not exactly one tag or a word does not have T_{d-|w|}^2 entries.
+    Returns, for each length k, an (n^k, T, T) array holding the row (wu, wv)
+    at [rank(w), u, v].  Raises ValueError when an entry is not exactly one
+    tag, or a word does not have T^2 entries or its columns are not the block.
     """
     tagged = hopf_mod._tagged_series(space, space.depth)
     coo = hopf_mod.comult(tagged, space).matrix.tocoo()  # only the COO entries stay alive
     word = hopf_mod._decode_tags(coo.data, space.dim)
-    counts = np.bincount(word, minlength=space.dim)
     admissible = np.asarray(space._block_starts)[space.depth + 1 - space.lengths]
-    if np.any(counts != admissible**2):
+    if np.any(np.bincount(word, minlength=space.dim) != admissible**2):
         raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
-    order = np.argsort(word, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return coo.row[order], coo.col[order], offsets
+    order = np.lexsort((coo.col, word))
+    rows, cols = coo.row[order], coo.col[order]
+    tables, lo = [], 0
+    for k in range(space.depth + 1):
+        t = space._block_starts[space.depth + 1 - k]
+        hi = lo + space.n**k * t * t
+        if np.any(cols[lo:hi].reshape(-1, t, t) != np.arange(t)[:, None] * space.dim + np.arange(t)):
+            raise ValueError("a word's comultiplication columns are not its leading T_{d-|w|} block")
+        tables.append(rows[lo:hi].reshape(-1, t, t))
+        lo = hi
+    return tuple(tables)
 
 
-def _slice_oracle_defect(entries: tuple[np.ndarray, ...], conv_values, xx, ee) -> float:
-    """Largest miss, over w, between (Delta(L_w) xx, ee) and the convolution values."""
-    rows, cols, offsets = entries
-    oracle = np.add.reduceat(np.conj(ee[rows]) * xx[cols], offsets)
-    return float(np.abs(oracle - conv_values).max(initial=0.0))
+def _slice_oracle_defect(tables: tuple[np.ndarray, ...], conv_values, xx, cee) -> float:
+    """Largest miss, over w, between (Delta(L_w) xx, conj(cee)) and the convolution values.
+
+    ``xx`` and ``cee`` are the (dim, dim) outer products xi1 xi2 and conj(eta1) conj(eta2).
+    """
+    flat = cee.ravel()
+    oracle = [(flat[rows] * xx[: rows.shape[1], : rows.shape[1]]).sum(axis=(1, 2)) for rows in tables]
+    return float(np.abs(np.concatenate(oracle) - conv_values).max(initial=0.0))
 
 
 def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> tuple[float, float]:
     space = cfg.space
-    entries = _slice_oracle_entries(space)
+    tables = _slice_oracle_entries(space)
+    xx = np.empty((space.dim, space.dim), dtype=np.complex128)
+    cee = np.empty_like(xx)
     worst = 0.0
     for _ in range(cfg.trials):
         f = sampling.random_rank_one_functional(rng, space)
         g = sampling.random_rank_one_functional(rng, space)
         conv = predual_mod.convolve(f, g)
-        (xi1, eta1) = f.provenance[0]
-        (xi2, eta2) = g.provenance[0]
-        xx = np.kron(xi1.data, xi2.data)
-        ee = np.kron(eta1.data, eta2.data)
-        worst = max(worst, _slice_oracle_defect(entries, conv.values, xx, ee))
+        (xi1, eta1), (xi2, eta2) = f.provenance[0], g.provenance[0]
+        np.multiply.outer(xi1.data, xi2.data, out=xx)
+        np.multiply.outer(eta1.data.conj(), eta2.data.conj(), out=cee)
+        worst = max(worst, _slice_oracle_defect(tables, conv.values, xx, cee))
     return worst, cfg.tolerance
 
 

@@ -202,7 +202,9 @@ def _oracle_inputs(space, seed):
     g = random_rank_one_functional(rng, space)
     (xi1, eta1), (xi2, eta2) = f.provenance[0], g.provenance[0]
     conv = predual.convolve(f, g)
-    return conv.values, np.kron(xi1.data, xi2.data), np.kron(eta1.data, eta2.data)
+    xx = np.multiply.outer(xi1.data, xi2.data)
+    cee = np.multiply.outer(eta1.data.conj(), eta2.data.conj())
+    return conv.values, xx, cee
 
 
 @pytest.mark.parametrize("n,depth", [(1, 3), (2, 3), (3, 2)])
@@ -212,36 +214,38 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
 
     space = FockSpace(Alphabet(n), depth)
     entries = _slice_oracle_entries(space)
-    _, xx, ee = _oracle_inputs(space, 1)
+    _, xx, cee = _oracle_inputs(space, 1)
+    ee = np.conj(cee).ravel()  # eta1 (x) eta2
     per_word = np.array([
-        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx)
+        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx.ravel())
         for w in space.words
     ])
-    assert _slice_oracle_defect(entries, per_word, xx, ee) <= 1e-12
+    assert _slice_oracle_defect(entries, per_word, xx, cee) <= 1e-12
 
 
-def literal_slice_oracle_entries(space):
-    # One comultiplication per word, concatenated in basis order.
-    indicators = (FourierSeries.indicator(space.alphabet, w) for w in space.words)
-    images = [comult(s, space).matrix.tocoo() for s in indicators]
-    offsets = np.cumsum([0] + [m.nnz for m in images[:-1]])
-    return (
-        np.concatenate([m.row for m in images]),
-        np.concatenate([m.col for m in images]),
-        np.concatenate([m.data for m in images]),
-        offsets,
-    )
+def literal_slice_oracle_tables(space):
+    # One comultiplication per word, its entries re-sorted by (word, column):
+    # each word's rows in column order, the words of each length stacked.
+    rows = [[] for _ in range(space.depth + 1)]
+    for w in space.words:
+        image = comult(FourierSeries.indicator(space.alphabet, w), space).matrix.tocoo()
+        assert np.all(image.data == 1.0)  # the tagged route returns no values
+        order = np.argsort(image.col, kind="stable")
+        t = count_words(space.alphabet, space.depth - len(w))
+        block = [u * space.dim + v for u in range(t) for v in range(t)]
+        assert image.col[order].tolist() == block  # the admissible (u, v) in graded order
+        rows[len(w)].append(image.row[order])
+    return [np.stack(r) for r in rows]
 
 
 @pytest.mark.parametrize("n,depth", GRID)
 def test_slice_oracle_entries_match_per_word_comult(n, depth):
     space = FockSpace(Alphabet(n), depth)
-    rows, cols, data, offsets = literal_slice_oracle_entries(space)
-    assert np.all(data == 1.0)  # the tagged route returns no values
+    want = literal_slice_oracle_tables(space)
     tagged = _slice_oracle_entries(space)
-    assert len(tagged) == 3
-    for got, want in zip(tagged, (rows, cols, offsets)):
-        assert np.array_equal(got, want)
+    assert len(tagged) == space.depth + 1
+    for got, rows in zip(tagged, want):
+        assert np.array_equal(got.reshape(rows.shape), rows)
 
 
 @pytest.mark.parametrize("first,second", [(1, 2), (-2, -1)])
@@ -262,16 +266,50 @@ def test_slice_oracle_entries_reject_merged_words(monkeypatch, first, second):
         _slice_oracle_entries(space)
 
 
+@pytest.mark.parametrize("moved", [Word((1,)), Word((2, 1))])
+def test_slice_oracle_entries_reject_columns_off_the_leading_block(monkeypatch, moved):
+    # One entry of one word, column (vacuum, vacuum) at row (w, w), moves to
+    # column (last word, vacuum): the tags and the entry counts still hold,
+    # but |last word| = depth exceeds depth - |w|, so the column is off the block.
+    space = FockSpace(Alphabet(2), 3)
+    honest = hopf.comult
+
+    def off_block(series, space, fold=2):
+        image = honest(series, space, fold)
+        coo = image.matrix.tocoo()
+        k, dim = space.index_of(moved), space.dim
+        col = np.where((coo.row == k * dim + k) & (coo.col == 0), (dim - 1) * dim, coo.col)
+        assert np.count_nonzero(col != coo.col) == 1
+        return Operator.from_entries(image.domain, image.codomain, coo.row, col, coo.data)
+
+    monkeypatch.setattr(hopf, "comult", off_block)
+    with pytest.raises(ValueError, match="block"):
+        _slice_oracle_entries(space)
+
+
+@pytest.mark.parametrize("n,depth", [(2, 3), (2, 7)])
+def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
+    # Every defect the check reports is 0.0, so the report bytes cannot show
+    # a change in its draws; the generator state after the check can.
+    cfg = SuiteConfig(n=n, depth=depth, trials=20)
+    rng = rng_for(5, "slice-oracle-draws")
+    assert verify._chk_convolve_slice_oracle(cfg, rng) == (0.0, cfg.tolerance)
+    reference = rng_for(5, "slice-oracle-draws")
+    for _ in range(2 * cfg.trials):
+        random_rank_one_functional(reference, cfg.space)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_slice_oracle_catches_each_perturbed_convolution_value():
     cfg = SuiteConfig(n=2, depth=3)
     space = cfg.space
     entries = _slice_oracle_entries(space)
-    values, xx, ee = _oracle_inputs(space, 2)
-    assert _slice_oracle_defect(entries, values, xx, ee) <= cfg.tolerance
+    values, xx, cee = _oracle_inputs(space, 2)
+    assert _slice_oracle_defect(entries, values, xx, cee) <= cfg.tolerance
     for i in range(space.dim):
         bad = values.copy()
         bad[i] += 1e-6
-        assert _slice_oracle_defect(entries, bad, xx, ee) > cfg.tolerance
+        assert _slice_oracle_defect(entries, bad, xx, cee) > cfg.tolerance
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fockhopf.spaces import (
     max_entry_diff,
     slice_left,
     slice_right,
+    sorted_unique,
     tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
@@ -429,3 +430,21 @@ def test_values_frozen_after_construction():
     op = Operator.identity(space)
     with pytest.raises(ValueError):
         op.matrix.data[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.empty(0, dtype=np.int64),
+        np.full(7, 3, dtype=np.int64),
+        np.array([5], dtype=np.int32),
+        np.array([9, -2, 9, 0, -2, 4, 0, 0], dtype=np.int64),
+        np.random.default_rng(0).integers(0, 50, size=1000).astype(np.int32),
+    ],
+)
+def test_sorted_unique_matches_numpy_unique(keys):
+    keys.setflags(write=False)  # support arrays are read-only; the input is left alone
+    got = sorted_unique(keys)
+    want = np.unique(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
