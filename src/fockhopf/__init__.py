@@ -7,7 +7,7 @@ bijection with predual representations, the wandering-subspace dimension
 counts, and a deterministic verification CLI.
 """
 
-from .words import Alphabet, Word, enumerate_words, count_words, max_common_prefix, word
+from .words import Alphabet, Word, enumerate_words, count_words, word
 from .spaces import (
     AuxSpace,
     FockSpace,
@@ -16,7 +16,6 @@ from .spaces import (
     Vector,
     basis_vector,
     flip_operator,
-    inner,
     leg_embed,
     max_entry_diff,
     slice_left,

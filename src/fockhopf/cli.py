@@ -18,9 +18,10 @@ from .verify import ALL_SUITES, SuiteConfig, build_report, default_grid
 from .wandering import wandering_check
 from .words import Alphabet, count_words
 
-# The spectrum lists one character per word, so inputs with more words are
-# refused; this admits n=2 up to depth 17.
-SPECTRUM_WORD_BUDGET = 1 << 18
+# The spectrum lists one character per word, and verify builds word and index
+# tables over all of them, so inputs with more words are refused; this admits
+# n=2 up to depth 17.
+WORD_BUDGET = 1 << 18
 # The wandering check holds a few arrays of one entry per basis k-tuple (about
 # 21 bytes a tuple: 353 MB peak at n=2, k=3, depth=7, 16.6M tuples), so inputs
 # with more tuples are refused.
@@ -127,6 +128,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     suites=tuple(s.strip() for s in names.split(",") if s.strip()),
                 )
             ]
+        for cfg in configs:
+            if _over_budget(cfg.alphabet, cfg.depth, 1, WORD_BUDGET):
+                raise ValueError(f"more than {WORD_BUDGET} words; lower --n or --depth")
         report = build_report(
             configs,
             inject_fault=args.inject_fault,
@@ -146,8 +150,8 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if args.depth < 1:
             raise ValueError("depth must be >= 1")
         alphabet = Alphabet(args.n)
-        if _over_budget(alphabet, args.depth, 1, SPECTRUM_WORD_BUDGET):
-            raise ValueError(f"more than {SPECTRUM_WORD_BUDGET} words; lower --n or --depth")
+        if _over_budget(alphabet, args.depth, 1, WORD_BUDGET):
+            raise ValueError(f"more than {WORD_BUDGET} words; lower --n or --depth")
         chars = spectrum(FockSpace(alphabet, args.depth))
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2

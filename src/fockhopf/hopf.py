@@ -71,9 +71,8 @@ def _comult_columns(
     parts = np.unravel_index(columns, shape)
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
-    for w, c in series.items():
-        k = len(w)
-        rank = space.index_of(w) - space._block_starts[k]
+    words = np.flatnonzero(series.coeffs)
+    for k, rank, c in zip(*graded.length_rank(space, words), series.coeffs[words]):
         src = graded.within(space, space.depth - k)
         table = graded.concat(space, k, rank, *graded.length_rank(space, src))
         keep = np.flatnonzero(np.all([p < table.size for p in parts], axis=0))

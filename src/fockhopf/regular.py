@@ -114,10 +114,6 @@ class FourierSeries:
         object.__setattr__(self, "degree", degree)
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> "FourierSeries":
-        return cls(alphabet)
-
-    @classmethod
     def unit(cls, alphabet: Alphabet) -> "FourierSeries":
         return cls(alphabet, [1.0])
 

@@ -9,7 +9,7 @@ Index conventions, fixed here and inherited by every other module:
   This matches the Kronecker product convention of numpy/scipy, and it makes
   leg embeddings pure index permutations.
 * The inner product is linear in the first slot and conjugate-linear in the
-  second, so ``inner(A @ x, y)`` is the usual (Ax, y) pairing.
+  second: (x, y) is ``np.vdot(y.data, x.data)``.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .words import Alphabet, Word, count_words, enumerate_words
 
-Label = Union[Word, int, tuple]
+Label = Union[Word, int]
 
 
 @dataclass(frozen=True)
@@ -135,29 +135,8 @@ class TensorSpace:
             acc *= f.dim
         return tuple(reversed(strides))
 
-    def index_of(self, labels: Sequence[Label]) -> int:
-        if len(labels) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} labels, got {len(labels)}")
-        idx = 0
-        for f, s, lab in zip(self.factors, self.strides, labels):
-            idx += _factor_index(f, lab) * s
-        return idx
-
 
 Space = Union[FockSpace, AuxSpace, TensorSpace]
-
-
-def _factor_index(f: Space, lab: Label) -> int:
-    if isinstance(f, FockSpace):
-        if not isinstance(lab, Word):
-            raise ValueError(f"Fock factor expects a Word label, got {lab!r}")
-        return f.index_of(lab)
-    if isinstance(f, TensorSpace):
-        return f.index_of(lab)  # type: ignore[arg-type]
-    idx = int(lab)  # type: ignore[arg-type]
-    if not 0 <= idx < f.dim:
-        raise ValueError(f"aux index {idx} out of range for dim {f.dim}")
-    return idx
 
 
 def tensor_space(*spaces: Space) -> TensorSpace:
@@ -183,36 +162,20 @@ class Vector:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        _check_same_space(self.space, other.space)
-        return Vector(self.space, self.data + other.data)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        _check_same_space(self.space, other.space)
-        return Vector(self.space, self.data - other.data)
-
-    def __mul__(self, scalar: complex) -> "Vector":
-        return Vector(self.space, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.space, -self.data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 def basis_vector(space: Space, label: Label) -> Vector:
+    """The basis vector of a word of a Fock space, or at a basis index of any other space."""
+    if isinstance(space, FockSpace):
+        if not isinstance(label, Word):
+            raise ValueError(f"Fock space expects a Word label, got {label!r}")
+        idx = space.index_of(label)
+    else:
+        idx = int(label)
+        if not 0 <= idx < space.dim:
+            raise ValueError(f"basis index {idx} out of range for dim {space.dim}")
     data = np.zeros(space.dim, dtype=np.complex128)
-    data[_factor_index(space, label)] = 1.0
+    data[idx] = 1.0
     return Vector(space, data)
-
-
-def inner(x: Vector, y: Vector) -> complex:
-    """Inner product (x, y), conjugate-linear in y."""
-    _check_same_space(x.space, y.space)
-    return complex(np.vdot(y.data, x.data))
 
 
 def _check_same_space(a: Space, b: Space) -> None:
@@ -297,9 +260,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.domain, self.codomain, -self.matrix)
-
     def adjoint(self) -> "Operator":
         return Operator(self.codomain, self.domain, self.matrix.conjugate().transpose().tocsr())
 
@@ -340,7 +300,6 @@ def permutation_operator(domain: Space, codomain: Space, perm: np.ndarray) -> Op
     return Operator(domain, codomain, mat.tocsr())
 
 
-@lru_cache(maxsize=32)
 def flip_operator(space: TensorSpace) -> Operator:
     """The flip x (x) y -> y (x) x on a two-factor tensor space."""
     if len(space.factors) != 2:

@@ -134,16 +134,24 @@ def _chk_fourier_round_trip(cfg: SuiteConfig, rng) -> tuple[float, float]:
     return worst, 0.0
 
 
-def _random_word(rng, alphabet: Alphabet, max_len: int) -> Word:
+def _random_index(rng, space: FockSpace, max_len: int) -> int:
+    """Basis index of a random word: a length up to ``max_len``, then that many letters."""
     length = int(rng.integers(0, max_len + 1))
-    return Word(tuple(int(a) for a in rng.integers(1, alphabet.n + 1, size=length)))
+    rank = 0
+    for a in rng.integers(1, space.n + 1, size=length):
+        rank = rank * space.n + int(a) - 1
+    return space._block_starts[length] + rank
+
+
+def _random_word(rng, space: FockSpace, max_len: int) -> Word:
+    return space.word_at(_random_index(rng, space, max_len))
 
 
 def _chk_shift_composition(cfg: SuiteConfig, rng) -> tuple[float, float]:
     worst = 0.0
     for _ in range(min(cfg.trials, 25)):
-        u = _random_word(rng, cfg.alphabet, cfg.depth // 2)
-        v = _random_word(rng, cfg.alphabet, cfg.depth - len(u))
+        u = _random_word(rng, cfg.space, cfg.depth // 2)
+        v = _random_word(rng, cfg.space, cfg.depth - len(u))
         for side in ("left", "right"):
             worst = max(worst, reg.shift_composition_defect(cfg.space, u, v, side))
     return worst, 0.0
@@ -154,7 +162,7 @@ def _chk_right_reversal(cfg: SuiteConfig, rng) -> tuple[float, float]:
     vac = basis_vector(space, Word())
     worst = 0.0
     for _ in range(min(cfg.trials, 25)):
-        w = _random_word(rng, cfg.alphabet, cfg.depth)
+        w = _random_word(rng, cfg.space, cfg.depth)
         out = reg.word_shift(space, w, "right").apply(vac)
         expected = basis_vector(space, w.reverse())
         worst = max(worst, float(np.abs(out.data - expected.data).max(initial=0.0)))
@@ -238,7 +246,7 @@ def _chk_tensor_lr_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
                 ),
             )
     for _ in range(3):
-        pair = tuple(_random_word(rng, cfg.alphabet, max(1, cfg.depth // 2)) for _ in range(4))
+        pair = tuple(_random_word(rng, cfg.space, max(1, cfg.depth // 2)) for _ in range(4))
         worst = max(worst, reg.tensor_commutation_defect(space, pair[:2], pair[2:]))
     return worst, 0.0
 
@@ -454,7 +462,7 @@ def _chk_fundamental(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 def _letters_then_random_words(cfg: SuiteConfig, rng, defect) -> tuple[float, float]:
     """Worst ``defect(space, w)`` over the single letters, then three random words."""
-    drawn = (_random_word(rng, cfg.alphabet, cfg.depth) for _ in range(3))
+    drawn = (_random_word(rng, cfg.space, cfg.depth) for _ in range(3))
     words = itertools.chain((Word((i,)) for i in cfg.alphabet.letters), drawn)
     return max([0.0] + [defect(cfg.space, w) for w in words]), 0.0
 
@@ -508,8 +516,8 @@ def _chk_spectrum(cfg: SuiteConfig, rng) -> tuple[float, float]:
     if set(chars) != grouplike_words:
         defect = max(defect, 1.0)
     for _ in range(min(cfg.trials, 10)):
-        u = _random_word(rng, cfg.alphabet, cfg.depth // 2)
-        v = _random_word(rng, cfg.alphabet, cfg.depth - len(u))
+        u = _random_word(rng, cfg.space, cfg.depth // 2)
+        v = _random_word(rng, cfg.space, cfg.depth - len(u))
         prod = corep_mod.tensor_product_rep(
             corep_mod.PredualRep.character(space, u),
             corep_mod.PredualRep.character(space, v),
@@ -588,14 +596,16 @@ def _chk_wandering_report(cfg: SuiteConfig, rng, k: int) -> tuple[float, float]:
 
 
 def _chk_wandering_decompose(cfg: SuiteConfig, rng) -> tuple[float, float]:
+    space = cfg.space
     worst = 0.0
     for _ in range(min(cfg.trials, 50)):
         k = int(rng.integers(2, 4))
-        tup = tuple(_random_word(rng, cfg.alphabet, cfg.depth) for _ in range(k))
-        prefix, kappa = wandering_mod.strip_common_prefix(tup)
-        if not wandering_mod.is_wandering_tuple(kappa):
+        tup = np.array([_random_index(rng, space, cfg.depth) for _ in range(k)])
+        prefix, kappa = wandering_mod.strip_common_prefix(space, tup)
+        if wandering_mod.share_a_first_letter(wandering_mod.first_letters(space, kappa)):
             worst = max(worst, 1.0)
-        if tuple(prefix.concat(x) for x in kappa) != tup:
+        (p, rp), (m, rm) = graded.length_rank(space, prefix), graded.length_rank(space, kappa)
+        if np.any(graded.concat(space, p, rp, m, rm) != tup):
             worst = max(worst, 1.0)
     return worst, 0.0
 

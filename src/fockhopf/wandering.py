@@ -5,12 +5,13 @@ of basis tuples with no common prefix; every tuple then factors uniquely as a
 common-prefix shift applied to a wandering tuple.  The dimension obeys the
 closed form T^k - n S^k, where T counts words of length <= N and S counts
 words of length <= N-1 (drop the forced first letter of a common prefix).
+Tuples are tuples of basis indices: the prefix of length p of the word of
+length k at block rank r has rank r // n^(k - p), so no ``Word`` is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -18,24 +19,41 @@ from scipy import sparse
 from . import graded
 from .regular import word_shift
 from .spaces import FockSpace, tensor_op
-from .words import Alphabet, Word, count_words, max_common_prefix
+from .words import Alphabet, Word, count_words
 
 # The Gram blocks of the shift operators are checked up to this many basis tuples.
 GRAM_LIMIT = 4096
 
 
-def strip_common_prefix(tup: Sequence[Word]) -> tuple[Word, tuple[Word, ...]]:
-    """Factor a tuple as (w, wandering tuple) with w the maximal common prefix."""
-    prefix = max_common_prefix(tup)
-    return prefix, tuple(u.strip_prefix(prefix) for u in tup)
+def strip_common_prefix(space: FockSpace, tup) -> tuple[int, np.ndarray]:
+    """Factor a tuple of basis indices as (w, wandering tuple), w the maximal common prefix.
+
+    Returns the basis index of w and the indices of the tuple's words with w cut off.
+    """
+    k, r = graded.length_rank(space, np.asarray(tup, dtype=np.int64))
+    p = int(k.min())
+    while p and np.any(r // space.n ** (k - p) != r[0] // space.n ** (k[0] - p)):
+        p -= 1
+    cut = space.n ** (k - p)
+    starts = np.asarray(space._block_starts)
+    return int(starts[p] + r[0] // cut[0]), starts[k - p] + r % cut
 
 
-def is_wandering_tuple(tup: Sequence[Word]) -> bool:
-    """No common prefix: some component empty, or two first letters differ."""
-    if any(len(u) == 0 for u in tup):
-        return True
-    first = {u.letters[0] for u in tup}
-    return len(first) > 1
+def first_letters(space: FockSpace, idx: np.ndarray) -> np.ndarray:
+    """The first letter of each basis word, 1..n, and 0 for the empty word."""
+    k, r = graded.length_rank(space, idx)
+    return np.where(k > 0, r // space.n ** np.maximum(k - 1, 0) + 1, 0)
+
+
+def share_a_first_letter(firsts) -> np.ndarray:
+    """Whether tuples, given by their components' first letters, have a common prefix.
+
+    The components broadcast together; a tuple is wandering exactly where this is False.
+    """
+    blocked = firsts[0] > 0
+    for f in firsts[1:]:
+        blocked = blocked & (f == firsts[0])
+    return blocked
 
 
 def wandering_dim(alphabet: Alphabet, k: int, depth: int) -> int:
@@ -84,20 +102,10 @@ class WanderingReport:
 
 
 def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
-    """Wandering flags of the k-tuples of words of length <= depth, one axis per factor.
-
-    Block m >= 1 lists the first letters 1..n, n^(m-1) times each; the empty word has 0.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    letters = np.arange(1, alphabet.n + 1, dtype=np.int16)
-    blocks = (np.repeat(letters, alphabet.n ** (m - 1)) for m in range(1, depth + 1))
-    first = np.concatenate([np.zeros(1, dtype=np.int16), *blocks])
-    grids = np.ix_(*([first] * k))
-    blocked = grids[0] > 0
-    for g in grids[1:]:
-        blocked = blocked & (g == grids[0])
-    return ~blocked
+    """Wandering flags of the k-tuples of words of length <= depth, one axis per factor."""
+    space = FockSpace(alphabet, depth)  # raises when depth < 0
+    first = first_letters(space, np.arange(space.dim))
+    return ~share_a_first_letter(np.ix_(*([first] * k)))
 
 
 def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class Word:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return self.concat(other)
-
     def __repr__(self) -> str:
         return f"Word{self.letters!r}"
 
@@ -56,14 +53,6 @@ class Word:
 
     def reverse(self) -> "Word":
         return Word(self.letters[::-1])
-
-    def is_prefix_of(self, other: "Word") -> bool:
-        return other.letters[: len(self.letters)] == self.letters
-
-    def strip_prefix(self, prefix: "Word") -> "Word":
-        if not prefix.is_prefix_of(self):
-            raise ValueError(f"{prefix} is not a prefix of {self}")
-        return Word(self.letters[len(prefix) :])
 
     def text(self, n: int) -> str:
         """Render for reports: empty word is "e"; digits run together while
@@ -74,31 +63,9 @@ class Word:
             return "".join(str(a) for a in self.letters)
         return ".".join(str(a) for a in self.letters)
 
-    @classmethod
-    def parse(cls, text: str, n: int) -> "Word":
-        text = text.strip()
-        if text == "e" or text == "":
-            return cls()
-        if n <= 9:
-            return cls(tuple(int(c) for c in text))
-        return cls(tuple(int(part) for part in text.split(".")))
-
 
 def word(*letters: int) -> Word:
     return Word(tuple(letters))
-
-
-def max_common_prefix(ws: Iterable[Word]) -> Word:
-    """Longest word that prefixes every member of a nonempty collection."""
-    items = [w.letters for w in ws]
-    if not items:
-        raise ValueError("max_common_prefix needs a nonempty collection")
-    prefix: list[int] = []
-    for column in zip(*items):
-        if any(a != column[0] for a in column):
-            break
-        prefix.append(column[0])
-    return Word(tuple(prefix))
 
 
 def count_words(alphabet: Alphabet, depth: int) -> int:

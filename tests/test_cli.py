@@ -29,7 +29,7 @@ def test_spectrum_json(capsys):
 def test_spectrum_refuses_inputs_over_the_word_budget(monkeypatch):
     # Refused before any word table or character array is built; n=2 at
     # depth 16 is admitted.
-    assert count_words(Alphabet(2), 16) <= cli.SPECTRUM_WORD_BUDGET
+    assert count_words(Alphabet(2), 16) <= cli.WORD_BUDGET
 
     def unreachable(*args):
         raise AssertionError("the oversized input was not refused")
@@ -40,6 +40,28 @@ def test_spectrum_refuses_inputs_over_the_word_budget(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             run_cli(["spectrum", "--n", "2", "--depth", depth])
         assert exc.value.code == 2
+
+
+def test_verify_refuses_inputs_over_the_word_budget(monkeypatch, capsys):
+    # Refused before build_report builds any table; n=2 at depth 16 reaches it.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oversized input was not refused")
+
+    monkeypatch.setattr(FockSpace, "words", property(unreachable))
+    monkeypatch.setattr(cli, "build_report", unreachable)
+    for depth in ("30", "1000000000"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--n", "2", "--depth", depth])
+        assert exc.value.code == 2
+    reached = []
+
+    def stub(configs, **kwargs):
+        reached.extend((c.n, c.depth) for c in configs)
+        return {"checks": [], "summary": {"passed": 0, "failed": 0}}
+
+    monkeypatch.setattr(cli, "build_report", stub)
+    assert run_cli(["verify", "--n", "2", "--depth", "16"]) == 0
+    assert reached == [(2, 16)]
 
 
 def test_wandering_refuses_inputs_over_the_tuple_budget(monkeypatch):
@@ -59,7 +81,7 @@ def test_wandering_refuses_inputs_over_the_tuple_budget(monkeypatch):
 
 
 def test_budget_test_matches_the_exact_power():
-    for budget in (cli.SPECTRUM_WORD_BUDGET, cli.WANDERING_TUPLE_BUDGET, 1000):
+    for budget in (cli.WORD_BUDGET, cli.WANDERING_TUPLE_BUDGET, 1000):
         for n in (1, 2, 3, 7):
             for depth in range(1, 30):
                 for k in range(1, 9):

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import _base
 
-from fockhopf import corep, hopf
+from fockhopf import corep, graded, hopf
 from fockhopf.graded import within
 from fockhopf.hopf import (
     _comult_columns,
@@ -77,16 +77,16 @@ def test_diagonal_coefficients():
     s = random_series(rng, A2, 2, bits=EXACT_BITS)
     image = comult(s, H3, fold=2)
     pair = tensor_space(H3, H3)
-    vac = pair.index_of((Word(), Word()))
+    vac = 0  # (e, e)
     for w in H3.words:
-        assert image.matrix[pair.index_of((w, w)), vac] == s.coefficient(w)
+        assert image.matrix[H3.index_of(w) * H3.dim + H3.index_of(w), vac] == s.coefficient(w)
     assert vacuum_expansion_defect(s, H3) == 0.0
     # Off-diagonal vacuum coefficients vanish.
-    out = image.apply(basis_vector(pair, (Word(), Word()))).data
+    out = image.apply(basis_vector(pair, vac)).data
     for u in H3.words[:4]:
         for v in H3.words[:4]:
             if u != v:
-                assert out[pair.index_of((u, v))] == 0.0
+                assert out[H3.index_of(u) * H3.dim + H3.index_of(v)] == 0.0
 
 
 def test_comult_determined_by_vacuum_column():
@@ -96,7 +96,7 @@ def test_comult_determined_by_vacuum_column():
     s = random_series(rng, A2, 1, bits=EXACT_BITS)
     image = comult(s, H3)
     pair = image.domain
-    vac = basis_vector(pair, (Word(), Word()))
+    vac = basis_vector(pair, 0)  # (e, e)
     base = image.apply(vac)
     for alpha in H3.words:
         for beta in H3.words:
@@ -105,7 +105,7 @@ def test_comult_determined_by_vacuum_column():
                 word_shift(H3, beta.reverse(), "right"),
             )
             transported = mover.apply(base)
-            direct = image.apply(basis_vector(pair, (alpha, beta)))
+            direct = image.apply(basis_vector(pair, H3.index_of(alpha) * H3.dim + H3.index_of(beta)))
             assert np.array_equal(transported.data, direct.data)
 
 
@@ -227,9 +227,8 @@ def test_grouplike_rejects_sum_of_indicators():
     # and the offending entry is the cross term of the tensor square
     image = comult(double, H3)
     square = tensor_op(realize(double, H3), realize(double, H3))
-    pair = tensor_space(H3, H3)
-    row = pair.index_of((word(1), word(2)))
-    col = pair.index_of((Word(), Word()))
+    row = H3.index_of(word(1)) * H3.dim + H3.index_of(word(2))
+    col = 0  # (e, e)
     assert square.matrix[row, col] == 1.0
     assert image.matrix[row, col] == 0.0
 
@@ -418,6 +417,40 @@ def test_coassociativity_plan_carries_route_mutants(monkeypatch, fresh_plans, na
     defects = [coassociativity_defect(s, H4) for s in _mutant_series(1)]
     assert min(defects) > 0.0
     assert defects == [reference_coassociativity(s, H4) for s in _mutant_series(1)]
+
+
+def literal_comult_columns(series, space, fold, columns):
+    # The per-word loop: every word of the series, as a Word, read back through index_of.
+    shape = (space.dim,) * fold
+    parts = np.unravel_index(columns, shape)
+    rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for w, c in series.items():
+        rank = space.index_of(w) - space._block_starts[len(w)]
+        src = within(space, space.depth - len(w))
+        table = graded.concat(space, len(w), rank, *graded.length_rank(space, src))
+        keep = np.flatnonzero(np.all([p < table.size for p in parts], axis=0))
+        rows.append(np.ravel_multi_index(tuple(table[p[keep]] for p in parts), shape))
+        cols.append(keep)
+        vals.append(np.full(keep.size, c, dtype=np.complex128))
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.coo_matrix(entries, shape=(space.dim**fold, len(columns))).tocsc()
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_coassociativity_plan_matches_the_per_word_comult_loop(monkeypatch, fresh_plans, n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    planned = hopf._coassociativity_plan(space, min(2, depth))
+    hopf._coassociativity_plan.cache_clear()
+    monkeypatch.setattr(hopf, "_comult_columns", literal_comult_columns)
+    literal = hopf._coassociativity_plan(space, min(2, depth))
+    assert planned.shape[0] == 3 and np.array_equal(planned, literal)
+
+
+def test_cocommutativity_plan_is_cached_per_space(fresh_plans):
+    # The flip is built once per (space, degree), inside the cached plan.
+    space = FockSpace(A2, 2)
+    assert hopf._cocommutativity_plan(space, 2) is hopf._cocommutativity_plan(space, 2)
+    assert hopf._cocommutativity_plan.cache_info().misses == 1
 
 
 def _collapsed_flip(space):

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from fockhopf.predual import point_functional
 from fockhopf.spaces import FockSpace
+from fockhopf.wandering import strip_common_prefix
 from fockhopf.words import (
     Alphabet,
     Word,
     count_words,
     enumerate_words,
-    max_common_prefix,
     word,
 )
 
@@ -20,15 +20,15 @@ def words_strategy(n=3, max_len=6):
 
 
 def test_concat_examples():
-    assert word(1, 2) * word(2, 1) == word(1, 2, 2, 1)
-    assert Word() * word(1, 2) == word(1, 2)
-    assert word(1, 2) * Word() == word(1, 2)
-    assert word(1) * word(1, 1) == word(1, 1, 1)
+    assert word(1, 2).concat(word(2, 1)) == word(1, 2, 2, 1)
+    assert Word().concat(word(1, 2)) == word(1, 2)
+    assert word(1, 2).concat(Word()) == word(1, 2)
+    assert word(1).concat(word(1, 1)) == word(1, 1, 1)
 
 
 def test_lengths_add():
     u, v = word(1, 2, 1), word(2,)
-    assert len(u * v) == len(u) + len(v)
+    assert len(u.concat(v)) == len(u) + len(v)
     assert len(Word()) == 0
 
 
@@ -42,7 +42,7 @@ def test_letters_validated():
 @given(words_strategy(), words_strategy(), words_strategy())
 @settings(max_examples=60)
 def test_concat_associative(u, v, w):
-    assert (u * v) * w == u * (v * w)
+    assert u.concat(v).concat(w) == u.concat(v.concat(w))
 
 
 def test_reverse_examples():
@@ -54,8 +54,12 @@ def test_reverse_examples():
 @given(words_strategy(), words_strategy())
 @settings(max_examples=60)
 def test_reverse_antihomomorphism(u, v):
-    assert (u * v).reverse() == v.reverse() * u.reverse()
+    assert u.concat(v).reverse() == v.reverse().concat(u.reverse())
     assert u.reverse().reverse() == u
+
+
+def is_prefix(p, w):
+    return w.letters[: len(p)] == p.letters
 
 
 def brute_force_common_prefix(ws):
@@ -63,15 +67,25 @@ def brute_force_common_prefix(ws):
     shortest = min(ws, key=len)
     for k in range(len(shortest), -1, -1):
         candidate = Word(shortest.letters[:k])
-        if all(candidate.is_prefix_of(w) for w in ws):
+        if all(is_prefix(candidate, w) for w in ws):
             return candidate
     raise AssertionError("empty prefix always qualifies")
 
 
+# The maximal common prefix is taken on basis indices by wandering.strip_common_prefix.
+H6 = FockSpace(Alphabet(3), 6)
+
+
+def max_common_prefix(ws):
+    prefix, rest = strip_common_prefix(H6, [H6.index_of(w) for w in ws])
+    return H6.word_at(prefix), [H6.word_at(i) for i in rest]
+
+
 def test_max_common_prefix_examples():
-    assert max_common_prefix({word(1, 1), word(1, 2)}) == word(1)
-    assert max_common_prefix({word(1, 1), Word()}) == Word()
-    assert max_common_prefix({word(1, 2, 1)}) == word(1, 2, 1)
+    assert max_common_prefix([word(1, 1), word(1, 2)]) == (word(1), [word(1), word(2)])
+    assert max_common_prefix([word(1, 1), Word()]) == (Word(), [word(1, 1), Word()])
+    assert max_common_prefix([word(1, 2, 1)]) == (word(1, 2, 1), [Word()])
+    assert max_common_prefix([word(3, 3, 1), word(3, 3, 2, 1)])[0] == word(3, 3)
     with pytest.raises(ValueError):
         max_common_prefix([])
 
@@ -79,18 +93,18 @@ def test_max_common_prefix_examples():
 @given(st.lists(words_strategy(), min_size=1, max_size=5))
 @settings(max_examples=80)
 def test_max_common_prefix_matches_oracle(ws):
-    got = max_common_prefix(ws)
+    got, rest = max_common_prefix(ws)
     assert got == brute_force_common_prefix(ws)
-    assert all(got.is_prefix_of(w) for w in ws)
+    assert [got.concat(r) for r in rest] == ws
 
 
 @given(st.lists(words_strategy(), min_size=1, max_size=5))
 @settings(max_examples=60)
 def test_max_common_prefix_maximal(ws):
-    prefix = max_common_prefix(ws)
+    prefix, _ = max_common_prefix(ws)
     for letter in (1, 2, 3):
-        longer = prefix * word(letter)
-        assert not all(longer.is_prefix_of(w) for w in ws)
+        longer = prefix.concat(word(letter))
+        assert not all(is_prefix(longer, w) for w in ws)
 
 
 def test_enumerate_order_and_counts():
@@ -134,7 +148,7 @@ def test_eval_examples():
 @settings(max_examples=40)
 def test_eval_multiplicative_and_reversal_blind(u, v):
     phi = point_functional(FockSpace(Alphabet(2), 8), (0.5, 0.25j)).functional
-    assert phi.value(u * v) == pytest.approx(phi.value(u) * phi.value(v))
+    assert phi.value(u.concat(v)) == pytest.approx(phi.value(u) * phi.value(v))
     assert phi.value(u.reverse()) == pytest.approx(phi.value(u))
 
 
@@ -142,9 +156,6 @@ def test_text_rendering():
     assert Word().text(2) == "e"
     assert word(1, 2, 1).text(2) == "121"
     assert word(1, 12, 3).text(12) == "1.12.3"
-    assert Word.parse("e", 2) == Word()
-    assert Word.parse("121", 2) == word(1, 2, 1)
-    assert Word.parse("1.12.3", 12) == word(1, 12, 3)
 
 
 def test_alphabet_validation():
