@@ -131,12 +131,14 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for cfg in configs:
             if _over_budget(cfg.alphabet, cfg.depth, 1, WORD_BUDGET):
                 raise ValueError(f"more than {WORD_BUDGET} words; lower --n or --depth")
+        if args.output is not None:  # refuse an unwritable file before any check runs
+            open(args.output, "a", encoding="utf-8").close()
         report = build_report(
             configs,
             inject_fault=args.inject_fault,
             with_timestamp=not args.no_timestamp,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits with code 2
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)

@@ -611,13 +611,9 @@ def _chk_wandering_decompose(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def _chk_wandering_isometry(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
-    for i in cfg.alphabet.letters:
-        worst = max(
-            worst,
-            wandering_mod.isometry_on_wandering_defect(cfg.alphabet, 2, cfg.depth, Word((i,))),
-        )
-    return worst, 0.0
+    mask = wandering_mod._wandering_mask(cfg.alphabet, 2, cfg.depth)
+    letters = np.arange(1, cfg.alphabet.n + 1)  # the basis indices of the letters
+    return wandering_mod.shifted_gram_defect(cfg.space, 2, mask, letters), 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ closed form T^k - n S^k, where T counts words of length <= N and S counts
 words of length <= N-1 (drop the forced first letter of a common prefix).
 Tuples are tuples of basis indices: the prefix of length p of the word of
 length k at block rank r has rank r // n^(k - p), so no ``Word`` is formed.
+One sparse Gram checks the shifted copies: with S the wandering columns of
+(L_w)^(x k) side by side over words w, S^H S = diag(fit) holds orthogonality
+(cross blocks), isometry (fitting columns) and truncation (the rest) at once.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from scipy import sparse
 
 from . import graded
 from .regular import word_shift
-from .spaces import FockSpace, tensor_op
-from .words import Alphabet, Word, count_words
+from .spaces import FockSpace, max_abs, tensor_op
+from .words import Alphabet, count_words
 
-# The Gram blocks of the shift operators are checked up to this many basis tuples.
+# wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
 GRAM_LIMIT = 4096
 
 
@@ -79,7 +82,7 @@ class WanderingReport:
     dim: int
     dim_closed_form: int
     dims_by_depth: list[int]
-    orthogonality_defect: float
+    orthogonality_defect: float  # cover not injective, or S^H S - diag(fit) if gram_checked
     cover_injective: bool
     cover_complete: bool
     counting_identity: bool
@@ -108,6 +111,21 @@ def _wandering_mask(alphabet: Alphabet, k: int, depth: int) -> np.ndarray:
     return ~share_a_first_letter(np.ix_(*([first] * k)))
 
 
+def shifted_gram_defect(space: FockSpace, k: int, mask: np.ndarray, words) -> float:
+    """Largest entry of S^H S - diag(fit); contract: 0.
+
+    S stacks the columns of (L_w)^(x k) at the wandering tuples of ``mask``,
+    one block per basis index w in ``words``; fit = 1 exactly when
+    |w| + max_i |kappa_i| <= depth, read from word lengths, not the operators.
+    """
+    cols = np.flatnonzero(mask.ravel())
+    powers = (tensor_op(*([word_shift(space, space.word_at(int(w)), "left")] * k)) for w in words)
+    stacked = sparse.hstack([power.matrix.tocsc()[:, cols] for power in powers], format="csc")
+    longest = space.lengths[np.stack(np.unravel_index(cols, mask.shape))].max(axis=0, initial=0)
+    fit = (space.lengths[np.asarray(words)][:, None] + longest <= space.depth).ravel()
+    return max_abs(stacked.conjugate().transpose() @ stacked - sparse.diags(fit.astype(float)))
+
+
 def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
     """How often the shift map (w, wandering tuple) -> w-shifted tuple hits each basis tuple.
 
@@ -132,19 +150,19 @@ def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
     The shifted copies of the wandering span are certified pairwise orthogonal
     and jointly exhaustive by showing the shift map (w, wandering tuple) ->
     basis tuple hits every index exactly once; distinct basis indices are
-    orthogonal by construction.  On instances small enough, the Gram blocks
-    of the actual sparse shift operators are computed as well.
+    orthogonal by construction.  On instances small enough, the Gram of the
+    actual shift operators over every word is checked too (shifted_gram_defect).
     """
     if k < 1 or depth < 0:
         raise ValueError("need k >= 1 and depth >= 0")
-    t = count_words(alphabet, depth)
-    total = t**k
+    space = FockSpace(alphabet, depth)
+    total = space.dim**k
     mask = _wandering_mask(alphabet, k, depth)
     dim = int(np.count_nonzero(mask))
     closed = wandering_dim_closed_form(alphabet, k, depth)
 
     # Unique-cover bitmap: every tuple is reached by exactly one (w, kappa).
-    counts = _cover_counts(FockSpace(alphabet, depth), k, mask)
+    counts = _cover_counts(space, k, mask)
     cover_injective = bool(counts.max(initial=0) <= 1)
     cover_complete = bool(counts.min(initial=1) >= 1)
 
@@ -161,7 +179,8 @@ def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
     orthogonality_defect = 0.0 if cover_injective else 1.0
     gram_checked = False
     if total <= GRAM_LIMIT:
-        orthogonality_defect = max(orthogonality_defect, _gram_defect(alphabet, k, depth, mask))
+        gram = shifted_gram_defect(space, k, mask, np.arange(space.dim))
+        orthogonality_defect = max(orthogonality_defect, gram)
         gram_checked = True
 
     return WanderingReport(
@@ -178,30 +197,3 @@ def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
         growth_strict=growth_strict,
         gram_checked=gram_checked,
     )
-
-
-def _gram_defect(alphabet: Alphabet, k: int, depth: int, mask: np.ndarray) -> float:
-    """Largest Gram entry between differently shifted wandering columns; contract: 0.
-
-    The columns (L_w)^(x k) restricted to the wandering span, for each word w,
-    stand side by side in S; block (u, v) of S^H S is the Gram cross-block of
-    the copies shifted by u and v, so one product covers every pair.
-    """
-    space = FockSpace(alphabet, depth)
-    cols = np.flatnonzero(mask.ravel())
-    powers = (tensor_op(*([word_shift(space, w, "left")] * k)).matrix.tocsc() for w in space.words)
-    stacked = sparse.hstack([power[:, cols] for power in powers], format="csc")
-    gram = (stacked.conjugate().transpose() @ stacked).tocoo()
-    across = gram.row // cols.size != gram.col // cols.size
-    return float(np.abs(gram.data[across]).max(initial=0.0))
-
-
-def isometry_on_wandering_defect(alphabet: Alphabet, k: int, depth: int, w: Word) -> float:
-    """Shifted wandering columns stay orthonormal when images fit the depth."""
-    space = FockSpace(alphabet, depth)
-    mask = _wandering_mask(alphabet, k, depth - len(w))  # raises when |w| > depth
-    cols = np.flatnonzero(np.pad(mask, [(0, space.dim - mask.shape[0])] * k))
-    shift = word_shift(space, w, "left")
-    power = tensor_op(*([shift] * k)).matrix.tocsc()[:, cols]
-    gram = (power.conjugate().transpose() @ power).toarray()
-    return float(np.abs(gram - np.eye(cols.size)).max(initial=0.0))

@@ -171,6 +171,19 @@ def test_verify_full_refuses_a_flag_it_would_ignore(monkeypatch, capsys, flag, v
     assert f"ignore {flag}" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_unwritable_output_before_any_check(monkeypatch, capsys, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the checks ran")
+
+    monkeypatch.setattr(cli, "build_report", unreachable)
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--n", "2", "--depth", "2", "--output", str(target)])
+        assert err.value.code == 2
+        assert str(target) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_inject_fault(capsys):
     code = run_cli([
         "verify", "--n", "2", "--depth", "2", "--suites", "regrep",

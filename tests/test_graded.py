@@ -86,7 +86,7 @@ from fockhopf.spaces import (
     tensor_space,
     vacuum_leg_decomposition,
 )
-from fockhopf.wandering import _cover_counts, _wandering_mask, isometry_on_wandering_defect
+from fockhopf.wandering import _cover_counts, _wandering_mask, shifted_gram_defect
 from fockhopf.verify import (
     CESARO_ORDERS,
     SuiteConfig,
@@ -1032,8 +1032,9 @@ def test_wandering_mask_matches_word_literal(n):
             assert np.array_equal(got, literal_wandering_mask(alphabet, k, depth)), (depth, k)
     with pytest.raises(ValueError):
         _wandering_mask(alphabet, 2, -1)
-    with pytest.raises(ValueError):  # |w| > depth leaves no wandering span to shift
-        isometry_on_wandering_defect(alphabet, 2, 2, Word((1, 1, 1)))
+    space = FockSpace(alphabet, 2)
+    with pytest.raises(ValueError):  # a word index past the basis names no shift
+        shifted_gram_defect(space, 2, _wandering_mask(alphabet, 2, 2), [space.dim])
 
 
 def literal_cover_counts(space, k, mask):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ import pytest
 from fockhopf import graded, verify, wandering
 from fockhopf.regular import word_shift
 from fockhopf.sampling import rng_for
-from fockhopf.spaces import FockSpace, basis_vector, tensor_op, tensor_space
+from fockhopf.spaces import FockSpace, Operator, basis_vector, tensor_op, tensor_space
 from fockhopf.wandering import (
-    _gram_defect,
     _wandering_mask,
     first_letters,
-    isometry_on_wandering_defect,
     share_a_first_letter,
+    shifted_gram_defect,
     strip_common_prefix,
     wandering_check,
     wandering_dim,
@@ -148,8 +148,11 @@ def test_orthogonality_by_sparse_inner_products():
 
 
 def test_shifted_copies_are_isometric():
+    # One word's block alone: the identity on the columns that fit, zero on the rest.
+    space = FockSpace(A2, 3)
+    mask = _wandering_mask(A2, 2, 3)
     for w in [word(1), word(2), word(1, 2)]:
-        assert isometry_on_wandering_defect(A2, 2, 3, w) == 0.0
+        assert shifted_gram_defect(space, 2, mask, [space.index_of(w)]) == 0.0
 
 
 def test_wandering_check_report():
@@ -172,9 +175,12 @@ def test_wandering_check_gram_limit(monkeypatch):
 
 
 def literal_gram_defect(alphabet, k, depth, mask):
-    # One sparse cross-Gram product per pair of distinct shift words.
+    # One sparse Gram product per pair of shift words; a word's own block
+    # against the identity on the tuples whose shifted words all fit.
     space = FockSpace(alphabet, depth)
     cols = np.flatnonzero(mask.ravel())
+    tuples = zip(*np.unravel_index(cols, mask.shape))
+    longest = [max(len(space.word_at(int(i))) for i in tup) for tup in tuples]
     shifted = {
         w: tensor_op(*([word_shift(space, w, "left")] * k)).matrix.tocsc()[:, cols]
         for w in space.words
@@ -182,6 +188,9 @@ def literal_gram_defect(alphabet, k, depth, mask):
     words = list(space.words)
     worst = 0.0
     for i, u in enumerate(words):
+        fit = [len(u) + m <= depth for m in longest]
+        block = (shifted[u].conjugate().transpose() @ shifted[u]).toarray()
+        worst = max(worst, float(np.abs(block - np.diag(fit)).max(initial=0.0)))
         for v in words[i + 1 :]:
             cross = (shifted[u].conjugate().transpose() @ shifted[v]).tocoo()
             if cross.nnz:
@@ -194,16 +203,18 @@ def literal_gram_defect(alphabet, k, depth, mask):
 )
 def test_gram_defect_matches_pairwise_products(n, k, depth):
     alphabet = Alphabet(n)
+    space = FockSpace(alphabet, depth)
+    every = np.arange(space.dim)
     mask = _wandering_mask(alphabet, k, depth)
-    assert _gram_defect(alphabet, k, depth, mask) == literal_gram_defect(alphabet, k, depth, mask)
-    assert _gram_defect(alphabet, k, depth, mask) == 0.0
+    assert shifted_gram_defect(space, k, mask, every) == 0.0
+    assert literal_gram_defect(alphabet, k, depth, mask) == 0.0
     # (1, 1, ...) has the common prefix 1, so the copy of the vacuum tuple
     # shifted by 1 meets it: both routes must see the overlap.
     t = count_words(alphabet, depth)
     broken = mask.copy()
     broken[(1,) * k] = True
     assert not mask[(1,) * k] and broken.ravel()[np.ravel_multi_index((1,) * k, (t,) * k)]
-    defect = _gram_defect(alphabet, k, depth, broken)
+    defect = shifted_gram_defect(space, k, broken, every)
     assert defect == literal_gram_defect(alphabet, k, depth, broken) == 1.0
 
 
@@ -276,3 +287,64 @@ def _one_letter_short(space, tup):
 def test_decompose_check_catches_a_prefix_one_letter_short(monkeypatch, n, depth):
     monkeypatch.setattr(wandering, "strip_common_prefix", _one_letter_short)
     assert _decompose(n, depth)[0] == (1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one shifted-column Gram, behind wandering_check and verify's shift_isometry
+
+
+def _letters_call(n, depth):
+    cfg = verify.SuiteConfig(n=n, depth=depth, seed=7)
+    return verify._chk_wandering_isometry(cfg, rng_for(7, "wandering", "shift_isometry", n, depth))
+
+
+def _merge_two_columns(space, w, side):
+    # The real shift, but the vacuum goes where the word 1 goes: the wandering
+    # columns (vacuum, vacuum) and (1, vacuum) land on one tuple.
+    coo = word_shift(space, w, side).matrix.tocoo()
+    rows = coo.row.copy()
+    if np.any(coo.col == 1):
+        rows[coo.col == 0] = rows[coo.col == 1]
+    return Operator.from_entries(space, space, rows, coo.col, coo.data)
+
+
+def _drop_one_entry(space, w, side):
+    # The real shift less its image of the vacuum: a fitting column goes to 0.
+    coo = word_shift(space, w, side).matrix.tocoo()
+    keep = coo.col != 0
+    return Operator.from_entries(space, space, coo.row[keep], coo.col[keep], coo.data[keep])
+
+
+@pytest.mark.parametrize("mutant", [_merge_two_columns, _drop_one_entry])
+@pytest.mark.parametrize("n,depth", TENSOR_GRID)
+def test_shifted_gram_catches_a_broken_shift(monkeypatch, mutant, n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    mask = _wandering_mask(space.alphabet, 2, depth)
+    assert shifted_gram_defect(space, 2, mask, np.arange(space.dim)) == 0.0
+    assert _letters_call(n, depth) == (0.0, 0.0)
+    monkeypatch.setattr(wandering, "word_shift", mutant)
+    assert shifted_gram_defect(space, 2, mask, np.arange(space.dim)) == 1.0
+    assert _letters_call(n, depth) == (1.0, 0.0)
+
+
+def test_every_shifted_gram_goes_through_one_function(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("shifted_gram_defect reached")
+
+    monkeypatch.setattr(wandering, "shifted_gram_defect", refuse)
+    assert count_words(A2, 2) ** 2 <= wandering.GRAM_LIMIT
+    with pytest.raises(AssertionError, match="reached"):
+        wandering_check(A2, 2, 2)
+    with pytest.raises(AssertionError, match="reached"):
+        _letters_call(2, 2)
+
+
+def test_shift_isometry_makes_no_dense_gram():
+    # The dense Gram of the 2,047 wandering tuples at depth - 1 took 160 MiB.
+    tracemalloc.start()
+    try:
+        assert _letters_call(2, 6) == (0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
