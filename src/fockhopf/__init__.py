@@ -16,7 +16,6 @@ from .spaces import (
     Vector,
     basis_vector,
     flip_operator,
-    leg_embed,
     max_entry_diff,
     slice_left,
     slice_right,

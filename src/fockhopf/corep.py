@@ -20,7 +20,11 @@ concatenations come from the graded rule :func:`graded.concat`: directly in
 cached realize pattern in :func:`corep_from_rep`.  The check
 :func:`shift_tensor_sum` instead joins the family entries with the entries
 of each shift, built on its own by :func:`word_shift`, so it shares no index
-table with the assembly it checks.
+table with the assembly it checks.  The three-leg identity
+V_{1,3} V_{2,3} = sum_w L_w (x) L_w (x) B_w is an entry join too: V's
+entries join themselves on the aux index and meet the entries of
+:func:`shift_tensor_entries` in one keyed sum, so no operator on the
+H (x) H (x) K ambient is built.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .spaces import (
     Vector,
     coo_sum,
     gather_groups,
-    leg_embed,
     max_entry_diff,
     sum_by_key,
     tensor_op,
@@ -99,19 +102,19 @@ class CorepReport:
         return max(self.reconstruction_defect, self.criterion_defect, legs)
 
 
-def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
-    """The sum over w of L_w (x) .. (x) L_w (``copies`` legs) (x) family[w].
+def shift_tensor_entries(family: StackedFamily, copies: int = 1) -> tuple[np.ndarray, ...]:
+    """The entries (rows, cols, vals) of sum_w L_w (x) .. (x) L_w (``copies`` legs) (x) family[w].
 
     A direct join of entries: with M_w = L_w (x) .. (x) L_w, each stored
     entry M_w[i, k] = m and each stored entry B_w[y, x] = b give m b at row
-    i d + y and column k d + x (d = dim K), all summed in one COO pass.  The
+    i d + y and column k d + x (d = dim K); no two share a position.  The
     shifts are read through :func:`word_shift` alone, one word at a time;
     the family entries join their word's shift entries once, after the loop.
     """
     fock, aux = family.fock, family.aux
-    space = TensorSpace((*[fock] * copies, aux))  # an aux that is itself a product stays one leg
     if not family:
-        return Operator.zero(space)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=np.complex128)
     lrows, lcols, lvals = [], [], []
     for k in family.support:
         shift = word_shift(fock, fock.words[k], "left").matrix
@@ -129,7 +132,15 @@ def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
     entry, pos = gather_groups(owner, family.word, fock.dim)
     rows = np.concatenate(lrows)[pos] * aux.dim + family.row[entry]
     cols = np.concatenate(lcols)[pos] * aux.dim + family.col[entry]
-    return coo_sum(space, [rows], [cols], [np.concatenate(lvals)[pos] * family.val[entry]])
+    return rows, cols, np.concatenate(lvals)[pos] * family.val[entry]
+
+
+def shift_tensor_sum(family: StackedFamily, copies: int = 1) -> Operator:
+    """The operator sum_w L_w (x) .. (x) L_w (x) family[w], summed in one COO pass."""
+    # An aux that is itself a product stays one leg.
+    space = TensorSpace((*[family.fock] * copies, family.aux))
+    rows, cols, vals = shift_tensor_entries(family, copies)
+    return coo_sum(space, [rows], [cols], [vals])
 
 
 def idempotent_family_defect(family: StackedFamily) -> float:
@@ -156,13 +167,34 @@ def criterion_defect(corep: Corepresentation) -> float:
 
 
 def leg_identity_defect(corep: Corepresentation) -> float:
-    """Entrywise defect of V_{1,3} V_{2,3} = sum_w L_w (x) L_w (x) B_w."""
-    fock = corep.hilbert
-    ambient = TensorSpace((fock, fock, corep.aux))
-    v13 = leg_embed(corep.operator, (1, 3), ambient)
-    v23 = leg_embed(corep.operator, (2, 3), ambient)
-    rhs = shift_tensor_sum(corep.family, copies=2)
-    return max_entry_diff(v13 @ v23, rhs)
+    """Entrywise defect of V_{1,3} V_{2,3} = sum_w L_w (x) L_w (x) B_w.
+
+    An entry join: (V_{1,3} V_{2,3})[(a, b, y), (c, e, z)] is the sum over m
+    of V[(a, y), (c, m)] V[(b, m), (e, z)], so each stored entry of V pairs
+    with every stored entry whose row has aux index m.  The products sum per
+    key over m ascending, and the entries of :func:`shift_tensor_entries`
+    at two copies are then subtracted, the order of a sparse product
+    followed by its difference.  Memory is linear in the joined pairs; the
+    right-hand side reads the shifts through :func:`word_shift` alone.
+    """
+    dim, dk = corep.hilbert.dim, corep.aux.dim
+    mat = corep.operator.matrix
+    a, y = np.divmod(np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), dk)
+    c, m = np.divmod(mat.indices.astype(np.int64), dk)
+    left, right = gather_groups(y, m, dk)
+    rhs_rows, rhs_cols, rhs_vals = shift_tensor_entries(corep.family, copies=2)
+    rows = np.concatenate(((a[left] * dim + a[right]) * dk + y[left], rhs_rows))
+    cols = np.concatenate(((c[left] * dim + c[right]) * dk + m[right], rhs_cols))
+    vals = np.concatenate((_schoolbook_product(mat.data[left], mat.data[right]), -rhs_vals))
+    return float(np.abs(sum_by_key([rows, cols], vals)[1]).max(initial=0.0))
+
+
+def _schoolbook_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y from real products, as scipy's sparse product rounds it (numpy's may not)."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _reconstruction_defect(corep: Corepresentation) -> float:

@@ -26,6 +26,8 @@ from .words import Alphabet, count_words
 
 # wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
 GRAM_LIMIT = 4096
+# _cover_counts scatters at most this many tuples at a time (or one last-axis line, if longer).
+COVER_SLICE = 2**16
 
 
 def strip_common_prefix(space: FockSpace, tup) -> tuple[int, np.ndarray]:
@@ -130,17 +132,26 @@ def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
     """How often the shift map (w, wandering tuple) -> w-shifted tuple hits each basis tuple.
 
     Row rank(w) of the length-m :func:`graded.concat` table maps u -> w u over
-    the words u that fit; the rows are taken one at a time, as all rows of a
-    length at once would hold n^m times the index array.
+    the words u that fit.  The shifted tuples of one row are the grid of
+    k-fold products of that row, which is scattered in bounded slices: the
+    linear indices of the first k - 1 components form one array ``lead``,
+    and each slice pairs a run of ``lead`` with the whole row in the last
+    component, at most ``COVER_SLICE`` tuples (or one line, if longer).  The
+    scatter accumulates, so a tuple hit twice within a row counts twice.
     """
     counts = np.zeros(space.dim**k, dtype=np.int32)
     for m in range(space.depth + 1):
         src = graded.within(space, space.depth - m)
-        sub = mask[tuple([slice(0, src.size)] * k)]
+        sub = mask[tuple([slice(0, src.size)] * k)].reshape(-1, src.size)
+        step = max(1, COVER_SLICE // src.size)
         ranks = np.arange(space.n**m)[:, None]
         for table in graded.concat(space, m, ranks, *graded.length_rank(space, src)):
-            linear = np.ravel_multi_index(np.ix_(*([table] * k)), (space.dim,) * k)
-            np.add.at(counts, linear[sub].ravel(), 1)
+            lead = np.zeros(1, dtype=np.int64)
+            for _ in range(k - 1):
+                lead = (lead[:, None] * space.dim + table).ravel()
+            for lo in range(0, lead.size, step):
+                linear = lead[lo : lo + step, None] * space.dim + table
+                np.add.at(counts, linear[sub[lo : lo + step]], 1)
     return counts
 
 

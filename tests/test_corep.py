@@ -44,7 +44,6 @@ from fockhopf.spaces import (
     TensorSpace,
     basis_vector,
     coo_sum,
-    leg_embed,
     max_abs,
     max_entry_diff,
     slice_left,
@@ -52,7 +51,9 @@ from fockhopf.spaces import (
     tensor_space,
 )
 from fockhopf.verify import SuiteConfig
-from fockhopf.words import Alphabet, Word, word
+from fockhopf.words import Alphabet, Word, count_words, word
+
+from leg_reference import leg_embed
 
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
@@ -433,6 +434,62 @@ def test_evaluate_and_coefficients_match_per_member_sums(n, depth):
         series = coefficient_operator(rep, x, y)
         expected = {w: np.vdot(y.data, op.apply(x).data) for w, op in members.items()}
         assert series == FourierSeries(space.alphabet, expected)
+
+
+def literal_leg_identity_defect(corep):
+    # V_{1,3} V_{2,3} as a scipy product on the H (x) H (x) K ambient, minus
+    # one Kronecker product per member word.
+    fock, aux = corep.hilbert, corep.aux
+    ambient = TensorSpace((fock, fock, aux))
+    v13 = leg_embed(corep.operator, (1, 3), ambient)
+    v23 = leg_embed(corep.operator, (2, 3), ambient)
+    return max_entry_diff(v13 @ v23, literal_shift_tensor_sum(fock, aux, corep.family, copies=2))
+
+
+def _perturbed(op, rng, scale=None):
+    # Gaussian noise on an operator's entries: every stored entry scaled by
+    # 1 + scale N(0, 1), or one entry bumped and two entries added.
+    coo = op.matrix.tocoo()
+    rows, cols, vals = coo.row, coo.col, coo.data.copy()
+    if scale is not None:
+        vals *= 1 + scale * rng.standard_normal(vals.size)
+    else:
+        vals[rng.integers(vals.size)] += complex(*rng.standard_normal(2))
+        rows = np.append(rows, rng.integers(op.domain.dim, size=2))
+        cols = np.append(cols, rng.integers(op.domain.dim, size=2))
+        vals = np.append(vals, rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    return Corepresentation.from_operator(Operator.from_entries(op.domain, op.domain, rows, cols, vals))
+
+
+# The tensor GRID points whose H (x) H (x) H ambient has at most 300k rows.
+LEG_GRID = [(n, depth) for n, depth in GRID if count_words(Alphabet(n), depth) ** 3 <= 300_000]
+
+
+@pytest.mark.parametrize("n,depth", LEG_GRID)
+def test_leg_identity_join_matches_the_scipy_product(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(0, "corep-leg-join", n, depth)
+    fundamental = fundamental_corep(space)
+    coreps = [fundamental] + [corep_from_rep(rep, space) for rep, _ in _valid_reps(space)]
+    perturbed = [_perturbed(fundamental.operator, rng) for _ in range(3)]
+    perturbed.append(_perturbed(coreps[-1].operator, rng, scale=0.1))
+    for corep in coreps:
+        assert leg_identity_defect(corep) == literal_leg_identity_defect(corep) == 0.0
+    for corep in perturbed:
+        got = leg_identity_defect(corep)
+        assert got == literal_leg_identity_defect(corep) and got > 0.0
+
+
+def test_leg_identity_needs_memory_linear_in_the_joined_pairs():
+    # At (3, 4) the H (x) H (x) H ambient has 1.77M rows; the join has about 21k pairs.
+    corep = fundamental_corep(FockSpace(Alphabet(3), 4))
+    tracemalloc.start()
+    try:
+        assert leg_identity_defect(corep) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_stacked_family_keys_members_by_word():

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import fockhopf
-from fockhopf import graded, hopf, predual, regular, verify, words
+from fockhopf import graded, hopf, predual, regular, verify, wandering, words
 from fockhopf.corep import (
     SCALAR_SPACE,
     PredualRep,
@@ -1060,6 +1060,30 @@ def test_cover_counts_match_word_loop(n):
                 got = _cover_counts(space, k, mask)
                 assert got.dtype == np.int32
                 assert np.array_equal(got, literal_cover_counts(space, k, mask)), (depth, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cover_counts_across_slice_boundaries(n, monkeypatch):
+    # At the default slice no row of these points is split; slices of at
+    # most 7 tuples (or one last-axis line) end inside the length blocks of
+    # the leading components.
+    monkeypatch.setattr(wandering, "COVER_SLICE", 7)
+    test_cover_counts_match_word_loop(n)
+
+
+def test_cover_counts_scatter_in_bounded_slices():
+    # At (3, 4) with k = 3 the linear indices of the vacuum row's full grid
+    # would take 13.5 MiB; the counts themselves take 6.75 MiB.
+    space = FockSpace(Alphabet(3), 4)
+    mask = _wandering_mask(space.alphabet, 3, space.depth)
+    tracemalloc.start()
+    try:
+        counts = _cover_counts(space, 3, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.min() == counts.max() == 1
+    assert peak < 12 * 2**20, peak
 
 
 def literal_legwise_columns(family, space, family_leg, columns):

@@ -11,7 +11,6 @@ from fockhopf.spaces import (
     Vector,
     basis_vector,
     flip_operator,
-    leg_embed,
     max_entry_diff,
     slice_left,
     slice_right,
@@ -21,6 +20,8 @@ from fockhopf.spaces import (
     vacuum_leg_decomposition,
 )
 from fockhopf.words import Alphabet, Word, word
+
+from leg_reference import leg_embed
 
 A2 = Alphabet(2)
 
