@@ -1,7 +1,7 @@
 """Command line front end: verify / spectrum / wandering.
 
-Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors.  JSON output is byte-reproducible for a fixed seed and config when
+Exit codes: 0 on success, 1 when a verification check fails or raises, 2 on
+usage errors.  JSON output is byte-reproducible for a fixed seed and config when
 ``--no-timestamp`` is passed (that flag also drops per-check wall times,
 which are the only other run-dependent fields).
 """
@@ -133,13 +133,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 raise ValueError(f"more than {WORD_BUDGET} words; lower --n or --depth")
         if args.output is not None:  # refuse an unwritable file before any check runs
             open(args.output, "a", encoding="utf-8").close()
-        report = build_report(
-            configs,
-            inject_fault=args.inject_fault,
-            with_timestamp=not args.no_timestamp,
-        )
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits with code 2
+    # A check that raises is an internal error (exit 1), not a usage error.
+    report = build_report(configs, inject_fault=args.inject_fault, with_timestamp=not args.no_timestamp)
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     else:
@@ -154,9 +151,9 @@ def _cmd_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         alphabet = Alphabet(args.n)
         if _over_budget(alphabet, args.depth, 1, WORD_BUDGET):
             raise ValueError(f"more than {WORD_BUDGET} words; lower --n or --depth")
-        chars = spectrum(FockSpace(alphabet, args.depth))
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
+    chars = spectrum(FockSpace(alphabet, args.depth))
     names = [w.text(args.n) for w in chars]
     if args.format == "json":
         _emit(json.dumps({"n": args.n, "depth": args.depth, "characters": names}, indent=2), None)
@@ -176,9 +173,9 @@ def _cmd_wandering(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             raise ValueError(
                 f"more than {WANDERING_TUPLE_BUDGET} k-tuples; lower --n, --k or --depth"
             )
-        report = wandering_check(alphabet, args.k, args.depth)
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2
+    report = wandering_check(alphabet, args.k, args.depth)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), None)
     else:

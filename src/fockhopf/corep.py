@@ -148,16 +148,16 @@ def idempotent_family_defect(family: StackedFamily) -> float:
 
     Zero components satisfy every pair they touch, so only the stored
     entries matter.  An entry join: each stored (u, y, x, a) pairs with every
-    stored (v, x, z, b), the products a b sum per key (u, y, v, z) over x
-    ascending, and each stored F_u[y, z] is then subtracted at (u, y, u, z),
-    the order of a sparse product followed by its difference.  Memory is
-    linear in the joined pairs.
+    stored (v, x, z, b), the products a b (rounded as :func:`_schoolbook_product`
+    rounds them) sum per key (u, y, v, z) over x ascending, and each stored
+    F_u[y, z] is then subtracted at (u, y, u, z), the order of a sparse
+    product followed by its difference.  Memory is linear in the joined pairs.
     """
     u, y, x, a = family.word, family.row, family.col, family.val
     left, right = gather_groups(y, x, family.aux.dim)  # right in (v, z) order
     pairs = ((u[left], u), (y[left], y), (u[right], u), (x[right], x))
     keys = [np.concatenate(pair) for pair in pairs]
-    products = sum_by_key(keys, np.concatenate((a[left] * a[right], -a)))[1]
+    products = sum_by_key(keys, np.concatenate((_schoolbook_product(a[left], a[right]), -a)))[1]
     return float(np.abs(products).max(initial=0.0))
 
 

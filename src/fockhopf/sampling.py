@@ -52,13 +52,12 @@ def random_vector(rng: np.random.Generator, space, bits: int = FINE_BITS) -> Vec
 
 
 def random_rank_one_functional(
-    rng: np.random.Generator, space: FockSpace, pairs: int = 1, bits: int = FINE_BITS
+    rng: np.random.Generator, space: FockSpace, bits: int = FINE_BITS
 ) -> Functional:
-    pair_list = [
-        (random_vector(rng, space, bits=bits), random_vector(rng, space, bits=bits))
-        for _ in range(pairs)
-    ]
-    return from_rank_one(space, pair_list)
+    """The functional [xi eta*] of two random vectors, xi drawn first."""
+    xi = random_vector(rng, space, bits=bits)
+    eta = random_vector(rng, space, bits=bits)
+    return from_rank_one(space, [(xi, eta)])
 
 
 def random_ball_point(

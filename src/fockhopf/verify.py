@@ -75,41 +75,19 @@ class Check:
     config: SuiteConfig
     fn: Callable[[SuiteConfig, np.random.Generator], tuple[float, float]]
 
-    def run(self) -> "CheckResult":
+    def run(self) -> dict:
+        """Run the check and return its report row."""
         rng = sampling.rng_for(self.config.seed, self.suite, self.name, self.config.n, self.config.depth)
         started = time.perf_counter()
         defect, threshold = self.fn(self.config, rng)
-        millis = (time.perf_counter() - started) * 1000.0
-        return CheckResult(
-            suite=self.suite,
-            name=self.name,
-            params={"n": self.config.n, "depth": self.config.depth},
-            defect=float(defect),
-            threshold=float(threshold),
-            passed=bool(defect <= threshold),
-            millis=millis,
-        )
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    params: dict
-    defect: float
-    threshold: float
-    passed: bool
-    millis: float
-
-    def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "name": self.name,
-            "params": dict(self.params),
-            "defect": self.defect,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "millis": self.millis,
+            "params": {"n": self.config.n, "depth": self.config.depth},
+            "defect": float(defect),
+            "threshold": float(threshold),
+            "pass": bool(defect <= threshold),
+            "millis": (time.perf_counter() - started) * 1000.0,
         }
 
 
@@ -255,15 +233,11 @@ def _chk_tensor_lr_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
 # hopf suite
 
 
-def _hopf_degree(cfg: SuiteConfig) -> int:
-    return min(2, cfg.depth)
-
-
 def _hopf_trials(cfg: SuiteConfig, rng, trials: int, defect) -> tuple[float, float]:
-    """Worst ``defect(s, space)`` over one random exact series of the hopf degree per trial."""
+    """Worst ``defect(s, space)`` over one random exact series of degree min(2, depth) per trial."""
     worst = 0.0
     for _ in range(trials):
-        s = sampling.random_series(rng, cfg.alphabet, _hopf_degree(cfg), bits=sampling.EXACT_BITS)
+        s = sampling.random_series(rng, cfg.alphabet, min(2, cfg.depth), bits=sampling.EXACT_BITS)
         worst = max(worst, defect(s, cfg.space))
     return worst, 0.0
 
@@ -393,9 +367,10 @@ def _chk_predual_comult(cfg: SuiteConfig, rng) -> tuple[float, float]:
         g = sampling.random_rank_one_functional(rng, space)
         worst = max(worst, predual_mod.predual_coassociativity_defect(f))
         worst = max(worst, predual_mod.predual_homomorphism_defect(f, g))
-    for w in space.words[: min(8, space.dim)]:
+    for target in range(min(8, space.dim)):
+        w = space.word_at(target)
         split = predual_mod.predual_comult(predual_mod.indicator_functional(space, w))
-        target, support = space.index_of(w), 0
+        support = 0
         for (k, m), b in split.blocks.items():
             ru, rv = np.nonzero(b)
             support += ru.size
@@ -620,63 +595,55 @@ def _chk_wandering_isometry(cfg: SuiteConfig, rng) -> tuple[float, float]:
 # registry and runner
 
 
-_REGREP_CHECKS = [
-    ("isometry_relations", _chk_isometry),
-    ("row_contraction", _chk_row_contraction),
-    ("fourier_round_trip", _chk_fourier_round_trip),
-    ("shift_composition", _chk_shift_composition),
-    ("right_shift_reversal", _chk_right_reversal),
-    ("cesaro_bound", _chk_cesaro_bound),
-    ("membership_realize", _chk_membership_realize),
-    ("membership_rejects", _chk_membership_rejects),
-    ("lr_commutation", _chk_lr_commutation),
-    ("tensor_lr_commutation", _chk_tensor_lr_commutation),
-]
-
-_HOPF_CHECKS = [
-    ("coassociativity", _chk_coassociativity),
-    ("cocommutativity", _chk_cocommutativity),
-    ("homomorphism", _chk_homomorphism),
-    ("integral_invariance", _chk_integral),
-    ("vacuum_expansion", _chk_vacuum_expansion),
-    ("grouplike", _chk_grouplike),
-]
-
-_PREDUAL_CHECKS = [
-    ("convolve_slice_oracle", _chk_convolve_slice_oracle),
-    ("convolve_algebra", _chk_convolve_algebra),
-    ("predual_comult", _chk_predual_comult),
-    ("point_family", _chk_point_family),
-    ("counit_positive", _chk_counit_positive),
-    ("all_ones_unit", _chk_all_ones_unit),
-    ("nu_reconstruction", _chk_nu_reconstruction),
-]
-
-_COREP_CHECKS = [
-    ("fundamental_corep", _chk_fundamental),
-    ("fundamental_intertwining", _chk_fundamental_intertwining),
-    ("fundamental_r_commutation", _chk_fundamental_r_commutation),
-    ("roundtrips", _chk_roundtrips),
-    ("rep_multiplicativity", _chk_rep_multiplicativity),
-    ("spectrum", _chk_spectrum),
-    ("coefficient_membership", _chk_coefficient_membership),
-    ("corrupted_corep", _chk_corrupted_corep),
-    ("decomposable_not_corep", _chk_decomposable_not_corep),
-]
-
-_WANDERING_CHECKS = [
-    ("wandering_k2", lambda cfg, rng: _chk_wandering_report(cfg, rng, 2)),
-    ("wandering_k3", lambda cfg, rng: _chk_wandering_report(cfg, rng, 3)),
-    ("decompose_roundtrip", _chk_wandering_decompose),
-    ("shift_isometry", _chk_wandering_isometry),
-]
-
-_SUITE_REGISTRY = {
-    "regrep": _REGREP_CHECKS,
-    "hopf": _HOPF_CHECKS,
-    "predual": _PREDUAL_CHECKS,
-    "corep": _COREP_CHECKS,
-    "wandering": _WANDERING_CHECKS,
+# Suite -> (name, check) pairs, keyed in ALL_SUITES order; checks run and
+# report in this order.
+_REGISTRY = {
+    "regrep": [
+        ("isometry_relations", _chk_isometry),
+        ("row_contraction", _chk_row_contraction),
+        ("fourier_round_trip", _chk_fourier_round_trip),
+        ("shift_composition", _chk_shift_composition),
+        ("right_shift_reversal", _chk_right_reversal),
+        ("cesaro_bound", _chk_cesaro_bound),
+        ("membership_realize", _chk_membership_realize),
+        ("membership_rejects", _chk_membership_rejects),
+        ("lr_commutation", _chk_lr_commutation),
+        ("tensor_lr_commutation", _chk_tensor_lr_commutation),
+    ],
+    "hopf": [
+        ("coassociativity", _chk_coassociativity),
+        ("cocommutativity", _chk_cocommutativity),
+        ("homomorphism", _chk_homomorphism),
+        ("integral_invariance", _chk_integral),
+        ("vacuum_expansion", _chk_vacuum_expansion),
+        ("grouplike", _chk_grouplike),
+    ],
+    "predual": [
+        ("convolve_slice_oracle", _chk_convolve_slice_oracle),
+        ("convolve_algebra", _chk_convolve_algebra),
+        ("predual_comult", _chk_predual_comult),
+        ("point_family", _chk_point_family),
+        ("counit_positive", _chk_counit_positive),
+        ("all_ones_unit", _chk_all_ones_unit),
+        ("nu_reconstruction", _chk_nu_reconstruction),
+    ],
+    "corep": [
+        ("fundamental_corep", _chk_fundamental),
+        ("fundamental_intertwining", _chk_fundamental_intertwining),
+        ("fundamental_r_commutation", _chk_fundamental_r_commutation),
+        ("roundtrips", _chk_roundtrips),
+        ("rep_multiplicativity", _chk_rep_multiplicativity),
+        ("spectrum", _chk_spectrum),
+        ("coefficient_membership", _chk_coefficient_membership),
+        ("corrupted_corep", _chk_corrupted_corep),
+        ("decomposable_not_corep", _chk_decomposable_not_corep),
+    ],
+    "wandering": [
+        ("wandering_k2", lambda cfg, rng: _chk_wandering_report(cfg, rng, 2)),
+        ("wandering_k3", lambda cfg, rng: _chk_wandering_report(cfg, rng, 3)),
+        ("decompose_roundtrip", _chk_wandering_decompose),
+        ("shift_isometry", _chk_wandering_isometry),
+    ],
 }
 
 
@@ -693,20 +660,15 @@ def _chk_injected_fault(cfg: SuiteConfig, rng) -> tuple[float, float]:
 
 
 def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]:
-    checks = []
-    for suite in ALL_SUITES:
-        if suite not in config.suites:
-            continue
-        for name, fn in _SUITE_REGISTRY[suite]:
-            checks.append(Check(suite, name, config, fn))
+    checks = [
+        Check(suite, name, config, fn)
+        for suite, entries in _REGISTRY.items()
+        if suite in config.suites
+        for name, fn in entries
+    ]
     if inject_fault:
         checks.append(Check("selftest", "injected_fault", config, _chk_injected_fault))
     return checks
-
-
-def run_checks(checks: list[Check]) -> list[CheckResult]:
-    """Run checks serially, in registration order."""
-    return [c.run() for c in checks]
 
 
 def default_grid(seed: int, tolerance: float, trials: int) -> list[SuiteConfig]:
@@ -729,13 +691,10 @@ def build_report(
     with_timestamp: bool = True,
 ) -> dict:
     """Run every config and assemble the canonical JSON-ready report."""
-    all_checks: list[Check] = []
-    for cfg in configs:
-        all_checks.extend(build_checks(cfg, inject_fault=inject_fault))
-    results = run_checks(all_checks)
+    rows = [chk.run() for cfg in configs for chk in build_checks(cfg, inject_fault=inject_fault)]
     if not with_timestamp:
-        for r in results:
-            r.millis = 0.0  # timing is run-dependent; drop it with the timestamp
+        for row in rows:
+            row["millis"] = 0.0  # timing is run-dependent; drop it with the timestamp
     head = configs[0]
     config_block: dict = {
         "n": head.n if len(configs) == 1 else None,
@@ -745,11 +704,11 @@ def build_report(
     }
     if len(configs) > 1:
         config_block["grid"] = [[c.n, c.depth] for c in configs]
-    passed = sum(1 for r in results if r.passed)
+    passed = sum(1 for row in rows if row["pass"])
     report: dict = {
         "config": config_block,
-        "checks": [r.to_json_dict() for r in results],
-        "summary": {"passed": passed, "failed": len(results) - passed},
+        "checks": rows,
+        "summary": {"passed": passed, "failed": len(rows) - passed},
     }
     if with_timestamp:
         from datetime import datetime, timezone

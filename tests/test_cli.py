@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from fockhopf import cli
+from fockhopf import cli, corep, hopf
 from fockhopf.cli import main
 from fockhopf.spaces import FockSpace
-from fockhopf.verify import SuiteConfig, build_checks, default_grid
+from fockhopf.verify import ALL_SUITES, SuiteConfig, build_checks, default_grid
 from fockhopf.words import Alphabet, count_words
 
 
@@ -118,8 +118,11 @@ def test_verify_small_passes(capsys):
     assert report["config"]["n"] == 2 and report["config"]["depth"] == 2
     suites = {c["suite"] for c in report["checks"]}
     assert suites == {"hopf", "predual"}
+    # Byte-identical reports depend on the key order as well as the key set.
+    assert list(report) == ["config", "checks", "summary"]
     for chk in report["checks"]:
         assert set(chk) == {"suite", "name", "params", "defect", "threshold", "pass", "millis"}
+        assert list(chk) == ["suite", "name", "params", "defect", "threshold", "pass", "millis"]
         assert chk["millis"] == 0.0  # suppressed together with the timestamp
 
 
@@ -184,6 +187,39 @@ def test_verify_refuses_an_unwritable_output_before_any_check(monkeypatch, capsy
     assert not (tmp_path / "missing").exists()
 
 
+def _raise_bad_tags(*args):
+    raise ValueError("a tagged entry is not exactly one word's tag")
+
+
+def _raise_internal(*args):
+    raise ValueError("internal")
+
+
+@pytest.mark.parametrize("module,attr,replacement,argv,match", [
+    # The predual slice oracle decodes tags on every run; hopf's decoded plans are cached.
+    (hopf, "_decode_tags", _raise_bad_tags,
+     ["verify", "--n", "2", "--depth", "2", "--suites", "predual"], "exactly one word's tag"),
+    (corep, "idempotent_family_defect", lambda family: 1.0,
+     ["spectrum", "--n", "2", "--depth", "2"], "representation law"),
+    (cli, "wandering_check", _raise_internal,
+     ["wandering", "--n", "2", "--k", "2", "--depth", "2"], "internal"),
+], ids=["verify", "spectrum", "wandering"])
+def test_a_check_that_raises_is_not_a_usage_error(monkeypatch, module, attr, replacement, argv, match):
+    # The exception propagates (exit 1 from the entry point), never exit 2.
+    monkeypatch.setattr(module, attr, replacement)
+    with pytest.raises(ValueError, match=match):
+        run_cli(argv)
+
+
+def test_non_tensor_suites_build_no_word_table(monkeypatch, capsys):
+    # Words are read by index, so the deep tier never enumerates all of them.
+    def unreachable(*args):
+        raise AssertionError("the whole word table was built")
+
+    monkeypatch.setattr(FockSpace, "words", property(unreachable))
+    assert run_cli(["verify", "--n", "2", "--depth", "4", "--suites", "regrep,predual"]) == 0
+
+
 def test_verify_inject_fault(capsys):
     code = run_cli([
         "verify", "--n", "2", "--depth", "2", "--suites", "regrep",
@@ -229,6 +265,8 @@ def test_build_checks_respects_suites():
     config = SuiteConfig(n=2, depth=2, suites=("hopf",))
     checks = build_checks(config)
     assert {c.suite for c in checks} == {"hopf"}
+    every = build_checks(SuiteConfig(n=2, depth=2))
+    assert list(dict.fromkeys(c.suite for c in every)) == list(ALL_SUITES)
     with_fault = build_checks(config, inject_fault=True)
     assert with_fault[-1].suite == "selftest"
 

@@ -327,8 +327,8 @@ def component(rep, w):
 def _families(space, seed=0):
     # (name, word-keyed family, aux): the fundamental family, the same with
     # one member doubled or an extra off-diagonal entry, every character,
-    # random dense families (dyadic, with and without zero members, and
-    # Gaussian), and the empty family.
+    # random dense families (dyadic, with and without zero members, real and
+    # complex Gaussian), and the empty family.
     rng = rng_for(seed, "corep-families", space.n, space.depth)
     corep = fundamental_corep(space)
     fundamental = dict(corep.family)
@@ -356,6 +356,18 @@ def _families(space, seed=0):
     yield "normal", normal, aux
     zeros = {**dense, space.words[-1]: Operator.zero(aux), space.words[0]: Operator.zero(aux)}
     yield "zero members", zeros, aux
+    # Complex non-dyadic entries, whose products numpy's complex multiply can
+    # round apart from a sparse product's in the last bit.
+    big = AuxSpace(4)
+    for _ in range(4):
+        picks = rng.choice(space.dim, size=min(3, space.dim), replace=False)
+        gaussian = {
+            space.words[int(k)]: Operator.from_dense(
+                big, big, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            )
+            for k in picks
+        }
+        yield "complex gaussian", gaussian, big
     yield "empty", {}, aux
 
 
