@@ -49,6 +49,7 @@ from .spaces import (
     coo_sum,
     gather_groups,
     max_entry_diff,
+    schoolbook_product,
     sum_by_key,
     tensor_op,
     tensor_space,
@@ -148,7 +149,7 @@ def idempotent_family_defect(family: StackedFamily) -> float:
 
     Zero components satisfy every pair they touch, so only the stored
     entries matter.  An entry join: each stored (u, y, x, a) pairs with every
-    stored (v, x, z, b), the products a b (rounded as :func:`_schoolbook_product`
+    stored (v, x, z, b), the products a b (rounded as :func:`spaces.schoolbook_product`
     rounds them) sum per key (u, y, v, z) over x ascending, and each stored
     F_u[y, z] is then subtracted at (u, y, u, z), the order of a sparse
     product followed by its difference.  Memory is linear in the joined pairs.
@@ -157,7 +158,7 @@ def idempotent_family_defect(family: StackedFamily) -> float:
     left, right = gather_groups(y, x, family.aux.dim)  # right in (v, z) order
     pairs = ((u[left], u), (y[left], y), (u[right], u), (x[right], x))
     keys = [np.concatenate(pair) for pair in pairs]
-    products = sum_by_key(keys, np.concatenate((_schoolbook_product(a[left], a[right]), -a)))[1]
+    products = sum_by_key(keys, np.concatenate((schoolbook_product(a[left], a[right]), -a)))[1]
     return float(np.abs(products).max(initial=0.0))
 
 
@@ -185,16 +186,8 @@ def leg_identity_defect(corep: Corepresentation) -> float:
     rhs_rows, rhs_cols, rhs_vals = shift_tensor_entries(corep.family, copies=2)
     rows = np.concatenate(((a[left] * dim + a[right]) * dk + y[left], rhs_rows))
     cols = np.concatenate(((c[left] * dim + c[right]) * dk + m[right], rhs_cols))
-    vals = np.concatenate((_schoolbook_product(mat.data[left], mat.data[right]), -rhs_vals))
+    vals = np.concatenate((schoolbook_product(mat.data[left], mat.data[right]), -rhs_vals))
     return float(np.abs(sum_by_key([rows, cols], vals)[1]).max(initial=0.0))
-
-
-def _schoolbook_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y from real products, as scipy's sparse product rounds it (numpy's may not)."""
-    out = np.empty(x.shape, dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _reconstruction_defect(corep: Corepresentation) -> float:

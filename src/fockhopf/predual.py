@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Vector, basis_vector
+from .spaces import FockSpace, Vector, basis_vector, schoolbook_product
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
@@ -211,18 +211,13 @@ def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctio
         raise ValueError(f"point must have {space.n} coordinates, got {len(point)}")
     if sum(abs(z) ** 2 for z in point) >= 1.0:
         raise ValueError("point must lie in the open unit ball")
-    # Block k + 1 is the outer product of block k with the point, w a -> w(point) p_a,
-    # multiplied out as Python's complex product does: numpy's complex multiply
-    # can round the last bit differently.
+    # Block k + 1 is the outer product of block k with the point, w a -> w(point) p_a.
     values = np.zeros(space.dim, dtype=np.complex128)
     values[0] = 1.0
-    real, imag = values.real, values.imag
-    pr, pi = np.array([z.real for z in point]), np.array([z.imag for z in point])
-    outer = np.multiply.outer
+    coords = np.array(point)
     for k in range(space.depth):
-        re, im = graded.block(space, real, k), graded.block(space, imag, k)
-        graded.split_block(space, real, k, 1)[:] = outer(re, pr) - outer(im, pi)
-        graded.split_block(space, imag, k, 1)[:] = outer(re, pi) + outer(im, pr)
+        prefix = graded.block(space, values, k)[:, None]
+        graded.split_block(space, values, k, 1)[:] = schoolbook_product(prefix, coords)
     weights = np.conj(values)
     norm = math.sqrt(float(np.sum(np.abs(weights) ** 2)))
     vec = Vector(space, weights / norm)

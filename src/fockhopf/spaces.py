@@ -493,6 +493,15 @@ def sum_by_key(keys: Sequence[np.ndarray], vals: np.ndarray) -> tuple[list, np.n
     return [k[new] for k in keys], sums
 
 
+def schoolbook_product(x, y) -> np.ndarray:
+    """x * y, broadcast, from real products: rounded as Python's complex and
+    scipy's sparse products round it (numpy's complex multiply may not)."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:
     """Largest entry modulus of a sparse matrix, over ``columns`` when given; 0.0 when it has no entries."""
     if columns is not None:

@@ -3,8 +3,9 @@
 Every check draws randomness from a generator derived solely from the seed
 and the check's identity, so reports are reproducible; checks run serially
 and results are assembled in canonical (config, suite, registration) order.
-Exact contracts carry threshold 0; oracle comparisons use the configured
-tolerance.
+A check yields one defect per trial or tested condition, and its row reports
+the worst of them, a NaN defect failing.  The registry marks each check
+exact (threshold 0) or an oracle comparison (the configured tolerance).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -73,13 +74,15 @@ class Check:
     suite: str
     name: str
     config: SuiteConfig
-    fn: Callable[[SuiteConfig, np.random.Generator], tuple[float, float]]
+    fn: Callable[[SuiteConfig, np.random.Generator], Iterator[float]]
+    exact: bool
 
     def run(self) -> dict:
-        """Run the check and return its report row."""
+        """Run the check and return its report row: its worst defect against its threshold."""
         rng = sampling.rng_for(self.config.seed, self.suite, self.name, self.config.n, self.config.depth)
         started = time.perf_counter()
-        defect, threshold = self.fn(self.config, rng)
+        defect = _worst_defect(self.fn(self.config, rng))
+        threshold = 0.0 if self.exact else self.config.tolerance
         return {
             "suite": self.suite,
             "name": self.name,
@@ -91,25 +94,32 @@ class Check:
         }
 
 
+def _worst_defect(defects: Iterable[float]) -> float:
+    """The largest of 0.0 and the defects; a NaN defect is kept, so its row fails."""
+    worst = 0.0
+    for d in defects:
+        if d > worst or math.isnan(d):
+            worst = d
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # regrep suite
 
 
-def _chk_isometry(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return reg.isometry_defect(cfg.space), 0.0
+def _chk_isometry(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield reg.isometry_defect(cfg.space)
 
 
-def _chk_row_contraction(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return reg.row_contraction_defect(cfg.space), 0.0
+def _chk_row_contraction(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield reg.row_contraction_defect(cfg.space)
 
 
-def _chk_fourier_round_trip(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
+def _chk_fourier_round_trip(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
         back = reg.fourier_coefficients(reg.realize(s, cfg.space))
-        worst = max(worst, float(np.abs((s - back).coeffs).max()))
-    return worst, 0.0
+        yield float(np.abs((s - back).coeffs).max())
 
 
 def _random_index(rng, space: FockSpace, max_len: int) -> int:
@@ -125,26 +135,22 @@ def _random_word(rng, space: FockSpace, max_len: int) -> Word:
     return space.word_at(_random_index(rng, space, max_len))
 
 
-def _chk_shift_composition(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
+def _chk_shift_composition(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(min(cfg.trials, 25)):
         u = _random_word(rng, cfg.space, cfg.depth // 2)
         v = _random_word(rng, cfg.space, cfg.depth - len(u))
         for side in ("left", "right"):
-            worst = max(worst, reg.shift_composition_defect(cfg.space, u, v, side))
-    return worst, 0.0
+            yield reg.shift_composition_defect(cfg.space, u, v, side)
 
 
-def _chk_right_reversal(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_right_reversal(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     vac = basis_vector(space, Word())
-    worst = 0.0
     for _ in range(min(cfg.trials, 25)):
         w = _random_word(rng, cfg.space, cfg.depth)
         out = reg.word_shift(space, w, "right").apply(vac)
         expected = basis_vector(space, w.reverse())
-        worst = max(worst, float(np.abs(out.data - expected.data).max(initial=0.0)))
-    return worst, 0.0
+        yield float(np.abs(out.data - expected.data).max(initial=0.0))
 
 
 CESARO_ORDERS = range(4, 13)
@@ -170,11 +176,10 @@ def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray)
     return (stacked @ x).reshape(len(CESARO_ORDERS), space.dim)
 
 
-def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     degree = min(3, cfg.depth - 1)
     zone = graded.within(space, space.depth - degree)
-    worst = 0.0
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, degree)
         x = np.zeros(space.dim, dtype=np.complex128)
@@ -182,102 +187,80 @@ def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> tuple[float, float]:
         nx = float(np.linalg.norm(x))
         bounds = reg.cesaro_error_bounds(s, CESARO_ORDERS).tolist()
         for diff, bound in zip(_cesaro_error_vectors(s, space, x), bounds):
-            worst = max(worst, float(np.linalg.norm(diff)) - bound * nx)
-    return max(worst, 0.0), cfg.tolerance
+            yield float(np.linalg.norm(diff)) - bound * nx
 
 
-def _chk_membership_realize(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    worst = 0.0
+def _chk_membership_realize(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(min(cfg.trials, 25)):
         s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
-        worst = max(worst, reg.membership_defect(reg.realize(s, cfg.space)))
-    return worst, 0.0
+        yield reg.membership_defect(reg.realize(s, cfg.space))
 
 
-def _chk_membership_rejects(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_membership_rejects(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    defect = 0.0
-    if reg.membership_defect(reg.left_shift(space, 1).adjoint()) <= cfg.tolerance:
-        defect = 1.0
+    yield float(reg.membership_defect(reg.left_shift(space, 1).adjoint()) <= cfg.tolerance)
     if cfg.n >= 2 and cfg.depth >= 2:
-        if reg.membership_defect(reg.right_shift(space, 1)) <= cfg.tolerance:
-            defect = 1.0
-    return defect, 0.0
+        yield float(reg.membership_defect(reg.right_shift(space, 1)) <= cfg.tolerance)
 
 
-def _chk_lr_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return reg.left_right_commutation_defect(cfg.space), 0.0
+def _chk_lr_commutation(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield reg.left_right_commutation_defect(cfg.space)
 
 
-def _chk_tensor_lr_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_tensor_lr_commutation(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    worst = 0.0
-    letters = list(cfg.alphabet.letters)
+    letters = [Word((i,)) for i in cfg.alphabet.letters]
     for i in letters:
         for j in letters:
-            worst = max(
-                worst,
-                reg.tensor_commutation_defect(
-                    space,
-                    (Word((i,)), Word((j,))),
-                    (Word((j,)), Word((i,))),
-                ),
-            )
+            yield reg.tensor_commutation_defect(space, (i, j), (j, i))
     for _ in range(3):
         pair = tuple(_random_word(rng, cfg.space, max(1, cfg.depth // 2)) for _ in range(4))
-        worst = max(worst, reg.tensor_commutation_defect(space, pair[:2], pair[2:]))
-    return worst, 0.0
+        yield reg.tensor_commutation_defect(space, pair[:2], pair[2:])
 
 
 # ---------------------------------------------------------------------------
 # hopf suite
 
 
-def _hopf_trials(cfg: SuiteConfig, rng, trials: int, defect) -> tuple[float, float]:
-    """Worst ``defect(s, space)`` over one random exact series of degree min(2, depth) per trial."""
-    worst = 0.0
+def _hopf_trials(cfg: SuiteConfig, rng, trials: int, defect) -> Iterator[float]:
+    """``defect(s, space)`` for one random exact series of degree min(2, depth) per trial."""
     for _ in range(trials):
         s = sampling.random_series(rng, cfg.alphabet, min(2, cfg.depth), bits=sampling.EXACT_BITS)
-        worst = max(worst, defect(s, cfg.space))
-    return worst, 0.0
+        yield defect(s, cfg.space)
 
 
-def _chk_coassociativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _hopf_trials(cfg, rng, cfg.trials, hopf_mod.coassociativity_defect)
+def _chk_coassociativity(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _hopf_trials(cfg, rng, cfg.trials, hopf_mod.coassociativity_defect)
 
 
-def _chk_cocommutativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _hopf_trials(cfg, rng, cfg.trials, hopf_mod.cocommutativity_defect)
+def _chk_cocommutativity(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _hopf_trials(cfg, rng, cfg.trials, hopf_mod.cocommutativity_defect)
 
 
-def _chk_homomorphism(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_homomorphism(cfg: SuiteConfig, rng) -> Iterator[float]:
     degree = min(2, cfg.depth // 2)
-    worst = 0.0
     for _ in range(cfg.trials):
         s = sampling.random_series(rng, cfg.alphabet, degree, bits=sampling.EXACT_BITS)
         t = sampling.random_series(rng, cfg.alphabet, degree, bits=sampling.EXACT_BITS)
-        worst = max(worst, hopf_mod.homomorphism_defect(s, t, cfg.space))
-    return worst, 0.0
+        yield hopf_mod.homomorphism_defect(s, t, cfg.space)
 
 
-def _chk_integral(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.integral_invariance_defect)
+def _chk_integral(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.integral_invariance_defect)
 
 
-def _chk_vacuum_expansion(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.vacuum_expansion_defect)
+def _chk_vacuum_expansion(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _hopf_trials(cfg, rng, min(cfg.trials, 25), hopf_mod.vacuum_expansion_defect)
 
 
-def _chk_grouplike(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_grouplike(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     solutions = hopf_mod.grouplike_series(space)
-    defect = float(abs(len(solutions) - space.dim))
-    if [s.support for s in solutions] != [(w,) for w in space.words]:
-        defect = max(defect, 1.0)
+    yield float(abs(len(solutions) - space.dim))
+    yield float([s.support for s in solutions] != [(w,) for w in space.words])
     if space.dim >= 3:
         double = reg.FourierSeries(cfg.alphabet, [0.0, 1.0, 1.0])  # two distinct non-unit words
-        defect = max(defect, abs(hopf_mod.grouplike_defect(double, space) - 1.0))
-    return defect, 0.0
+        yield abs(hopf_mod.grouplike_defect(double, space) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +309,11 @@ def _slice_oracle_defect(tables: tuple[np.ndarray, ...], conv_values, xx, cee) -
     return float(np.abs(np.concatenate(oracle) - conv_values).max(initial=0.0))
 
 
-def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     tables = _slice_oracle_entries(space)
     xx = np.empty((space.dim, space.dim), dtype=np.complex128)
     cee = np.empty_like(xx)
-    worst = 0.0
     for _ in range(cfg.trials):
         f = sampling.random_rank_one_functional(rng, space)
         g = sampling.random_rank_one_functional(rng, space)
@@ -339,34 +321,30 @@ def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> tuple[float, float]:
         (xi1, eta1), (xi2, eta2) = f.provenance[0], g.provenance[0]
         np.multiply.outer(xi1.data, xi2.data, out=xx)
         np.multiply.outer(eta1.data.conj(), eta2.data.conj(), out=cee)
-        worst = max(worst, _slice_oracle_defect(tables, conv.values, xx, cee))
-    return worst, cfg.tolerance
+        yield _slice_oracle_defect(tables, conv.values, xx, cee)
 
 
-def _chk_convolve_algebra(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_convolve_algebra(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    worst = 0.0
     for _ in range(min(cfg.trials, 25)):
         f = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
         g = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
         h = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
         fg = predual_mod.convolve(f, g)
         gf = predual_mod.convolve(g, f)
-        worst = max(worst, float(np.abs(fg.values - gf.values).max(initial=0.0)))
+        yield float(np.abs(fg.values - gf.values).max(initial=0.0))
         assoc1 = predual_mod.convolve(fg, h)
         assoc2 = predual_mod.convolve(f, predual_mod.convolve(g, h))
-        worst = max(worst, float(np.abs(assoc1.values - assoc2.values).max(initial=0.0)))
-    return worst, 0.0
+        yield float(np.abs(assoc1.values - assoc2.values).max(initial=0.0))
 
 
-def _chk_predual_comult(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_predual_comult(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    worst = 0.0
     for _ in range(min(cfg.trials, 10)):
         f = sampling.random_rank_one_functional(rng, space)
         g = sampling.random_rank_one_functional(rng, space)
-        worst = max(worst, predual_mod.predual_coassociativity_defect(f))
-        worst = max(worst, predual_mod.predual_homomorphism_defect(f, g))
+        yield predual_mod.predual_coassociativity_defect(f)
+        yield predual_mod.predual_homomorphism_defect(f, g)
     for target in range(min(8, space.dim)):
         w = space.word_at(target)
         split = predual_mod.predual_comult(predual_mod.indicator_functional(space, w))
@@ -374,122 +352,101 @@ def _chk_predual_comult(cfg: SuiteConfig, rng) -> tuple[float, float]:
         for (k, m), b in split.blocks.items():
             ru, rv = np.nonzero(b)
             support += ru.size
-            if np.any(graded.concat(space, k, ru, m, rv) != target):
-                worst = max(worst, 1.0)
-        if support != len(w) + 1:
-            worst = max(worst, 1.0)
-    return worst, 0.0
+            yield float(np.any(graded.concat(space, k, ru, m, rv) != target))
+        yield float(support != len(w) + 1)
 
 
-def _chk_point_family(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    space = cfg.space
-    worst = 0.0
+def _chk_point_family(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(min(cfg.trials, 50)):
         lam = sampling.random_ball_point(rng, cfg.n)
         mu = sampling.random_ball_point(rng, cfg.n)
-        worst = max(worst, predual_mod.point_convolution_defect(space, lam, mu))
-    return worst, 0.0
+        yield predual_mod.point_convolution_defect(cfg.space, lam, mu)
 
 
-def _chk_counit_positive(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    space = cfg.space
-    worst = 0.0
+def _chk_counit_positive(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(cfg.trials):
         lam = sampling.random_ball_point(rng, cfg.n, radius=0.97)
-        d = predual_mod.counit_defect(predual_mod.point_functional(space, lam).functional)
+        d = predual_mod.counit_defect(predual_mod.point_functional(cfg.space, lam).functional)
         lower = 1.0 - max(abs(z) for z in lam) if lam else 1.0
-        worst = max(worst, lower - d)
-        if d <= 0.0:
-            worst = max(worst, 1.0)
-    return max(worst, 0.0), cfg.tolerance
+        yield lower - d
+        yield float(d <= 0.0)
 
 
-def _chk_all_ones_unit(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_all_ones_unit(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     ones = predual_mod.Functional(space, np.ones(space.dim, dtype=np.complex128))
-    defect = predual_mod.counit_defect(ones)
+    yield predual_mod.counit_defect(ones)
     f = sampling.random_rank_one_functional(rng, space)
     conv = predual_mod.convolve(ones, f)
-    defect = max(defect, float(np.abs(conv.values - f.values).max(initial=0.0)))
-    return defect, 0.0
+    yield float(np.abs(conv.values - f.values).max(initial=0.0))
 
 
-def _chk_nu_reconstruction(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    space = cfg.space
-    worst = 0.0
+def _chk_nu_reconstruction(cfg: SuiteConfig, rng) -> Iterator[float]:
     for _ in range(5):
         lam = sampling.random_ball_point(rng, cfg.n)
-        pf = predual_mod.point_functional(space, lam)
+        pf = predual_mod.point_functional(cfg.space, lam)
         diff = pf.rank_one_functional().values - pf.functional.values
         err = np.hypot(diff.real, diff.imag)
-        worst = max(worst, float(np.max(err - pf.reconstruction_tail_bound())))
-    return max(worst, 0.0), cfg.tolerance
+        yield float(np.max(err - pf.reconstruction_tail_bound()))
 
 
 # ---------------------------------------------------------------------------
 # corep suite
 
 
-def _chk_fundamental(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    report = corep_mod.corep_check(corep_mod.fundamental_corep(cfg.space))
-    return report.max_defect, 0.0
+def _chk_fundamental(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield corep_mod.corep_check(corep_mod.fundamental_corep(cfg.space)).max_defect
 
 
-def _letters_then_random_words(cfg: SuiteConfig, rng, defect) -> tuple[float, float]:
-    """Worst ``defect(space, w)`` over the single letters, then three random words."""
+def _letters_then_random_words(cfg: SuiteConfig, rng, defect) -> Iterator[float]:
+    """``defect(space, w)`` for each single letter, then for three random words."""
     drawn = (_random_word(rng, cfg.space, cfg.depth) for _ in range(3))
-    words = itertools.chain((Word((i,)) for i in cfg.alphabet.letters), drawn)
-    return max([0.0] + [defect(cfg.space, w) for w in words]), 0.0
+    for w in itertools.chain((Word((i,)) for i in cfg.alphabet.letters), drawn):
+        yield defect(cfg.space, w)
 
 
-def _chk_fundamental_intertwining(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _letters_then_random_words(cfg, rng, corep_mod.fundamental_intertwining_defect)
+def _chk_fundamental_intertwining(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _letters_then_random_words(cfg, rng, corep_mod.fundamental_intertwining_defect)
 
 
-def _chk_fundamental_r_commutation(cfg: SuiteConfig, rng) -> tuple[float, float]:
-    return _letters_then_random_words(cfg, rng, corep_mod.fundamental_right_commutation_defect)
+def _chk_fundamental_r_commutation(cfg: SuiteConfig, rng) -> Iterator[float]:
+    yield from _letters_then_random_words(cfg, rng, corep_mod.fundamental_right_commutation_defect)
 
 
-def _chk_roundtrips(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_roundtrips(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     w_corep = corep_mod.fundamental_corep(space)
     rep = corep_mod.rep_from_corep(w_corep)
     back = corep_mod.corep_from_rep(rep, space)
-    worst = max_entry_diff(back.operator, w_corep.operator)
+    yield max_entry_diff(back.operator, w_corep.operator)
     # The fundamental family is the diagonal of the word projections, so the
     # direct sum of all characters has its stack and its operator.
     chars = corep_mod.characters(space)
     v_chars = corep_mod.corep_from_rep(chars, space)
-    worst = max(worst, max_abs(v_chars.operator.matrix - w_corep.operator.matrix))
+    yield max_abs(v_chars.operator.matrix - w_corep.operator.matrix)
     # The entries of both families, the second negated, sum to their difference.
     back, want = corep_mod.rep_from_corep(v_chars).family, chars.family
     arrays = zip((back.word, back.row, back.col, back.val), (want.word, want.row, want.col, -want.val))
     diff = StackedFamily(space, chars.aux, *(np.concatenate(pair) for pair in arrays))
-    return max(worst, float(np.abs(diff.val).max(initial=0.0))), 0.0
+    yield float(np.abs(diff.val).max(initial=0.0))
 
 
-def _chk_rep_multiplicativity(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_rep_multiplicativity(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     rep = corep_mod.rep_from_corep(corep_mod.fundamental_corep(space))
-    worst = 0.0
     for _ in range(min(cfg.trials, 25)):
         f = sampling.random_rank_one_functional(rng, space)
         g = sampling.random_rank_one_functional(rng, space)
         lhs = rep.evaluate(predual_mod.convolve(f, g))
         rhs = rep.evaluate(f) @ rep.evaluate(g)
-        worst = max(worst, max_entry_diff(lhs, rhs))
-    return worst, cfg.tolerance
+        yield max_entry_diff(lhs, rhs)
 
 
-def _chk_spectrum(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_spectrum(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     chars = corep_mod.spectrum(space)
-    defect = 0.0
-    if list(chars) != list(space.words):
-        defect = 1.0
-    grouplike_words = {s.support[0] for s in hopf_mod.grouplike_series(space)}
-    if set(chars) != grouplike_words:
-        defect = max(defect, 1.0)
+    yield float(list(chars) != list(space.words))
+    yield float(set(chars) != {s.support[0] for s in hopf_mod.grouplike_series(space)})
     for _ in range(min(cfg.trials, 10)):
         u = _random_word(rng, cfg.space, cfg.depth // 2)
         v = _random_word(rng, cfg.space, cfg.depth - len(u))
@@ -497,51 +454,43 @@ def _chk_spectrum(cfg: SuiteConfig, rng) -> tuple[float, float]:
             corep_mod.PredualRep.character(space, u),
             corep_mod.PredualRep.character(space, v),
         )
-        support = list(prod.family)
-        if support != [u.concat(v)]:
-            defect = max(defect, 1.0)
-    return defect, 0.0
+        yield float(list(prod.family) != [u.concat(v)])
 
 
-def _chk_coefficient_membership(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_coefficient_membership(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     rep = corep_mod.rep_from_corep(corep_mod.fundamental_corep(space))
-    worst = 0.0
     for _ in range(min(cfg.trials, 10)):
         x = sampling.random_vector(rng, rep.aux)
         y = sampling.random_vector(rng, rep.aux)
         series = corep_mod.coefficient_operator(rep, x, y)
-        worst = max(worst, reg.membership_defect(reg.realize(series, space)))
+        yield reg.membership_defect(reg.realize(series, space))
     chars = corep_mod.characters(space)
     for k, w in enumerate(space.words):
         e_w = basis_vector(chars.aux, k)
         series = corep_mod.coefficient_operator(chars, e_w, e_w)
-        expected = reg.FourierSeries.indicator(cfg.alphabet, w)
-        if series != expected:
-            worst = max(worst, 1.0)
-        worst = max(worst, reg.membership_defect(reg.realize(series, space)))
-    return worst, 0.0
+        yield float(series != reg.FourierSeries.indicator(cfg.alphabet, w))
+        yield reg.membership_defect(reg.realize(series, space))
 
 
-def _chk_corrupted_corep(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_corrupted_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     if cfg.n >= 2:
         u, v = Word((1,)), Word((2,))
-    else:
-        if cfg.depth < 2:
-            return 0.0, 0.0
+    elif cfg.depth >= 2:
         u, v = Word((1,)), Word((1, 1))
+    else:
+        return  # a single word of each length: no corrupting pair
     ident = Operator.identity(space)
     bad = tensor_op(reg.word_shift(space, u, "left"), ident) + tensor_op(
         reg.word_shift(space, v, "left"), ident
     )
     report = corep_mod.corep_check(bad, legs=False)
-    defect = abs(report.criterion_defect - 1.0)
-    defect = max(defect, report.reconstruction_defect)
-    return defect, 0.0
+    yield abs(report.criterion_defect - 1.0)
+    yield report.reconstruction_defect
 
 
-def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
     # A fully decomposable operator whose family breaks the idempotent
     # criterion: reconstruction must still vanish while the criterion flags it.
     space = cfg.space
@@ -552,122 +501,113 @@ def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> tuple[float, float]:
         family[w] = Operator.from_dense(aux, aux, mat)
     total = corep_mod.shift_tensor_sum(StackedFamily.from_members(space, aux, family))
     report = corep_mod.corep_check(total, legs=False)
-    defect = report.reconstruction_defect
-    if report.criterion_defect < 2.0:  # the 2I component alone forces >= 2
-        defect = max(defect, 1.0)
-    return defect, 0.0
+    yield report.reconstruction_defect
+    yield float(report.criterion_defect < 2.0)  # the 2I component alone forces >= 2
 
 
 # ---------------------------------------------------------------------------
 # wandering suite
 
 
-def _chk_wandering_report(cfg: SuiteConfig, rng, k: int) -> tuple[float, float]:
+def _chk_wandering_report(cfg: SuiteConfig, rng, k: int) -> Iterator[float]:
     report = wandering_mod.wandering_check(cfg.alphabet, k, cfg.depth)
-    defect = 0.0 if report.passed else 1.0
-    defect = max(defect, report.orthogonality_defect)
-    defect = max(defect, float(abs(report.dim - report.dim_closed_form)))
-    return defect, 0.0
+    yield float(not report.passed)
+    yield report.orthogonality_defect
+    yield float(abs(report.dim - report.dim_closed_form))
 
 
-def _chk_wandering_decompose(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_wandering_decompose(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    worst = 0.0
     for _ in range(min(cfg.trials, 50)):
         k = int(rng.integers(2, 4))
         tup = np.array([_random_index(rng, space, cfg.depth) for _ in range(k)])
         prefix, kappa = wandering_mod.strip_common_prefix(space, tup)
-        if wandering_mod.share_a_first_letter(wandering_mod.first_letters(space, kappa)):
-            worst = max(worst, 1.0)
+        yield float(wandering_mod.share_a_first_letter(wandering_mod.first_letters(space, kappa)))
         (p, rp), (m, rm) = graded.length_rank(space, prefix), graded.length_rank(space, kappa)
-        if np.any(graded.concat(space, p, rp, m, rm) != tup):
-            worst = max(worst, 1.0)
-    return worst, 0.0
+        yield float(np.any(graded.concat(space, p, rp, m, rm) != tup))
 
 
-def _chk_wandering_isometry(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_wandering_isometry(cfg: SuiteConfig, rng) -> Iterator[float]:
     mask = wandering_mod._wandering_mask(cfg.alphabet, 2, cfg.depth)
     letters = np.arange(1, cfg.alphabet.n + 1)  # the basis indices of the letters
-    return wandering_mod.shifted_gram_defect(cfg.space, 2, mask, letters), 0.0
+    yield wandering_mod.shifted_gram_defect(cfg.space, 2, mask, letters)
 
 
 # ---------------------------------------------------------------------------
 # registry and runner
 
 
-# Suite -> (name, check) pairs, keyed in ALL_SUITES order; checks run and
-# report in this order.
+# Suite -> (name, check, exact) triples, keyed in ALL_SUITES order; checks run
+# and report in this order.  An exact check's threshold is 0, any other's the
+# configured tolerance.
 _REGISTRY = {
     "regrep": [
-        ("isometry_relations", _chk_isometry),
-        ("row_contraction", _chk_row_contraction),
-        ("fourier_round_trip", _chk_fourier_round_trip),
-        ("shift_composition", _chk_shift_composition),
-        ("right_shift_reversal", _chk_right_reversal),
-        ("cesaro_bound", _chk_cesaro_bound),
-        ("membership_realize", _chk_membership_realize),
-        ("membership_rejects", _chk_membership_rejects),
-        ("lr_commutation", _chk_lr_commutation),
-        ("tensor_lr_commutation", _chk_tensor_lr_commutation),
+        ("isometry_relations", _chk_isometry, True),
+        ("row_contraction", _chk_row_contraction, True),
+        ("fourier_round_trip", _chk_fourier_round_trip, True),
+        ("shift_composition", _chk_shift_composition, True),
+        ("right_shift_reversal", _chk_right_reversal, True),
+        ("cesaro_bound", _chk_cesaro_bound, False),
+        ("membership_realize", _chk_membership_realize, True),
+        ("membership_rejects", _chk_membership_rejects, True),
+        ("lr_commutation", _chk_lr_commutation, True),
+        ("tensor_lr_commutation", _chk_tensor_lr_commutation, True),
     ],
     "hopf": [
-        ("coassociativity", _chk_coassociativity),
-        ("cocommutativity", _chk_cocommutativity),
-        ("homomorphism", _chk_homomorphism),
-        ("integral_invariance", _chk_integral),
-        ("vacuum_expansion", _chk_vacuum_expansion),
-        ("grouplike", _chk_grouplike),
+        ("coassociativity", _chk_coassociativity, True),
+        ("cocommutativity", _chk_cocommutativity, True),
+        ("homomorphism", _chk_homomorphism, True),
+        ("integral_invariance", _chk_integral, True),
+        ("vacuum_expansion", _chk_vacuum_expansion, True),
+        ("grouplike", _chk_grouplike, True),
     ],
     "predual": [
-        ("convolve_slice_oracle", _chk_convolve_slice_oracle),
-        ("convolve_algebra", _chk_convolve_algebra),
-        ("predual_comult", _chk_predual_comult),
-        ("point_family", _chk_point_family),
-        ("counit_positive", _chk_counit_positive),
-        ("all_ones_unit", _chk_all_ones_unit),
-        ("nu_reconstruction", _chk_nu_reconstruction),
+        ("convolve_slice_oracle", _chk_convolve_slice_oracle, False),
+        ("convolve_algebra", _chk_convolve_algebra, True),
+        ("predual_comult", _chk_predual_comult, True),
+        ("point_family", _chk_point_family, True),
+        ("counit_positive", _chk_counit_positive, False),
+        ("all_ones_unit", _chk_all_ones_unit, True),
+        ("nu_reconstruction", _chk_nu_reconstruction, False),
     ],
     "corep": [
-        ("fundamental_corep", _chk_fundamental),
-        ("fundamental_intertwining", _chk_fundamental_intertwining),
-        ("fundamental_r_commutation", _chk_fundamental_r_commutation),
-        ("roundtrips", _chk_roundtrips),
-        ("rep_multiplicativity", _chk_rep_multiplicativity),
-        ("spectrum", _chk_spectrum),
-        ("coefficient_membership", _chk_coefficient_membership),
-        ("corrupted_corep", _chk_corrupted_corep),
-        ("decomposable_not_corep", _chk_decomposable_not_corep),
+        ("fundamental_corep", _chk_fundamental, True),
+        ("fundamental_intertwining", _chk_fundamental_intertwining, True),
+        ("fundamental_r_commutation", _chk_fundamental_r_commutation, True),
+        ("roundtrips", _chk_roundtrips, True),
+        ("rep_multiplicativity", _chk_rep_multiplicativity, False),
+        ("spectrum", _chk_spectrum, True),
+        ("coefficient_membership", _chk_coefficient_membership, True),
+        ("corrupted_corep", _chk_corrupted_corep, True),
+        ("decomposable_not_corep", _chk_decomposable_not_corep, True),
     ],
     "wandering": [
-        ("wandering_k2", lambda cfg, rng: _chk_wandering_report(cfg, rng, 2)),
-        ("wandering_k3", lambda cfg, rng: _chk_wandering_report(cfg, rng, 3)),
-        ("decompose_roundtrip", _chk_wandering_decompose),
-        ("shift_isometry", _chk_wandering_isometry),
+        ("wandering_k2", lambda cfg, rng: _chk_wandering_report(cfg, rng, 2), True),
+        ("wandering_k3", lambda cfg, rng: _chk_wandering_report(cfg, rng, 3), True),
+        ("decompose_roundtrip", _chk_wandering_decompose, True),
+        ("shift_isometry", _chk_wandering_isometry, True),
     ],
 }
 
 
-def _chk_injected_fault(cfg: SuiteConfig, rng) -> tuple[float, float]:
+def _chk_injected_fault(cfg: SuiteConfig, rng) -> Iterator[float]:
     # Deliberately perturb a generator and run the isometry check against it;
     # a healthy harness must report this as a failure.
     space = cfg.space
     noise = Operator.from_entries(space, space, [0], [0], [1e-3])
     broken = reg.left_shift(space, 1) + noise
-    defect = max_entry_diff(
-        broken.adjoint() @ broken, reg.length_projection(space, space.depth - 1)
-    )
-    return defect, 0.0
+    yield max_entry_diff(broken.adjoint() @ broken, reg.length_projection(space, space.depth - 1))
 
 
 def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]:
     checks = [
-        Check(suite, name, config, fn)
+        Check(suite, name, config, fn, exact)
         for suite, entries in _REGISTRY.items()
         if suite in config.suites
-        for name, fn in entries
+        for name, fn, exact in entries
     ]
     if inject_fault:
-        checks.append(Check("selftest", "injected_fault", config, _chk_injected_fault))
+        checks.append(Check("selftest", "injected_fault", config, _chk_injected_fault, exact=True))
     return checks
 
 

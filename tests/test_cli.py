@@ -1,12 +1,15 @@
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fockhopf import cli, corep, hopf
+from fockhopf import cli, corep, hopf, regular, verify
 from fockhopf.cli import main
+from fockhopf.sampling import rng_for
 from fockhopf.spaces import FockSpace
-from fockhopf.verify import ALL_SUITES, SuiteConfig, build_checks, default_grid
+from fockhopf.verify import ALL_SUITES, SuiteConfig, build_checks, build_report, default_grid
 from fockhopf.words import Alphabet, count_words
 
 
@@ -269,6 +272,46 @@ def test_build_checks_respects_suites():
     assert list(dict.fromkeys(c.suite for c in every)) == list(ALL_SUITES)
     with_fault = build_checks(config, inject_fault=True)
     assert with_fault[-1].suite == "selftest"
+
+
+def test_every_check_is_a_generator_and_five_use_the_tolerance():
+    checks = [fn for name, fn in vars(verify).items() if name.startswith("_chk_")]
+    assert checks and all(inspect.isgeneratorfunction(fn) for fn in checks)
+    every = build_checks(SuiteConfig(n=2, depth=2), inject_fault=True)
+    assert {c.name for c in every if not c.exact} == {
+        "cesaro_bound", "convolve_slice_oracle", "counit_positive", "nu_reconstruction",
+        "rep_multiplicativity",
+    }
+
+
+@pytest.mark.parametrize("config", [c for c in default_grid(7, 1e-9, 100) if c.depth == 2],
+                         ids=lambda c: f"n{c.n}")
+def test_every_check_yields_and_its_row_reports_the_worst(config):
+    # A check that yields nothing reports 0.0 and passes whatever it computes.
+    # Cesaro, counit and nu yield negative margins when they hold, hence the 0.0.
+    for check in build_checks(config):
+        rng = rng_for(config.seed, check.suite, check.name, config.n, config.depth)
+        defects = list(check.fn(config, rng))
+        assert defects, check.name
+        row = check.run()
+        assert row["defect"] == max([0.0, *defects]), check.name
+        assert row["threshold"] == (0.0 if check.exact else config.tolerance)
+
+
+def test_a_nan_defect_fails_its_row(monkeypatch):
+    # The reduction keeps a NaN: max(0.0, nan) is 0.0, which would pass the row.
+    honest = regular.fourier_coefficients
+
+    def nan_at_vacuum(t):
+        coeffs = np.array(honest(t).coeffs)
+        coeffs[0] = math.nan
+        return regular.FourierSeries(t.domain.alphabet, coeffs)
+
+    monkeypatch.setattr(regular, "fourier_coefficients", nan_at_vacuum)
+    report = build_report([SuiteConfig(n=2, depth=3, suites=("regrep",))], with_timestamp=False)
+    (row,) = [r for r in report["checks"] if r["name"] == "fourier_round_trip"]
+    assert math.isnan(row["defect"]) and row["pass"] is False
+    assert report["summary"]["failed"] == 1
 
 
 def test_config_validation():

@@ -293,7 +293,7 @@ def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
     # a change in its draws; the generator state after the check can.
     cfg = SuiteConfig(n=n, depth=depth, trials=20)
     rng = rng_for(5, "slice-oracle-draws")
-    assert verify._chk_convolve_slice_oracle(cfg, rng) == (0.0, cfg.tolerance)
+    assert verify._worst_defect(verify._chk_convolve_slice_oracle(cfg, rng)) == 0.0
     reference = rng_for(5, "slice-oracle-draws")
     for _ in range(2 * cfg.trials):
         random_rank_one_functional(reference, cfg.space)
@@ -465,7 +465,7 @@ def test_checks_share_one_space_and_build_no_words_per_trial(monkeypatch):
     assert cfg.space is cfg.space
     checks = (verify._chk_fourier_round_trip, verify._chk_cesaro_bound)
     for check in checks:
-        check(cfg, rng_for(0, "word-budget"))
+        verify._worst_defect(check(cfg, rng_for(0, "word-budget")))
     built = []
     honest = words.Word.__post_init__
 
@@ -476,7 +476,7 @@ def test_checks_share_one_space_and_build_no_words_per_trial(monkeypatch):
     monkeypatch.setattr(words.Word, "__post_init__", counting)
     for check in checks:
         built.clear()
-        check(cfg, rng_for(0, "word-budget"))
+        verify._worst_defect(check(cfg, rng_for(0, "word-budget")))
         assert len(built) == 0
 
 
@@ -484,7 +484,7 @@ def test_predual_comult_check_catches_an_extra_support_pair(monkeypatch):
     # Only indicator functionals are perturbed, so the random-functional
     # defects stay 0 and the failure comes from the support read off the blocks.
     cfg = SuiteConfig(n=2, depth=3)
-    assert verify._chk_predual_comult(cfg, rng_for(0, "support"))[0] == 0.0
+    assert verify._worst_defect(verify._chk_predual_comult(cfg, rng_for(0, "support"))) == 0.0
     honest = predual.predual_comult
 
     def extra_pair(f):
@@ -496,7 +496,7 @@ def test_predual_comult_check_catches_an_extra_support_pair(monkeypatch):
         return predual.TensorFunctional(f.space, blocks)
 
     monkeypatch.setattr(predual, "predual_comult", extra_pair)
-    assert verify._chk_predual_comult(cfg, rng_for(0, "support"))[0] == 1.0
+    assert verify._worst_defect(verify._chk_predual_comult(cfg, rng_for(0, "support"))) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_report_json_shape():
 def _decompose(n, depth, seed=7):
     cfg = verify.SuiteConfig(n=n, depth=depth, seed=seed)
     rng = rng_for(seed, "wandering", "decompose_roundtrip", n, depth)
-    return verify._chk_wandering_decompose(cfg, rng), rng
+    return verify._worst_defect(verify._chk_wandering_decompose(cfg, rng)), rng
 
 
 @pytest.mark.parametrize("n,depth", TENSOR_GRID)
@@ -259,7 +259,7 @@ def test_decompose_check_builds_no_word(monkeypatch, n, depth):
         raise AssertionError("the decompose check built a Word")
 
     monkeypatch.setattr(Word, "__post_init__", refuse)
-    assert _decompose(n, depth)[0] == (0.0, 0.0)
+    assert _decompose(n, depth)[0] == 0.0
 
 
 @pytest.mark.parametrize("n,depth", TENSOR_GRID)
@@ -286,7 +286,7 @@ def _one_letter_short(space, tup):
 @pytest.mark.parametrize("n,depth", TENSOR_GRID)
 def test_decompose_check_catches_a_prefix_one_letter_short(monkeypatch, n, depth):
     monkeypatch.setattr(wandering, "strip_common_prefix", _one_letter_short)
-    assert _decompose(n, depth)[0] == (1.0, 0.0)
+    assert _decompose(n, depth)[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,8 @@ def test_decompose_check_catches_a_prefix_one_letter_short(monkeypatch, n, depth
 
 def _letters_call(n, depth):
     cfg = verify.SuiteConfig(n=n, depth=depth, seed=7)
-    return verify._chk_wandering_isometry(cfg, rng_for(7, "wandering", "shift_isometry", n, depth))
+    rng = rng_for(7, "wandering", "shift_isometry", n, depth)
+    return verify._worst_defect(verify._chk_wandering_isometry(cfg, rng))
 
 
 def _merge_two_columns(space, w, side):
@@ -321,10 +322,10 @@ def test_shifted_gram_catches_a_broken_shift(monkeypatch, mutant, n, depth):
     space = FockSpace(Alphabet(n), depth)
     mask = _wandering_mask(space.alphabet, 2, depth)
     assert shifted_gram_defect(space, 2, mask, np.arange(space.dim)) == 0.0
-    assert _letters_call(n, depth) == (0.0, 0.0)
+    assert _letters_call(n, depth) == 0.0
     monkeypatch.setattr(wandering, "word_shift", mutant)
     assert shifted_gram_defect(space, 2, mask, np.arange(space.dim)) == 1.0
-    assert _letters_call(n, depth) == (1.0, 0.0)
+    assert _letters_call(n, depth) == 1.0
 
 
 def test_every_shifted_gram_goes_through_one_function(monkeypatch):
@@ -343,7 +344,7 @@ def test_shift_isometry_makes_no_dense_gram():
     # The dense Gram of the 2,047 wandering tuples at depth - 1 took 160 MiB.
     tracemalloc.start()
     try:
-        assert _letters_call(2, 6) == (0.0, 0.0)
+        assert _letters_call(2, 6) == 0.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
