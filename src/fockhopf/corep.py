@@ -46,6 +46,7 @@ from .spaces import (
     StackedFamily,
     TensorSpace,
     Vector,
+    _worst_defect,
     coo_sum,
     gather_groups,
     max_entry_diff,
@@ -100,7 +101,7 @@ class CorepReport:
     @property
     def max_defect(self) -> float:
         legs = self.leg_defect if self.leg_defect is not None else 0.0
-        return max(self.reconstruction_defect, self.criterion_defect, legs)
+        return _worst_defect((self.reconstruction_defect, self.criterion_defect, legs))
 
 
 def shift_tensor_entries(family: StackedFamily, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -265,7 +266,7 @@ class PredualRep:
         elif self.family.fock != self.space or self.family.aux != self.aux:
             raise ValueError("stacked family lives on different spaces")
         self.law_defect = idempotent_family_defect(self.family)
-        if self.law_defect > REP_LAW_TOL:
+        if not self.law_defect <= REP_LAW_TOL:
             raise ValueError(
                 f"family violates the representation law (defect {self.law_defect:.3e})"
             )
@@ -290,7 +291,7 @@ def rep_from_corep(corep: Corepresentation) -> PredualRep:
     the corepresentation's own stacked family.
     """
     recon = _reconstruction_defect(corep)
-    if recon > REP_LAW_TOL:
+    if not recon <= REP_LAW_TOL:
         raise ValueError(f"operator is not a corepresentation (reconstruction defect {recon:.3e})")
     return PredualRep(corep.hilbert, corep.aux, corep.family)
 

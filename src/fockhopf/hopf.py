@@ -43,6 +43,7 @@ from .spaces import (
     FockSpace,
     Operator,
     StackedFamily,
+    _worst_defect,
     basis_vector,
     flip_operator,
     gather_groups,
@@ -162,7 +163,7 @@ def _read_tags(mats: list, dim: int) -> np.ndarray:
 def _gathered_defect(coef: np.ndarray, plan: np.ndarray, pairs) -> float:
     """Largest difference between the plan rows in ``pairs``, read off the coefficients."""
     vals = np.append(coef, 0)[plan]  # -1 reads the appended zero
-    return max(float(np.abs(vals[i] - vals[j]).max(initial=0.0)) for i, j in pairs)
+    return _worst_defect(float(np.abs(vals[i] - vals[j]).max(initial=0.0)) for i, j in pairs)
 
 
 @lru_cache(maxsize=32)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Vector, basis_vector, schoolbook_product
+from .spaces import FockSpace, Vector, _worst_defect, basis_vector, schoolbook_product
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
@@ -152,23 +152,22 @@ def predual_coassociativity_defect(f: Functional) -> float:
     space = f.space
     split = predual_comult(f)
     n, starts = space.n, space._block_starts
-    worst = 0.0
+    misses = []
     for a, b in graded.splits(space.depth):
         for c in range(space.depth - a - b + 1):
             shape = (n**a, n**b, n**c)
             ru, rv, rw = np.ix_(*(np.arange(size) for size in shape))
             direct = f.values[starts[a + b + c] + (ru * n**b + rv) * n**c + rw]
-            first = split.blocks[(a + b, c)].reshape(shape)
-            second = split.blocks[(a, b + c)].reshape(shape)
-            worst = max(worst, np.abs(first - direct).max(), np.abs(second - direct).max())
-    return float(worst)
+            iterates = (split.blocks[(a + b, c)], split.blocks[(a, b + c)])
+            misses += [float(np.abs(it.reshape(shape) - direct).max()) for it in iterates]
+    return _worst_defect(misses)
 
 
 def predual_homomorphism_defect(f: Functional, g: Functional) -> float:
     """Defect of comult(f * g) = comult(f) * comult(g), componentwise."""
     lhs = predual_comult(convolve(f, g))
     rhs = tensor_convolve(predual_comult(f), predual_comult(g))
-    return max(float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()) for key in lhs.blocks)
+    return _worst_defect(float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()) for key in lhs.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +242,7 @@ def point_convolution_defect(
     pm = point_functional(space, mu)
     conv = convolve(pl.functional, pm.functional)
     target = point_functional(space, pointwise_product(lam, mu)).functional
-    worst = float(np.abs(conv.values - target.values).max(initial=0.0))
     conj = point_functional(space, tuple(z.conjugate() for z in pl.point)).functional
     dag = dagger(pl.functional)
-    worst = max(worst, float(np.abs(dag.values - conj.values).max(initial=0.0)))
-    worst = max(worst, float(np.abs(dagger(dag).values - pl.functional.values).max(initial=0.0)))
-    return worst
+    pairs = ((conv, target), (dag, conj), (dagger(dag), pl.functional))
+    return _worst_defect(float(np.abs(a.values - b.values).max(initial=0.0)) for a, b in pairs)

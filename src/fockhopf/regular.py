@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .spaces import FockSpace, Operator, max_entry_diff, tensor_op, tensor_space
+from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, tensor_op, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -302,9 +302,8 @@ def membership_defect(t: Operator) -> float:
     on = (kr >= kc) & (rr % scale == rc)
     starts = np.asarray(space._block_starts)
     prefix = starts[kr[on] - kc[on]] + rr[on] // scale[on]
-    on_pattern = float(np.abs(vals[on] - coeff[prefix]).max(initial=0.0))
     missing = np.bincount(prefix, minlength=space.dim) < starts[space.depth + 1 - space.lengths]
-    on_pattern = max(on_pattern, float(np.abs(coeff[missing]).max(initial=0.0)))
+    on_pattern = float(np.abs(np.concatenate([vals[on] - coeff[prefix], coeff[missing]])).max(initial=0.0))
     off_pattern = float(np.abs(vals[~on]).max(initial=0.0))
     return on_pattern + off_pattern
 
@@ -312,13 +311,9 @@ def membership_defect(t: Operator) -> float:
 def isometry_defect(space: FockSpace) -> float:
     """Max entrywise defect of L_i* L_j = delta_ij P_{N-1}; contract: 0."""
     proj = length_projection(space, space.depth - 1) if space.depth >= 1 else Operator.zero(space)
-    worst = 0.0
-    for i in space.alphabet.letters:
-        for j in space.alphabet.letters:
-            product = left_shift(space, i).adjoint() @ left_shift(space, j)
-            target = proj if i == j else Operator.zero(space)
-            worst = max(worst, max_entry_diff(product, target))
-    return worst
+    pairs = [(i, j) for i in space.alphabet.letters for j in space.alphabet.letters]
+    products = ((i == j, left_shift(space, i).adjoint() @ left_shift(space, j)) for i, j in pairs)
+    return _worst_defect(max_entry_diff(p, proj if same else Operator.zero(space)) for same, p in products)
 
 
 def row_contraction_defect(space: FockSpace) -> float:
@@ -332,12 +327,9 @@ def row_contraction_defect(space: FockSpace) -> float:
 def left_right_commutation_defect(space: FockSpace) -> float:
     """Max defect of L_i R_j = R_j L_i on the slack-2 safe zone; contract: 0."""
     cols = graded.within(space, space.depth - 2)
-    worst = 0.0
-    for i in space.alphabet.letters:
-        for j in space.alphabet.letters:
-            li, rj = left_shift(space, i), right_shift(space, j)
-            worst = max(worst, max_entry_diff(li @ rj, rj @ li, cols))
-    return worst
+    letters = space.alphabet.letters
+    pairs = ((left_shift(space, i), right_shift(space, j)) for i in letters for j in letters)
+    return _worst_defect(max_entry_diff(li @ rj, rj @ li, cols) for li, rj in pairs)
 
 
 def tensor_commutation_defect(

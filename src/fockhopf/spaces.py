@@ -20,7 +20,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -507,6 +507,15 @@ def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:
     if columns is not None:
         mat = mat.tocsc()[:, columns]
     return float(np.abs(mat.data).max(initial=0.0))
+
+
+def _worst_defect(defects: Iterable[float]) -> float:
+    """The largest of 0.0 and the defects; a NaN defect is kept, so its check fails."""
+    worst = 0.0
+    for d in defects:
+        if d > worst or math.isnan(d):
+            worst = d
+    return worst
 
 
 def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) -> float:

@@ -21,7 +21,7 @@ from scipy import sparse
 
 from . import graded
 from .regular import word_shift
-from .spaces import FockSpace, max_abs, tensor_op
+from .spaces import FockSpace, _worst_defect, max_abs, tensor_op
 from .words import Alphabet, count_words
 
 # wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
@@ -191,7 +191,7 @@ def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
     gram_checked = False
     if total <= GRAM_LIMIT:
         gram = shifted_gram_defect(space, k, mask, np.arange(space.dim))
-        orthogonality_defect = max(orthogonality_defect, gram)
+        orthogonality_defect = _worst_defect((orthogonality_defect, gram))
         gram_checked = True
 
     return WanderingReport(

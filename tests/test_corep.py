@@ -42,6 +42,7 @@ from fockhopf.spaces import (
     Operator,
     StackedFamily,
     TensorSpace,
+    _worst_defect,
     basis_vector,
     coo_sum,
     max_abs,
@@ -257,6 +258,28 @@ def test_rep_law_validation():
     assert ok.law_defect == 0.0
 
 
+def test_a_nan_family_is_not_a_representation():
+    # law_defect > tol is False for a NaN defect, which let a NaN family through.
+    nan = Operator.from_entries(SCALAR_SPACE, SCALAR_SPACE, [0], [0], [np.nan])
+    with pytest.raises(ValueError, match="representation law"):
+        PredualRep(H3, SCALAR_SPACE, {Word(): nan})
+
+
+def test_a_nan_reconstruction_is_not_a_corepresentation(monkeypatch):
+    monkeypatch.setattr(corep, "_reconstruction_defect", lambda c: np.nan)
+    with pytest.raises(ValueError, match="not a corepresentation"):
+        rep_from_corep(fundamental_corep(H3))
+
+
+def test_a_nan_defect_is_the_worst_corep_defect(monkeypatch):
+    assert np.isnan(corep.CorepReport(0.0, np.nan, 0.0).max_defect)
+    monkeypatch.setattr(corep, "idempotent_family_defect", lambda family: np.nan)
+    config = SuiteConfig(n=2, depth=2)
+    (check,) = [c for c in verify.build_checks(config) if c.name == "fundamental_corep"]
+    row = check.run()
+    assert np.isnan(row["defect"]) and row["pass"] is False
+
+
 def test_idempotent_family_defect_batching():
     # Batched computation matches the obvious pairwise loop.
     aux = FockSpace(A2, 1)
@@ -269,7 +292,7 @@ def test_idempotent_family_defect_batching():
     for u, bu in family.items():
         for v, bv in family.items():
             target = bu if u == v else Operator.zero(aux)
-            naive = max(naive, max_entry_diff(bu @ bv, target))
+            naive = _worst_defect((naive, max_entry_diff(bu @ bv, target)))
     stacked = StackedFamily.from_members(H3, aux, family)
     assert idempotent_family_defect(stacked) == pytest.approx(naive, rel=1e-12)
 
@@ -288,7 +311,7 @@ def literal_idempotent_family_defect(family, aux):
         target = sparse.coo_matrix(
             (mcoo.data, (mcoo.row, mcoo.col + pos * dk)), shape=products.shape
         ).tocsr()
-        worst = max(worst, max_abs(products - target))
+        worst = _worst_defect((worst, max_abs(products - target)))
     return worst
 
 

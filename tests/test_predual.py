@@ -404,3 +404,14 @@ def test_ball_sampling_replays_the_rejection_loop(n):
                     (z.real.hex(), z.imag.hex()) for z in want
                 ]
                 assert replayed.bit_generator.state == looped.bit_generator.state
+
+
+def test_a_nan_value_makes_both_comultiplication_defects_nan():
+    # Python's max keeps a NaN only when it comes first; this one comes last.
+    rng = rng_for(0, "nan-value")
+    f = random_rank_one_functional(rng, H3)
+    values = np.array(f.values)
+    values[-1] = np.nan
+    bad = Functional(H3, values)
+    assert np.isnan(predual_coassociativity_defect(bad))
+    assert np.isnan(predual_homomorphism_defect(bad, f))

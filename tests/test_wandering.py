@@ -7,7 +7,7 @@ import pytest
 from fockhopf import graded, verify, wandering
 from fockhopf.regular import word_shift
 from fockhopf.sampling import rng_for
-from fockhopf.spaces import FockSpace, Operator, basis_vector, tensor_op, tensor_space
+from fockhopf.spaces import FockSpace, Operator, _worst_defect, basis_vector, tensor_op, tensor_space
 from fockhopf.wandering import (
     _wandering_mask,
     first_letters,
@@ -190,11 +190,11 @@ def literal_gram_defect(alphabet, k, depth, mask):
     for i, u in enumerate(words):
         fit = [len(u) + m <= depth for m in longest]
         block = (shifted[u].conjugate().transpose() @ shifted[u]).toarray()
-        worst = max(worst, float(np.abs(block - np.diag(fit)).max(initial=0.0)))
+        worst = _worst_defect((worst, float(np.abs(block - np.diag(fit)).max(initial=0.0))))
         for v in words[i + 1 :]:
             cross = (shifted[u].conjugate().transpose() @ shifted[v]).tocoo()
             if cross.nnz:
-                worst = max(worst, float(np.abs(cross.data).max()))
+                worst = _worst_defect((worst, float(np.abs(cross.data).max())))
     return worst
 
 
