@@ -96,12 +96,11 @@ class CorepReport:
 
     reconstruction_defect: float
     criterion_defect: float
-    leg_defect: float | None = None
+    leg_defect: float
 
     @property
     def max_defect(self) -> float:
-        legs = self.leg_defect if self.leg_defect is not None else 0.0
-        return _worst_defect((self.reconstruction_defect, self.criterion_defect, legs))
+        return _worst_defect((self.reconstruction_defect, self.criterion_defect, self.leg_defect))
 
 
 def shift_tensor_entries(family: StackedFamily, copies: int = 1) -> tuple[np.ndarray, ...]:
@@ -196,14 +195,13 @@ def _reconstruction_defect(corep: Corepresentation) -> float:
     return max_entry_diff(corep.operator, shift_tensor_sum(corep.family))
 
 
-def corep_check(corep: Corepresentation | Operator, legs: bool = True) -> CorepReport:
+def corep_check(corep: Corepresentation | Operator) -> CorepReport:
     """Run the reconstruction, idempotent-criterion, and leg-identity checks."""
     if isinstance(corep, Operator):
         corep = Corepresentation.from_operator(corep)
     recon = _reconstruction_defect(corep)
     crit = criterion_defect(corep)
-    leg = leg_identity_defect(corep) if legs else None
-    return CorepReport(recon, crit, leg)
+    return CorepReport(recon, crit, leg_identity_defect(corep))
 
 
 def fundamental_corep(space: FockSpace) -> Corepresentation:

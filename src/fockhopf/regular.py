@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from . import graded
-from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, tensor_op, tensor_space
+from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -310,7 +310,7 @@ def membership_defect(t: Operator) -> float:
 
 def isometry_defect(space: FockSpace) -> float:
     """Max entrywise defect of L_i* L_j = delta_ij P_{N-1}; contract: 0."""
-    proj = length_projection(space, space.depth - 1) if space.depth >= 1 else Operator.zero(space)
+    proj = length_projection(space, space.depth - 1)
     pairs = [(i, j) for i in space.alphabet.letters for j in space.alphabet.letters]
     products = ((i == j, left_shift(space, i).adjoint() @ left_shift(space, j)) for i, j in pairs)
     return _worst_defect(max_entry_diff(p, proj if same else Operator.zero(space)) for same, p in products)
@@ -324,12 +324,16 @@ def row_contraction_defect(space: FockSpace) -> float:
     return max_entry_diff(total, target)
 
 
+def _commutation_defect(space: FockSpace, u: Word, a: Word) -> float:
+    """Defect of L_u R_a = R_a L_u on the slack-(|u|+|a|) safe zone."""
+    lu, ra = word_shift(space, u, "left"), word_shift(space, a, "right")
+    return max_entry_diff(lu @ ra, ra @ lu, graded.within(space, space.depth - len(u) - len(a)))
+
+
 def left_right_commutation_defect(space: FockSpace) -> float:
     """Max defect of L_i R_j = R_j L_i on the slack-2 safe zone; contract: 0."""
-    cols = graded.within(space, space.depth - 2)
-    letters = space.alphabet.letters
-    pairs = ((left_shift(space, i), right_shift(space, j)) for i in letters for j in letters)
-    return _worst_defect(max_entry_diff(li @ rj, rj @ li, cols) for li, rj in pairs)
+    letters = [Word((i,)) for i in space.alphabet.letters]
+    return _worst_defect(_commutation_defect(space, i, j) for i in letters for j in letters)
 
 
 def tensor_commutation_defect(
@@ -337,18 +341,15 @@ def tensor_commutation_defect(
     left_words: tuple[Word, Word],
     right_words: tuple[Word, Word],
 ) -> float:
-    """Defect of (L_u (x) L_v)(R_a (x) R_b) = (R_a (x) R_b)(L_u (x) L_v).
+    """Defect of (L_u (x) L_v)(R_a (x) R_b) = (R_a (x) R_b)(L_u (x) L_v), one leg at a time.
 
-    Checked on the two-factor safe zone whose slack covers the per-factor
-    shift totals.
+    As (A (x) B)(C (x) D) = AC (x) BD, it holds where the legs (u, a) and (v, b)
+    each commute, so no Kronecker product is formed.  Each leg's safe zone holds
+    its part of the two-factor zone ``within(depth - max(|u|+|a|, |v|+|b|), fold=2)``:
+    a leg-wise 0 implies a two-factor 0, and on the true shifts both are 0.0.
     """
-    u, v = left_words
-    a, b = right_words
-    lw = tensor_op(word_shift(space, u, "left"), word_shift(space, v, "left"))
-    rw = tensor_op(word_shift(space, a, "right"), word_shift(space, b, "right"))
-    slack = max(len(u) + len(a), len(v) + len(b))
-    cols = graded.within(space, space.depth - slack, fold=2)
-    return max_entry_diff(lw @ rw, rw @ lw, cols)
+    (u, v), (a, b) = left_words, right_words
+    return _worst_defect((_commutation_defect(space, u, a), _commutation_defect(space, v, b)))
 
 
 def shift_composition_defect(space: FockSpace, u: Word, v: Word, side: str = "left") -> float:

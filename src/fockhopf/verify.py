@@ -448,9 +448,9 @@ def _chk_corrupted_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
     bad = tensor_op(reg.word_shift(space, u, "left"), ident) + tensor_op(
         reg.word_shift(space, v, "left"), ident
     )
-    report = corep_mod.corep_check(bad, legs=False)
-    yield abs(report.criterion_defect - 1.0)
-    yield report.reconstruction_defect
+    corep = corep_mod.Corepresentation.from_operator(bad)
+    yield abs(corep_mod.criterion_defect(corep) - 1.0)
+    yield corep_mod._reconstruction_defect(corep)
 
 
 def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -463,9 +463,9 @@ def _chk_decomposable_not_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
         mat = sampling.dyadic_complex(rng, aux.dim * aux.dim).reshape(aux.dim, aux.dim)
         family[w] = Operator.from_dense(aux, aux, mat)
     total = corep_mod.shift_tensor_sum(StackedFamily.from_members(space, aux, family))
-    report = corep_mod.corep_check(total, legs=False)
-    yield report.reconstruction_defect
-    yield float(not report.criterion_defect >= 2.0)  # the 2I component alone forces >= 2
+    corep = corep_mod.Corepresentation.from_operator(total)
+    yield corep_mod._reconstruction_defect(corep)
+    yield float(not corep_mod.criterion_defect(corep) >= 2.0)  # the 2I component alone forces >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +577,8 @@ def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]
 
 
 def default_grid(seed: int, tolerance: float, trials: int) -> list[SuiteConfig]:
-    """The full verification grid: all suites on small spaces, then one larger
-    depth restricted to the suites that avoid triple tensor powers."""
+    """The full grid: all suites on small spaces, then one deeper point on ``NON_TENSOR_SUITES``,
+    which build no Kronecker product (the slice oracle's fold-2 comult is their one tensor object)."""
     configs = [
         SuiteConfig(n=n, depth=depth, tolerance=tolerance, trials=trials, seed=seed)
         for n in (1, 2, 3)

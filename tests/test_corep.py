@@ -171,7 +171,7 @@ def test_rep_multiplicativity():
 def test_corrupted_sum_fails_criterion():
     ident = Operator.identity(H3)
     bad = tensor_op(word_shift(H3, word(1)), ident) + tensor_op(word_shift(H3, word(2)), ident)
-    report = corep_check(bad, legs=False)
+    report = corep_check(bad)
     assert report.reconstruction_defect == 0.0
     assert report.criterion_defect == 1.0
     with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ def test_decomposable_but_not_corep():
     total = Operator.zero(tensor_space(H3, aux))
     for w, b in family.items():
         total = total + tensor_op(word_shift(H3, w, "left"), b)
-    report = corep_check(total, legs=False)
+    report = corep_check(total)
     assert report.reconstruction_defect == 0.0
     assert report.criterion_defect >= 2.0
 

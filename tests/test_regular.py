@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fockhopf import regular
 from fockhopf.graded import within
 from fockhopf.regular import (
     FourierSeries,
@@ -20,11 +23,13 @@ from fockhopf.regular import (
     word_shift,
 )
 from fockhopf.sampling import dyadic_complex, random_series, rng_for
-from fockhopf.spaces import FockSpace, Operator, basis_vector, max_entry_diff
+from fockhopf.spaces import FockSpace, Operator, basis_vector, max_entry_diff, tensor_op
+from fockhopf.verify import SuiteConfig, build_checks
 from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
+GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
 
 
 def test_left_generator_action():
@@ -47,8 +52,11 @@ def test_boundary_compression():
 
 def test_isometry_relations_exact():
     for n in (1, 2, 3):
-        for depth in (2, 3, 4):
+        for depth in (1, 2, 3, 4):
             assert isometry_defect(FockSpace(Alphabet(n), depth)) == 0.0
+        # At depth 0, P_{N-1} is the zero projection.
+        space = FockSpace(Alphabet(n), 0)
+        assert max_entry_diff(length_projection(space, -1), Operator.zero(space)) == 0.0
 
 
 def test_isometry_projection_shape():
@@ -246,7 +254,40 @@ def test_membership_brute_force_oracle():
         assert membership_defect(t) == pytest.approx(oracle(t), abs=1e-14)
 
 
-def test_commutation_defects():
+def _kronecker_commutation_defect(space, left_words, right_words):
+    # The literal route on the tensor square: two Kronecker products and the two-factor safe zone.
+    # The shifts are read through the module, so a patched word_shift reaches both routes.
+    (u, v), (a, b) = left_words, right_words
+    shift = regular.word_shift
+    lw = tensor_op(shift(space, u, "left"), shift(space, v, "left"))
+    rw = tensor_op(shift(space, a, "right"), shift(space, b, "right"))
+    slack = max(len(u) + len(a), len(v) + len(b))
+    return max_entry_diff(lw @ rw, rw @ lw, within(space, space.depth - slack, fold=2))
+
+
+def _tensor_lr_check(n, depth):
+    config = SuiteConfig(n=n, depth=depth, suites=("regrep",))
+    (check,) = [c for c in build_checks(config) if c.name == "tensor_lr_commutation"]
+    return check
+
+
+def _both_routes(monkeypatch, points):
+    """(leg-wise, Kronecker) defects of every case the tensor_lr_commutation check draws at the points."""
+    honest, pairs = regular.tensor_commutation_defect, []
+
+    def both(space, left_words, right_words):
+        pairs.append((honest(space, left_words, right_words),
+                      _kronecker_commutation_defect(space, left_words, right_words)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(regular, "tensor_commutation_defect", both)
+    for n, depth in points:
+        _tensor_lr_check(n, depth).run()
+    monkeypatch.setattr(regular, "tensor_commutation_defect", honest)
+    return pairs
+
+
+def test_commutation_defects(monkeypatch):
     for n in (1, 2, 3):
         space = FockSpace(Alphabet(n), 4 if n < 3 else 3)
         assert left_right_commutation_defect(space) == 0.0
@@ -258,6 +299,49 @@ def test_commutation_defects():
         tensor_commutation_defect(space, (word(1, 2), word(2)), (word(1), word(1, 1)))
         == 0.0
     )
+    # The check's letter pairs and three random quadruples, against the Kronecker route.
+    points = GRID + [(2, 9)]
+    pairs = _both_routes(monkeypatch, points)
+    assert len(pairs) == sum(n * n + 3 for n, _ in points)
+    assert pairs == [(0.0, 0.0)] * len(pairs)
+
+
+def _right_as_left(honest):
+    return lambda space, w, side="left": honest(space, w, "left")
+
+
+def _right_rows_off_by_one(honest):
+    def mutant(space, w, side="left"):
+        op = honest(space, w, side)
+        if side == "left":
+            return op
+        coo = op.matrix.tocoo()
+        return Operator.from_entries(space, space, (coo.row + 1) % space.dim, coo.col, coo.data)
+
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_right_as_left, _right_rows_off_by_one])
+def test_tensor_lr_commutation_catches_a_wrong_right_shift(monkeypatch, mutant):
+    monkeypatch.setattr(regular, "word_shift", mutant(word_shift))
+    for n, depth in GRID:
+        pairs = _both_routes(monkeypatch, [(n, depth)])
+        assert all(leg == kron for leg, kron in pairs), (n, depth)
+        # At n = 1, R_w = L_w, so a right shift built as a left shift is the true one.
+        caught = n >= 2 or mutant is _right_rows_off_by_one
+        assert max(leg for leg, _ in pairs) == float(caught), (n, depth)
+
+
+def test_tensor_commutation_defect_forms_no_kronecker_product():
+    # At (2, 10) the route through two Kronecker products on the tensor square peaks at 146 MB.
+    space = FockSpace(A2, 10)
+    tracemalloc.start()
+    try:
+        assert tensor_commutation_defect(space, (word(1), word(2)), (word(2), word(1))) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_series_alphabet_mismatch():
