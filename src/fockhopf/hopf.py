@@ -136,10 +136,13 @@ def _decode_tags(values: np.ndarray, dim: int) -> np.ndarray:
     """The basis index of the word whose tag each value is; ValueError on any other value.
 
     A sum of tags has an imaginary part below the square of its real part, so it is no tag.
+    The real and imaginary parts are compared as floats, so no complex tag is formed.
     """
-    word = values.real.astype(np.int64) - 1
-    if np.any((word < 0) | (word >= dim)) or np.any(values != _tags(word)):
+    word = values.real.astype(np.int64)  # i + 1 for the tag of index i
+    square = np.square(word, dtype=np.float64)
+    if np.any((word < 1) | (word > dim) | (values.real != word) | (values.imag != square)):
         raise ValueError("a tagged entry is not exactly one word's tag")
+    word -= 1
     return word
 
 

@@ -182,17 +182,12 @@ def _coefficients_on(series: FourierSeries, space: FockSpace) -> np.ndarray:
     return series.coeffs
 
 
-@lru_cache(maxsize=64)
-def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarray, ...]:
-    """Read-only canonical CSR (indptr, indices) of sum_{|w| <= degree} L_w^(x fold).
+def _power_tables(space: FockSpace, degree: int, fold: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, rows, cols) per length k <= degree: L_w^(x fold) maps cols to rows[rank(w)] for |w| = k.
 
-    The third array is the basis index of the word w behind each stored entry;
-    words never share a position, as L_w^(x fold) sends (u, ...) to (w u, ...).
-    Per length k, one :func:`graded.concat` broadcast holds the shift tables:
+    One :func:`graded.concat` broadcast holds the shift tables of a length:
     row rank(w) is index(w u) over the u with |u| <= depth - k.
     """
-    starts = space._block_starts
-    rows, cols, owners = [], [], []
     for k in range(degree + 1):
         src = graded.within(space, space.depth - k)
         ranks = np.arange(space.n**k)[:, None]
@@ -201,14 +196,35 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
         for _ in range(fold - 1):  # a tensor power of a partial permutation
             row = (row[:, :, None] * space.dim + table[:, None, :]).reshape(table.shape[0], -1)
             col = (col[:, None] * space.dim + src[None, :]).ravel()
-        rows.append(row.ravel())
-        cols.append(np.tile(col, table.shape[0]))
-        owners.append(np.repeat(np.arange(starts[k], starts[k + 1], dtype=np.int32), row.shape[1]))
-    owner = np.concatenate(owners)
-    # The stored values are entry positions, so the CSR sort reads back as a permutation.
-    entries = (np.arange(owner.size), (np.concatenate(rows), np.concatenate(cols)))
-    mat = sparse.csr_matrix(entries, shape=(space.dim**fold,) * 2)
-    arrays = (mat.indptr, mat.indices, owner[mat.data])
+        yield k, row, col
+
+
+@lru_cache(maxsize=64)
+def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarray, ...]:
+    """Read-only canonical CSR (indptr, indices) of sum_{|w| <= degree} L_w^(x fold).
+
+    The third array is the basis index of the word w behind each stored entry;
+    words never share a position, as L_w^(x fold) sends (u, ...) to (w u, ...).
+    A row holds at most one entry per word length, and a longer w leaves a
+    shorter first factor, so a smaller column: the arrays are filled in place
+    at their final size, with no sort.  Row counts give each row's end, and the
+    words go in by ascending length, ``indptr[r]`` stepping back to the row's
+    start.  The index dtype is scipy's: int32 unless nnz or dim^fold passes it.
+    """
+    starts = space._block_starts
+    nnz = sum(space.n**k * starts[space.depth + 1 - k] ** fold for k in range(degree + 1))
+    idx = np.int32 if max(nnz, space.dim**fold) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(space.dim**fold + 1, dtype=idx)
+    for _, rows, _ in _power_tables(space, degree, fold):
+        indptr[rows] += 1
+    np.cumsum(indptr, dtype=idx, out=indptr)  # indptr[r] is the end of row r
+    indices, word = np.empty(nnz, dtype=idx), np.empty(nnz, dtype=np.int32)
+    for k, rows, cols in _power_tables(space, degree, fold):
+        indptr[rows] -= 1
+        slot = indptr[rows]
+        indices[slot] = cols
+        word[slot] = np.arange(starts[k], starts[k + 1], dtype=np.int32)[:, None]
+    arrays = (indptr, indices, word)
     for arr in arrays:
         arr.setflags(write=False)
     return arrays

@@ -251,14 +251,16 @@ def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
     at [rank(w), u, v].  Raises ValueError when an entry is not exactly one
     tag, or a word does not have T^2 entries or its columns are not the block.
     """
-    tagged = hopf_mod._tagged_series(space, space.depth)
-    coo = hopf_mod.comult(tagged, space).matrix.tocoo()  # only the COO entries stay alive
-    word = hopf_mod._decode_tags(coo.data, space.dim)
+    mat = hopf_mod.comult(hopf_mod._tagged_series(space, space.depth), space).matrix
+    word = hopf_mod._decode_tags(mat.data, space.dim)
+    cols, counts = mat.indices, np.diff(mat.indptr)
+    del mat  # the complex values are decoded; free them before the sort
     admissible = np.asarray(space._block_starts)[space.depth + 1 - space.lengths]
     if np.any(np.bincount(word, minlength=space.dim) != admissible**2):
         raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
-    order = np.lexsort((coo.col, word))
-    rows, cols = coo.row[order], coo.col[order]
+    order = np.lexsort((cols, word))
+    rows = np.repeat(np.arange(counts.size, dtype=cols.dtype), counts)[order]
+    cols = cols[order]
     tables, lo = [], 0
     for k in range(space.depth + 1):
         t = space._block_starts[space.depth + 1 - k]

@@ -138,8 +138,11 @@ def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
     and each slice pairs a run of ``lead`` with the whole row in the last
     component, at most ``COVER_SLICE`` tuples (or one line, if longer).  The
     scatter accumulates, so a tuple hit twice within a row counts twice.
+    Each row hits a tuple at most once (u -> w u is injective), and only the
+    rows of the tuple's common prefixes can, so no count passes depth + 1: the
+    counts are exact in ``np.min_scalar_type(depth + 1)``, one byte below 255.
     """
-    counts = np.zeros(space.dim**k, dtype=np.int32)
+    counts = np.zeros(space.dim**k, dtype=np.min_scalar_type(space.depth + 1))
     for m in range(space.depth + 1):
         src = graded.within(space, space.depth - m)
         sub = mask[tuple([slice(0, src.size)] * k)].reshape(-1, src.size)
@@ -184,7 +187,9 @@ def wandering_check(alphabet: Alphabet, k: int, depth: int) -> WanderingReport:
     ]
     counting_identity = sum(per_length) == total
 
-    dims_by_depth = [wandering_dim(alphabet, k, d) for d in range(1, depth + 1)]
+    # The depth-d mask is the leading start[d + 1] block of each axis of this one.
+    leading = (slice(0, space._block_starts[d + 1]) for d in range(1, depth + 1))
+    dims_by_depth = [int(np.count_nonzero(mask[(lead,) * k])) for lead in leading]
     growth_strict = all(a < b for a, b in zip(dims_by_depth, dims_by_depth[1:]))
 
     orthogonality_defect = 0.0 if cover_injective else 1.0

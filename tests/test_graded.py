@@ -248,6 +248,21 @@ def test_slice_oracle_entries_match_per_word_comult(n, depth):
         assert np.array_equal(got.reshape(rows.shape), rows)
 
 
+def test_slice_oracle_entries_keep_no_complex_temporaries():
+    # At (2, 7) the comultiplication holds 2 MiB of complex values; complex
+    # tag temporaries in the decoder and the values kept through the sort
+    # peaked at 8.6 MiB, the pattern build included.
+    space = FockSpace(Alphabet(2), 7)
+    regular._realize_pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        _slice_oracle_entries(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20, peak
+
+
 @pytest.mark.parametrize("first,second", [(1, 2), (-2, -1)])
 def test_slice_oracle_entries_reject_merged_words(monkeypatch, first, second):
     # A comultiplication that also lands the first word's image on the second
@@ -927,6 +942,20 @@ def test_realize_pattern_matches_per_word_literal(n, depth):
                 assert g.dtype == w.dtype and np.array_equal(g, w), (fold, degree)
 
 
+def test_realize_pattern_is_built_at_its_final_size():
+    # At (2, 7), fold 2 (the slice oracle's pattern) the three arrays take
+    # 1.2 MiB; a COO -> CSR round trip through scipy peaked at 8.5 MiB.
+    space = FockSpace(Alphabet(2), 7)
+    tracemalloc.start()
+    try:
+        arrays = regular._realize_pattern.__wrapped__(space, 7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in arrays) < 1.3 * 2**20
+    assert peak < 4.5 * 2**20, peak
+
+
 def test_realize_pattern_reads_no_word_table():
     space = FockSpace(Alphabet(2), 6)
     tables = regular.word_shift.cache_info()
@@ -1058,8 +1087,22 @@ def test_cover_counts_match_word_loop(n):
             # The wandering mask covers each tuple once; a random one covers some twice.
             for mask in (_wandering_mask(alphabet, k, depth), rng.random((space.dim,) * k) < 0.5):
                 got = _cover_counts(space, k, mask)
-                assert got.dtype == np.int32
+                assert got.dtype == np.min_scalar_type(depth + 1)
                 assert np.array_equal(got, literal_cover_counts(space, k, mask)), (depth, k)
+
+
+def test_cover_counts_stay_exact_past_one_byte():
+    # At n = 1 every tuple of a^i and a^j has the min(i, j) + 1 common
+    # prefixes a^0 .. a^min(i, j), so an all-True mask hits (a^300, a^300)
+    # 301 times: one byte would wrap there.
+    space = FockSpace(Alphabet(1), 300)
+    mask = np.ones((space.dim,) * 2, dtype=bool)
+    got = _cover_counts(space, 2, mask)
+    want = literal_cover_counts(space, 2, mask)
+    assert got.dtype == np.uint16
+    lengths = np.arange(space.dim)
+    assert np.array_equal(want.reshape(mask.shape), np.minimum.outer(lengths, lengths) + 1)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1084,6 +1127,19 @@ def test_cover_counts_scatter_in_bounded_slices():
         tracemalloc.stop()
     assert counts.min() == counts.max() == 1
     assert peak < 12 * 2**20, peak
+
+
+def test_wandering_dims_by_depth_read_the_leading_blocks(monkeypatch):
+    # The depth-d mask is the leading start[d + 1] block of each axis of the
+    # depth mask.  The cover is checked above, so it is stubbed out here.
+    monkeypatch.setattr(wandering, "_cover_counts", lambda space, k, mask: np.ones(1, dtype=np.uint8))
+    monkeypatch.setattr(wandering, "GRAM_LIMIT", 0)
+    for n, depth in GRID:
+        alphabet = Alphabet(n)
+        for k in (2, 3):
+            report = wandering.wandering_check(alphabet, k, depth)
+            want = [wandering.wandering_dim(alphabet, k, d) for d in range(1, depth + 1)]
+            assert report.dims_by_depth == want, (n, depth, k)
 
 
 def literal_legwise_columns(family, space, family_leg, columns):

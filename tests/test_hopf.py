@@ -604,3 +604,42 @@ def test_slice_oracle_rejects_two_words_on_one_position(monkeypatch):
     monkeypatch.setattr(hopf, "comult", merged)
     with pytest.raises(ValueError, match="tag"):
         _slice_oracle_entries(H3)
+
+
+# ---------------------------------------------------------------------------
+# The tag decoder against the complex-tag comparison it replaced.
+
+
+def literal_decode_tags(values, dim):
+    # Every value against the complex tag of the word its real part names.
+    word = values.real.astype(np.int64) - 1
+    if np.any((word < 0) | (word >= dim)) or np.any(values != hopf._tags(word)):
+        raise ValueError("a tagged entry is not exactly one word's tag")
+    return word
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        hopf._tags(np.array([2])) + hopf._tags(np.array([5])),  # a sum of two tags
+        hopf._tags(np.array([4])) + 0.5,  # a tag plus 0.5 on the real part
+        hopf._tags(np.array([-1])),  # the tag of index -1: real part 0
+        hopf._tags(np.array([H3.dim])),  # the tag of index dim: real part dim + 1
+        hopf._tags(np.array([3])) + 1j,  # a wrong imaginary part
+    ],
+    ids=["sum", "real-half", "index-0", "index-dim+1", "imag"],
+)
+def test_decode_tags_rejects_every_value_that_is_no_tag(bad):
+    values = np.concatenate([hopf._tags(np.arange(H3.dim)), bad])
+    for decode in (hopf._decode_tags, literal_decode_tags):
+        with pytest.raises(ValueError, match="tag"):
+            decode(values, H3.dim)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_decode_tags_reads_the_words_of_the_tagged_comult(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    values = comult(hopf._tagged_series(space, depth), space).matrix.data
+    got = hopf._decode_tags(values, space.dim)
+    want = literal_decode_tags(values, space.dim)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

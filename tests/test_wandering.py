@@ -349,3 +349,16 @@ def test_shift_isometry_makes_no_dense_gram():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_wandering_check_holds_one_byte_per_tuple():
+    # At (3, 4), k = 3, the mask and the counts take 1.7 MiB each (1,771,561
+    # tuples); int32 counts and a rebuilt mask per depth peaked at 10.2 MiB.
+    tracemalloc.start()
+    try:
+        report = wandering_check(Alphabet(3), 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 6 * 2**20, peak
