@@ -13,28 +13,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Vector, _worst_defect, basis_vector, schoolbook_product
+from .spaces import FockSpace, Vector, _worst_defect, basis_vector
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
 
 
 def _rank_one_values(space: FockSpace, pairs: Sequence[RankOnePair]) -> np.ndarray:
-    # (L_w xi, eta) = sum_u xi_u conj(eta_wu): for |w| = k, |u| = m that is the
-    # (n^k, n^m) reshape of conj(eta) on block k + m applied to xi on block m.
+    """(L_w xi, eta) = sum_u xi_u conj(eta_wu), in depth + 1 products a pair.
+
+    For |u| = m, conj(eta) from start[m] on, reshaped to (T_{d-m}, n^m), has
+    eta_wu at [index(w), rank(u)] (start[k + m] - start[m] = n^m start[k]), so one
+    product with xi's block m adds term m to the leading T_{d-m} values.  The
+    vacuum's term is a vector dot, as numpy takes a one-row product, so each value
+    rounds as one product per (|w|, m) block rounds it.
+    """
     values = np.zeros(space.dim, dtype=np.complex128)
+    starts, depth = space._block_starts, space.depth
     for xi, eta in pairs:
         if xi.space != space or eta.space != space:
             raise ValueError("rank-one pair vectors must live on the functional's space")
-        conj_eta = np.conj(eta.data)
-        for k, m in graded.splits(space.depth):
-            pairing = graded.split_block(space, conj_eta, k, m) @ graded.block(space, xi.data, m)
-            graded.block(space, values, k)[:] += pairing
+        conj_eta, vacuum = np.conj(eta.data), values[0]
+        for m in range(depth + 1):
+            rows = starts[depth + 1 - m]
+            tail = conj_eta[starts[m] :].reshape(rows, space.n**m)
+            xi_m = xi.data[starts[m] : starts[m + 1]]
+            vacuum += tail[0] @ xi_m
+            values[1:rows] += tail[1:] @ xi_m
+        values[0] = vacuum
     return values
 
 
@@ -142,25 +154,34 @@ def tensor_convolve(a: TensorFunctional, b: TensorFunctional) -> TensorFunctiona
     return TensorFunctional(a.space, {key: a.blocks[key] * b.blocks[key] for key in a.blocks})
 
 
+@lru_cache(maxsize=64)
+def _coassociativity_plan(space: FockSpace) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Every block (k, m) of the comultiplication, and the direct index of its entries,
+    start[k + m] + rank(u) n^m + rank(v) for |u| = k and |v| = m, concatenated."""
+    n, starts = space.n, space._block_starts
+    keys = tuple(graded.splits(space.depth))
+    direct = np.concatenate(
+        [(starts[k + m] + np.arange(n**k)[:, None] * n**m + np.arange(n**m)).ravel() for k, m in keys]
+    )
+    direct.setflags(write=False)
+    return keys, direct
+
+
 def predual_coassociativity_defect(f: Functional) -> float:
     """Both iterates of the predual comultiplication agree on triples exactly.
 
-    The iterates reshape the (|u v|, |w|) and (|u|, |v w|) blocks to triples;
-    the direct value phi(L_{uvw}) is read at the index given by explicit rank
-    arithmetic, start[|uvw|] + (rank(u) n^|v| + rank(v)) n^|w| + rank(w).
+    On triple (a, b, c) one iterate is block (a + b, c) of :func:`predual_comult`
+    and the other block (a, b + c), each reshaped in C order to (n^a, n^b, n^c),
+    against phi(L_{uvw}) at start[|uvw|] + rank(uvw).  A C-order reshape keeps
+    the raveled order, so every triple compares its block, raveled, with the
+    values at the direct indices of its pairs (u v, w) or (u, v w); both
+    iterates read every block, so each block is compared once, in one pass.
     """
-    space = f.space
-    split = predual_comult(f)
-    n, starts = space.n, space._block_starts
-    misses = []
-    for a, b in graded.splits(space.depth):
-        for c in range(space.depth - a - b + 1):
-            shape = (n**a, n**b, n**c)
-            ru, rv, rw = np.ix_(*(np.arange(size) for size in shape))
-            direct = f.values[starts[a + b + c] + (ru * n**b + rv) * n**c + rw]
-            iterates = (split.blocks[(a + b, c)], split.blocks[(a, b + c)])
-            misses += [float(np.abs(it.reshape(shape) - direct).max()) for it in iterates]
-    return _worst_defect(misses)
+    keys, direct = _coassociativity_plan(f.space)
+    blocks = predual_comult(f).blocks
+    miss = np.concatenate([blocks[key].ravel() for key in keys])
+    miss -= f.values[direct]
+    return float(np.abs(miss).max())
 
 
 def predual_homomorphism_defect(f: Functional, g: Functional) -> float:
@@ -204,19 +225,40 @@ class PointFunctional:
         return np.array(per_length)[self.space.lengths]
 
 
-def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctional:
+def _ball_point(space: FockSpace, point: Sequence[complex]) -> tuple[complex, ...]:
+    """The point as a tuple of complex coordinates; ValueError unless it lies in the open ball."""
     point = tuple(complex(z) for z in point)
     if len(point) != space.n:
         raise ValueError(f"point must have {space.n} coordinates, got {len(point)}")
     if sum(abs(z) ** 2 for z in point) >= 1.0:
         raise ValueError("point must lie in the open unit ball")
-    # Block k + 1 is the outer product of block k with the point, w a -> w(point) p_a.
-    values = np.zeros(space.dim, dtype=np.complex128)
-    values[0] = 1.0
-    coords = np.array(point)
+    return point
+
+
+def _monomial_values(space: FockSpace, points: Sequence[tuple[complex, ...]]) -> np.ndarray:
+    """The values w -> w(p) of each point p, one row per point, block k + 1 from block k.
+
+    w a -> w(p) p_a on (real, imaginary) pairs: (x, y) p_a = x (Re p_a, Im p_a) +
+    y (-Im p_a, Re p_a) are the four real products of Python's complex product, so
+    each value rounds as the letter-by-letter product does (x + (-y) is x - y in IEEE
+    arithmetic, signed zeros included).
+    """
+    starts, count = space._block_starts, len(points)
+    by_re = np.array(points, dtype=np.complex128).view(np.float64).reshape(count, 1, space.n, 2)
+    by_im = by_re[..., ::-1] * (-1.0, 1.0)  # exact: (-Im p_a, Re p_a), signs of zeros included
+    parts = np.zeros((count, space.dim, 2))
+    parts[:, 0, 0] = 1.0
     for k in range(space.depth):
-        prefix = graded.block(space, values, k)[:, None]
-        graded.split_block(space, values, k, 1)[:] = schoolbook_product(prefix, coords)
+        prefix = parts[:, starts[k] : starts[k + 1], None]
+        image = prefix[..., :1] * by_re + prefix[..., 1:] * by_im
+        parts[:, starts[k + 1] : starts[k + 2]] = image.reshape(count, -1, 2)
+    return parts.view(np.complex128)[..., 0]
+
+
+def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctional:
+    """Evaluation at a ball point: the values of :func:`_monomial_values` and their vector."""
+    point = _ball_point(space, point)
+    values = _monomial_values(space, [point])[0]
     weights = np.conj(values)
     norm = math.sqrt(float(np.sum(np.abs(weights) ** 2)))
     vec = Vector(space, weights / norm)
@@ -237,12 +279,14 @@ def point_convolution_defect(
 
     Also folds in the involution identities: dagger(phi_lam) must equal the
     evaluation at the conjugate point, and dagger twice must be the identity.
+    The four evaluations are the rows of one :func:`_monomial_values`.
     """
-    pl = point_functional(space, lam)
-    pm = point_functional(space, mu)
-    conv = convolve(pl.functional, pm.functional)
-    target = point_functional(space, pointwise_product(lam, mu)).functional
-    conj = point_functional(space, tuple(z.conjugate() for z in pl.point)).functional
-    dag = dagger(pl.functional)
-    pairs = ((conv, target), (dag, conj), (dagger(dag), pl.functional))
+    lam = _ball_point(space, lam)
+    mu = _ball_point(space, mu)
+    points = [lam, mu, _ball_point(space, pointwise_product(lam, mu))]
+    points.append(_ball_point(space, tuple(z.conjugate() for z in lam)))
+    pl, pm, target, conj = (Functional(space, v) for v in _monomial_values(space, points))
+    conv = convolve(pl, pm)
+    dag = dagger(pl)
+    pairs = ((conv, target), (dag, conj), (dagger(dag), pl))
     return _worst_defect(float(np.abs(a.values - b.values).max(initial=0.0)) for a, b in pairs)

@@ -52,11 +52,16 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     reversal).  Both agree entrywise with composing single-letter shifts.
     The admissible u, |u| <= depth - |w|, are the leading basis indices, and
     their images are one :func:`graded.concat` broadcast over their lengths
-    and block ranks.
+    and block ranks.  A word longer than the depth admits no u, so its
+    shift is the zero operator (its letters are still checked).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     k = len(w)
+    if k > space.depth:
+        if max(w.letters) > space.n:
+            raise ValueError(f"word {w} uses letters beyond alphabet size {space.n}")
+        return Operator.zero(space)
     rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
     src = graded.within(space, space.depth - k)
     m, ru = graded.length_rank(space, src)

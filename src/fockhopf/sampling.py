@@ -31,13 +31,17 @@ def rng_for(seed: int, *labels: object) -> np.random.Generator:
 
 
 def dyadic_complex(rng: np.random.Generator, size: int | None = None, bits: int = FINE_BITS):
-    """Complex samples with real/imag parts uniform on the dyadic grid in [-1, 1]."""
+    """Complex samples with real/imag parts uniform on the dyadic grid in [-1, 1].
+
+    All real parts are drawn, then all imaginary parts (one call draws the stream
+    that two would), and each is divided by 2^bits in place in the complex array.
+    """
     scale = 1 << bits
-    shape = () if size is None else (size,)
-    re = rng.integers(-scale, scale + 1, size=shape)
-    im = rng.integers(-scale, scale + 1, size=shape)
-    out = (re + 1j * im) / scale
-    return complex(out) if size is None else out.astype(np.complex128)
+    draws = rng.integers(-scale, scale + 1, size=(2, 1 if size is None else size))
+    out = np.empty(draws.shape[1], dtype=np.complex128)
+    np.divide(draws[0], scale, out=out.real)
+    np.divide(draws[1], scale, out=out.imag)
+    return complex(out[0]) if size is None else out
 
 
 def random_series(

@@ -245,6 +245,23 @@ def test_verify_deterministic_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_deep_fock_config_passes_every_exact_check_but_point_family(capsys):
+    # The benchmark's deep_fock command at depth 7, in process.  point_family
+    # misses its threshold-0 contract there by about 4e-19 (ROADMAP item 3),
+    # so the command exits 1; every other row must pass at defect 0.0.
+    code = run_cli([
+        "verify", "--n", "2", "--depth", "7", "--suites", "regrep,predual",
+        "--seed", "7", "--no-timestamp", "--format", "json",
+    ])
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert len(rows) == 17
+    assert [row["name"] for row in rows].count("point_family") == 1
+    others = [row for row in rows if row["name"] != "point_family"]
+    assert len(others) == 16
+    assert all(row["pass"] and row["defect"] == 0.0 for row in others), others
+
+
 def test_verify_timestamp_present_by_default(capsys):
     code = run_cli([
         "verify", "--n", "1", "--depth", "2", "--suites", "regrep",

@@ -9,8 +9,9 @@ pattern, the fundamental corepresentation, the bilinear assembly of
 concatenation, and the Cesaro sums over word-keyed coefficients.  The
 per-word realize pattern, the dense membership defect, the Word-list
 wandering mask, the per-word shift-table bodies of ``corep_from_rep`` and of
-the wandering cover, and the per-pair Kronecker body of
-``tensor_product_rep`` are kept as the bodies they replaced.  The
+the wandering cover, the per-pair Kronecker body of ``tensor_product_rep``,
+the per-length-pair rank-one products and the slice oracle's double sum over
+each Delta(L_w)'s entries are kept as the bodies they replaced.  The
 kernel sums in a different order, so it must agree bit for bit on dyadic
 inputs, where every sum is exact, and to within rounding on general ones;
 index placements must agree exactly.
@@ -93,6 +94,7 @@ from fockhopf.verify import (
     _cesaro_error_vectors,
     _slice_oracle_defect,
     _slice_oracle_entries,
+    _slice_oracle_legs,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words
 
@@ -111,6 +113,18 @@ def literal_rank_one_values(space, pairs):
                     break
                 total += xi.data[ju] * np.conj(eta.data[space.index_of(w.concat(u))])
             values[jw] += total
+    return values
+
+
+def blockwise_rank_one_values(space, pairs):
+    # The kernel as one product per length pair (|w|, |u|) = (k, m), each row
+    # of (n^k, n^m) against xi's block m, the pairs in lexicographic order.
+    values = np.zeros(space.dim, dtype=np.complex128)
+    for xi, eta in pairs:
+        conj_eta = np.conj(eta.data)
+        for k, m in graded.splits(space.depth):
+            pairing = graded.split_block(space, conj_eta, k, m) @ graded.block(space, xi.data, m)
+            graded.block(space, values, k)[:] += pairing
     return values
 
 
@@ -149,6 +163,25 @@ def test_rank_one_values_match_literal_on_point_vectors(n, depth, seed):
     kernel = _rank_one_values(space, pairs)
     literal = literal_rank_one_values(space, pairs)
     assert np.abs(kernel - literal).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,depth", [(2, 7), (3, 5), (1, 9)])
+def test_rank_one_values_are_byte_equal_to_the_references(n, depth):
+    # Dyadic pairs sum exactly, so every order gives the literal's bytes.  The
+    # literal's running sum over u rounds otherwise on point vectors, so there
+    # the kernel matches the per-length-pair products byte for byte, and the
+    # literal to within rounding.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(0, "graded-bytes", n, depth)
+    for bits in (EXACT_BITS, FINE_BITS):
+        pairs = [(random_vector(rng, space, bits), random_vector(rng, space, bits)) for _ in range(2)]
+        assert _rank_one_values(space, pairs).tobytes() == literal_rank_one_values(space, pairs).tobytes()
+    nu = point_functional(space, random_ball_point(rng, n)).vector
+    mu = point_functional(space, random_ball_point(rng, n)).vector
+    for pairs in ([(nu, nu)], [(nu, mu), (mu, random_vector(rng, space))]):
+        kernel = _rank_one_values(space, pairs)
+        assert kernel.tobytes() == blockwise_rank_one_values(space, pairs).tobytes()
+        assert np.abs(kernel - literal_rank_one_values(space, pairs)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n,depth", GRID)
@@ -196,15 +229,29 @@ def test_perturbed_comult_breaks_both_defects(monkeypatch, key, entry):
     assert predual_homomorphism_defect(f, g) > 0.0
 
 
+def test_a_transposed_comult_block_breaks_coassociativity(monkeypatch):
+    # Block (k, m) laid out as the transpose of block (m, k): the right shape,
+    # the wrong order, so the iterates read off-diagonal blocks wrongly.
+    space = FockSpace(Alphabet(2), 3)
+    f = random_rank_one_functional(rng_for(0, "transposed-comult"), space)
+    assert predual_coassociativity_defect(f) == 0.0
+
+    def transposed(f):
+        splits = graded.splits(f.space.depth)
+        blocks = {(k, m): graded.split_block(f.space, f.values, m, k).T for k, m in splits}
+        return predual.TensorFunctional(f.space, blocks)
+
+    monkeypatch.setattr(predual, "predual_comult", transposed)
+    assert predual_coassociativity_defect(f) > 0.0
+
+
 def _oracle_inputs(space, seed):
     rng = rng_for(seed, "slice-oracle")
     f = random_rank_one_functional(rng, space)
     g = random_rank_one_functional(rng, space)
     (xi1, eta1), (xi2, eta2) = f.provenance[0], g.provenance[0]
     conv = predual.convolve(f, g)
-    xx = np.multiply.outer(xi1.data, xi2.data)
-    cee = np.multiply.outer(eta1.data.conj(), eta2.data.conj())
-    return conv.values, xx, cee
+    return conv.values, (xi1.data, eta1.data, xi2.data, eta2.data)
 
 
 @pytest.mark.parametrize("n,depth", [(1, 3), (2, 3), (3, 2)])
@@ -213,14 +260,59 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
     from fockhopf.regular import FourierSeries
 
     space = FockSpace(Alphabet(n), depth)
-    entries = _slice_oracle_entries(space)
-    _, xx, cee = _oracle_inputs(space, 1)
-    ee = np.conj(cee).ravel()  # eta1 (x) eta2
+    legs = _slice_oracle_legs(space)
+    _, vectors = _oracle_inputs(space, 1)
+    xi1, eta1, xi2, eta2 = vectors
+    xx = np.multiply.outer(xi1, xi2).ravel()
+    ee = np.multiply.outer(eta1, eta2).ravel()
     per_word = np.array([
-        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx.ravel())
+        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx)
         for w in space.words
     ])
-    assert _slice_oracle_defect(entries, per_word, xx, cee) <= 1e-12
+    assert _slice_oracle_defect(legs, per_word, *vectors) <= 1e-12
+
+
+def literal_slice_oracle_values(tables, xi1, eta1, xi2, eta2):
+    # The double sum over each Delta(L_w)'s entries: xi1_u xi2_v times
+    # conj(eta1 (x) eta2) at the row (wu, wv) that the entry table holds.
+    xx = np.multiply.outer(xi1, xi2)
+    cee = np.multiply.outer(np.conj(eta1), np.conj(eta2)).ravel()
+    per_length = [(cee[rows] * xx[: rows.shape[1], : rows.shape[1]]).sum(axis=(1, 2)) for rows in tables]
+    return np.concatenate(per_length)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_leg_map_oracle_matches_the_double_sum_on_the_checks_draws(n, depth):
+    # Dyadic draws pair exactly, so each word's value must agree to the bit.
+    cfg = SuiteConfig(n=n, depth=depth, seed=7)
+    space = cfg.space
+    tables, legs = _slice_oracle_entries(space), _slice_oracle_legs(space)
+    rng = rng_for(cfg.seed, "predual", "convolve_slice_oracle", n, depth)  # as Check.run draws
+    for _ in range(cfg.trials):
+        f = random_rank_one_functional(rng, space)
+        g = random_rank_one_functional(rng, space)
+        vectors = tuple(v.data for pair in (f.provenance[0], g.provenance[0]) for v in pair)
+        literal = literal_slice_oracle_values(tables, *vectors)
+        assert _slice_oracle_defect(legs, literal, *vectors) == 0.0
+        assert _slice_oracle_defect(legs, predual.convolve(f, g).values, *vectors) == 0.0
+
+
+def test_slice_oracle_calls_no_predual_or_graded_function(monkeypatch):
+    # The entry tables come from hopf.comult, which may use the graded layout;
+    # the leg maps and the pairing must not.
+    space = FockSpace(Alphabet(2), 3)
+    tables = _slice_oracle_entries(space)
+    values, vectors = _oracle_inputs(space, 3)
+    monkeypatch.setattr(verify, "_slice_oracle_entries", lambda space: tables)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the slice oracle called the predual or graded layer")
+
+    for module in (predual, graded):
+        for name, member in vars(module).items():
+            if callable(member) and getattr(member, "__module__", None) == module.__name__:
+                monkeypatch.setattr(module, name, refuse)
+    assert _slice_oracle_defect(_slice_oracle_legs(space), values, *vectors) == 0.0
 
 
 def literal_slice_oracle_tables(space):
@@ -302,6 +394,27 @@ def test_slice_oracle_entries_reject_columns_off_the_leading_block(monkeypatch, 
         _slice_oracle_entries(space)
 
 
+@pytest.mark.parametrize("moved", [Word(), Word((1, 2))])
+def test_slice_oracle_entries_reject_a_repeated_column(monkeypatch, moved):
+    # One entry of one word, column (vacuum, vacuum) at row (w, w), moves to
+    # column (vacuum, letter 1), which the word already fills at row (w, w1):
+    # the tags, the counts and the block all hold, but (e, e) goes missing.
+    space = FockSpace(Alphabet(2), 3)
+    honest = hopf.comult
+
+    def repeated(series, space, fold=2):
+        image = honest(series, space, fold)
+        coo = image.matrix.tocoo()
+        k, dim = space.index_of(moved), space.dim
+        col = np.where((coo.row == k * dim + k) & (coo.col == 0), 1, coo.col)
+        assert np.count_nonzero(col != coo.col) == 1
+        return Operator.from_entries(image.domain, image.codomain, coo.row, col, coo.data)
+
+    monkeypatch.setattr(hopf, "comult", repeated)
+    with pytest.raises(ValueError, match="block"):
+        _slice_oracle_entries(space)
+
+
 @pytest.mark.parametrize("n,depth", [(2, 3), (2, 7)])
 def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
     # Every defect the check reports is 0.0, so the report bytes cannot show
@@ -315,16 +428,41 @@ def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("moved", [Word(), Word((2,))])
+def test_slice_oracle_legs_reject_a_row_off_the_product(monkeypatch, moved):
+    # Two entries of one word, at columns (e, e) and (1, 1), swap the right
+    # legs of their rows: (w, w) and (w1, w1) become (w, w1) and (w1, w).  The
+    # tags, the entry counts and the columns all hold, so the entry tables
+    # take it; the leg maps do not.
+    space = FockSpace(Alphabet(2), 3)
+    honest = hopf.comult
+
+    def swapped(series, space, fold=2):
+        image = honest(series, space, fold)
+        coo = image.matrix.tocoo()
+        dim, k, j = space.dim, space.index_of(moved), space.index_of(moved.concat(Word((1,))))
+        first = (coo.row == k * dim + k) & (coo.col == 0)
+        second = (coo.row == j * dim + j) & (coo.col == dim + 1)
+        assert np.count_nonzero(first) == 1 and np.count_nonzero(second) == 1
+        row = np.where(first, k * dim + j, np.where(second, j * dim + k, coo.row))
+        return Operator.from_entries(image.domain, image.codomain, row, coo.col, coo.data)
+
+    monkeypatch.setattr(hopf, "comult", swapped)
+    _slice_oracle_entries(space)
+    with pytest.raises(ValueError, match="leg maps"):
+        _slice_oracle_legs(space)
+
+
 def test_slice_oracle_catches_each_perturbed_convolution_value():
     cfg = SuiteConfig(n=2, depth=3)
     space = cfg.space
-    entries = _slice_oracle_entries(space)
-    values, xx, cee = _oracle_inputs(space, 2)
-    assert _slice_oracle_defect(entries, values, xx, cee) <= cfg.tolerance
+    legs = _slice_oracle_legs(space)
+    values, vectors = _oracle_inputs(space, 2)
+    assert _slice_oracle_defect(legs, values, *vectors) <= cfg.tolerance
     for i in range(space.dim):
         bad = values.copy()
         bad[i] += 1e-6
-        assert _slice_oracle_defect(entries, bad, xx, cee) > cfg.tolerance
+        assert _slice_oracle_defect(legs, bad, *vectors) > cfg.tolerance
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fockhopf import graded
 from fockhopf.hopf import comult
 from fockhopf.predual import (
     Functional,
+    _monomial_values,
     convolve,
     counit_defect,
     dagger,
@@ -21,6 +22,7 @@ from fockhopf.predual import (
 from fockhopf.regular import FourierSeries
 from fockhopf.sampling import (
     EXACT_BITS,
+    FINE_BITS,
     dyadic_complex,
     random_ball_point,
     random_rank_one_functional,
@@ -217,7 +219,7 @@ def test_point_functional_values_are_monomials():
     assert pairing == 2.0 + 4.0 * 0.5 * 0.25
 
 
-@pytest.mark.parametrize("n,depth", [(1, 6), (2, 7), (3, 4)])
+@pytest.mark.parametrize("n,depth", [(1, 6), (2, 7), (3, 4), (1, 7), (3, 7)])
 def test_point_functional_matches_word_products_bit_for_bit(n, depth):
     # Dyadic points, standard-normal points scaled into the ball, and signed zeros.
     space = FockSpace(Alphabet(n), depth)
@@ -232,6 +234,53 @@ def test_point_functional_matches_word_products_bit_for_bit(n, depth):
         want = np.array([literal_monomial(w, point) for w in space.words])
         assert got.real.tobytes() == want.real.tobytes()
         assert got.imag.tobytes() == want.imag.tobytes()
+
+
+def per_point_convolution_defect(space, lam, mu):
+    """The point-family defect from one point_functional per point."""
+    pl = point_functional(space, lam).functional
+    conv = convolve(pl, point_functional(space, mu).functional)
+    target = point_functional(space, pointwise_product(lam, mu)).functional
+    conj = point_functional(space, tuple(complex(z).conjugate() for z in lam)).functional
+    pairs = ((conv, target), (dagger(pl), conj), (dagger(dagger(pl)), pl))
+    return max(float(np.abs(a.values - b.values).max()) for a, b in pairs)
+
+
+@pytest.mark.parametrize("n,depth", [(1, 7), (2, 7), (3, 4)])
+def test_point_convolution_defect_matches_one_functional_per_point(n, depth):
+    # The defect evaluates its four points in one stacked recurrence; each
+    # row must be the point's own functional, so the defect is the same float.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(0, "point-stack", n, depth)
+    for _ in range(20):
+        lam, mu = random_ball_point(rng, n), random_ball_point(rng, n, radius=0.97)
+        stacked = _monomial_values(space, [lam, mu])
+        for row, point in zip(stacked, (lam, mu)):
+            assert row.tobytes() == point_functional(space, point).functional.values.tobytes()
+        assert point_convolution_defect(space, lam, mu) == per_point_convolution_defect(space, lam, mu)
+
+
+def reference_dyadic_complex(rng, size, bits):
+    """Both parts drawn, then formed as one complex expression."""
+    scale = 1 << bits
+    shape = () if size is None else (size,)
+    re = rng.integers(-scale, scale + 1, size=shape)
+    im = rng.integers(-scale, scale + 1, size=shape)
+    out = (re + 1j * im) / scale
+    return complex(out) if size is None else out.astype(np.complex128)
+
+
+@pytest.mark.parametrize("bits", [EXACT_BITS, FINE_BITS])
+def test_dyadic_complex_matches_the_complex_expression(bits):
+    # Same bytes (signed zeros included) and the same generator state after
+    # every call, for scalars and arrays of odd and even sizes, interleaved.
+    got_rng, want_rng = rng_for(0, "dyadic", bits), rng_for(0, "dyadic", bits)
+    for size in [None, 3, 0, 1, 255, None, 8, 1000, None]:
+        got = dyadic_complex(got_rng, size, bits=bits)
+        want = reference_dyadic_complex(want_rng, size, bits)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_point_functional_at_zero_is_vacuum():

@@ -52,7 +52,7 @@ def test_boundary_compression():
 
 def test_isometry_relations_exact():
     for n in (1, 2, 3):
-        for depth in (1, 2, 3, 4):
+        for depth in (0, 1, 2, 3, 4):
             assert isometry_defect(FockSpace(Alphabet(n), depth)) == 0.0
         # At depth 0, P_{N-1} is the zero projection.
         space = FockSpace(Alphabet(n), 0)
@@ -69,6 +69,8 @@ def test_isometry_projection_shape():
 
 def test_row_contraction():
     for n in (1, 2, 3):
+        # At depth 0 every generator compresses to zero, as does I - (vacuum projection).
+        assert row_contraction_defect(FockSpace(Alphabet(n), 0)) == 0.0
         space = FockSpace(Alphabet(n), 3)
         assert row_contraction_defect(space) == 0.0
         total = Operator.zero(space)
@@ -123,10 +125,23 @@ def test_shift_index_table():
 
 
 def test_word_too_long_raises():
-    with pytest.raises(ValueError):
-        word_shift(H3, word(1, 1, 1, 1))
+    # A word past the depth shifts every admissible u (there is none) to zero,
+    # but its letters are still checked; a series past the depth is refused.
+    with pytest.raises(ValueError, match="alphabet"):
+        word_shift(H3, word(1, 3, 1, 1))
     with pytest.raises(ValueError):
         realize(FourierSeries(A2, {word(1, 1, 1, 1): 1.0}), H3)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_word_longer_than_the_depth_shifts_to_zero(depth, side):
+    space = FockSpace(A2, depth)
+    for w in (word(*[1] * (depth + 1)), word(2, 1, *[2] * depth)):
+        shift = word_shift(space, w, side)
+        assert shift.domain == space and shift.codomain == space and shift.nnz == 0
+    with pytest.raises(ValueError, match="alphabet"):
+        word_shift(space, word(*[3] * (depth + 1)), side)
 
 
 def test_series_normalization_and_algebra():
@@ -291,6 +306,7 @@ def test_commutation_defects(monkeypatch):
     for n in (1, 2, 3):
         space = FockSpace(Alphabet(n), 4 if n < 3 else 3)
         assert left_right_commutation_defect(space) == 0.0
+        assert left_right_commutation_defect(FockSpace(Alphabet(n), 0)) == 0.0
     space = FockSpace(A2, 4)
     assert (
         tensor_commutation_defect(space, (word(1), word(2)), (word(2), word(1))) == 0.0
