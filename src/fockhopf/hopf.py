@@ -7,13 +7,13 @@ Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
 defects are all contractually zero on their safe zones (:func:`graded.within`).
 
-Those four checks run on cached plans, and the grouplike solve on one
-comparison per space.  Each reads a series that tags every word with a
-distinct value, through the one decoder :func:`_decode_tags`.  Every series
+Those four checks run on cached plans, the grouplike solve on one comparison
+per space, and the slice oracle's leg maps (:func:`comult_legs`) on one pass.
+Each reads a series that tags every word with a distinct value, through the
+one decoder :func:`_decode_tags`; no other module knows the tags.  Every series
 of one degree shares the sparsity pattern of its comultiplication, so each
 plan is built once per (space, degree), or per (space, deg s, deg t, deg st)
-for the homomorphism, and a series only gathers its coefficient array
-through it:
+for the homomorphism, and a series only gathers its coefficient array through it:
 
 * coassociativity, cocommutativity and integral invariance run their
   operator routes once, on the tagged series; every compared entry must be
@@ -283,6 +283,48 @@ def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:
     expected = np.zeros_like(out)
     expected[np.arange(series.coeffs.size) * (space.dim + 1)] = series.coeffs
     return float(np.abs(out - expected).max(initial=0.0))
+
+
+def comult_legs(space: FockSpace) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every Delta(L_w) as two leg maps, one (A, B) pair of (n^k, T) arrays per length k.
+
+    Delta(L_w) sends column (u, v), u, v < T = T_{d-|w|}, to row (wu, wv), so it is
+    A_w (x) B_w with A[rank(w), u] = wu, B[rank(w), v] = wv.  Both are read, in the
+    index dtype, off the tagged comultiplication after four checks, in order, each
+    raising ValueError: (1) every entry is one word's tag; (2) each word w has T^2
+    entries; (3) each column (u, v) of w is in the leading T x T block; (4) each row
+    is A[w, u] dim + B[w, v], A and B scattered from the entries.  This is a full
+    proof: by (4) an entry's row is fixed by its word and column, and a matrix stores
+    each position once, so no two entries of w share a column; by (2) and (3) they
+    are then the T x T block, each once, which fills every slot of A and B.
+    """
+    mat = comult(_tagged_series(space, space.depth), space).matrix
+    word = _decode_tags(mat.data, space.dim)
+    cols, counts, dim = mat.indices, np.diff(mat.indptr), space.dim
+    del mat  # the complex values are decoded; free them before the legs are scattered
+    starts = np.asarray(space._block_starts, dtype=cols.dtype)  # this dtype holds dim^2 and nnz
+    side = starts[space.depth + 1 - space.lengths]
+    if np.any(np.bincount(word, minlength=dim) != side**2):
+        raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
+    offset = (np.cumsum(side) - side).astype(cols.dtype)  # each word's first slot in A and B
+    t, start = side[word], offset[word]
+    u, v = np.divmod(cols, dim)
+    if np.any((u >= t) | (v >= t)):
+        raise ValueError("a word's comultiplication columns are not in its leading T_{d-|w|} block")
+    u += start  # the slot of (w, u) in A and of (w, v) in B
+    v += start
+    del word, t, start
+    rows = np.repeat(np.arange(counts.size, dtype=cols.dtype), counts)
+    legs = np.empty((2, side.sum()), dtype=cols.dtype)
+    legs[0, u] = legs[1, v] = rows  # the last entry of each slot wins; check 4 compares them all
+    legs[0] //= dim
+    legs[1] %= dim
+    np.multiply(legs[0].take(u), dim, out=u)  # u now holds the rows A[w, u] dim + B[w, v]
+    u += legs[1].take(v)
+    if np.any(u != rows):
+        raise ValueError("a word's comultiplication rows are not a product of two leg maps")
+    parts = np.split(legs, offset[starts[1:-1]], axis=1)  # one part per word length
+    return tuple(tuple(part.reshape(2, -1, t)) for part, t in zip(parts, side[starts[:-1]]))
 
 
 def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:

@@ -238,72 +238,10 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> Iterator[float]:
 # predual suite
 
 
-def _slice_oracle_entries(space: FockSpace) -> tuple[np.ndarray, ...]:
-    """Every Delta(L_w) from one :func:`hopf.comult`, as one row table per word length.
-
-    The comultiplied series is the tagged series of :mod:`hopf`, read back
-    through its tag decoder.  Delta is linear and sends column (u, v) to
-    row (wu, wv), so no two words share an entry and every entry of
-    Delta(L_w) is 1.  A word's columns must be the leading T x T block
-    {u dim + v : u, v < T}, T = T_{d-|w|}, each once: entry (u, v) of word w
-    goes to slot u T + v of w's table, the words in graded order.
-
-    Returns, for each length k, an (n^k, T, T) array holding the row (wu, wv)
-    at [rank(w), u, v].  Raises ValueError when an entry is not exactly one
-    tag, or a word does not have T^2 entries or its columns are not the block.
-    """
-    mat = hopf_mod.comult(hopf_mod._tagged_series(space, space.depth), space).matrix
-    word = hopf_mod._decode_tags(mat.data, space.dim)
-    cols, counts = mat.indices, np.diff(mat.indptr)
-    del mat  # the complex values are decoded; free them before the slots are built
-    # Slots fit the index dtype: scipy picks it to hold dim^2 and the entry count.
-    side = np.asarray(space._block_starts, dtype=cols.dtype)[space.depth + 1 - space.lengths]
-    if np.any(np.bincount(word, minlength=space.dim) != side**2):
-        raise ValueError("a word's comultiplication entries are not T_{d-|w|}^2 in number")
-    t, slot = side[word], (np.cumsum(side**2) - side**2).astype(cols.dtype)[word]
-    del word
-    u, v = np.divmod(cols, space.dim)
-    inside = (u < t) & (v < t)
-    u *= t
-    slot += u
-    slot += v
-    del u, v, t
-    seen = np.zeros(cols.size, dtype=bool)
-    seen[slot[inside]] = True
-    if not (inside.all() and seen.all()):
-        raise ValueError("a word's comultiplication columns are not its leading T_{d-|w|} block, each once")
-    rows = np.empty_like(cols)
-    rows[slot] = np.repeat(np.arange(counts.size, dtype=cols.dtype), counts)
-    tables, lo = [], 0
-    for k in range(space.depth + 1):
-        t = space._block_starts[space.depth + 1 - k]
-        hi = lo + space.n**k * t * t
-        tables.append(rows[lo:hi].reshape(-1, t, t))
-        lo = hi
-    return tuple(tables)
-
-
-def _slice_oracle_legs(space: FockSpace) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Every Delta(L_w) as two leg maps, one (A, B) pair of (n^k, T) arrays per length k.
-
-    The rows of :func:`_slice_oracle_entries` must factor: the row at column
-    (u, v) of Delta(L_w) is A[rank(w), u] dim + B[rank(w), v], with A read at
-    v = 0 and B at u = 0, so Delta(L_w) is the tensor product of two 0/1 maps.
-    Raises ValueError at any other row.
-    """
-    legs = []
-    for rows in _slice_oracle_entries(space):
-        left, right = rows[:, :, 0] // space.dim, rows[:, 0, :] % space.dim
-        if np.any(rows != left[:, :, None] * space.dim + right[:, None, :]):
-            raise ValueError("a word's comultiplication rows are not a product of two leg maps")
-        legs.append((left, right))
-    return tuple(legs)
-
-
 def _slice_oracle_defect(legs, conv_values, xi1, eta1, xi2, eta2) -> float:
     """Largest miss, over w, between (Delta(L_w)(xi1 (x) xi2), eta1 (x) eta2) and the convolution values.
 
-    As Delta(L_w) = A_w (x) B_w (:func:`_slice_oracle_legs`), the pairing is the
+    As Delta(L_w) = A_w (x) B_w (:func:`hopf.comult_legs`), the pairing is the
     product of (A_w xi1, eta1) and (B_w xi2, eta2): the same sum over the same
     entries, with no (dim, dim) outer product formed.
     """
@@ -314,7 +252,7 @@ def _slice_oracle_defect(legs, conv_values, xi1, eta1, xi2, eta2) -> float:
 
 def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    legs = _slice_oracle_legs(space)
+    legs = hopf_mod.comult_legs(space)
     for _ in range(cfg.trials):
         f = sampling.random_rank_one_functional(rng, space)
         g = sampling.random_rank_one_functional(rng, space)

@@ -93,8 +93,6 @@ from fockhopf.verify import (
     SuiteConfig,
     _cesaro_error_vectors,
     _slice_oracle_defect,
-    _slice_oracle_entries,
-    _slice_oracle_legs,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words
 
@@ -260,7 +258,7 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
     from fockhopf.regular import FourierSeries
 
     space = FockSpace(Alphabet(n), depth)
-    legs = _slice_oracle_legs(space)
+    legs = hopf.comult_legs(space)
     _, vectors = _oracle_inputs(space, 1)
     xi1, eta1, xi2, eta2 = vectors
     xx = np.multiply.outer(xi1, xi2).ravel()
@@ -274,7 +272,7 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
 
 def literal_slice_oracle_values(tables, xi1, eta1, xi2, eta2):
     # The double sum over each Delta(L_w)'s entries: xi1_u xi2_v times
-    # conj(eta1 (x) eta2) at the row (wu, wv) that the entry table holds.
+    # conj(eta1 (x) eta2) at the row (wu, wv) that the per-word table holds.
     xx = np.multiply.outer(xi1, xi2)
     cee = np.multiply.outer(np.conj(eta1), np.conj(eta2)).ravel()
     per_length = [(cee[rows] * xx[: rows.shape[1], : rows.shape[1]]).sum(axis=(1, 2)) for rows in tables]
@@ -286,7 +284,7 @@ def test_leg_map_oracle_matches_the_double_sum_on_the_checks_draws(n, depth):
     # Dyadic draws pair exactly, so each word's value must agree to the bit.
     cfg = SuiteConfig(n=n, depth=depth, seed=7)
     space = cfg.space
-    tables, legs = _slice_oracle_entries(space), _slice_oracle_legs(space)
+    tables, legs = literal_slice_oracle_tables(space), hopf.comult_legs(space)
     rng = rng_for(cfg.seed, "predual", "convolve_slice_oracle", n, depth)  # as Check.run draws
     for _ in range(cfg.trials):
         f = random_rank_one_functional(rng, space)
@@ -298,12 +296,11 @@ def test_leg_map_oracle_matches_the_double_sum_on_the_checks_draws(n, depth):
 
 
 def test_slice_oracle_calls_no_predual_or_graded_function(monkeypatch):
-    # The entry tables come from hopf.comult, which may use the graded layout;
-    # the leg maps and the pairing must not.
+    # The leg maps come from hopf.comult, which may use the graded layout, so
+    # they are read before the patch; the pairing must not use either layer.
     space = FockSpace(Alphabet(2), 3)
-    tables = _slice_oracle_entries(space)
+    legs = hopf.comult_legs(space)
     values, vectors = _oracle_inputs(space, 3)
-    monkeypatch.setattr(verify, "_slice_oracle_entries", lambda space: tables)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the slice oracle called the predual or graded layer")
@@ -312,12 +309,13 @@ def test_slice_oracle_calls_no_predual_or_graded_function(monkeypatch):
         for name, member in vars(module).items():
             if callable(member) and getattr(member, "__module__", None) == module.__name__:
                 monkeypatch.setattr(module, name, refuse)
-    assert _slice_oracle_defect(_slice_oracle_legs(space), values, *vectors) == 0.0
+    assert _slice_oracle_defect(legs, values, *vectors) == 0.0
 
 
 def literal_slice_oracle_tables(space):
     # One comultiplication per word, its entries re-sorted by (word, column):
-    # each word's rows in column order, the words of each length stacked.
+    # each word's rows in column order as a T x T table, the words of each
+    # length stacked.
     rows = [[] for _ in range(space.depth + 1)]
     for w in space.words:
         image = comult(FourierSeries.indicator(space.alphabet, w), space).matrix.tocoo()
@@ -326,17 +324,19 @@ def literal_slice_oracle_tables(space):
         t = count_words(space.alphabet, space.depth - len(w))
         block = [u * space.dim + v for u in range(t) for v in range(t)]
         assert image.col[order].tolist() == block  # the admissible (u, v) in graded order
-        rows[len(w)].append(image.row[order])
+        rows[len(w)].append(image.row[order].reshape(t, t))
     return [np.stack(r) for r in rows]
 
 
 @pytest.mark.parametrize("n,depth", GRID)
 def test_slice_oracle_entries_match_per_word_comult(n, depth):
+    # Every row of every Delta(L_w) is the product of its word's two leg maps.
     space = FockSpace(Alphabet(n), depth)
     want = literal_slice_oracle_tables(space)
-    tagged = _slice_oracle_entries(space)
-    assert len(tagged) == space.depth + 1
-    for got, rows in zip(tagged, want):
+    legs = hopf.comult_legs(space)
+    assert len(legs) == space.depth + 1
+    for (a, b), rows in zip(legs, want):
+        got = a[:, :, None] * space.dim + b[:, None, :]
         assert np.array_equal(got.reshape(rows.shape), rows)
 
 
@@ -348,7 +348,7 @@ def test_slice_oracle_entries_keep_no_complex_temporaries():
     regular._realize_pattern.cache_clear()
     tracemalloc.start()
     try:
-        _slice_oracle_entries(space)
+        hopf.comult_legs(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,7 +370,7 @@ def test_slice_oracle_entries_reject_merged_words(monkeypatch, first, second):
 
     monkeypatch.setattr(hopf, "comult", merged)
     with pytest.raises(ValueError):
-        _slice_oracle_entries(space)
+        hopf.comult_legs(space)
 
 
 @pytest.mark.parametrize("moved", [Word((1,)), Word((2, 1))])
@@ -391,7 +391,7 @@ def test_slice_oracle_entries_reject_columns_off_the_leading_block(monkeypatch, 
 
     monkeypatch.setattr(hopf, "comult", off_block)
     with pytest.raises(ValueError, match="block"):
-        _slice_oracle_entries(space)
+        hopf.comult_legs(space)
 
 
 @pytest.mark.parametrize("moved", [Word(), Word((1, 2))])
@@ -399,6 +399,7 @@ def test_slice_oracle_entries_reject_a_repeated_column(monkeypatch, moved):
     # One entry of one word, column (vacuum, vacuum) at row (w, w), moves to
     # column (vacuum, letter 1), which the word already fills at row (w, w1):
     # the tags, the counts and the block all hold, but (e, e) goes missing.
+    # Column (e, 1) then holds two rows, so the leg maps cannot take both.
     space = FockSpace(Alphabet(2), 3)
     honest = hopf.comult
 
@@ -411,8 +412,31 @@ def test_slice_oracle_entries_reject_a_repeated_column(monkeypatch, moved):
         return Operator.from_entries(image.domain, image.codomain, coo.row, col, coo.data)
 
     monkeypatch.setattr(hopf, "comult", repeated)
-    with pytest.raises(ValueError, match="block"):
-        _slice_oracle_entries(space)
+    with pytest.raises(ValueError, match="leg maps"):
+        hopf.comult_legs(space)
+
+
+@pytest.mark.parametrize("dropped", [Word(), Word((1, 2)), Word((2, 2, 2))], ids=["e", "12", "222"])
+def test_comult_legs_reject_a_dropped_entry(monkeypatch, dropped):
+    # One word loses its entry at column (vacuum, vacuum), row (w, w): the
+    # tags, the columns and the rows left all hold, but the word has one
+    # entry too few.  The last word, of length depth, has no other entry.
+    space = FockSpace(Alphabet(2), 3)
+    honest = hopf.comult
+
+    def short(series, space, fold=2):
+        image = honest(series, space, fold)
+        coo = image.matrix.tocoo()
+        k = space.index_of(dropped)
+        keep = (coo.row != k * space.dim + k) | (coo.col != 0)
+        assert np.count_nonzero(~keep) == 1
+        return Operator.from_entries(
+            image.domain, image.codomain, coo.row[keep], coo.col[keep], coo.data[keep]
+        )
+
+    monkeypatch.setattr(hopf, "comult", short)
+    with pytest.raises(ValueError, match="in number"):
+        hopf.comult_legs(space)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 3), (2, 7)])
@@ -432,8 +456,8 @@ def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
 def test_slice_oracle_legs_reject_a_row_off_the_product(monkeypatch, moved):
     # Two entries of one word, at columns (e, e) and (1, 1), swap the right
     # legs of their rows: (w, w) and (w1, w1) become (w, w1) and (w1, w).  The
-    # tags, the entry counts and the columns all hold, so the entry tables
-    # take it; the leg maps do not.
+    # tags, the entry counts and the columns all hold, so only the leg-map
+    # check, the last, can catch it.
     space = FockSpace(Alphabet(2), 3)
     honest = hopf.comult
 
@@ -448,15 +472,14 @@ def test_slice_oracle_legs_reject_a_row_off_the_product(monkeypatch, moved):
         return Operator.from_entries(image.domain, image.codomain, row, coo.col, coo.data)
 
     monkeypatch.setattr(hopf, "comult", swapped)
-    _slice_oracle_entries(space)
     with pytest.raises(ValueError, match="leg maps"):
-        _slice_oracle_legs(space)
+        hopf.comult_legs(space)
 
 
 def test_slice_oracle_catches_each_perturbed_convolution_value():
     cfg = SuiteConfig(n=2, depth=3)
     space = cfg.space
-    legs = _slice_oracle_legs(space)
+    legs = hopf.comult_legs(space)
     values, vectors = _oracle_inputs(space, 2)
     assert _slice_oracle_defect(legs, values, *vectors) <= cfg.tolerance
     for i in range(space.dim):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -33,7 +36,7 @@ from fockhopf.spaces import (
     tensor_space,
     vacuum_leg_decomposition,
 )
-from fockhopf.verify import SuiteConfig, _slice_oracle_entries, build_report
+from fockhopf.verify import SuiteConfig, build_report
 from fockhopf.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
@@ -603,7 +606,7 @@ def test_slice_oracle_rejects_two_words_on_one_position(monkeypatch):
 
     monkeypatch.setattr(hopf, "comult", merged)
     with pytest.raises(ValueError, match="tag"):
-        _slice_oracle_entries(H3)
+        hopf.comult_legs(H3)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +637,20 @@ def test_decode_tags_rejects_every_value_that_is_no_tag(bad):
     for decode in (hopf._decode_tags, literal_decode_tags):
         with pytest.raises(ValueError, match="tag"):
             decode(values, H3.dim)
+
+
+def test_only_hopf_names_the_tag_format():
+    # The tags are hopf's private format: every other module reads Delta
+    # through hopf's public functions, so no other source names the tags.
+    private = {"_tags", "_tagged_series", "_decode_tags"}
+    naming = set()
+    for path in sorted(Path(hopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            fields = ("id", "attr", "name", "asname", "value")  # the string constants too
+            names = {getattr(node, field, None) for field in fields}
+            if any(isinstance(name, str) and name in private for name in names):
+                naming.add(path.name)
+    assert naming == {"hopf.py"}
 
 
 @pytest.mark.parametrize("n,depth", GRID)
