@@ -59,8 +59,6 @@ from .spaces import (
 from .words import Word
 
 REP_LAW_TOL = 1e-9
-# Every character's one member; an Operator is immutable, so they share it.
-_SCALAR_ONE = Operator.identity(SCALAR_SPACE)
 
 
 @dataclass(eq=False)
@@ -279,7 +277,7 @@ class PredualRep:
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":
         """The one-dimensional representation picking out the word w."""
-        return cls(space, SCALAR_SPACE, {w: _SCALAR_ONE})
+        return cls(space, SCALAR_SPACE, {w: Operator.identity(SCALAR_SPACE)})
 
 
 def rep_from_corep(corep: Corepresentation) -> PredualRep:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import graded
 from .corep import shift_tensor_sum
@@ -51,6 +50,7 @@ from .spaces import (
     slice_left,
     slice_right,
     sorted_unique,
+    sparse,
     tensor_op,
     vacuum_leg_decomposition,
 )

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import graded
-from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, tensor_space
+from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, sparse, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -214,7 +213,8 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
     shorter first factor, so a smaller column: the arrays are filled in place
     at their final size, with no sort.  Row counts give each row's end, and the
     words go in by ascending length, ``indptr[r]`` stepping back to the row's
-    start.  The index dtype is scipy's: int32 unless nnz or dim^fold passes it.
+    start.  The index dtype is the one sparse picks: int32 unless nnz or dim^fold
+    passes it.
     """
     starts = space._block_starts
     nnz = sum(space.n**k * starts[space.depth + 1 - k] ** fold for k in range(degree + 1))

@@ -16,16 +16,36 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from .words import Alphabet, Word, count_words, enumerate_words
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed at its first attribute access (the importlib lazy-import recipe)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# The only scipy import of the package; other modules take ``sparse`` from here.
+# Importing scipy.sparse takes about 0.15 s (2-vCPU Xeon), so it loads at the
+# first sparse matrix: the spectrum and large wandering runs never build one.
+sparse = _lazy_module("scipy.sparse")
 
 Label = Union[Word, int]
 

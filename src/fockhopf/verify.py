@@ -18,7 +18,6 @@ from functools import cached_property, partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from . import corep as corep_mod
 from . import graded
@@ -28,7 +27,8 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_abs, max_entry_diff, tensor_op
+    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_abs, max_entry_diff, sparse,
+    tensor_op,
 )
 from .words import Alphabet, Word
 
@@ -562,6 +562,7 @@ def build_report(
     with_timestamp: bool = True,
 ) -> dict:
     """Run every config and assemble the canonical JSON-ready report."""
+    sparse.csr_matrix  # loads the lazy sparse module now, so no check's millis holds its import
     rows = [chk.run() for cfg in configs for chk in build_checks(cfg, inject_fault=inject_fault)]
     if not with_timestamp:
         for row in rows:

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import graded
 from .regular import word_shift
-from .spaces import FockSpace, _worst_defect, max_abs, tensor_op
+from .spaces import FockSpace, _worst_defect, max_abs, sparse, tensor_op
 from .words import Alphabet, count_words
 
 # wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
@@ -154,7 +153,7 @@ def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:
                 lead = (lead[:, None] * space.dim + table).ravel()
             for lo in range(0, lead.size, step):
                 linear = lead[lo : lo + step, None] * space.dim + table
-                np.add.at(counts, linear[sub[lo : lo + step]], 1)
+                np.add.at(counts, linear[sub[lo : lo + step]], counts.dtype.type(1))
     return counts
 
 

@@ -1,10 +1,16 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockhopf
 from fockhopf import cli, corep, hopf, predual, regular, verify
 from fockhopf.cli import main
 from fockhopf.sampling import rng_for
@@ -392,3 +398,60 @@ def test_config_validation():
     for tolerance in (math.nan, math.inf, -math.inf, -1e-9):
         with pytest.raises(ValueError):
             SuiteConfig(n=2, depth=2, tolerance=tolerance)
+
+
+def run_fresh(script):
+    # Runs a script in a new interpreter, where no test has loaded a module yet.
+    paths = [str(Path(fockhopf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_spectrum_and_large_wandering_load_no_scipy():
+    # The wandering case has 63^3 = 250,047 tuples, above GRAM_LIMIT, so it
+    # builds no shift operator; the one-check verify after it builds one.
+    run_fresh("""
+        import contextlib, io, sys
+
+        def loaded():
+            return "scipy.sparse._base" in sys.modules
+
+        def run(main, *argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0
+
+        import fockhopf
+        assert not loaded(), "import fockhopf"
+        from fockhopf import cli, verify
+        assert not loaded(), "import fockhopf.cli"
+        run(cli.main, "spectrum", "--n", "2", "--depth", "3")
+        assert not loaded(), "spectrum"
+        run(cli.main, "wandering", "--n", "2", "--k", "3", "--depth", "5")
+        assert not loaded(), "wandering"
+        every_check = verify.build_checks
+        verify.build_checks = lambda cfg, inject_fault: every_check(cfg, inject_fault)[:1]
+        run(cli.main, "verify", "--n", "1", "--depth", "2", "--suites", "regrep")
+        assert loaded(), "verify"
+    """)
+
+
+def test_verify_loads_scipy_before_its_first_timed_check():
+    # Otherwise the first check that builds an Operator would hold the
+    # import of scipy.sparse in its millis.
+    run_fresh("""
+        import contextlib, io, sys
+        from fockhopf import cli, verify
+
+        first_run = verify.Check.run
+
+        def spy(check):
+            assert "scipy.sparse._base" in sys.modules, check.name
+            verify.Check.run = first_run
+            return first_run(check)
+
+        verify.Check.run = spy
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--n", "1", "--depth", "2", "--suites", "regrep"]) == 0
+        assert verify.Check.run is first_run
+    """)

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import _compressed
 
+from fockhopf import spaces
 from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
@@ -451,3 +454,11 @@ def test_sorted_unique_matches_numpy_unique(keys):
     want = np.unique(keys)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_only_spaces_names_scipy():
+    # spaces loads scipy.sparse at the first sparse matrix, and every other
+    # module takes ``sparse`` from it: a module that imported scipy itself
+    # would load it at ``import fockhopf`` again.
+    naming = {path.name for path in Path(spaces.__file__).parent.glob("*.py") if "scipy" in path.read_text()}
+    assert naming == {"spaces.py"}
