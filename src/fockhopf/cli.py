@@ -103,6 +103,7 @@ def _report_text(report: dict) -> str:
         lines.append(
             f"[{flag}] {chk['suite']}.{chk['name']} {params} "
             f"defect={chk['defect']:.3e} threshold={chk['threshold']:.3e}"
+            + (f" error={chk['error']}" if "error" in chk else "")
         )
     summary = report["summary"]
     lines.append(f"summary: {summary['passed']} passed, {summary['failed']} failed")

@@ -116,8 +116,8 @@ def shift_tensor_entries(family: StackedFamily, copies: int = 1) -> tuple[np.nda
         return empty, empty, np.empty(0, dtype=np.complex128)
     lrows, lcols, lvals = [], [], []
     for k in family.support:
-        shift = word_shift(fock, fock.words[k], "left").matrix
-        i, j, v = np.repeat(np.arange(fock.dim), np.diff(shift.indptr)), shift.indices, shift.data
+        v, j, indptr = word_shift(fock, fock.words[k], "left").csr
+        i = np.repeat(np.arange(fock.dim), np.diff(indptr))
         rows, cols, vals = i, j.astype(np.int64), v
         for _ in range(copies - 1):
             rows = (rows[:, None] * fock.dim + i).ravel()

@@ -7,10 +7,10 @@ Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
 defects are all contractually zero on their safe zones (:func:`graded.within`).
 
-Those four checks run on cached plans, the grouplike solve on one comparison
-per space, and the slice oracle's leg maps (:func:`comult_legs`) on one pass.
-Each reads a series that tags every word with a distinct value, through the
-one decoder :func:`_decode_tags`; no other module knows the tags.  Every series
+Those four checks run on cached plans and the grouplike solve on one comparison
+per space, each reading a series that tags every word with a distinct value
+through the one decoder :func:`_decode_tags`; no other module knows the tags.
+The slice oracle's leg maps (:func:`comult_legs`) read the realize pattern.  Every series
 of one degree shares the sparsity pattern of its comultiplication, so each
 plan is built once per (space, degree), or per (space, deg s, deg t, deg st)
 for the homomorphism, and a series only gathers its coefficient array through it:
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import graded
 from .corep import shift_tensor_sum
-from .regular import FourierSeries, _coefficients_on, realize
+from .regular import FourierSeries, _coefficients_on, _realize_pattern, realize
 from .spaces import (
     SCALAR_SPACE,
     FockSpace,
@@ -290,18 +290,19 @@ def comult_legs(space: FockSpace) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
     Delta(L_w) sends column (u, v), u, v < T = T_{d-|w|}, to row (wu, wv), so it is
     A_w (x) B_w with A[rank(w), u] = wu, B[rank(w), v] = wv.  Both are read, in the
-    index dtype, off the tagged comultiplication after four checks, in order, each
-    raising ValueError: (1) every entry is one word's tag; (2) each word w has T^2
-    entries; (3) each column (u, v) of w is in the leading T x T block; (4) each row
-    is A[w, u] dim + B[w, v], A and B scattered from the entries.  This is a full
-    proof: by (4) an entry's row is fixed by its word and column, and a matrix stores
-    each position once, so no two entries of w share a column; by (2) and (3) they
-    are then the T x T block, each once, which fills every slot of A and B.
+    index dtype, off the fold-2 realize pattern of every word, whose arrays name the
+    word of each entry, after four checks, in order, each raising ValueError: (1) each
+    row's columns strictly increase; (2) each word w has T^2 entries; (3) each column
+    (u, v) of w is in the leading T x T block; (4) each row is A[w, u] dim + B[w, v],
+    A and B scattered from the entries.  This is a full proof: by (4) an entry's row is
+    fixed by its word and column, and by (1) a row stores each position once, so no
+    two entries of w share a column; by (2) and (3) they are then the T x T block, each
+    once, which fills every slot of A and B.
     """
-    mat = comult(_tagged_series(space, space.depth), space).matrix
-    word = _decode_tags(mat.data, space.dim)
-    cols, counts, dim = mat.indices, np.diff(mat.indptr), space.dim
-    del mat  # the complex values are decoded; free them before the legs are scattered
+    indptr, cols, word = _realize_pattern(space, space.depth, 2)
+    dim, rows = space.dim, np.repeat(np.arange(indptr.size - 1, dtype=cols.dtype), np.diff(indptr))
+    if np.any((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])):
+        raise ValueError("a row of the comultiplication stores one position twice")
     starts = np.asarray(space._block_starts, dtype=cols.dtype)  # this dtype holds dim^2 and nnz
     side = starts[space.depth + 1 - space.lengths]
     if np.any(np.bincount(word, minlength=dim) != side**2):
@@ -313,8 +314,7 @@ def comult_legs(space: FockSpace) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         raise ValueError("a word's comultiplication columns are not in its leading T_{d-|w|} block")
     u += start  # the slot of (w, u) in A and of (w, v) in B
     v += start
-    del word, t, start
-    rows = np.repeat(np.arange(counts.size, dtype=cols.dtype), counts)
+    del t, start
     legs = np.empty((2, side.sum()), dtype=cols.dtype)
     legs[0, u] = legs[1, v] = rows  # the last entry of each slot wins; check 4 compares them all
     legs[0] //= dim

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Operator, _worst_defect, max_entry_diff, sparse, tensor_space
+from .spaces import FockSpace, Operator, Vector, _worst_defect, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -64,18 +64,18 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
     src = graded.within(space, space.depth - k)
     m, ru = graded.length_rank(space, src)
-    if side == "left":
-        table = graded.concat(space, k, rank, m, ru)
-    else:
-        table = graded.concat(space, m, ru, k, rank)
-    return Operator.from_entries(space, space, table, src, np.ones(table.size))
+    table = graded.concat(space, k, rank, m, ru) if side == "left" else graded.concat(space, m, ru, k, rank)
+    # The images ascend with src, one a row, so they are the CSR arrays already.
+    idx = np.int32 if space.dim <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(table, np.arange(space.dim + 1)).astype(idx)
+    return Operator(space, space, (np.ones(src.size, dtype=np.complex128), src.astype(idx), indptr))
 
 
 def length_projection(space: FockSpace, max_len: int) -> Operator:
     """Orthogonal projection onto the words of length <= max_len."""
-    idx = graded.within(space, max_len)
-    vals = np.ones(idx.size, dtype=np.complex128)
-    return Operator.from_entries(space, space, idx, idx, vals)
+    idx = graded.within(space, max_len).astype(np.int32)  # the leading indices: CSR arrays already
+    indptr = np.minimum(np.arange(space.dim + 1, dtype=np.int32), idx.size)
+    return Operator(space, space, (np.ones(idx.size, dtype=np.complex128), idx, indptr))
 
 
 @lru_cache(maxsize=64)
@@ -249,8 +249,7 @@ def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
     if not keep.all():
         data, indices = data[keep], indices[keep]
         indptr = np.concatenate(([False], keep)).cumsum(dtype=indptr.dtype)[indptr]
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(target.dim, target.dim))
-    return Operator(target, target, mat)
+    return Operator(target, target, (data, indices, indptr))
 
 
 def fourier_coefficients(t: Operator) -> FourierSeries:
@@ -258,7 +257,7 @@ def fourier_coefficients(t: Operator) -> FourierSeries:
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("fourier_coefficients expects a square operator on a Fock space")
-    return FourierSeries(space.alphabet, t.matrix @ np.eye(space.dim, 1))  # xi_e is index 0
+    return FourierSeries(space.alphabet, t.apply(Vector(space, np.eye(1, space.dim))).data)  # xi_e is index 0
 
 
 def _cesaro_ratios(series: FourierSeries, orders) -> np.ndarray:
@@ -313,9 +312,8 @@ def membership_defect(t: Operator) -> float:
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("membership_defect expects a square operator on a Fock space")
-    coo = t.matrix.tocoo()
-    coo.sum_duplicates()
-    rows, cols, vals = coo.row, coo.col, coo.data
+    vals, cols, indptr = t.csr
+    rows = np.repeat(np.arange(space.dim), np.diff(indptr))
     coeff = np.zeros(space.dim, dtype=np.complex128)
     coeff[rows[cols == 0]] = vals[cols == 0]
     (kr, rr), (kc, rc) = graded.length_rank(space, rows), graded.length_rank(space, cols)
@@ -329,26 +327,48 @@ def membership_defect(t: Operator) -> float:
     return on_pattern + off_pattern
 
 
+def _product_map(ops: tuple[Operator, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(image, value) per column of the product of ``ops``, image -1 where the column goes to zero.
+    Each factor must store at most one entry a column, as a word shift and the adjoint of
+    an injective one do, so the product composes index maps; ValueError otherwise."""
+    image, value = np.arange(ops[-1].domain.dim), np.ones(ops[-1].domain.dim, dtype=np.complex128)
+    for op in reversed(ops):
+        data, cols, indptr = op.csr
+        if np.any(np.bincount(cols, minlength=op.domain.dim) > 1):
+            raise ValueError("a column stores two entries: the operator is no partial map")
+        # One extra last slot, read by image -1: no image, value 0.
+        step, weight = np.full(op.domain.dim + 1, -1), np.zeros(op.domain.dim + 1, dtype=np.complex128)
+        step[cols], weight[cols] = np.repeat(np.arange(op.codomain.dim), np.diff(indptr)), data
+        image, value = step[image], weight[image] * value
+    return image, value
+
+
+def _map_defect(lhs: tuple, rhs: tuple, cols: np.ndarray | slice = slice(None)) -> float:
+    """Largest entry modulus of A - B over the given columns, A and B the products of ``lhs`` and ``rhs``."""
+    (ia, va), (ib, vb) = ((image[cols], value[cols]) for image, value in map(_product_map, (lhs, rhs)))
+    return float(np.where(ia == ib, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb))).max(initial=0.0))
+
+
 def isometry_defect(space: FockSpace) -> float:
     """Max entrywise defect of L_i* L_j = delta_ij P_{N-1}; contract: 0."""
     proj = length_projection(space, space.depth - 1)
     pairs = [(i, j) for i in space.alphabet.letters for j in space.alphabet.letters]
-    products = ((i == j, left_shift(space, i).adjoint() @ left_shift(space, j)) for i, j in pairs)
-    return _worst_defect(max_entry_diff(p, proj if same else Operator.zero(space)) for same, p in products)
+    products = ((i == j, (left_shift(space, i).adjoint(), left_shift(space, j))) for i, j in pairs)
+    return _worst_defect(_map_defect(p, (proj if same else Operator.zero(space),)) for same, p in products)
 
 
 def row_contraction_defect(space: FockSpace) -> float:
-    """Max entrywise defect of sum_i L_i L_i* = I - (vacuum projection)."""
-    gens = (left_shift(space, i) for i in space.alphabet.letters)
-    total = sum((gen @ gen.adjoint() for gen in gens), Operator.zero(space))
-    target = Operator.identity(space) - Operator.from_entries(space, space, [0], [0], [1.0])
-    return max_entry_diff(total, target)
+    """Max entrywise defect of sum_i L_i L_i* = I - (vacuum projection): diagonal, |value|^2 at each image."""
+    rest = (np.arange(space.dim) > 0).astype(float)  # I - (vacuum projection), less the diagonal so far
+    for image, value in (_product_map((left_shift(space, i),)) for i in space.alphabet.letters):
+        np.subtract.at(rest, image[image >= 0], np.abs(value[image >= 0]) ** 2)
+    return float(np.abs(rest).max(initial=0.0))
 
 
 def _commutation_defect(space: FockSpace, u: Word, a: Word) -> float:
     """Defect of L_u R_a = R_a L_u on the slack-(|u|+|a|) safe zone."""
     lu, ra = word_shift(space, u, "left"), word_shift(space, a, "right")
-    return max_entry_diff(lu @ ra, ra @ lu, graded.within(space, space.depth - len(u) - len(a)))
+    return _map_defect((lu, ra), (ra, lu), graded.within(space, space.depth - len(u) - len(a)))
 
 
 def left_right_commutation_defect(space: FockSpace) -> float:
@@ -376,6 +396,5 @@ def tensor_commutation_defect(
 def shift_composition_defect(space: FockSpace, u: Word, v: Word, side: str = "left") -> float:
     """Defect of S_u S_v = S_{uv} on the slack-(|u|+|v|) safe zone."""
     cols = graded.within(space, space.depth - len(u) - len(v))
-    composed = word_shift(space, u, side) @ word_shift(space, v, side)
-    direct = word_shift(space, u.concat(v), side)
-    return max_entry_diff(composed, direct, cols)
+    composed = (word_shift(space, u, side), word_shift(space, v, side))
+    return _map_defect(composed, (word_shift(space, u.concat(v), side),), cols)

@@ -43,8 +43,9 @@ def _lazy_module(name: str):
 
 
 # The only scipy import of the package; other modules take ``sparse`` from here.
-# Importing scipy.sparse takes about 0.15 s (2-vCPU Xeon), so it loads at the
-# first sparse matrix: the spectrum and large wandering runs never build one.
+# Importing scipy.sparse takes about 0.15 s (2-vCPU Xeon), so it loads at the first
+# sparse matrix, which an Operator builds for arithmetic only: the spectrum, large
+# wandering and regrep/predual runs never load it.
 sparse = _lazy_module("scipy.sparse")
 
 Label = Union[Word, int]
@@ -205,25 +206,33 @@ def _check_same_space(a: Space, b: Space) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Sparse linear map between spaces, stored CSR in canonical basis order."""
+    """Sparse linear map between spaces, held as canonical CSR arrays in basis order.
+
+    ``csr`` is a scipy sparse matrix, or the arrays (data, indices, indptr) of a canonical one
+    with scipy's index dtype.  :meth:`apply`, :attr:`nnz` and :meth:`adjoint` read the arrays;
+    arithmetic builds the scipy ``matrix`` from them."""
 
     domain: Space
     codomain: Space
-    matrix: sparse.csr_matrix
+    csr: tuple | sparse.spmatrix
 
     def __post_init__(self) -> None:
-        mat = self.matrix
-        if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
-            mat = sparse.csr_matrix(mat, dtype=np.complex128)
-        if mat.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match spaces "
-                f"({self.codomain.dim}, {self.domain.dim})"
-            )
-        mat.sum_duplicates()
-        for arr in (mat.data, mat.indices, mat.indptr):
+        arrays = mat = self.csr
+        if not isinstance(arrays, tuple):
+            if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
+                mat = sparse.csr_matrix(mat, dtype=np.complex128)
+            if mat.shape != (shape := (self.codomain.dim, self.domain.dim)):
+                raise ValueError(f"matrix shape {mat.shape} does not match spaces {shape}")
+            mat.sum_duplicates()
+            self.__dict__["matrix"] = mat
+            arrays = (mat.data, mat.indices, mat.indptr)
+        for arr in arrays:
             arr.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "csr", arrays)
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        return sparse.csr_matrix(self.csr, shape=(self.codomain.dim, self.domain.dim))
 
     @classmethod
     def identity(cls, space: Space) -> "Operator":
@@ -232,7 +241,8 @@ class Operator:
     @classmethod
     def zero(cls, domain: Space, codomain: Space | None = None) -> "Operator":
         codomain = domain if codomain is None else codomain
-        return cls(domain, codomain, sparse.csr_matrix((codomain.dim, domain.dim), dtype=np.complex128))
+        empty = np.zeros(0, dtype=np.int32)
+        return cls(domain, codomain, (empty.astype(complex), empty, np.zeros(codomain.dim + 1, np.int32)))
 
     @classmethod
     def from_entries(
@@ -255,11 +265,11 @@ class Operator:
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz)
+        return int(self.csr[2][-1])
 
     def apply(self, v: Vector) -> Vector:
         _check_same_space(self.domain, v.space)
-        return Vector(self.codomain, self.matrix @ v.data)
+        return Vector(self.codomain, csr_matvec(self.csr[0][None], *self.csr[1:], v.data)[0])
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self.domain, other.codomain)
@@ -281,7 +291,25 @@ class Operator:
     __rmul__ = __mul__
 
     def adjoint(self) -> "Operator":
-        return Operator(self.codomain, self.domain, self.matrix.conjugate().transpose().tocsr())
+        """The conjugate transpose: the entries stably sorted by column, their values conjugated."""
+        data, indices, indptr = self.csr
+        order = np.argsort(indices, kind="stable")
+        rows = np.repeat(np.arange(self.codomain.dim, dtype=indices.dtype), np.diff(indptr))
+        starts = np.append(0, np.cumsum(np.bincount(indices, minlength=self.domain.dim))).astype(indptr.dtype)
+        return Operator(self.codomain, self.domain, (np.conj(data[order]), rows[order], starts))
+
+
+def csr_matvec(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for canonical CSR arrays, ``data`` of shape (k, nnz) holding k matrices: a (k, dim) result.
+
+    Each row sums its :func:`schoolbook_product` terms in column order from +0.0, real and imaginary
+    parts apart, as scipy's csr matvec sums them: the result is the same to the bit."""
+    (k, _), rows = data.shape, indptr.size - 1
+    bins = (np.arange(k)[:, None] * rows + np.repeat(np.arange(rows), np.diff(indptr))).ravel()
+    terms = schoolbook_product(data, x[indices]).ravel()
+    out = np.empty((k, rows), dtype=np.complex128)
+    out.real, out.imag = (np.bincount(bins, t, k * rows).reshape(k, rows) for t in (terms.real, terms.imag))
+    return out
 
 
 def coo_sum(space: Space, rows: list, cols: list, vals: list) -> Operator:
@@ -325,18 +353,11 @@ def flip_operator(space: TensorSpace) -> Operator:
     if len(space.factors) != 2:
         raise ValueError("flip is defined on two-factor tensor spaces")
     f1, f2 = space.factors
-    target = tensor_space(f2, f1)
-    d1, d2 = f1.dim, f2.dim
-    i = np.arange(space.dim, dtype=np.int64)
-    a, b = divmod(i, d2)
-    return permutation_operator(space, target, b * d1 + a)
+    a, b = divmod(np.arange(space.dim, dtype=np.int64), f2.dim)
+    return permutation_operator(space, tensor_space(f2, f1), b * f1.dim + a)
 
 
 RankOnePairs = Sequence[tuple[Vector, Vector]]
-
-
-def _sparse_column(v: Vector) -> sparse.csr_matrix:
-    return sparse.csr_matrix(v.data.reshape(-1, 1))
 
 
 def slice_left(pairs: RankOnePairs, t: Operator) -> Operator:
@@ -365,8 +386,8 @@ def _slice(pairs: RankOnePairs, t: Operator, leg: int) -> Operator:
     for xi, eta in pairs:
         _check_same_space(xi.space, paired)
         _check_same_space(eta.space, paired)
-        embed = on_leg(_sparse_column(xi))
-        pair_out = on_leg(_sparse_column(eta).conjugate().transpose())
+        embed = on_leg(sparse.csr_matrix(xi.data.reshape(-1, 1)))
+        pair_out = on_leg(sparse.csr_matrix(eta.data.reshape(-1, 1)).conjugate().transpose())
         acc = acc + pair_out @ t.matrix @ embed
     return Operator(kept, kept, acc)
 
@@ -517,8 +538,8 @@ def schoolbook_product(x, y) -> np.ndarray:
     """x * y, broadcast, from real products: rounded as Python's complex and
     scipy's sparse products round it (numpy's complex multiply may not)."""
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
+    np.subtract(x.real * y.real, x.imag * y.imag, out=out.real)  # in place, with no strided copy
+    np.add(x.real * y.imag, x.imag * y.real, out=out.imag)
     return out
 
 

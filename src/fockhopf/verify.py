@@ -27,8 +27,8 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_abs, max_entry_diff, sparse,
-    tensor_op,
+    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_abs, max_entry_diff,
+    sparse, tensor_op,
 )
 from .words import Alphabet, Word
 
@@ -80,10 +80,14 @@ class Check:
     exact: bool
 
     def run(self) -> dict:
-        """Run the check and return its report row: its worst defect against its threshold."""
+        """Run the check and return its report row: its worst defect against its threshold.
+        A check that raises fails its row, with defect NaN and the exception as ``error``."""
         rng = sampling.rng_for(self.config.seed, self.suite, self.name, self.config.n, self.config.depth)
         started = time.perf_counter()
-        defect = _worst_defect(self.fn(self.config, rng))
+        try:
+            defect, error = _worst_defect(self.fn(self.config, rng)), {}
+        except Exception as exc:
+            defect, error = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
         threshold = 0.0 if self.exact else self.config.tolerance
         return {
             "suite": self.suite,
@@ -93,6 +97,7 @@ class Check:
             "threshold": float(threshold),
             "pass": bool(defect <= threshold),
             "millis": (time.perf_counter() - started) * 1000.0,
+            **error,
         }
 
 
@@ -149,21 +154,14 @@ CESARO_ORDERS = range(4, 13)
 def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray) -> np.ndarray:
     """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s).
 
-    Every difference lies on A's realize pattern, whose entries each belong
-    to one word w; there it holds the coefficient of ``cesaro_sum(s, k)`` at
-    w minus a_w.  The differences stack into one CSR sharing the pattern's
-    indices, so each output row sums in A's column order, as the matvec of a
-    single difference matrix does (the pattern's entries of words with
-    a_w = 0, which A drops, add exact zeros).
+    Every difference lies on A's realize pattern, holding at each entry of a word w
+    the coefficient of ``cesaro_sum(s, k)`` at w minus a_w; :func:`spaces.csr_matvec`
+    sums each output row in A's column order, as the matvec of one difference matrix
+    does (the entries of words with a_w = 0, which A drops, add exact zeros).
     """
     indptr, indices, word = reg._realize_pattern(space, s.degree, 1)
     data = reg.cesaro_coefficients(s, CESARO_ORDERS)[:, word] - s.coeffs[word]
-    row_starts = np.arange(len(CESARO_ORDERS))[:, None] * word.size + indptr[None, :-1]
-    stacked = sparse.csr_matrix(
-        (data.ravel(), np.tile(indices, len(CESARO_ORDERS)), np.append(row_starts, data.size)),
-        shape=(len(CESARO_ORDERS) * space.dim, space.dim),
-    )
-    return (stacked @ x).reshape(len(CESARO_ORDERS), space.dim)
+    return csr_matvec(data, indices, indptr, x)
 
 
 def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -544,7 +542,7 @@ def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]
 
 def default_grid(seed: int, tolerance: float, trials: int) -> list[SuiteConfig]:
     """The full grid: all suites on small spaces, then one deeper point on ``NON_TENSOR_SUITES``,
-    which build no Kronecker product (the slice oracle's fold-2 comult is their one tensor object)."""
+    which build no sparse matrix (the slice oracle reads its fold-2 comult off the realize pattern)."""
     configs = [
         SuiteConfig(n=n, depth=depth, tolerance=tolerance, trials=trials, seed=seed)
         for n in (1, 2, 3)
@@ -562,7 +560,8 @@ def build_report(
     with_timestamp: bool = True,
 ) -> dict:
     """Run every config and assemble the canonical JSON-ready report."""
-    sparse.csr_matrix  # loads the lazy sparse module now, so no check's millis holds its import
+    if inject_fault or any(set(cfg.suites) - set(NON_TENSOR_SUITES) for cfg in configs):
+        sparse.csr_matrix  # loads the lazy sparse module now, so no check's millis holds its import
     rows = [chk.run() for cfg in configs for chk in build_checks(cfg, inject_fault=inject_fault)]
     if not with_timestamp:
         for row in rows:

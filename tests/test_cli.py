@@ -1,7 +1,9 @@
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -196,28 +198,79 @@ def test_verify_refuses_an_unwritable_output_before_any_check(monkeypatch, capsy
     assert not (tmp_path / "missing").exists()
 
 
-def _raise_bad_tags(*args):
-    raise ValueError("a tagged entry is not exactly one word's tag")
-
-
 def _raise_internal(*args):
     raise ValueError("internal")
 
 
 @pytest.mark.parametrize("module,attr,replacement,argv,match", [
-    # The predual slice oracle decodes tags on every run; hopf's decoded plans are cached.
-    (hopf, "_decode_tags", _raise_bad_tags,
-     ["verify", "--n", "2", "--depth", "2", "--suites", "predual"], "exactly one word's tag"),
+    (hopf, "comult_legs", _raise_internal,
+     ["verify", "--n", "2", "--depth", "2", "--suites", "predual"], "internal"),
     (corep, "idempotent_family_defect", lambda family: 1.0,
      ["spectrum", "--n", "2", "--depth", "2"], "representation law"),
     (cli, "wandering_check", _raise_internal,
      ["wandering", "--n", "2", "--k", "2", "--depth", "2"], "internal"),
 ], ids=["verify", "spectrum", "wandering"])
-def test_a_check_that_raises_is_not_a_usage_error(monkeypatch, module, attr, replacement, argv, match):
-    # The exception propagates (exit 1 from the entry point), never exit 2.
+def test_a_check_that_raises_is_not_a_usage_error(monkeypatch, capsys, module, attr, replacement, argv, match):
+    # Exit 1, never exit 2: verify reports the exception in the failing row of
+    # its check and exits 1; spectrum and wandering let it propagate (exit 1
+    # from the entry point).
     monkeypatch.setattr(module, attr, replacement)
-    with pytest.raises(ValueError, match=match):
-        run_cli(argv)
+    if argv[0] != "verify":
+        with pytest.raises(ValueError, match=match):
+            run_cli(argv)
+        return
+    assert run_cli(argv) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] predual.convolve_slice_oracle n=2 depth=2 defect=nan threshold=1.000e-09"
+        f" error=ValueError: {match}"
+    ]
+
+
+def clear_package_caches():
+    for info in pkgutil.iter_modules(fockhopf.__path__):
+        for obj in vars(importlib.import_module(f"fockhopf.{info.name}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.fixture
+def boundary_mutant(monkeypatch):
+    # ROADMAP item 5's comult-boundary mutant: the realize pattern built with
+    # src = within(space, depth - k - 1) for the words of length k >= 1, so
+    # each such word loses its columns with a factor of length depth - k.
+    honest = regular._realize_pattern
+
+    def pattern(space, degree, fold):
+        indptr, cols, word = honest(space, degree, fold)
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        k = space.lengths[word]
+        parts = np.unravel_index(cols, (space.dim,) * fold)
+        keep = (k == 0) | np.logical_and.reduce([space.lengths[p] < space.depth - k for p in parts])
+        counts = np.bincount(rows[keep], minlength=indptr.size - 1)
+        return np.append(0, np.cumsum(counts)).astype(indptr.dtype), cols[keep], word[keep]
+
+    clear_package_caches()  # no plan read off the honest pattern may survive into the run
+    for module in (regular, hopf):
+        monkeypatch.setattr(module, "_realize_pattern", pattern)
+    yield
+    clear_package_caches()  # nor one read off the mutant out of it
+
+
+def test_a_raising_check_leaves_every_other_row_in_the_report(boundary_mutant, capsys):
+    # The mutant makes the slice oracle's proof raise at every grid point;
+    # each of those rows fails with its error and the other 331 rows report.
+    code = run_cli(["verify", "--full", "--format", "json", "--no-timestamp"])
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1 and len(rows) == 341
+    keys = ["suite", "name", "params", "defect", "threshold", "pass", "millis"]
+    raised = [row for row in rows if "error" in row]
+    assert [row["name"] for row in raised] == ["convolve_slice_oracle"] * 10
+    for row in raised:
+        assert list(row) == keys + ["error"]
+        assert math.isnan(row["defect"]) and row["pass"] is False
+        assert row["error"] == "ValueError: a word's comultiplication entries are not T_{d-|w|}^2 in number"
+    assert all(list(row) == keys for row in rows if "error" not in row)
 
 
 def test_non_tensor_suites_build_no_word_table(monkeypatch, capsys):
@@ -410,35 +463,41 @@ def run_fresh(script):
 
 def test_spectrum_and_large_wandering_load_no_scipy():
     # The wandering case has 63^3 = 250,047 tuples, above GRAM_LIMIT, so it
-    # builds no shift operator; the one-check verify after it builds one.
+    # builds no shift operator.  The deep_fock config (regrep and predual at
+    # n=2, depth 7) composes index maps and reads raw CSR arrays, so it loads
+    # no scipy either; the one-check corep verify after it does.
     run_fresh("""
         import contextlib, io, sys
 
         def loaded():
             return "scipy.sparse._base" in sys.modules
 
-        def run(main, *argv):
+        def run(main, code, *argv):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(list(argv)) == 0
+                assert main(list(argv)) == code
 
         import fockhopf
         assert not loaded(), "import fockhopf"
         from fockhopf import cli, verify
         assert not loaded(), "import fockhopf.cli"
-        run(cli.main, "spectrum", "--n", "2", "--depth", "3")
+        run(cli.main, 0, "spectrum", "--n", "2", "--depth", "3")
         assert not loaded(), "spectrum"
-        run(cli.main, "wandering", "--n", "2", "--k", "3", "--depth", "5")
+        run(cli.main, 0, "wandering", "--n", "2", "--k", "3", "--depth", "5")
         assert not loaded(), "wandering"
+        # point_family misses its threshold-0 contract at depth 7 (ROADMAP item 3).
+        run(cli.main, 1, "verify", "--n", "2", "--depth", "7", "--suites", "regrep,predual", "--seed", "7")
+        assert not loaded(), "deep_fock"
         every_check = verify.build_checks
         verify.build_checks = lambda cfg, inject_fault: every_check(cfg, inject_fault)[:1]
-        run(cli.main, "verify", "--n", "1", "--depth", "2", "--suites", "regrep")
+        run(cli.main, 0, "verify", "--n", "1", "--depth", "2", "--suites", "corep")
         assert loaded(), "verify"
     """)
 
 
 def test_verify_loads_scipy_before_its_first_timed_check():
-    # Otherwise the first check that builds an Operator would hold the
-    # import of scipy.sparse in its millis.
+    # Otherwise the first check that builds a scipy matrix would hold the
+    # import of scipy.sparse in its millis.  The regrep and predual suites
+    # build none, so a corep run shows it.
     run_fresh("""
         import contextlib, io, sys
         from fockhopf import cli, verify
@@ -452,6 +511,6 @@ def test_verify_loads_scipy_before_its_first_timed_check():
 
         verify.Check.run = spy
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--n", "1", "--depth", "2", "--suites", "regrep"]) == 0
+            assert cli.main(["verify", "--n", "1", "--depth", "2", "--suites", "corep"]) == 0
         assert verify.Check.run is first_run
     """)

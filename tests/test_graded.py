@@ -297,8 +297,9 @@ def test_leg_map_oracle_matches_the_double_sum_on_the_checks_draws(n, depth):
 
 
 def test_slice_oracle_calls_no_predual_or_graded_function(monkeypatch):
-    # The leg maps come from hopf.comult, which may use the graded layout, so
-    # they are read before the patch; the pairing must not use either layer.
+    # The leg maps come from the realize pattern, which uses the graded
+    # layout, so they are read before the patch; the pairing must not use
+    # either layer.
     space = FockSpace(Alphabet(2), 3)
     legs = hopf.comult_legs(space)
     values, vectors = _oracle_inputs(space, 3)
@@ -342,9 +343,10 @@ def test_slice_oracle_entries_match_per_word_comult(n, depth):
 
 
 def test_slice_oracle_entries_keep_no_complex_temporaries():
-    # At (2, 7) the comultiplication holds 2 MiB of complex values; complex
-    # tag temporaries in the decoder and the values kept through the sort
-    # peaked at 8.6 MiB, the pattern build included.
+    # At (2, 7) the fold-2 pattern holds 1.3 MiB of index arrays.  Decoding
+    # the complex tags of the tagged comultiplication peaked at 8.6 MiB, then
+    # at 4.2 MiB; the leg maps read off the pattern peak at 4.4 MiB with the
+    # pattern build included, 3.2 MiB without it.
     space = FockSpace(Alphabet(2), 7)
     regular._realize_pattern.cache_clear()
     tracemalloc.start()
@@ -356,41 +358,61 @@ def test_slice_oracle_entries_keep_no_complex_temporaries():
     assert peak < 6.5 * 2**20, peak
 
 
+def patch_comult_pattern(monkeypatch, mutate):
+    # comult_legs reads the fold-2 realize pattern as raw CSR arrays.  The
+    # patch hands it the pattern's entries (row, column, word) after
+    # ``mutate``, sorted again by (row, column) into CSR arrays, so a row
+    # stores a position twice only where the mutant stores it twice.
+    honest = regular._realize_pattern
+
+    def pattern(space, degree, fold):
+        indptr, cols, word = honest(space, degree, fold)
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        rows, new_cols, word = mutate(space, rows, cols.astype(np.int64), word.copy())
+        order = np.lexsort((new_cols, rows))
+        counts = np.bincount(rows, minlength=indptr.size - 1)
+        return np.append(0, np.cumsum(counts)).astype(cols.dtype), new_cols[order].astype(cols.dtype), word[order]
+
+    monkeypatch.setattr(hopf, "_realize_pattern", pattern)
+
+
+def entry_of(space, rows, cols, word, w, row, col):
+    # The mask of the one entry of the word w at (row, col); row and col are pairs of words.
+    at = [space.index_of(a) * space.dim + space.index_of(b) for a, b in (row, col)]
+    hit = (word == space.index_of(w)) & (rows == at[0]) & (cols == at[1])
+    assert np.count_nonzero(hit) == 1
+    return hit
+
+
 @pytest.mark.parametrize("first,second", [(1, 2), (-2, -1)])
 def test_slice_oracle_entries_reject_merged_words(monkeypatch, first, second):
-    # A comultiplication that also lands the first word's image on the second
-    # word's entries: the sum is either some other word's tag, so the entry
-    # counts break, or no tag at all.
+    # The second word's entries carry the first word's name: every entry
+    # still names one word and every position is stored once, but the first
+    # word then has too many entries.
     space = FockSpace(Alphabet(2), 3)
-    honest = hopf.comult
 
-    def merged(series, space, fold=2):
-        u, v = space.words[first], space.words[second]
-        extra = FourierSeries(series.alphabet, {v: series.coefficient(u)})
-        return honest(series, space, fold) + honest(extra, space, fold)
+    def merged(space, rows, cols, word):
+        word[word == space.index_of(space.words[second])] = space.index_of(space.words[first])
+        return rows, cols, word
 
-    monkeypatch.setattr(hopf, "comult", merged)
-    with pytest.raises(ValueError):
+    patch_comult_pattern(monkeypatch, merged)
+    with pytest.raises(ValueError, match="in number"):
         hopf.comult_legs(space)
 
 
 @pytest.mark.parametrize("moved", [Word((1,)), Word((2, 1))])
 def test_slice_oracle_entries_reject_columns_off_the_leading_block(monkeypatch, moved):
     # One entry of one word, column (vacuum, vacuum) at row (w, w), moves to
-    # column (last word, vacuum): the tags and the entry counts still hold,
+    # column (last word, vacuum): the rows and the entry counts still hold,
     # but |last word| = depth exceeds depth - |w|, so the column is off the block.
     space = FockSpace(Alphabet(2), 3)
-    honest = hopf.comult
+    e = Word()
 
-    def off_block(series, space, fold=2):
-        image = honest(series, space, fold)
-        coo = image.matrix.tocoo()
-        k, dim = space.index_of(moved), space.dim
-        col = np.where((coo.row == k * dim + k) & (coo.col == 0), (dim - 1) * dim, coo.col)
-        assert np.count_nonzero(col != coo.col) == 1
-        return Operator.from_entries(image.domain, image.codomain, coo.row, col, coo.data)
+    def off_block(space, rows, cols, word):
+        cols[entry_of(space, rows, cols, word, moved, (moved, moved), (e, e))] = (space.dim - 1) * space.dim
+        return rows, cols, word
 
-    monkeypatch.setattr(hopf, "comult", off_block)
+    patch_comult_pattern(monkeypatch, off_block)
     with pytest.raises(ValueError, match="block"):
         hopf.comult_legs(space)
 
@@ -399,43 +421,52 @@ def test_slice_oracle_entries_reject_columns_off_the_leading_block(monkeypatch, 
 def test_slice_oracle_entries_reject_a_repeated_column(monkeypatch, moved):
     # One entry of one word, column (vacuum, vacuum) at row (w, w), moves to
     # column (vacuum, letter 1), which the word already fills at row (w, w1):
-    # the tags, the counts and the block all hold, but (e, e) goes missing.
+    # the rows, the counts and the block all hold, but (e, e) goes missing.
     # Column (e, 1) then holds two rows, so the leg maps cannot take both.
     space = FockSpace(Alphabet(2), 3)
-    honest = hopf.comult
+    e = Word()
 
-    def repeated(series, space, fold=2):
-        image = honest(series, space, fold)
-        coo = image.matrix.tocoo()
-        k, dim = space.index_of(moved), space.dim
-        col = np.where((coo.row == k * dim + k) & (coo.col == 0), 1, coo.col)
-        assert np.count_nonzero(col != coo.col) == 1
-        return Operator.from_entries(image.domain, image.codomain, coo.row, col, coo.data)
+    def repeated(space, rows, cols, word):
+        cols[entry_of(space, rows, cols, word, moved, (moved, moved), (e, e))] = 1
+        return rows, cols, word
 
-    monkeypatch.setattr(hopf, "comult", repeated)
+    patch_comult_pattern(monkeypatch, repeated)
     with pytest.raises(ValueError, match="leg maps"):
+        hopf.comult_legs(space)
+
+
+def test_slice_oracle_entries_reject_a_position_stored_twice(monkeypatch):
+    # The vacuum's entry at row (2, 2), column (2, 2) moves to row (1, 1),
+    # column (1, 1), where the vacuum already stores one.  Its entry count,
+    # its columns and its rows all hold, and the leg maps read both copies
+    # alike, so only the premise that a row stores each position once (a
+    # matrix would sum the two) catches it.
+    space = FockSpace(Alphabet(2), 3)
+    e, one, two = Word(), Word((1,)), Word((2,))
+
+    def twice(space, rows, cols, word):
+        hit = entry_of(space, rows, cols, word, e, (two, two), (two, two))
+        rows[hit], cols[hit] = space.index_of(one) * (space.dim + 1), space.index_of(one) * (space.dim + 1)
+        return rows, cols, word
+
+    patch_comult_pattern(monkeypatch, twice)
+    with pytest.raises(ValueError, match="twice"):
         hopf.comult_legs(space)
 
 
 @pytest.mark.parametrize("dropped", [Word(), Word((1, 2)), Word((2, 2, 2))], ids=["e", "12", "222"])
 def test_comult_legs_reject_a_dropped_entry(monkeypatch, dropped):
     # One word loses its entry at column (vacuum, vacuum), row (w, w): the
-    # tags, the columns and the rows left all hold, but the word has one
-    # entry too few.  The last word, of length depth, has no other entry.
+    # columns and the rows left all hold, but the word has one entry too
+    # few.  The last word, of length depth, has no other entry.
     space = FockSpace(Alphabet(2), 3)
-    honest = hopf.comult
+    e = Word()
 
-    def short(series, space, fold=2):
-        image = honest(series, space, fold)
-        coo = image.matrix.tocoo()
-        k = space.index_of(dropped)
-        keep = (coo.row != k * space.dim + k) | (coo.col != 0)
-        assert np.count_nonzero(~keep) == 1
-        return Operator.from_entries(
-            image.domain, image.codomain, coo.row[keep], coo.col[keep], coo.data[keep]
-        )
+    def short(space, rows, cols, word):
+        keep = ~entry_of(space, rows, cols, word, dropped, (dropped, dropped), (e, e))
+        return rows[keep], cols[keep], word[keep]
 
-    monkeypatch.setattr(hopf, "comult", short)
+    patch_comult_pattern(monkeypatch, short)
     with pytest.raises(ValueError, match="in number"):
         hopf.comult_legs(space)
 
@@ -457,22 +488,19 @@ def test_slice_oracle_check_draws_two_rank_one_functionals_a_trial(n, depth):
 def test_slice_oracle_legs_reject_a_row_off_the_product(monkeypatch, moved):
     # Two entries of one word, at columns (e, e) and (1, 1), swap the right
     # legs of their rows: (w, w) and (w1, w1) become (w, w1) and (w1, w).  The
-    # tags, the entry counts and the columns all hold, so only the leg-map
-    # check, the last, can catch it.
+    # positions, the entry counts and the columns all hold, so only the
+    # leg-map check, the last, can catch it.
     space = FockSpace(Alphabet(2), 3)
-    honest = hopf.comult
+    e, one, moved1 = Word(), Word((1,)), moved.concat(Word((1,)))
 
-    def swapped(series, space, fold=2):
-        image = honest(series, space, fold)
-        coo = image.matrix.tocoo()
-        dim, k, j = space.dim, space.index_of(moved), space.index_of(moved.concat(Word((1,))))
-        first = (coo.row == k * dim + k) & (coo.col == 0)
-        second = (coo.row == j * dim + j) & (coo.col == dim + 1)
-        assert np.count_nonzero(first) == 1 and np.count_nonzero(second) == 1
-        row = np.where(first, k * dim + j, np.where(second, j * dim + k, coo.row))
-        return Operator.from_entries(image.domain, image.codomain, row, coo.col, coo.data)
+    def swapped(space, rows, cols, word):
+        first = entry_of(space, rows, cols, word, moved, (moved, moved), (e, e))
+        second = entry_of(space, rows, cols, word, moved, (moved1, moved1), (one, one))
+        k, j = space.index_of(moved), space.index_of(moved1)
+        rows[first], rows[second] = k * space.dim + j, j * space.dim + k
+        return rows, cols, word
 
-    monkeypatch.setattr(hopf, "comult", swapped)
+    patch_comult_pattern(monkeypatch, swapped)
     with pytest.raises(ValueError, match="leg maps"):
         hopf.comult_legs(space)
 

@@ -595,17 +595,25 @@ def test_grouplike_solve_drops_two_words_whose_tags_swap(monkeypatch, fresh_grou
 
 
 def test_slice_oracle_rejects_two_words_on_one_position(monkeypatch):
-    # The vacuum's image lands on the entries of the word 1 too.  A real tag
-    # i + 1 would read the sum there (1 + 2) as the word 2, and only the
-    # entry counts would show it; the complex tags read no word at all.
-    honest = hopf.comult
+    # The vacuum's image lands on the entries of the word 1 too: the fold-2
+    # pattern stores each of them twice, once for each word.  Summed in a
+    # matrix, a real tag i + 1 would read (1 + 2) there as the word 2; the
+    # raw pattern arrays must refuse a row that stores a position twice.
+    honest = hopf._realize_pattern
+    one = H3.index_of(word(1))
 
-    def merged(series, space, fold=2):
-        extra = FourierSeries(series.alphabet, {word(1): series.coefficient(Word())})
-        return honest(series, space, fold) + honest(extra, space, fold)
+    def merged(space, degree, fold):
+        indptr, cols, words = honest(space, degree, fold)
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        extra = np.flatnonzero(words == one)
+        rows, cols = np.append(rows, rows[extra]), np.append(cols, cols[extra])
+        words = np.append(words, np.zeros(extra.size, dtype=words.dtype))  # the vacuum is index 0
+        order = np.lexsort((cols, rows))
+        counts = np.bincount(rows, minlength=indptr.size - 1)
+        return np.append(0, np.cumsum(counts)).astype(indptr.dtype), cols[order], words[order]
 
-    monkeypatch.setattr(hopf, "comult", merged)
-    with pytest.raises(ValueError, match="tag"):
+    monkeypatch.setattr(hopf, "_realize_pattern", merged)
+    with pytest.raises(ValueError, match="twice"):
         hopf.comult_legs(H3)
 
 

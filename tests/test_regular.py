@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fockhopf import regular
+from scipy import sparse
+
+from fockhopf import regular, verify
 from fockhopf.graded import within
 from fockhopf.regular import (
     FourierSeries,
@@ -23,7 +25,7 @@ from fockhopf.regular import (
     word_shift,
 )
 from fockhopf.sampling import dyadic_complex, random_series, rng_for
-from fockhopf.spaces import FockSpace, Operator, basis_vector, max_entry_diff, tensor_op
+from fockhopf.spaces import FockSpace, Operator, Vector, _worst_defect, basis_vector, max_entry_diff, tensor_op
 from fockhopf.verify import SuiteConfig, build_checks
 from fockhopf.words import Alphabet, Word, word
 
@@ -416,3 +418,223 @@ def test_single_letter_shift_shares_the_word_shift_cache_entry():
     word_shift(H3, Word((1,)), "left")
     info = word_shift.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The five relation defects compose the shifts' index maps.  Their earlier
+# sparse-product forms are kept here unchanged as references; they read the
+# shifts through the module, so a patched shift reaches both routes.
+
+
+def sparse_isometry_defect(space):
+    """Max entrywise defect of L_i* L_j = delta_ij P_{N-1}; contract: 0."""
+    proj = length_projection(space, space.depth - 1)
+    pairs = [(i, j) for i in space.alphabet.letters for j in space.alphabet.letters]
+    products = ((i == j, regular.left_shift(space, i).adjoint() @ regular.left_shift(space, j)) for i, j in pairs)
+    return _worst_defect(max_entry_diff(p, proj if same else Operator.zero(space)) for same, p in products)
+
+
+def sparse_row_contraction_defect(space):
+    """Max entrywise defect of sum_i L_i L_i* = I - (vacuum projection)."""
+    gens = (regular.left_shift(space, i) for i in space.alphabet.letters)
+    total = sum((gen @ gen.adjoint() for gen in gens), Operator.zero(space))
+    target = Operator.identity(space) - Operator.from_entries(space, space, [0], [0], [1.0])
+    return max_entry_diff(total, target)
+
+
+def sparse_commutation_defect(space, u, a):
+    """Defect of L_u R_a = R_a L_u on the slack-(|u|+|a|) safe zone."""
+    lu, ra = regular.word_shift(space, u, "left"), regular.word_shift(space, a, "right")
+    return max_entry_diff(lu @ ra, ra @ lu, within(space, space.depth - len(u) - len(a)))
+
+
+def sparse_left_right_commutation_defect(space):
+    """Max defect of L_i R_j = R_j L_i on the slack-2 safe zone; contract: 0."""
+    letters = [Word((i,)) for i in space.alphabet.letters]
+    return _worst_defect(sparse_commutation_defect(space, i, j) for i in letters for j in letters)
+
+
+def sparse_tensor_commutation_defect(space, left_words, right_words):
+    """Defect of (L_u (x) L_v)(R_a (x) R_b) = (R_a (x) R_b)(L_u (x) L_v), one leg at a time."""
+    (u, v), (a, b) = left_words, right_words
+    return _worst_defect((sparse_commutation_defect(space, u, a), sparse_commutation_defect(space, v, b)))
+
+
+def sparse_shift_composition_defect(space, u, v, side="left"):
+    """Defect of S_u S_v = S_{uv} on the slack-(|u|+|v|) safe zone."""
+    cols = within(space, space.depth - len(u) - len(v))
+    composed = regular.word_shift(space, u, side) @ regular.word_shift(space, v, side)
+    direct = regular.word_shift(space, u.concat(v), side)
+    return max_entry_diff(composed, direct, cols)
+
+
+def relation_defect_pairs(space, rng, draws=12):
+    """(index-map, sparse-product) values of the five relation defects on ``space``.
+
+    The commutation and composition defects run on every letter pair, then on
+    ``draws`` random word pairs that fit the depth, on both sides.
+    """
+    letters = [Word((i,)) for i in space.alphabet.letters]
+
+    def draw(max_len):
+        length = int(rng.integers(0, max_len + 1))
+        return Word(tuple(int(a) for a in rng.integers(1, space.n + 1, size=length)))
+
+    words = [(u, v) for u in letters for v in letters]
+    for _ in range(draws):
+        u = draw(space.depth // 2)
+        words.append((u, draw(space.depth - len(u))))
+    pairs = [
+        (isometry_defect(space), sparse_isometry_defect(space)),
+        (row_contraction_defect(space), sparse_row_contraction_defect(space)),
+        (left_right_commutation_defect(space), sparse_left_right_commutation_defect(space)),
+    ]
+    for u, v in words:
+        pairs.append((tensor_commutation_defect(space, (u, v), (v, u)),
+                      sparse_tensor_commutation_defect(space, (u, v), (v, u))))
+        for side in ("left", "right"):
+            pairs.append((shift_composition_defect(space, u, v, side),
+                          sparse_shift_composition_defect(space, u, v, side)))
+    return pairs
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_relation_defects_match_their_sparse_products(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    pairs = relation_defect_pairs(space, rng_for(depth, "relation-oracle", n))
+    assert pairs == [(0.0, 0.0)] * len(pairs)
+
+
+def _moved_image():
+    # L_1 sends the vacuum to the word 2, not to the word 1.
+    honest = regular.word_shift
+
+    def mutant(space, w, side="left"):
+        op = honest(space, w, side)
+        if w != Word((1,)) or side != "left":
+            return op
+        rows = np.repeat(np.arange(space.dim), np.diff(op.csr[2]))
+        rows[op.csr[1] == 0] = space.index_of(Word((2,)))
+        return Operator.from_entries(space, space, rows, op.csr[1], op.csr[0])
+
+    return "word_shift", mutant
+
+
+def _no_reversal():
+    # R_w appends w itself: the shift of the reversal appends the reversal of it.
+    honest = regular.word_shift
+
+    def mutant(space, w, side="left"):
+        return honest(space, w.reverse() if side == "right" else w, side)
+
+    return "word_shift", mutant
+
+
+def _dropped_letter():
+    # The last letter's shift is zero, so its range leaves the row contraction.
+    honest = regular.left_shift
+
+    def mutant(space, letter):
+        return Operator.zero(space) if letter == space.n else honest(space, letter)
+
+    return "left_shift", mutant
+
+
+@pytest.mark.parametrize("mutant,caught_by", [
+    (_moved_image, {"isometry", "row_contraction", "lr_commutation", "composition"}),
+    (_no_reversal, {"composition"}),
+    (_dropped_letter, {"isometry", "row_contraction"}),
+], ids=["moved_image", "no_reversal", "dropped_letter"])
+def test_relation_mutants_are_caught_by_both_routes(monkeypatch, mutant, caught_by):
+    space = FockSpace(A2, 3)
+    u, v = word(1), word(2, 1)
+    monkeypatch.setattr(regular, *mutant())
+    routes = {
+        "isometry": (isometry_defect(space), sparse_isometry_defect(space)),
+        "row_contraction": (row_contraction_defect(space), sparse_row_contraction_defect(space)),
+        "lr_commutation": (left_right_commutation_defect(space), sparse_left_right_commutation_defect(space)),
+        "composition": max(
+            ((shift_composition_defect(space, a, b, side), sparse_shift_composition_defect(space, a, b, side))
+             for a, b in ((u, v), (v, u)) for side in ("left", "right")),
+        ),
+    }
+    assert {name for name, (maps, products) in routes.items() if maps > 0.0 and products > 0.0} == caught_by
+    assert all(maps == products for maps, products in routes.values()), routes
+
+
+# ---------------------------------------------------------------------------
+# The array paths of Operator against scipy, to the bit.
+
+BIT_POINTS = GRID + [(1, 9), (3, 5)]
+
+
+def _signed_vector(rng, dim):
+    # Random complex entries with every sign of zero among them.
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    zeros = np.array([0.0, -0.0])
+    picks = rng.integers(0, 2, size=(2, dim // 4))
+    x.real[: dim // 4] = zeros[picks[0]]  # set apart: 0.0 + (-0.0) would drop the sign
+    x.imag[: dim // 4] = zeros[picks[1]]
+    return rng.permutation(x)
+
+
+def _array_backed_operators(space, rng):
+    s = random_series(rng, space.alphabet, min(3, space.depth))
+    a = realize(s, space)
+    shifts = [word_shift(space, word(*[space.n] * k), side) for k in (1, 2) for side in ("left", "right")]
+    return [a, a.adjoint(), *shifts, shifts[0].adjoint(), a @ shifts[1] + 0.5j * a]
+
+
+@pytest.mark.parametrize("n,depth", BIT_POINTS)
+def test_apply_matches_the_scipy_matvec_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "apply-bits", n)
+    for op in _array_backed_operators(space, rng):
+        x = _signed_vector(rng, space.dim)
+        got = op.apply(Vector(space, x)).data
+        assert got.tobytes() == (op.matrix @ x).tobytes()
+
+
+def literal_cesaro_error_vectors(s, space, x):
+    # The stacked-CSR route the check ran before: one scipy matvec of the
+    # nine difference matrices stacked on the realize pattern.
+    indptr, indices, word = regular._realize_pattern(space, s.degree, 1)
+    data = regular.cesaro_coefficients(s, verify.CESARO_ORDERS)[:, word] - s.coeffs[word]
+    orders = len(verify.CESARO_ORDERS)
+    row_starts = np.arange(orders)[:, None] * word.size + indptr[None, :-1]
+    stacked = sparse.csr_matrix(
+        (data.ravel(), np.tile(indices, orders), np.append(row_starts, data.size)),
+        shape=(orders * space.dim, space.dim),
+    )
+    return (stacked @ x).reshape(orders, space.dim)
+
+
+@pytest.mark.parametrize("n,depth", BIT_POINTS)
+def test_cesaro_error_vectors_match_the_stacked_scipy_matvec_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "cesaro-bits", n)
+    zone = within(space, space.depth - min(3, depth - 1))
+    for _ in range(20):
+        s = random_series(rng, space.alphabet, min(3, depth - 1))
+        x = np.zeros(space.dim, dtype=np.complex128)
+        x[zone] = _signed_vector(rng, zone.size)
+        got = verify._cesaro_error_vectors(s, space, x)
+        assert got.tobytes() == literal_cesaro_error_vectors(s, space, x).tobytes()
+
+
+@pytest.mark.parametrize("n,depth", BIT_POINTS)
+def test_array_backed_operators_hold_scipys_canonical_arrays(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "canonical-arrays", n)
+    for op in _array_backed_operators(space, rng):
+        mat = op.matrix
+        assert mat.has_canonical_format
+        canonical = mat.tocoo().tocsr()  # scipy sorts and sums the entries itself
+        canonical.sum_duplicates()
+        for arr, name in zip(op.csr, ("data", "indices", "indptr")):
+            want = getattr(canonical, name)
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+        adjoint = mat.conjugate().transpose().tocsr()
+        adjoint.sum_duplicates()
+        for arr, name in zip(op.adjoint().csr, ("data", "indices", "indptr")):
+            assert arr.tobytes() == getattr(adjoint, name).tobytes(), name
