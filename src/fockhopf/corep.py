@@ -177,14 +177,14 @@ def leg_identity_defect(corep: Corepresentation) -> float:
     right-hand side reads the shifts through :func:`word_shift` alone.
     """
     dim, dk = corep.hilbert.dim, corep.aux.dim
-    mat = corep.operator.matrix
-    a, y = np.divmod(np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), dk)
-    c, m = np.divmod(mat.indices.astype(np.int64), dk)
+    rows, cols, data = corep.operator.coo()
+    a, y = np.divmod(rows, dk)
+    c, m = np.divmod(cols.astype(np.int64), dk)
     left, right = gather_groups(y, m, dk)
     rhs_rows, rhs_cols, rhs_vals = shift_tensor_entries(corep.family, copies=2)
     rows = np.concatenate(((a[left] * dim + a[right]) * dk + y[left], rhs_rows))
     cols = np.concatenate(((c[left] * dim + c[right]) * dk + m[right], rhs_cols))
-    vals = np.concatenate((schoolbook_product(mat.data[left], mat.data[right]), -rhs_vals))
+    vals = np.concatenate((schoolbook_product(data[left], data[right]), -rhs_vals))
     return float(np.abs(sum_by_key([rows, cols], vals)[1]).max(initial=0.0))
 
 

@@ -44,13 +44,14 @@ from .spaces import (
     StackedFamily,
     _worst_defect,
     basis_vector,
+    column_entries,
     flip_operator,
     gather_groups,
     max_entry_diff,
     slice_left,
     slice_right,
+    sort_positions,
     sorted_unique,
-    sparse,
     tensor_op,
     vacuum_leg_decomposition,
 )
@@ -64,10 +65,12 @@ def comult(series: FourierSeries, space: FockSpace, fold: int = 2) -> Operator:
     return realize(series, space, fold)
 
 
-def _comult_columns(
-    series: FourierSeries, space: FockSpace, fold: int, columns: np.ndarray
-) -> sparse.csc_matrix:
-    """Columns of the fold-wise comultiplication without materializing it."""
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, col, value) arrays
+
+
+def _comult_columns(series: FourierSeries, space: FockSpace, fold: int, columns: np.ndarray) -> Entries:
+    """The entries of the fold-wise comultiplication in the requested columns, without
+    materializing it; col k stands for ``columns[k]``."""
     shape = (space.dim,) * fold
     parts = np.unravel_index(columns, shape)
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -80,17 +83,11 @@ def _comult_columns(
         rows.append(np.ravel_multi_index(tuple(table[p[keep]] for p in parts), shape))
         cols.append(keep)
         vals.append(np.full(keep.size, c, dtype=np.complex128))
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim**fold, len(columns)),
-    )
-    return mat.tocsc()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _legwise_columns(
-    delta: Operator, space: FockSpace, family_leg: int, columns: np.ndarray
-) -> sparse.csc_matrix:
-    """Columns of sum_w (L_w on the two shift legs, C_w on ``family_leg``).
+def _legwise_columns(delta: Operator, space: FockSpace, family_leg: int, columns: np.ndarray) -> Entries:
+    """The entries, in the requested columns, of sum_w (L_w on the two shift legs, C_w on ``family_leg``).
 
     ``family_leg`` is the 0-based triple leg carrying the family of the pair
     comultiplication ``delta``: leg 2 takes the first-leg family of
@@ -118,8 +115,7 @@ def _legwise_columns(
     legs = {family_leg: y}
     for leg in shift_legs:
         legs[leg] = graded.concat(space, lw, rw, *graded.length_rank(space, parts[leg][col]))
-    rows = np.ravel_multi_index(tuple(legs[leg] for leg in range(3)), shape)
-    return sparse.coo_matrix((vals, (rows, col)), shape=(dim**3, columns.size)).tocsc()
+    return np.ravel_multi_index(tuple(legs[leg] for leg in range(3)), shape), col, vals
 
 
 def _tagged_series(space: FockSpace, degree: int) -> FourierSeries:
@@ -146,19 +142,24 @@ def _decode_tags(values: np.ndarray, dim: int) -> np.ndarray:
     return word
 
 
-def _read_tags(mats: list, dim: int) -> np.ndarray:
-    """The words that tagged matrices store over the union of their positions.
+def _read_tags(parts: list[Entries], shape: tuple[int, int], dim: int) -> np.ndarray:
+    """The words that tagged matrices of one shape store over the union of their positions.
 
     Row k holds, at each stored position of any of the matrices, the basis
-    index of the word whose tag ``mats[k]`` stores there, or -1 where it
-    stores nothing; an entry that is not exactly one tag raises ValueError.
+    index of the word whose tag the entries ``parts[k]`` sum to there, or -1
+    where they store nothing; a sum that is not exactly one tag raises ValueError.
     """
-    coos = [sparse.coo_matrix(m) for m in mats]
-    keys = [coo.row.astype(np.int64) * coo.shape[1] + coo.col for coo in coos]
-    union = sorted_unique(np.concatenate(keys))
-    plan = np.full((len(coos), union.size), -1, dtype=np.int32)
-    for row, coo, key in zip(plan, coos, keys):
-        row[np.searchsorted(union, key)] = _decode_tags(coo.data, dim)
+    rows, cols, vals = (np.concatenate(arrs) for arrs in zip(*parts))
+    part = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
+    order, first, _ = sort_positions(rows, cols, shape)  # stable: a position's entries part by part
+    part = part[order]
+    group = first.copy()  # a new (position, part) pair starts
+    group[1:] |= part[1:] != part[:-1]
+    slot = np.cumsum(group) - 1  # a part storing a position twice sums its tags, exact in any order
+    sums = np.empty(np.count_nonzero(group), dtype=np.complex128)
+    sums.real, sums.imag = (np.bincount(slot, v[order], sums.size) for v in (vals.real, vals.imag))
+    plan = np.full((len(parts), np.count_nonzero(first)), -1, dtype=np.int32)
+    plan[part[group], (np.cumsum(first) - 1)[group]] = _decode_tags(sums, dim)
     plan.setflags(write=False)
     return plan
 
@@ -178,7 +179,7 @@ def _coassociativity_plan(space: FockSpace, degree: int) -> np.ndarray:
     route_a = _legwise_columns(delta, space, family_leg=2, columns=cols)
     route_b = _legwise_columns(delta, space, family_leg=0, columns=cols)
     route_c = _comult_columns(tagged, space, 3, cols)
-    return _read_tags([route_a, route_b, route_c], space.dim)
+    return _read_tags([route_a, route_b, route_c], (space.dim**3, cols.size), space.dim)
 
 
 def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
@@ -198,7 +199,7 @@ def _cocommutativity_plan(space: FockSpace, degree: int) -> np.ndarray:
     """The flipped and the plain pair comultiplication of the tagged series."""
     delta = comult(_tagged_series(space, degree), space, fold=2)
     flip = flip_operator(delta.domain)  # square: both factors equal
-    return _read_tags([(flip @ delta @ flip).matrix, delta.matrix], space.dim)
+    return _read_tags([(flip @ delta @ flip).coo(), delta.coo()], delta.shape, space.dim)
 
 
 def cocommutativity_defect(series: FourierSeries, space: FockSpace) -> float:
@@ -216,15 +217,16 @@ def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.
     each slot (-1 where it stores nothing).
     """
     cols = graded.within(space, space.depth - ds - dt, fold=2)
-    tagged = [comult(_tagged_series(space, d), space).matrix.tocsc() for d in (ds, dt, dp)]
-    left, right, product = tagged[0], tagged[1][:, cols].tocoo(), tagged[2][:, cols].tocoo()
-    step = left[:, right.row].tocoo()  # column k is the left column at right entry k's row
-    keys = step.row.astype(np.int64) * cols.size + right.col[step.col]
-    product_keys = product.row.astype(np.int64) * cols.size + product.col
+    left, right, product = (comult(_tagged_series(space, d), space) for d in (ds, dt, dp))
+    r_col, r_row, r_tags = column_entries(right, cols)
+    p_col, p_row, p_tags = column_entries(product, cols)
+    step, s_row, s_tags = column_entries(left, r_row)  # the left column at each right entry's row
+    keys = s_row * cols.size + r_col[step]
+    product_keys = p_row * cols.size + p_col
     union = sorted_unique(np.concatenate([keys, product_keys]))
     word = np.full(union.size, -1, dtype=np.int64)
-    word[np.searchsorted(union, product_keys)] = _decode_tags(product.data, space.dim)
-    u, v = (_decode_tags(tags, space.dim) for tags in (step.data, right.data[step.col]))
+    word[np.searchsorted(union, product_keys)] = _decode_tags(p_tags, space.dim)
+    u, v = (_decode_tags(tags, space.dim) for tags in (s_tags, r_tags[step]))
     plan = (np.searchsorted(union, keys), u, v, word)
     for arr in plan:
         arr.setflags(write=False)
@@ -259,7 +261,7 @@ def _integral_plan(space: FockSpace, degree: int) -> np.ndarray:
     target = integral_value(tagged) * Operator.identity(space)
     left = slice_right(pairs, delta)
     right = slice_left(pairs, delta)
-    return _read_tags([left.matrix, right.matrix, target.matrix], space.dim)
+    return _read_tags([left.coo(), right.coo(), target.coo()], target.shape, space.dim)
 
 
 def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float:
@@ -279,7 +281,9 @@ def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:
     positions and exactly zero at every (u, v) with u != v.
     """
     delta = comult(series, space, fold=2)
-    out = delta.matrix[:, 0].toarray().ravel()  # the vacuum (e, e) is basis index 0
+    _, rows, vals = column_entries(delta, np.zeros(1, dtype=np.int64))  # the vacuum (e, e) is index 0
+    out = np.zeros(delta.codomain.dim, dtype=np.complex128)
+    out[rows] += vals
     expected = np.zeros_like(out)
     expected[np.arange(series.coeffs.size) * (space.dim + 1)] = series.coeffs
     return float(np.abs(out - expected).max(initial=0.0))
@@ -355,7 +359,7 @@ def _grouplike_words(space: FockSpace) -> tuple[Word, ...]:
     k = np.arange(space.dim)
     tagged = StackedFamily(space, SCALAR_SPACE, k, np.zeros_like(k), np.zeros_like(k), _tags(k))
     routes = [comult(_tagged_series(space, space.depth), space), shift_tensor_sum(tagged, copies=2)]
-    plan = _read_tags([route.matrix for route in routes], space.dim)
+    plan = _read_tags([route.coo() for route in routes], routes[0].shape, space.dim)
     failed = np.zeros(space.dim + 1, dtype=bool)  # -1, nothing stored, marks the extra slot
     failed[plan[:, plan[0] != plan[1]]] = True
     return tuple(space.words[i] for i in np.flatnonzero(~failed[:-1]))

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Operator, Vector, _worst_defect, tensor_space
+from .spaces import FockSpace, Operator, _worst_defect, column_entries, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -213,8 +213,8 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
     shorter first factor, so a smaller column: the arrays are filled in place
     at their final size, with no sort.  Row counts give each row's end, and the
     words go in by ascending length, ``indptr[r]`` stepping back to the row's
-    start.  The index dtype is the one sparse picks: int32 unless nnz or dim^fold
-    passes it.
+    start.  The index dtype is int32 unless nnz or dim^fold passes it.  Tables
+    that fill other than the closed-form nnz slots raise ValueError.
     """
     starts = space._block_starts
     nnz = sum(space.n**k * starts[space.depth + 1 - k] ** fold for k in range(degree + 1))
@@ -223,6 +223,8 @@ def _realize_pattern(space: FockSpace, degree: int, fold: int) -> tuple[np.ndarr
     for _, rows, _ in _power_tables(space, degree, fold):
         indptr[rows] += 1
     np.cumsum(indptr, dtype=idx, out=indptr)  # indptr[r] is the end of row r
+    if indptr[-1] != nnz:
+        raise ValueError(f"the shift tables fill {indptr[-1]} of the {nnz} pattern slots")
     indices, word = np.empty(nnz, dtype=idx), np.empty(nnz, dtype=np.int32)
     for k, rows, cols in _power_tables(space, degree, fold):
         indptr[rows] -= 1
@@ -253,11 +255,17 @@ def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
 
 
 def fourier_coefficients(t: Operator) -> FourierSeries:
-    """Read the coefficients a_w = (T xi_e, xi_w) off the vacuum column T xi_e, exactly."""
+    """Read the coefficients a_w = (T xi_e, xi_w) off the vacuum column T xi_e, exactly.
+
+    Column 0 (xi_e) is read off the stored entries, each added to +0.0 as a matvec's row sum adds it.
+    """
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("fourier_coefficients expects a square operator on a Fock space")
-    return FourierSeries(space.alphabet, t.apply(Vector(space, np.eye(1, space.dim))).data)  # xi_e is index 0
+    _, rows, data = column_entries(t, np.zeros(1, dtype=np.int64))
+    coeffs = np.zeros(space.dim, dtype=np.complex128)
+    coeffs[rows] += data
+    return FourierSeries(space.alphabet, coeffs)
 
 
 def _cesaro_ratios(series: FourierSeries, orders) -> np.ndarray:

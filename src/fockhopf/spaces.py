@@ -6,7 +6,7 @@ Index conventions, fixed here and inherited by every other module:
   length-lexicographic (see :mod:`fockhopf.words`).
 * A tensor basis index runs row-major over the factor list: the FIRST factor
   is the slowest index, so ``index((l1, l2)) = index(l1) * dim2 + index(l2)``.
-  This matches the Kronecker product convention of numpy/scipy, and it makes
+  This matches the Kronecker product convention of ``np.kron``, and it makes
   leg embeddings pure index permutations.
 * The inner product is linear in the first slot and conjugate-linear in the
   second: (x, y) is ``np.vdot(y.data, x.data)``.
@@ -16,9 +16,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,26 +25,6 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .words import Alphabet, Word, count_words, enumerate_words
-
-
-def _lazy_module(name: str):
-    """The module ``name``, executed at its first attribute access (the importlib lazy-import recipe)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-# The only scipy import of the package; other modules take ``sparse`` from here.
-# Importing scipy.sparse takes about 0.15 s (2-vCPU Xeon), so it loads at the first
-# sparse matrix, which an Operator builds for arithmetic only: the spectrum, large
-# wandering and regrep/predual runs never load it.
-sparse = _lazy_module("scipy.sparse")
 
 Label = Union[Word, int]
 
@@ -208,41 +186,35 @@ def _check_same_space(a: Space, b: Space) -> None:
 class Operator:
     """Sparse linear map between spaces, held as canonical CSR arrays in basis order.
 
-    ``csr`` is a scipy sparse matrix, or the arrays (data, indices, indptr) of a canonical one
-    with scipy's index dtype.  :meth:`apply`, :attr:`nnz` and :meth:`adjoint` read the arrays;
-    arithmetic builds the scipy ``matrix`` from them."""
+    ``csr`` is (data, indices, indptr): each row's columns strictly increase, and the
+    index dtype is int32 unless a dimension or nnz passes it.
+    Every method works on these arrays, and each arithmetic result is the one a CSR
+    library's canonical product, sum, scalar multiple or Kronecker product gives,
+    to the bit."""
 
     domain: Space
     codomain: Space
-    csr: tuple | sparse.spmatrix
+    csr: tuple
 
     def __post_init__(self) -> None:
-        arrays = mat = self.csr
-        if not isinstance(arrays, tuple):
-            if type(mat) is not sparse.csr_matrix or mat.dtype != np.complex128:
-                mat = sparse.csr_matrix(mat, dtype=np.complex128)
-            if mat.shape != (shape := (self.codomain.dim, self.domain.dim)):
-                raise ValueError(f"matrix shape {mat.shape} does not match spaces {shape}")
-            mat.sum_duplicates()
-            self.__dict__["matrix"] = mat
-            arrays = (mat.data, mat.indices, mat.indptr)
+        arrays = self.csr
+        if not isinstance(arrays, tuple) or len(arrays) != 3 or arrays[2].size != self.codomain.dim + 1:
+            raise ValueError(f"CSR arrays do not match spaces of shape {self.shape}")
         for arr in arrays:
             arr.setflags(write=False)
-        object.__setattr__(self, "csr", arrays)
 
-    @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix(self.csr, shape=(self.codomain.dim, self.domain.dim))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codomain.dim, self.domain.dim
 
     @classmethod
     def identity(cls, space: Space) -> "Operator":
-        return cls(space, space, sparse.identity(space.dim, dtype=np.complex128, format="csr"))
+        diagonal = np.arange(space.dim)
+        return cls.from_entries(space, space, diagonal, diagonal, np.ones(space.dim))
 
     @classmethod
     def zero(cls, domain: Space, codomain: Space | None = None) -> "Operator":
-        codomain = domain if codomain is None else codomain
-        empty = np.zeros(0, dtype=np.int32)
-        return cls(domain, codomain, (empty.astype(complex), empty, np.zeros(codomain.dim + 1, np.int32)))
+        return cls.from_entries(domain, domain if codomain is None else codomain, [], [], [])
 
     @classmethod
     def from_entries(
@@ -253,19 +225,27 @@ class Operator:
         cols: Sequence[int],
         vals: Sequence[complex],
     ) -> "Operator":
-        mat = sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-            shape=(codomain.dim, domain.dim),
-        )
-        return cls(domain, codomain, mat.tocsr())
+        """The operator of coordinate entries; entries at one position add up (:func:`coo_to_csr`)."""
+        return cls(domain, codomain, coo_to_csr((codomain.dim, domain.dim), rows, cols, vals))
 
     @classmethod
     def from_dense(cls, domain: Space, codomain: Space, arr: np.ndarray) -> "Operator":
-        return cls(domain, codomain, sparse.csr_matrix(np.asarray(arr, dtype=np.complex128)))
+        """The nonzero entries of a dense (codomain.dim, domain.dim) array."""
+        arr = np.asarray(arr, dtype=np.complex128)
+        if arr.shape != (shape := (codomain.dim, domain.dim)):
+            raise ValueError(f"array shape {arr.shape} does not match spaces {shape}")
+        rows, cols = np.nonzero(arr)
+        return cls(domain, codomain, coo_to_csr(shape, rows, cols, arr[rows, cols]))
 
     @property
     def nnz(self) -> int:
         return int(self.csr[2][-1])
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries as (row, col, value) arrays in row-major order, rows in int64."""
+        data, indices, indptr = self.csr
+        starts = np.bincount(indptr[1:-1], minlength=data.size + 1)[:-1]  # rows starting at each entry
+        return np.cumsum(starts), indices, data
 
     def apply(self, v: Vector) -> Vector:
         _check_same_space(self.domain, v.space)
@@ -273,20 +253,25 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self.domain, other.codomain)
-        return Operator(other.domain, self.codomain, self.matrix @ other.matrix)
+        return Operator(other.domain, self.codomain, _csr_product(self, other))
 
     def __add__(self, other: "Operator") -> "Operator":
-        _check_same_space(self.domain, other.domain)
-        _check_same_space(self.codomain, other.codomain)
-        return Operator(self.domain, self.codomain, self.matrix + other.matrix)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "Operator") -> "Operator":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "Operator", op) -> "Operator":
+        """Entrywise ``op``, zero results dropped."""
         _check_same_space(self.domain, other.domain)
         _check_same_space(self.codomain, other.codomain)
-        return Operator(self.domain, self.codomain, self.matrix - other.matrix)
+        keys, out = _merge(self.coo(), other.coo(), self.shape, op)
+        keep = out != 0
+        return Operator(self.domain, self.codomain, _csr_from_keys(self.shape, keys[keep], out[keep]))
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.domain, self.codomain, self.matrix * scalar)
+        data, indices, indptr = self.csr
+        return Operator(self.domain, self.codomain, (data * scalar, indices, indptr))
 
     __rmul__ = __mul__
 
@@ -299,11 +284,96 @@ class Operator:
         return Operator(self.codomain, self.domain, (np.conj(data[order]), rows[order], starts))
 
 
+def sort_positions(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> tuple:
+    """The entries' stable order by position (row, col), a flag on each sorted entry that starts
+    a new position, and the distinct positions' keys row * shape[1] + col, ascending.
+
+    The int64 keys stay below shape[0] * shape[1]; a shape past that raises ValueError."""
+    if shape[0] * shape[1] > np.iinfo(np.int64).max:
+        raise ValueError(f"positions of a {shape} matrix do not fit an int64 key")
+    key = rows.astype(np.int64, copy=False) * shape[1] + cols
+    order = np.argsort(key, kind="stable")  # rows often arrive ascending: runs for the merge sort
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return order, first, key[first]
+
+
+def _csr_from_keys(shape: tuple[int, int], keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """CSR arrays of the values at ascending distinct position keys; the index dtype is
+    int32 unless a dimension or the number of entries passes it."""
+    idx = np.int32 if max(*shape, vals.size) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.divmod(keys, shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=shape[0]))
+    return vals, cols.astype(idx), indptr
+
+
+def _merge(a: tuple, b: tuple, shape: tuple[int, int], op) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` over the union of the positions of two sets of distinct (row, col, value) entries,
+    a missing entry read as 0 + 0j: the positions' keys (as :func:`sort_positions` gives them)
+    and the results."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    order, first, keys = sort_positions(np.concatenate((ra, rb)), np.concatenate((ca, cb)), shape)
+    slot = np.empty(first.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    left, right = np.zeros((2, keys.size), dtype=np.complex128)
+    left[slot[: va.size]] = va
+    right[slot[va.size :]] = vb
+    return keys, op(left, right)
+
+
+def coo_to_csr(shape: tuple[int, int], rows, cols, vals, drop_zeros: bool = False) -> tuple:
+    """Canonical CSR arrays of coordinate entries.
+
+    A stable sort on (row, col); the values at one position add up in array
+    order, from the first of them, and zero sums are dropped only with
+    ``drop_zeros``.  An index outside ``shape`` raises ValueError.
+    """
+    rows, cols = (np.asarray(a, dtype=np.int64).ravel() for a in (rows, cols))
+    vals = np.asarray(vals, dtype=np.complex128).ravel()
+    if not rows.size == cols.size == vals.size:
+        raise ValueError("entry arrays differ in length")
+    if vals.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0] or cols.max() >= shape[1]):
+        raise ValueError(f"an entry lies outside the {shape} matrix")
+    order, first, keys = sort_positions(rows, cols, shape)
+    vals = vals[order]
+    sums = vals[first]
+    np.add.at(sums, np.cumsum(first)[~first] - 1, vals[~first])  # in array order
+    if drop_zeros:
+        keep = sums != 0
+        keys, sums = keys[keep], sums[keep]
+    return _csr_from_keys(shape, keys, sums)
+
+
+def _csr_product(a: Operator, b: Operator) -> tuple:
+    """CSR arrays of A B, formed as the row-by-row (SMMP) sparse product forms them.
+
+    Each stored A[i, j] meets every stored B[j, k] in turn; the products are
+    :func:`schoolbook_product`'s, and each position (i, k) sums its products
+    from +0.0 in that order, real and imaginary parts apart.  Zero sums are
+    dropped.
+    """
+    (ad, ai, ap), (bd, bi, bp) = a.csr, b.csr
+    shape = (a.codomain.dim, b.domain.dim)
+    counts = np.diff(bp)[ai]  # the products each entry of A forms
+    entry = np.repeat(np.arange(ai.size), counts)
+    pos = np.arange(entry.size) + np.repeat(bp[ai] - (np.cumsum(counts) - counts), counts)  # B's entry
+    order, first, keys = sort_positions(a.coo()[0][entry], bi[pos], shape)
+    terms = schoolbook_product(ad[entry], bd[pos])[order]
+    del entry, pos
+    slot = np.cumsum(first) - 1
+    sums = np.empty(keys.size, dtype=np.complex128)
+    sums.real, sums.imag = (np.bincount(slot, part, keys.size) for part in (terms.real, terms.imag))
+    keep = sums != 0
+    return _csr_from_keys(shape, keys[keep], sums[keep])
+
+
 def csr_matvec(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for canonical CSR arrays, ``data`` of shape (k, nnz) holding k matrices: a (k, dim) result.
 
     Each row sums its :func:`schoolbook_product` terms in column order from +0.0, real and imaginary
-    parts apart, as scipy's csr matvec sums them: the result is the same to the bit."""
+    parts apart, as the compiled CSR matvec sums them: the result is the same to the bit."""
     (k, _), rows = data.shape, indptr.size - 1
     bins = (np.arange(k)[:, None] * rows + np.repeat(np.arange(rows), np.diff(indptr))).ravel()
     terms = schoolbook_product(data, x[indices]).ravel()
@@ -319,22 +389,32 @@ def coo_sum(space: Space, rows: list, cols: list, vals: list) -> Operator:
     """
     if not vals:
         return Operator.zero(space)
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    mat = sparse.coo_matrix(entries, shape=(space.dim, space.dim)).tocsr()
-    mat.eliminate_zeros()
-    return Operator(space, space, mat)
+    entries = (np.concatenate(part) for part in (rows, cols, vals))
+    return Operator(space, space, coo_to_csr((space.dim, space.dim), *entries, drop_zeros=True))
 
 
 def tensor_op(*ops: Operator) -> Operator:
     """Kronecker product, row-major: first factor is the slowest index."""
     if not ops:
         raise ValueError("tensor_op needs at least one operator")
-    mat = ops[0].matrix
+    out = ops[0]
     for op in ops[1:]:
-        mat = sparse.kron(mat, op.matrix, format="csr")
-    domain = tensor_space(*(op.domain for op in ops))
-    codomain = tensor_space(*(op.codomain for op in ops))
-    return Operator(domain, codomain, mat)
+        out = _kron(out, op)
+    return out
+
+
+def _kron(a: Operator, b: Operator) -> Operator:
+    """A (x) B: each entry of A times every entry of B, by numpy's complex product."""
+    domain, codomain = tensor_space(a.domain, b.domain), tensor_space(a.codomain, b.codomain)
+    (ra, ca, da), (rb, cb, db) = a.coo(), b.coo()
+    if not (da.size and db.size):
+        return Operator.zero(domain, codomain)
+    data = (da.repeat(db.size).reshape(-1, db.size) * db).ravel()
+    rows = (ra[:, None] * b.codomain.dim + rb).ravel()
+    cols = (ca.astype(np.int64)[:, None] * b.domain.dim + cb).ravel()
+    shape = (codomain.dim, domain.dim)
+    order, _, keys = sort_positions(rows, cols, shape)
+    return Operator(domain, codomain, _csr_from_keys(shape, keys, data[order]))
 
 
 def permutation_operator(domain: Space, codomain: Space, perm: np.ndarray) -> Operator:
@@ -342,10 +422,7 @@ def permutation_operator(domain: Space, codomain: Space, perm: np.ndarray) -> Op
     perm = np.asarray(perm, dtype=np.int64)
     if perm.size != domain.dim:
         raise ValueError("permutation length does not match domain dimension")
-    cols = np.arange(domain.dim, dtype=np.int64)
-    data = np.ones(domain.dim, dtype=np.complex128)
-    mat = sparse.coo_matrix((data, (perm, cols)), shape=(codomain.dim, domain.dim))
-    return Operator(domain, codomain, mat.tocsr())
+    return Operator.from_entries(domain, codomain, perm, np.arange(domain.dim), np.ones(domain.dim))
 
 
 def flip_operator(space: TensorSpace) -> Operator:
@@ -377,19 +454,19 @@ def slice_right(pairs: RankOnePairs, t: Operator) -> Operator:
 def _slice(pairs: RankOnePairs, t: Operator, leg: int) -> Operator:
     factors = _tensor_pair(t)
     paired, kept = factors[leg], factors[1 - leg]
-    ident = sparse.identity(kept.dim, dtype=np.complex128, format="csr")
+    ident = Operator.identity(kept)
 
-    def on_leg(column: sparse.csr_matrix) -> sparse.csr_matrix:
-        return sparse.kron(*((column, ident) if leg == 0 else (ident, column)), format="csr")
+    def on_leg(op: Operator, domain: Space, codomain: Space) -> Operator:
+        # op joins the scalars and the paired leg, so op (x) I has the shape of a map domain -> codomain
+        return Operator(domain, codomain, tensor_op(*((op, ident) if leg == 0 else (ident, op))).csr)
 
-    acc = sparse.csr_matrix((kept.dim, kept.dim), dtype=np.complex128)
+    acc = Operator.zero(kept)
     for xi, eta in pairs:
         _check_same_space(xi.space, paired)
         _check_same_space(eta.space, paired)
-        embed = on_leg(sparse.csr_matrix(xi.data.reshape(-1, 1)))
-        pair_out = on_leg(sparse.csr_matrix(eta.data.reshape(-1, 1)).conjugate().transpose())
-        acc = acc + pair_out @ t.matrix @ embed
-    return Operator(kept, kept, acc)
+        column, row = (Operator.from_dense(SCALAR_SPACE, paired, v.data.reshape(-1, 1)) for v in (xi, eta))
+        acc = acc + on_leg(row.adjoint(), t.domain, kept) @ t @ on_leg(column, kept, t.domain)
+    return acc
 
 
 def _tensor_pair(t: Operator) -> tuple[Space, Space]:
@@ -439,8 +516,8 @@ class StackedFamily(Mapping):
                 raise ValueError(f"family word {w} exceeds depth {fock.depth}")
             if op.domain != aux or op.codomain != aux:
                 raise ValueError("family operators must be square on the auxiliary space")
-        members = [(fock.index_of(w), op.matrix.tocoo()) for w, op in family.items() if op.nnz]
-        parts = [(np.full(c.nnz, k), c.row, c.col, c.data) for k, c in members]
+        members = [(fock.index_of(w), op.nnz, op.coo()) for w, op in family.items() if op.nnz]
+        parts = [(np.full(nnz, k), *entries) for k, nnz, entries in members]
         empty = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)
         return cls(fock, aux, *(np.concatenate(arrs) for arrs in zip(empty, *parts)))
 
@@ -483,9 +560,7 @@ def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> StackedFamily:
     fock, other = (first, second) if leg == 1 else (second, first)
     if not isinstance(fock, FockSpace):
         raise ValueError(f"tensor factor {leg} is not a Fock space")
-    mat, d2 = t.matrix, second.dim
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    cols = mat.indices
+    (rows, cols, data), d2 = t.coo(), second.dim
     # The vacuum word is basis index 0: its columns are (e, x) = x, or (x, e) = x d2.
     if leg == 1:
         keep = np.flatnonzero(cols < d2)
@@ -493,7 +568,7 @@ def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> StackedFamily:
     else:
         keep = np.flatnonzero(cols % d2 == 0)
         (y, w), x = np.divmod(rows[keep], d2), cols[keep] // d2
-    return StackedFamily(fock, other, w, y, x, mat.data[keep])
+    return StackedFamily(fock, other, w, y, x, data[keep])
 
 
 def gather_groups(key: np.ndarray, groups: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,18 +611,28 @@ def sum_by_key(keys: Sequence[np.ndarray], vals: np.ndarray) -> tuple[list, np.n
 
 def schoolbook_product(x, y) -> np.ndarray:
     """x * y, broadcast, from real products: rounded as Python's complex and
-    scipy's sparse products round it (numpy's complex multiply may not)."""
+    compiled sparse products round it (numpy's complex multiply may not)."""
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.complex128)
     np.subtract(x.real * y.real, x.imag * y.imag, out=out.real)  # in place, with no strided copy
     np.add(x.real * y.imag, x.imag * y.real, out=out.imag)
     return out
 
 
-def max_abs(mat: sparse.spmatrix, columns: np.ndarray | None = None) -> float:
-    """Largest entry modulus of a sparse matrix, over ``columns`` when given; 0.0 when it has no entries."""
-    if columns is not None:
-        mat = mat.tocsc()[:, columns]
-    return float(np.abs(mat.data).max(initial=0.0))
+def _column_mask(op: Operator, columns: np.ndarray) -> np.ndarray:
+    """Whether each stored entry lies in one of ``columns``."""
+    wanted = np.zeros(op.domain.dim, dtype=bool)
+    wanted[columns] = True
+    return wanted[op.csr[1]]
+
+
+def column_entries(op: Operator, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of the requested columns as (k, row, value) arrays: the entries of
+    column ``columns[k]`` for each k in turn, rows ascending."""
+    data, indices, indptr = op.csr
+    pos = np.flatnonzero(_column_mask(op, columns))
+    item, sub = gather_groups(indices[pos], columns, op.domain.dim)
+    pos = pos[sub]
+    return item, np.searchsorted(indptr, pos, side="right") - 1, data[pos]
 
 
 def _worst_defect(defects: Iterable[float]) -> float:
@@ -562,4 +647,8 @@ def _worst_defect(defects: Iterable[float]) -> float:
 def max_entry_diff(a: Operator, b: Operator, columns: np.ndarray | None = None) -> float:
     _check_same_space(a.domain, b.domain)
     _check_same_space(a.codomain, b.codomain)
-    return max_abs(a.matrix - b.matrix, columns)
+    entries = []
+    for op in (a, b):  # the difference in ``columns`` reads only their entries
+        keep = slice(None) if columns is None else _column_mask(op, columns)
+        entries.append(tuple(arr[keep] for arr in op.coo()))
+    return float(np.abs(_merge(*entries, a.shape, np.subtract)[1]).max(initial=0.0))

@@ -27,8 +27,7 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_abs, max_entry_diff,
-    sparse, tensor_op,
+    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_entry_diff, tensor_op,
 )
 from .words import Alphabet, Word
 
@@ -350,7 +349,8 @@ def _chk_roundtrips(cfg: SuiteConfig, rng) -> Iterator[float]:
     # direct sum of all characters has its stack and its operator.
     chars = corep_mod.characters(space)
     v_chars = corep_mod.corep_from_rep(chars, space)
-    yield max_abs(v_chars.operator.matrix - w_corep.operator.matrix)
+    v = v_chars.operator  # on H (x) C^dim, whose basis is that of H (x) H
+    yield max_entry_diff(v, Operator(v.domain, v.codomain, w_corep.operator.csr))
     # The entries of both families, the second negated, sum to their difference.
     back, want = corep_mod.rep_from_corep(v_chars).family, chars.family
     arrays = zip((back.word, back.row, back.col, back.val), (want.word, want.row, want.col, -want.val))
@@ -542,7 +542,7 @@ def build_checks(config: SuiteConfig, inject_fault: bool = False) -> list[Check]
 
 def default_grid(seed: int, tolerance: float, trials: int) -> list[SuiteConfig]:
     """The full grid: all suites on small spaces, then one deeper point on ``NON_TENSOR_SUITES``,
-    which build no sparse matrix (the slice oracle reads its fold-2 comult off the realize pattern)."""
+    which build no tensor-power operator (the slice oracle reads its fold-2 comult off the realize pattern)."""
     configs = [
         SuiteConfig(n=n, depth=depth, tolerance=tolerance, trials=trials, seed=seed)
         for n in (1, 2, 3)
@@ -560,8 +560,6 @@ def build_report(
     with_timestamp: bool = True,
 ) -> dict:
     """Run every config and assemble the canonical JSON-ready report."""
-    if inject_fault or any(set(cfg.suites) - set(NON_TENSOR_SUITES) for cfg in configs):
-        sparse.csr_matrix  # loads the lazy sparse module now, so no check's millis holds its import
     rows = [chk.run() for cfg in configs for chk in build_checks(cfg, inject_fault=inject_fault)]
     if not with_timestamp:
         for row in rows:

@@ -7,7 +7,7 @@ closed form T^k - n S^k, where T counts words of length <= N and S counts
 words of length <= N-1 (drop the forced first letter of a common prefix).
 Tuples are tuples of basis indices: the prefix of length p of the word of
 length k at block rank r has rank r // n^(k - p), so no ``Word`` is formed.
-One sparse Gram checks the shifted copies: with S the wandering columns of
+One Gram checks the shifted copies: with S the wandering columns of
 (L_w)^(x k) side by side over words w, S^H S = diag(fit) holds orthogonality
 (cross blocks), isometry (fitting columns) and truncation (the rest) at once.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import graded
 from .regular import word_shift
-from .spaces import FockSpace, _worst_defect, max_abs, sparse, tensor_op
+from .spaces import AuxSpace, FockSpace, Operator, _worst_defect, column_entries, max_entry_diff, tensor_op
 from .words import Alphabet, count_words
 
 # wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
@@ -120,11 +120,19 @@ def shifted_gram_defect(space: FockSpace, k: int, mask: np.ndarray, words) -> fl
     |w| + max_i |kappa_i| <= depth, read from word lengths, not the operators.
     """
     cols = np.flatnonzero(mask.ravel())
-    powers = (tensor_op(*([word_shift(space, space.word_at(int(w)), "left")] * k)) for w in words)
-    stacked = sparse.hstack([power.matrix.tocsc()[:, cols] for power in powers], format="csc")
+    rows, stacked_cols, vals = [], [], []
+    for block, w in enumerate(words):
+        power = tensor_op(*([word_shift(space, space.word_at(int(w)), "left")] * k))
+        col, row, val = column_entries(power, cols)
+        rows.append(row)
+        stacked_cols.append(block * cols.size + col)
+        vals.append(val)
+    blocks = AuxSpace(len(words) * cols.size, "shifted wandering columns")
+    stacked = Operator.from_entries(blocks, power.codomain, *map(np.concatenate, (rows, stacked_cols, vals)))
     longest = space.lengths[np.stack(np.unravel_index(cols, mask.shape))].max(axis=0, initial=0)
     fit = (space.lengths[np.asarray(words)][:, None] + longest <= space.depth).ravel()
-    return max_abs(stacked.conjugate().transpose() @ stacked - sparse.diags(fit.astype(float)))
+    diagonal = np.arange(blocks.dim)
+    return max_entry_diff(stacked.adjoint() @ stacked, Operator.from_entries(blocks, blocks, diagonal, diagonal, fit))
 
 
 def _cover_counts(space: FockSpace, k: int, mask: np.ndarray) -> np.ndarray:

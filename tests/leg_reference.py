@@ -10,6 +10,8 @@ from scipy import sparse
 
 from fockhopf.spaces import Operator, TensorSpace
 
+from scipy_oracle import from_scipy, scipy_csr
+
 
 def leg_embed(v: Operator, legs: tuple[int, int], ambient: TensorSpace) -> Operator:
     """Embed a two-factor operator into a three-factor space on legs (i, j).
@@ -33,7 +35,7 @@ def leg_embed(v: Operator, legs: tuple[int, int], ambient: TensorSpace) -> Opera
     s = ambient.strides
     si, sj, so = s[i - 1], s[j - 1], s[other - 1]
 
-    coo = v.matrix.tocoo()
+    coo = scipy_csr(v).tocoo()
     d2 = vspace.factors[1].dim
     ra, rb = np.divmod(coo.row, d2)
     ca, cb = np.divmod(coo.col, d2)
@@ -42,4 +44,4 @@ def leg_embed(v: Operator, legs: tuple[int, int], ambient: TensorSpace) -> Opera
     cols = (ca[:, None] * si + cb[:, None] * sj + t[None, :] * so).ravel()
     vals = np.repeat(coo.data, d_other)
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(ambient.dim, ambient.dim))
-    return Operator(ambient, ambient, mat.tocsr())
+    return from_scipy(ambient, ambient, mat.tocsr())

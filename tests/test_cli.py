@@ -16,9 +16,10 @@ import fockhopf
 from fockhopf import cli, corep, hopf, predual, regular, verify
 from fockhopf.cli import main
 from fockhopf.sampling import rng_for
-from fockhopf.spaces import FockSpace, Operator
+from fockhopf.spaces import FockSpace
 from fockhopf.verify import ALL_SUITES, SuiteConfig, build_checks, build_report, default_grid
 from fockhopf.words import Alphabet, Word, count_words
+from scipy_oracle import from_scipy, scipy_csr
 
 
 def run_cli(args):
@@ -414,9 +415,9 @@ def test_a_nan_shift_entry_fails_the_shift_relation_rows(monkeypatch):
         op = honest(space, w, side)
         if w != Word((1,)) or side != "left":
             return op
-        mat = op.matrix.copy()
+        mat = scipy_csr(op).copy()
         mat.data[0] = math.nan  # the entry taking the vacuum to xi_1
-        return Operator(op.domain, op.codomain, mat)
+        return from_scipy(op.domain, op.codomain, mat)
 
     monkeypatch.setattr(regular, "word_shift", nan_in_l1)
     report = build_report([SuiteConfig(n=2, depth=3, suites=("regrep",))], with_timestamp=False)
@@ -462,10 +463,10 @@ def run_fresh(script):
 
 
 def test_spectrum_and_large_wandering_load_no_scipy():
-    # The wandering case has 63^3 = 250,047 tuples, above GRAM_LIMIT, so it
-    # builds no shift operator.  The deep_fock config (regrep and predual at
-    # n=2, depth 7) composes index maps and reads raw CSR arrays, so it loads
-    # no scipy either; the one-check corep verify after it does.
+    # No module of the package imports scipy: the spectrum, both wandering
+    # paths (63^3 = 250,047 tuples is above GRAM_LIMIT and builds no shift
+    # operator; 15^2 = 225 forms the Gram), the deep_fock config and the full
+    # grid, with and without the injected fault, all run with scipy unloaded.
     run_fresh("""
         import contextlib, io, sys
 
@@ -478,39 +479,19 @@ def test_spectrum_and_large_wandering_load_no_scipy():
 
         import fockhopf
         assert not loaded(), "import fockhopf"
-        from fockhopf import cli, verify
+        from fockhopf import cli
         assert not loaded(), "import fockhopf.cli"
         run(cli.main, 0, "spectrum", "--n", "2", "--depth", "3")
         assert not loaded(), "spectrum"
         run(cli.main, 0, "wandering", "--n", "2", "--k", "3", "--depth", "5")
         assert not loaded(), "wandering"
+        run(cli.main, 0, "wandering", "--n", "2", "--k", "2", "--depth", "3")
+        assert not loaded(), "wandering with the Gram"
         # point_family misses its threshold-0 contract at depth 7 (ROADMAP item 3).
         run(cli.main, 1, "verify", "--n", "2", "--depth", "7", "--suites", "regrep,predual", "--seed", "7")
         assert not loaded(), "deep_fock"
-        every_check = verify.build_checks
-        verify.build_checks = lambda cfg, inject_fault: every_check(cfg, inject_fault)[:1]
-        run(cli.main, 0, "verify", "--n", "1", "--depth", "2", "--suites", "corep")
-        assert loaded(), "verify"
-    """)
-
-
-def test_verify_loads_scipy_before_its_first_timed_check():
-    # Otherwise the first check that builds a scipy matrix would hold the
-    # import of scipy.sparse in its millis.  The regrep and predual suites
-    # build none, so a corep run shows it.
-    run_fresh("""
-        import contextlib, io, sys
-        from fockhopf import cli, verify
-
-        first_run = verify.Check.run
-
-        def spy(check):
-            assert "scipy.sparse._base" in sys.modules, check.name
-            verify.Check.run = first_run
-            return first_run(check)
-
-        verify.Check.run = spy
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--n", "1", "--depth", "2", "--suites", "corep"]) == 0
-        assert verify.Check.run is first_run
+        run(cli.main, 0, "verify", "--full", "--seed", "7", "--no-timestamp")
+        assert not loaded(), "verify --full"
+        run(cli.main, 1, "verify", "--full", "--inject-fault", "--seed", "7", "--no-timestamp")
+        assert not loaded(), "verify --full --inject-fault"
     """)

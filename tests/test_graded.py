@@ -96,6 +96,7 @@ from fockhopf.verify import (
     _slice_oracle_defect,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words
+from scipy_oracle import entries_csc, from_scipy, scipy_csr
 
 # Every point of ``verify --full`` plus the deep (2, 7) point.
 GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
@@ -265,7 +266,7 @@ def test_batched_slice_oracle_matches_per_word_matvec(n, depth):
     xx = np.multiply.outer(xi1, xi2).ravel()
     ee = np.multiply.outer(eta1, eta2).ravel()
     per_word = np.array([
-        np.vdot(ee, comult(FourierSeries.indicator(space.alphabet, w), space).matrix @ xx)
+        np.vdot(ee, scipy_csr(comult(FourierSeries.indicator(space.alphabet, w), space)) @ xx)
         for w in space.words
     ])
     assert _slice_oracle_defect(legs, per_word, *vectors) <= 1e-12
@@ -320,7 +321,7 @@ def literal_slice_oracle_tables(space):
     # length stacked.
     rows = [[] for _ in range(space.depth + 1)]
     for w in space.words:
-        image = comult(FourierSeries.indicator(space.alphabet, w), space).matrix.tocoo()
+        image = scipy_csr(comult(FourierSeries.indicator(space.alphabet, w), space)).tocoo()
         assert np.all(image.data == 1.0)  # the tagged route returns no values
         order = np.argsort(image.col, kind="stable")
         t = count_words(space.alphabet, space.depth - len(w))
@@ -641,7 +642,7 @@ def test_batched_cesaro_rows_match_each_order(n, depth):
 def literal_cesaro_error_vectors(s, space, x):
     a = realize(s, space)
     return np.array([
-        (realize(regular.cesaro_sum(s, k), space).matrix - a.matrix) @ x for k in range(4, 13)
+        (scipy_csr(realize(regular.cesaro_sum(s, k), space)) - scipy_csr(a)) @ x for k in range(4, 13)
     ])
 
 
@@ -741,7 +742,7 @@ def literal_pattern_tables(space):
 
 def literal_membership_defect(t):
     structured, prefix_index = literal_pattern_tables(t.domain)
-    dense = t.matrix.toarray()
+    dense = scipy_csr(t).toarray()
     expected = np.zeros_like(dense)
     expected[structured] = dense[:, 0][prefix_index[structured]]
     diff = np.abs(dense - expected)
@@ -765,7 +766,7 @@ def literal_corep_from_rep(rep, space):
     dk = rep.aux.dim
     rows, cols, vals = [], [], []
     for u, pu in rep.family.items():
-        coo = pu.matrix.tocoo()
+        coo = scipy_csr(pu).tocoo()
         for a in space.words:
             if len(u) + len(a) > space.depth:
                 break
@@ -776,7 +777,7 @@ def literal_corep_from_rep(rep, space):
 
 
 def same_operator(a, b):
-    return a.domain == b.domain and a.codomain == b.codomain and (a.matrix != b.matrix).nnz == 0
+    return a.domain == b.domain and a.codomain == b.codomain and (scipy_csr(a) != scipy_csr(b)).nnz == 0
 
 
 def _words(n, max_len):
@@ -792,7 +793,7 @@ def test_shift_tables_and_word_shifts_match_literal(n, depth, data):
     for side in ("left", "right"):
         literal = literal_shift_index_table(space, w, side)
         shift = word_shift(space, w, side)
-        assert np.array_equal(shift.matrix.tocsc().indices, literal)  # the row of each column
+        assert np.array_equal(scipy_csr(shift).tocsc().indices, literal)  # the row of each column
         assert same_operator(shift, literal_word_shift(space, w, side))
 
 
@@ -864,14 +865,14 @@ def literal_operator_sum(space, ops):
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
     for op in ops:
-        coo = op.matrix.tocoo()
+        coo = scipy_csr(op).tocoo()
         rows.append(coo.row)
         cols.append(coo.col)
         vals.append(coo.data)
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     mat = sparse.coo_matrix(entries, shape=(space.dim, space.dim)).tocsr()
     mat.eliminate_zeros()
-    return Operator(space, space, mat)
+    return from_scipy(space, space, mat)
 
 
 def literal_tensor_product_rep(r1, r2):
@@ -911,8 +912,8 @@ def test_corep_from_rep_matches_table_literal_csr_arrays(n, depth):
     reps += [PredualRep.character(space, w) for w in _block_end_words(space)]
     reps += [_random_rep(rng, space) for _ in range(3)]
     for rep in reps:
-        got = corep_from_rep(rep, space).operator.matrix
-        assert same_csr_arrays(got, literal_table_corep_from_rep(rep, space).matrix)
+        got = scipy_csr(corep_from_rep(rep, space).operator)
+        assert same_csr_arrays(got, scipy_csr(literal_table_corep_from_rep(rep, space)))
 
 
 def test_corep_from_rep_catches_a_reversed_shift_table(monkeypatch):
@@ -987,7 +988,7 @@ def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
         rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         vals = [np.empty(0, dtype=np.complex128)]
         for w, c in series.items():
-            term = (c * tensor_op(*([literal_word_shift(space, w, "left")] * fold)).matrix).tocoo()
+            term = (c * scipy_csr(tensor_op(*([literal_word_shift(space, w, "left")] * fold)))).tocoo()
             rows.append(term.row)
             cols.append(term.col)
             vals.append(term.data)
@@ -995,7 +996,7 @@ def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
         kron = sparse.coo_matrix(entries, shape=(target.dim, target.dim)).tocsr()
         realized = realize(series, space, fold)
         assert realized.domain == realized.codomain == target
-        assert (realized.matrix != kron).nnz == 0
+        assert (scipy_csr(realized) != kron).nnz == 0
 
 
 def literal_realize(series, space, fold=1):
@@ -1040,8 +1041,8 @@ def test_realize_matches_literal_csr_arrays(n, depth):
     for series in _realize_cases(space, rng):
         # The (2, 7) triple power has 255^3 rows, too many to build twice.
         for fold in (f for f in (1, 2, 3) if space.dim**f <= 2_000_000):
-            got = realize(series, space, fold).matrix
-            want = literal_realize(series, space, fold).matrix
+            got = scipy_csr(realize(series, space, fold))
+            want = scipy_csr(literal_realize(series, space, fold))
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (fold, name)
 
@@ -1086,13 +1087,13 @@ def test_realized_index_arrays_reject_writes():
     full = random_series(rng_for(0, "realize-read-only"), space.alphabet, 2)
     gapped = FourierSeries(space.alphabet, {w: c for w, c in full.items() if len(w) != 1})
     for series in (full, gapped):
-        mat = realize(series, space, fold=2).matrix
+        mat = scipy_csr(realize(series, space, fold=2))
         for arr in (mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
     assert not any(arr.flags.writeable for arr in regular._realize_pattern(space, 2, 2))
     assert np.array_equal(
-        realize(full, space, 2).matrix.indices, literal_realize(full, space, 2).matrix.indices
+        scipy_csr(realize(full, space, 2)).indices, scipy_csr(literal_realize(full, space, 2)).indices
     )
 
 
@@ -1158,7 +1159,7 @@ def test_realize_pattern_reads_no_word_table():
 def literal_dense_membership_defect(t):
     # Clear every graded.concat block of a dim x dim copy; what is left is off-pattern.
     space = t.domain
-    dense = t.matrix.toarray()
+    dense = scipy_csr(t).toarray()
     coeff = dense[:, 0].copy()
     starts = space._block_starts
     on_pattern = 0.0
@@ -1185,15 +1186,15 @@ def _membership_cases(space, rng):
         count = max(1, int(density * space.dim**2))
         rows, cols = rng.integers(0, space.dim, size=(2, count))
         yield Operator.from_entries(space, space, rows, cols, dyadic_complex(rng, count))
-    mat = realized.matrix
+    mat = scipy_csr(realized)
     off_vacuum = np.flatnonzero(mat.indices != 0)
     for pos in [0, *rng.choice(off_vacuum, size=min(4, off_vacuum.size), replace=False)]:
         bumped, deleted = mat.copy(), mat.copy()
         bumped.data[pos] += 0.5
         deleted.data[pos] = 0.0
         deleted.eliminate_zeros()
-        yield Operator(space, space, bumped)
-        yield Operator(space, space, deleted)
+        yield from_scipy(space, space, bumped)
+        yield from_scipy(space, space, deleted)
 
 
 @pytest.mark.parametrize("n,depth", GRID)
@@ -1364,7 +1365,7 @@ def literal_legwise_columns(family, space, family_leg, columns):
     for w, op in family.items():
         table = literal_shift_index_table(space, w, "left")
         keep = np.flatnonzero(np.all([parts[leg] < table.size for leg in shift_legs], axis=0))
-        block = op.matrix.tocsc()[:, parts[family_leg][keep]]
+        block = scipy_csr(op).tocsc()[:, parts[family_leg][keep]]
         counts = np.diff(block.indptr)
         legs = {leg: np.repeat(table[parts[leg][keep]], counts) for leg in shift_legs}
         legs[family_leg] = block.indices
@@ -1389,7 +1390,7 @@ def test_coassociativity_routes_match_materialized_triple(n, depth, seed):
     space = FockSpace(Alphabet(n), depth)
     rng = rng_for(seed, "graded-coassociativity")
     series = random_series(rng, space.alphabet, int(rng.integers(0, depth + 1)), bits=EXACT_BITS)
-    triple = comult(series, space, fold=3).matrix.tocsc()
+    triple = scipy_csr(comult(series, space, fold=3)).tocsc()
     delta = comult(series, space, fold=2)
     first = vacuum_leg_decomposition(delta, leg=1)
     second = vacuum_leg_decomposition(delta, leg=2)
@@ -1397,10 +1398,11 @@ def test_coassociativity_routes_match_materialized_triple(n, depth, seed):
     # triple on every column, not only on the safe zone.
     every = np.arange(space.dim**3)
     for cols in (every, within(space, depth - series.degree, fold=3)):
+        shape = (space.dim**3, cols.size)
         for route in (
-            _comult_columns(series, space, 3, cols),
-            _legwise_columns(delta, space, family_leg=2, columns=cols),
-            _legwise_columns(delta, space, family_leg=0, columns=cols),
+            entries_csc(_comult_columns(series, space, 3, cols), shape),
+            entries_csc(_legwise_columns(delta, space, family_leg=2, columns=cols), shape),
+            entries_csc(_legwise_columns(delta, space, family_leg=0, columns=cols), shape),
             literal_legwise_columns(first, space, family_leg=2, columns=cols),
             literal_legwise_columns(second, space, family_leg=0, columns=cols),
         ):

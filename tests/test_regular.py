@@ -28,6 +28,7 @@ from fockhopf.sampling import dyadic_complex, random_series, rng_for
 from fockhopf.spaces import FockSpace, Operator, Vector, _worst_defect, basis_vector, max_entry_diff, tensor_op
 from fockhopf.verify import SuiteConfig, build_checks
 from fockhopf.words import Alphabet, Word, word
+from scipy_oracle import scipy_csr
 
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
@@ -79,7 +80,7 @@ def test_row_contraction():
         for i in space.alphabet.letters:
             gen = left_shift(space, i)
             total = total + gen @ gen.adjoint()
-        diag = total.matrix.toarray().diagonal().real
+        diag = scipy_csr(total).toarray().diagonal().real
         assert diag[0] == 0.0
         assert np.all(diag[1:] == 1.0)
 
@@ -120,7 +121,7 @@ def test_shift_composition_on_safe_zone():
 
 
 def test_shift_index_table():
-    table = word_shift(H3, word(1)).matrix.tocsc().indices  # the image row of each column
+    table = scipy_csr(word_shift(H3, word(1))).tocsc().indices  # the image row of each column
     assert table.size == 7  # words of length <= 2 can still be shifted
     assert table[0] == H3.index_of(word(1))
     assert table[2] == H3.index_of(word(1, 2))
@@ -219,7 +220,7 @@ def test_cesaro_error_bound_numerically():
         x[zone] = dyadic_complex(rng, zone.size)
         for k in range(4, 13):
             approx = realize(cesaro_sum(s, k), space)
-            err = np.linalg.norm((approx.matrix - a.matrix) @ x)
+            err = np.linalg.norm((scipy_csr(approx) - scipy_csr(a)) @ x)
             bound = cesaro_error_bound(s, k) * np.linalg.norm(x)
             assert err <= bound + 1e-12
 
@@ -247,7 +248,7 @@ def test_membership_brute_force_oracle():
     # Independent oracle: scan all (row, column) pairs by word arithmetic.
     def oracle(t):
         space = t.domain
-        dense = t.matrix.toarray()
+        dense = scipy_csr(t).toarray()
         coeff = dense[:, 0]
         on = off = 0.0
         for i, v in enumerate(space.words):
@@ -333,7 +334,7 @@ def _right_rows_off_by_one(honest):
         op = honest(space, w, side)
         if side == "left":
             return op
-        coo = op.matrix.tocoo()
+        coo = scipy_csr(op).tocoo()
         return Operator.from_entries(space, space, (coo.row + 1) % space.dim, coo.col, coo.data)
 
     return mutant
@@ -592,7 +593,7 @@ def test_apply_matches_the_scipy_matvec_to_the_bit(n, depth):
     for op in _array_backed_operators(space, rng):
         x = _signed_vector(rng, space.dim)
         got = op.apply(Vector(space, x)).data
-        assert got.tobytes() == (op.matrix @ x).tobytes()
+        assert got.tobytes() == (scipy_csr(op) @ x).tobytes()
 
 
 def literal_cesaro_error_vectors(s, space, x):
@@ -627,7 +628,7 @@ def test_array_backed_operators_hold_scipys_canonical_arrays(n, depth):
     space = FockSpace(Alphabet(n), depth)
     rng = rng_for(depth, "canonical-arrays", n)
     for op in _array_backed_operators(space, rng):
-        mat = op.matrix
+        mat = scipy_csr(op)
         assert mat.has_canonical_format
         canonical = mat.tocoo().tocsr()  # scipy sorts and sums the entries itself
         canonical.sum_duplicates()
@@ -638,3 +639,44 @@ def test_array_backed_operators_hold_scipys_canonical_arrays(n, depth):
         adjoint.sum_duplicates()
         for arr, name in zip(op.adjoint().csr, ("data", "indices", "indptr")):
             assert arr.tobytes() == getattr(adjoint, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n,depth", BIT_POINTS)
+def test_fourier_coefficients_read_the_vacuum_column_as_the_matvec_does(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "vacuum-column-bits", n)
+    vacuum = basis_vector(space, Word())
+    rows, cols = rng.integers(0, space.dim, size=(2, 3 * space.dim))
+    cols[::3] = 0  # a third of the entries on the vacuum column, some rows twice
+    signed = Operator.from_entries(space, space, rows, cols, _signed_vector(rng, rows.size))
+    for t in [*_array_backed_operators(space, rng), signed]:
+        got = fourier_coefficients(t).coeffs
+        want = FourierSeries(space.alphabet, t.apply(vacuum).data).coeffs
+        assert got.tobytes() == want.tobytes()
+
+
+def test_realize_pattern_rejects_tables_that_miss_its_slots(monkeypatch):
+    # The comult-boundary mutant in the shift tables: each word of length
+    # k >= 1 loses its columns with a factor of length depth - k, so at (2, 3)
+    # the tables fill 25 of the 49 slots sized from the closed form.
+    honest = regular._power_tables
+
+    def boundary_tables(space, degree, fold):
+        for k, rows, cols in honest(space, degree, fold):
+            if k:
+                parts = np.unravel_index(cols, (space.dim,) * fold)
+                fits = np.logical_and.reduce([space.lengths[p] < space.depth - k for p in parts])
+                rows, cols = rows[:, fits], cols[fits]
+            yield k, rows, cols
+
+    space = FockSpace(A2, 3)
+    regular._realize_pattern.cache_clear()
+    monkeypatch.setattr(regular, "_power_tables", boundary_tables)
+    try:
+        for fold in (1, 2):
+            with pytest.raises(ValueError, match="pattern slots"):
+                regular._realize_pattern(space, 3, fold)
+        with pytest.raises(ValueError, match="fill 25 of the 49"):
+            realize(FourierSeries(A2, {word(1): 1.0, word(1, 2, 2): 0.5}), space)
+    finally:
+        regular._realize_pattern.cache_clear()

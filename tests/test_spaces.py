@@ -3,7 +3,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse import _compressed
 
 from fockhopf import spaces
 from fockhopf.spaces import (
@@ -13,8 +12,10 @@ from fockhopf.spaces import (
     TensorSpace,
     Vector,
     basis_vector,
+    coo_sum,
     flip_operator,
     max_entry_diff,
+    permutation_operator,
     slice_left,
     slice_right,
     sorted_unique,
@@ -25,6 +26,11 @@ from fockhopf.spaces import (
 from fockhopf.words import Alphabet, Word, word
 
 from leg_reference import leg_embed
+from fockhopf.corep import fundamental_corep
+from fockhopf.hopf import comult
+from fockhopf.regular import FourierSeries, realize, word_shift
+from fockhopf.sampling import rng_for
+from scipy_oracle import assert_same_arrays, from_scipy, max_abs as scipy_max_abs, scipy_csr
 
 A2 = Alphabet(2)
 
@@ -44,7 +50,7 @@ def operator_entries(op):
         labels = labels_at(space, i) if isinstance(space, TensorSpace) else (space.word_at(i),)
         return ",".join(w.text(A2.n) for w in labels)
 
-    coo = op.matrix.tocoo()
+    coo = scipy_csr(op).tocoo()
     return [
         {"row": text(op.codomain, r), "col": text(op.domain, c), "re": v.real, "im": v.imag}
         for r, c, v in zip(coo.row, coo.col, coo.data)
@@ -135,8 +141,8 @@ def test_operator_apply_identity_and_compose():
     rng = np.random.default_rng(3)
     a = rnd_sparse_operator(rng, space)
     b = rnd_sparse_operator(rng, space)
-    composed = (a @ b).matrix.toarray()
-    assert np.allclose(composed, a.matrix.toarray() @ b.matrix.toarray())
+    composed = scipy_csr(a @ b).toarray()
+    assert np.allclose(composed, scipy_csr(a).toarray() @ scipy_csr(b).toarray())
 
 
 def test_adjoint_reverses_composition_dense_oracle():
@@ -145,10 +151,10 @@ def test_adjoint_reverses_composition_dense_oracle():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        lhs = (a @ b).adjoint().matrix.toarray()
-        rhs = (b.adjoint() @ a.adjoint()).matrix.toarray()
+        lhs = scipy_csr((a @ b).adjoint()).toarray()
+        rhs = scipy_csr(b.adjoint() @ a.adjoint()).toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(a.adjoint().adjoint().matrix.toarray(), a.matrix.toarray())
+        assert np.allclose(scipy_csr(a.adjoint().adjoint()).toarray(), scipy_csr(a).toarray())
 
 
 def test_shape_mismatch_raises():
@@ -166,8 +172,8 @@ def test_tensor_op_matches_dense_kron():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        direct = tensor_op(a, b).matrix.toarray()
-        oracle = np.kron(a.matrix.toarray(), b.matrix.toarray())
+        direct = scipy_csr(tensor_op(a, b)).toarray()
+        oracle = np.kron(scipy_csr(a).toarray(), scipy_csr(b).toarray())
         assert np.allclose(direct, oracle, atol=1e-12)
     ident = Operator.identity(space)
     assert max_entry_diff(tensor_op(ident, ident), Operator.identity(tensor_space(space, space))) == 0.0
@@ -196,8 +202,8 @@ def test_flip_involution_and_conjugation():
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        lhs = (flip @ tensor_op(a, b) @ flip).matrix.toarray()
-        rhs = tensor_op(b, a).matrix.toarray()
+        lhs = scipy_csr(flip @ tensor_op(a, b) @ flip).toarray()
+        rhs = scipy_csr(tensor_op(b, a)).toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -274,10 +280,10 @@ def test_slice_elementary_tensor():
     eta = basis_vector(space, word(2, 1))
     left = slice_left([(xi, eta)], t)
     scale = np.vdot(eta.data, a.apply(xi).data)
-    assert np.allclose(left.matrix.toarray(), scale * b.matrix.toarray(), atol=1e-12)
+    assert np.allclose(scipy_csr(left).toarray(), scale * scipy_csr(b).toarray(), atol=1e-12)
     right = slice_right([(basis_vector(space, Word()), basis_vector(space, Word()))], t)
     scale_r = np.vdot(basis_vector(space, Word()).data, b.apply(basis_vector(space, Word())).data)
-    assert np.allclose(right.matrix.toarray(), scale_r * a.matrix.toarray(), atol=1e-12)
+    assert np.allclose(scipy_csr(right).toarray(), scale_r * scipy_csr(a).toarray(), atol=1e-12)
 
 
 def test_slice_reads_first_leg_coefficients():
@@ -304,14 +310,14 @@ def literal_operator_sum(space, ops):
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     vals = [np.empty(0, dtype=np.complex128)]
     for op in ops:
-        coo = op.matrix.tocoo()
+        coo = scipy_csr(op).tocoo()
         rows.append(coo.row)
         cols.append(coo.col)
         vals.append(coo.data)
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     mat = sparse.coo_matrix(entries, shape=(space.dim, space.dim)).tocsr()
     mat.eliminate_zeros()
-    return Operator(space, space, mat)
+    return from_scipy(space, space, mat)
 
 
 def test_vacuum_families_on_unequal_legs():
@@ -370,7 +376,7 @@ def test_matrix_entries_determine_operator():
             ei = basis_vector(pair, i)
             ej = basis_vector(pair, j)
             rebuilt[i, j] = np.vdot(ei.data, t.apply(ej).data)
-    assert np.allclose(rebuilt, t.matrix.toarray(), atol=1e-12)
+    assert np.allclose(rebuilt, scipy_csr(t).toarray(), atol=1e-12)
 
 
 def test_aux_space_and_scalar():
@@ -393,36 +399,29 @@ def test_operator_entries_serialization():
     assert {"row": "2,1", "col": "1,2", "re": 1.0, "im": 0.0} in flip_entries
 
 
-def test_operator_keeps_a_canonical_complex_csr(monkeypatch):
-    # A complex csr_matrix is taken as it is: no second scipy constructor pass.
+def test_operator_keeps_a_canonical_complex_csr():
+    # Canonical arrays are taken as they are: no copy, frozen in place.
     space = FockSpace(A2, 2)
     mat = sparse.random(space.dim, space.dim, density=0.3, format="csr", random_state=1) * (1 + 1j)
-    assert type(mat) is sparse.csr_matrix and mat.dtype == np.complex128
-    calls = []
-    honest = _compressed._cs_matrix.__init__
-
-    def counting(self, *args, **kwargs):
-        calls.append(type(self))
-        honest(self, *args, **kwargs)
-
-    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting)
-    op = Operator(space, space, mat)
-    assert calls == []
-    assert op.matrix is mat and not op.matrix.data.flags.writeable
-    Operator(space, space, mat.real)  # a real matrix is still converted
-    assert calls
+    arrays = (mat.data, mat.indices, mat.indptr)
+    op = Operator(space, space, arrays)
+    assert all(kept is given for kept, given in zip(op.csr, arrays))
+    assert not any(arr.flags.writeable for arr in op.csr)
 
 
 def test_operator_checks_shape_and_sums_duplicates():
     space = FockSpace(A2, 1)
+    empty = np.zeros(0, dtype=np.int32)
+    with pytest.raises(ValueError, match="do not match spaces"):
+        Operator(space, space, (empty.astype(complex), empty, np.zeros(3, dtype=np.int32)))
     with pytest.raises(ValueError, match="does not match spaces"):
-        Operator(space, space, sparse.csr_matrix((2, 3), dtype=np.complex128))
+        Operator.from_dense(space, space, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="outside"):
+        Operator.from_entries(space, space, [3], [0], [1.0])
     # Row 0 stores column 1 twice; the operator keeps one summed entry.
-    data = np.array([1 + 1j, 2.0, 0.5j], dtype=np.complex128)
-    mat = sparse.csr_matrix((data, [1, 1, 2], [0, 2, 3, 3]), shape=(3, 3))
-    op = Operator(space, space, mat)
+    op = Operator.from_entries(space, space, [0, 0, 1], [1, 1, 2], [1 + 1j, 2.0, 0.5j])
     assert op.nnz == 2
-    assert op.matrix[0, 1] == 3 + 1j and op.matrix[1, 2] == 0.5j
+    assert scipy_csr(op)[0, 1] == 3 + 1j and scipy_csr(op)[1, 2] == 0.5j
 
 
 def test_values_frozen_after_construction():
@@ -435,7 +434,7 @@ def test_values_frozen_after_construction():
         vec.data[0] = 2.0
     op = Operator.identity(space)
     with pytest.raises(ValueError):
-        op.matrix.data[0] = 2.0
+        op.csr[0][0] = 2.0
 
 
 @pytest.mark.parametrize(
@@ -456,9 +455,181 @@ def test_sorted_unique_matches_numpy_unique(keys):
     assert np.array_equal(got, want)
 
 
-def test_only_spaces_names_scipy():
-    # spaces loads scipy.sparse at the first sparse matrix, and every other
-    # module takes ``sparse`` from it: a module that imported scipy itself
-    # would load it at ``import fockhopf`` again.
+def test_no_src_module_names_scipy():
+    # The package does its sparse arithmetic on its own CSR arrays; scipy is
+    # the tests' oracle only, so ``import fockhopf`` never loads it.
     naming = {path.name for path in Path(spaces.__file__).parent.glob("*.py") if "scipy" in path.read_text()}
-    assert naming == {"spaces.py"}
+    assert naming == set()
+
+
+# ---------------------------------------------------------------------------
+# Each Operator kernel against scipy's, to the bit: the dtype and bytes of
+# data, indices and indptr.  Values are non-dyadic complex numbers with both
+# signs of zero among their parts, so a difference in rounding or in the
+# order of a sum shows.
+
+KERNEL_GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
+
+
+def _signed_values(rng, size):
+    vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    zeros = np.array([0.0, -0.0])
+    vals.real[::5] = zeros[rng.integers(0, 2, vals[::5].size)]
+    vals.imag[::7] = zeros[rng.integers(0, 2, vals[::7].size)]
+    return vals
+
+
+def _canonical(mat):
+    # The matrix as the package took a scipy result: complex (scipy's kron of
+    # an empty operand is real), its rows' columns sorted (a product leaves them unsorted).
+    mat = sparse.csr_matrix(mat, dtype=np.complex128)
+    mat.sum_duplicates()
+    return mat
+
+
+def _spread_entries(rng, space, per_row, width):
+    # per_row entries in every row, columns below width: positions repeat, and
+    # no row holds more than 16 entries, the rows scipy's sort keeps stable.
+    rows = rng.permutation(np.repeat(np.arange(space.dim), per_row))
+    cols = rng.integers(0, min(width, space.dim), size=rows.size)
+    return rows, cols, _signed_values(rng, rows.size)
+
+
+def _kernel_operands(space, rng):
+    # A realized non-dyadic series, shifts, adjoints, and coordinate entries.
+    series = FourierSeries(space.alphabet, _signed_values(rng, space._block_starts[min(3, space.depth) + 1]))
+    a = realize(series, space)
+    noise = Operator.from_entries(space, space, *_spread_entries(rng, space, 3, space.dim))
+    shift, right = word_shift(space, word(1), "left"), word_shift(space, word(space.n, 1), "right")
+    return [a, a.adjoint(), shift, right.adjoint(), noise, Operator.zero(space)]
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_arithmetic_matches_scipy_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    ops = _kernel_operands(space, rng_for(depth, "kernel-arithmetic", n))
+    for x in ops:
+        xm = scipy_csr(x)
+        for y in ops:
+            ym = scipy_csr(y)
+            assert_same_arrays(x @ y, _canonical(xm @ ym))
+            assert_same_arrays(x + y, _canonical(xm + ym))
+            assert_same_arrays(x - y, _canonical(xm - ym))
+        for scalar in (0.3 - 0.7j, -2.0, 1j, 0.0):
+            assert_same_arrays(x * scalar, xm * scalar)
+            assert_same_arrays(scalar * x, scalar * xm)
+        assert (x - x).nnz == 0
+
+
+def test_cancelling_sums_are_dropped_as_scipy_drops_them():
+    space = FockSpace(A2, 2)
+    z = 0.1 + 0.3j
+    left = Operator.from_entries(space, space, [0, 0, 1, 1], [0, 1, 0, 2], [z, -z, z, 0.7])
+    right = Operator.from_entries(space, space, [0, 1, 2], [3, 3, 3], [1.0, 1.0, 0.5])
+    product = left @ right  # row 0 sums z - z at column 3; row 1 keeps z + 0.35
+    assert product.nnz == 1
+    assert_same_arrays(product, _canonical(scipy_csr(left) @ scipy_csr(right)))
+    twice = Operator.from_entries(space, space, [0, 0, 2], [1, 1, 2], [z, -z, z])
+    assert twice.nnz == 2  # the cancelled duplicate is stored as zero, as coo -> csr keeps it
+    assert_same_arrays(twice, sparse.coo_matrix(([z, -z, z], ([0, 0, 2], [1, 1, 2])), shape=(7, 7)).tocsr())
+    assert_same_arrays(left - twice, _canonical(scipy_csr(left) - scipy_csr(twice)))
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_pair_space_products_match_scipy_to_the_bit(n, depth):
+    # The products of the corep and hopf checks: (L_1 (x) L_1) W, W (I (x) L_1),
+    # the flipped comultiplication, and a non-dyadic Kronecker product.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "kernel-pair", n)
+    shift, ident = word_shift(space, word(1), "left"), Operator.identity(space)
+    w = fundamental_corep(space).operator
+    series = FourierSeries(space.alphabet, _signed_values(rng, space._block_starts[min(2, depth) + 1]))
+    delta = comult(series, space)
+    flip = flip_operator(delta.domain)
+    noise = Operator.from_entries(space, space, *_spread_entries(rng, space, 2, space.dim))
+    for x, y in [
+        (tensor_op(shift, shift), w),
+        (w, tensor_op(ident, shift)),
+        (flip, delta),
+        (flip @ delta, flip),
+        (tensor_op(noise, realize(series, space)), delta),
+    ]:
+        assert_same_arrays(x @ y, _canonical(scipy_csr(x) @ scipy_csr(y)))
+        assert_same_arrays(x - y, _canonical(scipy_csr(x) - scipy_csr(y)))
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_tensor_products_match_scipy_kron_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    a, a_star, shift, right, noise, zero = _kernel_operands(space, rng_for(depth, "kernel-kron", n))
+    for x, y in [(a, noise), (noise, a_star), (shift, shift), (right, noise), (zero, a), (a, zero)]:
+        assert_same_arrays(tensor_op(x, y), _canonical(sparse.kron(scipy_csr(x), scipy_csr(y), format="csr")))
+    small = FockSpace(Alphabet(n), min(depth, 2))
+    b, _, s, _, c, _ = _kernel_operands(small, rng_for(depth, "kernel-kron-3", n))
+    want = sparse.kron(sparse.kron(scipy_csr(b), scipy_csr(c), format="csr"), scipy_csr(s), format="csr")
+    assert_same_arrays(tensor_op(b, c, s), want)
+    assert_same_arrays(Operator.identity(space), sparse.identity(space.dim, dtype=np.complex128, format="csr"))
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_coordinate_and_dense_constructors_match_scipy_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "kernel-coo", n)
+    shape = (space.dim, space.dim)
+    for per_row, width in ((1, space.dim), (4, 3), (16, 5)):  # (16, 5): every row sums repeats
+        rows, cols, vals = _spread_entries(rng, space, per_row, width)
+        vals[1::4] = -vals[::4][: vals[1::4].size]  # some pairs cancel when they share a position
+        want = sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        assert_same_arrays(Operator.from_entries(space, space, rows, cols, vals), want)
+        want.eliminate_zeros()
+        half = rows.size // 2
+        parts = [(arr[:half], arr[half:]) for arr in (rows, cols, vals)]
+        assert_same_arrays(coo_sum(space, *parts), want)
+        dense = np.zeros(shape, dtype=np.complex128)
+        dense[rows, cols] = vals
+        assert_same_arrays(Operator.from_dense(space, space, dense), sparse.csr_matrix(dense))
+    perm = rng.permutation(space.dim)
+    literal = sparse.coo_matrix((np.ones(space.dim), (perm, np.arange(space.dim))), shape=shape).tocsr()
+    assert_same_arrays(permutation_operator(space, space, perm), _canonical(literal.astype(np.complex128)))
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_column_restricted_entry_diff_matches_scipy(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "kernel-max-abs", n)
+    ops = _kernel_operands(space, rng)
+    for x, y in zip(ops, ops[1:] + ops[:1]):
+        diff = scipy_csr(x) - scipy_csr(y)
+        for columns in (None, np.arange(0, space.dim, 3), rng.permutation(space.dim)[: space.dim // 2], np.arange(0)):
+            assert max_entry_diff(x, y, columns) == scipy_max_abs(diff, columns)
+
+
+def literal_slice(pairs, t, leg):
+    # The slice as scipy sums it: sum_j (eta_j* on the leg) t (xi_j on the leg),
+    # the partial product made canonical as an Operator holds it.  (scipy leaves
+    # a product's rows unsorted, and a product taken of that sums in its stored
+    # order, which can round otherwise on non-dyadic data.)
+    paired, kept = t.domain.factors[leg], t.domain.factors[1 - leg]
+    ident = sparse.identity(kept.dim, dtype=np.complex128, format="csr")
+
+    def on_leg(column):
+        return sparse.kron(*((column, ident) if leg == 0 else (ident, column)), format="csr")
+
+    acc = sparse.csr_matrix((kept.dim, kept.dim), dtype=np.complex128)
+    for xi, eta in pairs:
+        embed = on_leg(sparse.csr_matrix(xi.data.reshape(-1, 1)))
+        pair_out = on_leg(sparse.csr_matrix(eta.data.reshape(-1, 1)).conjugate().transpose())
+        acc = acc + _canonical(pair_out @ scipy_csr(t)) @ embed
+    return _canonical(acc)
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_slices_match_the_scipy_sum_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "kernel-slice", n)
+    series = FourierSeries(space.alphabet, _signed_values(rng, space._block_starts[min(2, depth) + 1]))
+    t = comult(series, space)
+    vectors = [Vector(space, _signed_values(rng, space.dim) * (rng.random(space.dim) < 0.5)) for _ in range(4)]
+    pairs = [(vectors[0], vectors[1]), (vectors[2], vectors[3])]
+    assert_same_arrays(slice_left(pairs, t), literal_slice(pairs, t, 0))
+    assert_same_arrays(slice_right(pairs, t), literal_slice(pairs, t, 1))

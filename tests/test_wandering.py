@@ -19,6 +19,7 @@ from fockhopf.wandering import (
     wandering_dim_closed_form,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words, word
+from scipy_oracle import scipy_csr
 
 A2 = Alphabet(2)
 # The tensor points of ``verify --full``, where the decompose check runs.
@@ -182,7 +183,7 @@ def literal_gram_defect(alphabet, k, depth, mask):
     tuples = zip(*np.unravel_index(cols, mask.shape))
     longest = [max(len(space.word_at(int(i))) for i in tup) for tup in tuples]
     shifted = {
-        w: tensor_op(*([word_shift(space, w, "left")] * k)).matrix.tocsc()[:, cols]
+        w: scipy_csr(tensor_op(*([word_shift(space, w, "left")] * k))).tocsc()[:, cols]
         for w in space.words
     }
     words = list(space.words)
@@ -302,7 +303,7 @@ def _letters_call(n, depth):
 def _merge_two_columns(space, w, side):
     # The real shift, but the vacuum goes where the word 1 goes: the wandering
     # columns (vacuum, vacuum) and (1, vacuum) land on one tuple.
-    coo = word_shift(space, w, side).matrix.tocoo()
+    coo = scipy_csr(word_shift(space, w, side)).tocoo()
     rows = coo.row.copy()
     if np.any(coo.col == 1):
         rows[coo.col == 0] = rows[coo.col == 1]
@@ -311,7 +312,7 @@ def _merge_two_columns(space, w, side):
 
 def _drop_one_entry(space, w, side):
     # The real shift less its image of the vacuum: a fitting column goes to 0.
-    coo = word_shift(space, w, side).matrix.tocoo()
+    coo = scipy_csr(word_shift(space, w, side)).tocoo()
     keep = coo.col != 0
     return Operator.from_entries(space, space, coo.row[keep], coo.col[keep], coo.data[keep])
 
