@@ -7,25 +7,25 @@ Working directly on the Fourier data keeps every axiom check exact: the
 coassociativity, cocommutativity, homomorphism, and integral-invariance
 defects are all contractually zero on their safe zones (:func:`graded.within`).
 
-Those four checks run on cached plans and the grouplike solve on one comparison
-per space, each reading a series that tags every word with a distinct value
-through the one decoder :func:`_decode_tags`; no other module knows the tags.
-The slice oracle's leg maps (:func:`comult_legs`) read the realize pattern.  Every series
-of one degree shares the sparsity pattern of its comultiplication, so each
-plan is built once per (space, degree), or per (space, deg s, deg t, deg st)
-for the homomorphism, and a series only gathers its coefficient array through it:
+Those four checks run on plans cached per (space, degree), or per (space,
+deg s, deg t, deg st) for the homomorphism, and the grouplike solve on one
+comparison per space, each reading a series that tags every word with a
+distinct value through the one decoder :func:`_decode_tags`; no other module
+knows the tags.  The slice oracle's leg maps (:func:`comult_legs`) read the
+realize pattern.  A series, or each row of (trials, words) coefficients in
+one array pass, only gathers its coefficients through a plan:
 
 * coassociativity, cocommutativity and integral invariance run their
   operator routes once, on the tagged series; every compared entry must be
-  exactly one word's tag, so the plan records which coefficient each side
-  reads there and a series' defect is the largest difference of two
-  gathered coefficients, the same float subtraction the operator routes make;
+  exactly one word's tag, and the plan keeps the distinct columns of words
+  the routes read at a position, so a defect is the largest difference of
+  two gathered coefficients, the same float subtraction the routes make;
 * the homomorphism composes the tagged comultiplications of deg s and deg t
   over the safe-zone columns, recording which coefficient pairs a_u b_v each
   entry of Delta(s) Delta(t) sums, against that of the product s t, the
-  graded Cauchy product of :meth:`FourierSeries.__mul__`.  On dyadic
-  coefficients those products and their sums are exact doubles, so the
-  order of summation cannot matter.
+  graded Cauchy product of :meth:`FourierSeries.__mul__`, formed a pair at a
+  time.  On dyadic coefficients those products and their sums are exact
+  doubles, so the order of summation cannot matter.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .spaces import (
     FockSpace,
     Operator,
     StackedFamily,
-    _worst_defect,
     basis_vector,
     column_entries,
     flip_operator,
@@ -143,11 +142,13 @@ def _decode_tags(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _read_tags(parts: list[Entries], shape: tuple[int, int], dim: int) -> np.ndarray:
-    """The words that tagged matrices of one shape store over the union of their positions.
+    """The distinct columns of words that tagged matrices of one shape store over their positions.
 
     Row k holds, at each stored position of any of the matrices, the basis
     index of the word whose tag the entries ``parts[k]`` sum to there, or -1
     where they store nothing; a sum that is not exactly one tag raises ValueError.
+    One column of each key (its words as one int64, -1 a word of its own) is kept:
+    a maximum over the columns is the maximum over every position, exactly.
     """
     rows, cols, vals = (np.concatenate(arrs) for arrs in zip(*parts))
     part = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
@@ -160,14 +161,26 @@ def _read_tags(parts: list[Entries], shape: tuple[int, int], dim: int) -> np.nda
     sums.real, sums.imag = (np.bincount(slot, v[order], sums.size) for v in (vals.real, vals.imag))
     plan = np.full((len(parts), np.count_nonzero(first)), -1, dtype=np.int32)
     plan[part[group], (np.cumsum(first) - 1)[group]] = _decode_tags(sums, dim)
+    keys = np.ravel_multi_index(tuple(plan + 1), (dim + 1,) * len(plan))
+    plan = plan[:, np.unique(keys, return_index=True)[1]]
     plan.setflags(write=False)
     return plan
 
 
-def _gathered_defect(coef: np.ndarray, plan: np.ndarray, pairs) -> float:
-    """Largest difference between the plan rows in ``pairs``, read off the coefficients."""
-    vals = np.append(coef, 0)[plan]  # -1 reads the appended zero
-    return _worst_defect(float(np.abs(vals[i] - vals[j]).max(initial=0.0)) for i, j in pairs)
+def _plan_defects(plan_of, pairs, series, space: FockSpace):
+    """The largest difference between the rows in ``pairs`` of ``plan_of(space, degree)``, read
+    off a series' coefficients (a float) or off each coefficient row (trials, words) (an array),
+    a row's degree that of its last nonzero coefficient, as a series trims it."""
+    if isinstance(series, FourierSeries):  # the one-row case
+        return float(_plan_defects(plan_of, pairs, _coefficients_on(series, space)[None], space)[0])
+    degrees = space.lengths[np.where(series != 0, np.arange(series.shape[1]), 0).max(axis=1)]
+    out = np.empty(len(series))
+    for degree in sorted_unique(degrees).tolist():
+        coefs = series[degrees == degree, : space._block_starts[degree + 1]]
+        vals = np.append(coefs, np.zeros((len(coefs), 1)), axis=1)[:, plan_of(space, degree)]  # -1 reads 0
+        misses = [np.abs(vals[:, i] - vals[:, j]).max(axis=-1, initial=0.0) for i, j in pairs]
+        out[degrees == degree] = np.max(misses, axis=0)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -182,16 +195,14 @@ def _coassociativity_plan(space: FockSpace, degree: int) -> np.ndarray:
     return _read_tags([route_a, route_b, route_c], (space.dim**3, cols.size), space.dim)
 
 
-def coassociativity_defect(series: FourierSeries, space: FockSpace) -> float:
+def coassociativity_defect(series, space: FockSpace):
     """Compare both outer-leg iterates with the direct triple comultiplication.
 
     The two iterates act leg-wise on the slice-extracted decompositions of
     the pair comultiplication, so the three routes are independent; the
     defect is their largest disagreement on the slack-degree safe zone.
     """
-    coef = _coefficients_on(series, space)
-    plan = _coassociativity_plan(space, series.degree)
-    return _gathered_defect(coef, plan, ((0, 2), (1, 2), (0, 1)))
+    return _plan_defects(_coassociativity_plan, ((0, 2), (1, 2), (0, 1)), series, space)
 
 
 @lru_cache(maxsize=32)
@@ -202,10 +213,9 @@ def _cocommutativity_plan(space: FockSpace, degree: int) -> np.ndarray:
     return _read_tags([(flip @ delta @ flip).coo(), delta.coo()], delta.shape, space.dim)
 
 
-def cocommutativity_defect(series: FourierSeries, space: FockSpace) -> float:
+def cocommutativity_defect(series, space: FockSpace):
     """Defect of flip-invariance of the comultiplied operator; contract: 0."""
-    coef = _coefficients_on(series, space)
-    return _gathered_defect(coef, _cocommutativity_plan(space, series.degree), ((0, 1),))
+    return _plan_defects(_cocommutativity_plan, ((0, 1),), series, space)
 
 
 @lru_cache(maxsize=32)
@@ -233,17 +243,23 @@ def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.
     return plan
 
 
-def homomorphism_defect(s: FourierSeries, t: FourierSeries, space: FockSpace) -> float:
-    """Defect of multiplicativity on the slack-(deg s + deg t) safe zone."""
-    if s.degree + t.degree > space.depth:
+def homomorphism_defect(s, t, space: FockSpace):
+    """Defect of multiplicativity on the slack-(deg s + deg t) safe zone: of two series (a float),
+    or of each pair (s[i], t[i]) of two lists (an array), a stacked pass per (deg s, deg t, deg s t)."""
+    if isinstance(s, FourierSeries):  # the one-pair case
+        return float(homomorphism_defect([s], [t], space)[0])
+    if any(a.degree + b.degree > space.depth for a, b in zip(s, t)):
         raise ValueError("combined degree exceeds the depth")
-    product = s * t
-    p = np.append(product.coeffs, 0)
-    a, b = _coefficients_on(s, space), _coefficients_on(t, space)
-    slot, u, v, w = _homomorphism_plan(space, s.degree, t.degree, product.degree)
-    composed = np.zeros(w.size, dtype=np.complex128)
-    np.add.at(composed, slot, a[u] * b[v])
-    return float(np.abs(composed - p[w]).max(initial=0.0))
+    triples = [(a, b, a * b) for a, b in zip(s, t)]
+    keys, out = [tuple(x.degree for x in triple) for triple in triples], np.empty(len(triples))
+    for key in sorted(set(keys)):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        a, b, p = (np.array([_coefficients_on(triples[i][j], space) for i in rows]) for j in range(3))
+        slot, u, v, w = _homomorphism_plan(space, *key)
+        composed = np.zeros((len(rows), w.size), dtype=np.complex128)
+        np.add.at(composed, (slice(None), slot), a[:, u] * b[:, v])
+        out[rows] = np.abs(composed - np.append(p, np.zeros((len(rows), 1)), axis=1)[:, w]).max(axis=-1, initial=0.0)
+    return out
 
 
 def integral_value(series: FourierSeries) -> complex:
@@ -264,22 +280,23 @@ def _integral_plan(space: FockSpace, degree: int) -> np.ndarray:
     return _read_tags([left.coo(), right.coo(), target.coo()], target.shape, space.dim)
 
 
-def integral_invariance_defect(series: FourierSeries, space: FockSpace) -> float:
+def integral_invariance_defect(series, space: FockSpace):
     """Defect of both one-sided invariance identities of the vacuum state.
 
     Slicing either leg of the comultiplied operator against the vacuum
     rank-one functional must reproduce a_e times the identity.
     """
-    coef = _coefficients_on(series, space)
-    return _gathered_defect(coef, _integral_plan(space, series.degree), ((0, 2), (1, 2)))
+    return _plan_defects(_integral_plan, ((0, 2), (1, 2)), series, space)
 
 
-def vacuum_expansion_defect(series: FourierSeries, space: FockSpace) -> float:
+def vacuum_expansion_defect(series, space: FockSpace):
     """Defect of the vacuum-image expansion of the pair comultiplication.
 
     The image of the vacuum tensor must carry a_w at the (w, w) diagonal
-    positions and exactly zero at every (u, v) with u != v.
+    positions and exactly zero at every (u, v) with u != v (one operator a row of coefficient rows).
     """
+    if not isinstance(series, FourierSeries):
+        return np.array([vacuum_expansion_defect(FourierSeries(space.alphabet, c), space) for c in series])
     delta = comult(series, space, fold=2)
     _, rows, vals = column_entries(delta, np.zeros(1, dtype=np.int64))  # the vacuum (e, e) is index 0
     out = np.zeros(delta.codomain.dim, dtype=np.complex128)

@@ -26,27 +26,27 @@ RankOnePair = tuple[Vector, Vector]
 
 
 def _rank_one_values(space: FockSpace, pairs: Sequence[RankOnePair]) -> np.ndarray:
-    """(L_w xi, eta) = sum_u xi_u conj(eta_wu), in depth + 1 products a pair.
+    """(L_w xi, eta) = sum_u xi_u conj(eta_wu), in depth + 1 products a pair (a row a trial of stacks).
 
     For |u| = m, conj(eta) from start[m] on, reshaped to (T_{d-m}, n^m), has
     eta_wu at [index(w), rank(u)] (start[k + m] - start[m] = n^m start[k]), so one
     product with xi's block m adds term m to the leading T_{d-m} values.  The
-    vacuum's term is a vector dot, as numpy takes a one-row product, so each value
-    rounds as one product per (|w|, m) block rounds it.
+    vacuum's term is a one-row product, as numpy takes a vector dot, so each value
+    rounds as one product per (|w|, m) block rounds it (``np.matvec``, trial by trial).
     """
-    values = np.zeros(space.dim, dtype=np.complex128)
+    lead = np.broadcast_shapes(*(v.data.shape[:-1] for pair in pairs for v in pair))  # the trial axes
+    values = np.zeros((*lead, space.dim), dtype=np.complex128)
     starts, depth = space._block_starts, space.depth
     for xi, eta in pairs:
         if xi.space != space or eta.space != space:
             raise ValueError("rank-one pair vectors must live on the functional's space")
-        conj_eta, vacuum = np.conj(eta.data), values[0]
+        conj_eta = np.conj(eta.data)
         for m in range(depth + 1):
             rows = starts[depth + 1 - m]
-            tail = conj_eta[starts[m] :].reshape(rows, space.n**m)
-            xi_m = xi.data[starts[m] : starts[m + 1]]
-            vacuum += tail[0] @ xi_m
-            values[1:rows] += tail[1:] @ xi_m
-        values[0] = vacuum
+            tail = conj_eta[..., starts[m] :].reshape(conj_eta.shape[:-1] + (rows, space.n**m))
+            xi_m = xi.data[..., starts[m] : starts[m + 1]]
+            values[..., :1] += np.matvec(tail[..., :1, :], xi_m)
+            values[..., 1:rows] += np.matvec(tail[..., 1:, :], xi_m)
     return values
 
 
@@ -64,9 +64,10 @@ class Functional:
     provenance: tuple[RankOnePair, ...] | None = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.complex128, copy=True).ravel()
-        if arr.size != self.space.dim:
-            raise ValueError(f"value array length {arr.size} does not match dim {self.space.dim}")
+        arr = np.array(self.values, dtype=np.complex128, copy=True)
+        arr = arr if arr.ndim == 2 else arr.ravel()  # a (trials, dim) array: a stack, a trial a row
+        if arr.shape[-1] != self.space.dim:
+            raise ValueError(f"value array length {arr.shape[-1]} does not match dim {self.space.dim}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if self.provenance is not None:
@@ -108,11 +109,11 @@ def counit_defect(f: Functional) -> float:
     """Distance of a functional from the counit equations.
 
     A convolution unit must take the value 1 on the identity and on every
-    generator; the defect is the largest miss among those constraints.  In
-    basis order those are the leading n + 1 values: e, then the letters.
+    generator; the defect is the largest miss among those constraints (one a
+    trial of a stack).  In basis order those are the leading n + 1 values: e, then the letters.
     """
-    miss = f.values[: f.space.n + 1] - 1.0
-    return float(np.hypot(miss.real, miss.imag).max())
+    miss = f.values[..., : f.space.n + 1] - 1.0
+    return np.hypot(miss.real, miss.imag).max(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

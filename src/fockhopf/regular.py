@@ -268,18 +268,22 @@ def fourier_coefficients(t: Operator) -> FourierSeries:
     return FourierSeries(space.alphabet, coeffs)
 
 
-def _cesaro_ratios(series: FourierSeries, orders) -> np.ndarray:
-    """|w| / k for every word w of the series (columns) and every k in orders (rows)."""
-    return _layout(series.alphabet, series.degree).lengths / np.asarray(orders)[:, None]
+def cesaro_arrays(coeffs: np.ndarray, lengths: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Cesaro coefficients (..., k, words) and error bounds (..., k) of series with coefficient rows
+    ``coeffs`` (..., words) on words of the given lengths, one k per order.
+
+    Row k holds (1 - |w|/k)_+ a_w, zero past length k - 1; bound k, on the safe-zone error,
+    is sum_w min(|w|/k, 1) |a_w| summed in basis order, with ``hypot``'s moduli, as Python's
+    complex ``abs`` gives them (numpy's can differ in the last bit).
+    """
+    ratios, coeffs = lengths / np.asarray(orders)[:, None], coeffs[..., None, :]
+    weights = np.minimum(ratios, 1.0) * np.hypot(coeffs.real, coeffs.imag)
+    return np.maximum(1.0 - ratios, 0.0) * coeffs, np.cumsum(weights, axis=-1)[..., -1]
 
 
 def cesaro_coefficients(series: FourierSeries, orders) -> np.ndarray:
-    """The coefficients of ``cesaro_sum(series, k)``, one row per k in orders.
-
-    Row k holds (1 - |w|/k)_+ a_w over every word of the series, so it is
-    zero past length k - 1.
-    """
-    return np.maximum(1.0 - _cesaro_ratios(series, orders), 0.0) * series.coeffs
+    """The coefficients of ``cesaro_sum(series, k)``, one row per k in orders (:func:`cesaro_arrays`)."""
+    return cesaro_arrays(series.coeffs, _layout(series.alphabet, series.degree).lengths, orders)[0]
 
 
 def cesaro_sum(series: FourierSeries, k: int) -> FourierSeries:
@@ -290,21 +294,9 @@ def cesaro_sum(series: FourierSeries, k: int) -> FourierSeries:
     return FourierSeries(series.alphabet, cesaro_coefficients(series, (k,))[0, : space.dim])
 
 
-def cesaro_error_bounds(series: FourierSeries, orders) -> np.ndarray:
-    """Triangle-inequality bounds sum_w min(|w|/k, 1) |a_w| on the safe-zone error, one per k.
-
-    The terms are summed one after another in basis order, and the moduli
-    are ``hypot``'s, as Python's ``abs`` of a complex number gives them
-    (numpy's complex ``abs`` can differ in the last bit).
-    """
-    weights = np.minimum(_cesaro_ratios(series, orders), 1.0)
-    coeffs = series.coeffs
-    return np.cumsum(weights * np.hypot(coeffs.real, coeffs.imag), axis=1)[:, -1]
-
-
 def cesaro_error_bound(series: FourierSeries, k: int) -> float:
-    """The bound of :func:`cesaro_error_bounds` for the one order k."""
-    return float(cesaro_error_bounds(series, (k,))[0])
+    """The triangle-inequality bound on the safe-zone error of order k (:func:`cesaro_arrays`)."""
+    return float(cesaro_arrays(series.coeffs, _layout(series.alphabet, series.degree).lengths, (k,))[1][0])
 
 
 def membership_defect(t: Operator) -> float:

@@ -30,17 +30,26 @@ def rng_for(seed: int, *labels: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def dyadic_complex(rng: np.random.Generator, size: int | None = None, bits: int = FINE_BITS):
-    """Complex samples with real/imag parts uniform on the dyadic grid in [-1, 1].
+def dyadic_trials(rng: np.random.Generator, trials: int, sizes: list[int], bits: int = FINE_BITS):
+    """Trial by trial, one (trials, size) array of samples per size, uniform on the dyadic grid.
 
-    All real parts are drawn, then all imaginary parts (one call draws the stream
-    that two would), and each is divided by 2^bits in place in the complex array.
+    A sample's real parts are drawn, then its imaginary parts, each divided by 2^bits in place.
+    One ``rng.integers`` call draws them all, with the values and the final generator state of
+    one call a sample (``tests/test_sampling.py::test_one_stacked_draw_is_the_per_trial_stream``).
     """
     scale = 1 << bits
-    draws = rng.integers(-scale, scale + 1, size=(2, 1 if size is None else size))
-    out = np.empty(draws.shape[1], dtype=np.complex128)
-    np.divide(draws[0], scale, out=out.real)
-    np.divide(draws[1], scale, out=out.imag)
+    draws = rng.integers(-scale, scale + 1, size=(trials, 2 * sum(sizes)))
+    out = [np.empty((trials, size), dtype=np.complex128) for size in sizes]
+    for k, size in enumerate(sizes):
+        part = draws[:, 2 * sum(sizes[:k]) :]
+        np.divide(part[:, :size], scale, out=out[k].real)
+        np.divide(part[:, size : 2 * size], scale, out=out[k].imag)
+    return out
+
+
+def dyadic_complex(rng: np.random.Generator, size: int | None = None, bits: int = FINE_BITS):
+    """Complex samples on the dyadic grid in [-1, 1]: one trial of :func:`dyadic_trials`."""
+    out = dyadic_trials(rng, 1, [1 if size is None else size], bits)[0][0]
     return complex(out[0]) if size is None else out
 
 
@@ -64,6 +73,13 @@ def random_rank_one_functional(
     return from_rank_one(space, [(xi, eta)])
 
 
+def random_rank_one_functionals(rng, space: FockSpace, count: int, trials: int, bits: int = FINE_BITS):
+    """``count`` stacks of ``trials`` functionals, each drawn as by :func:`random_rank_one_functional`,
+    trial by trial, in one :func:`dyadic_trials` call."""
+    vecs = [Vector(space, v) for v in dyadic_trials(rng, trials, [space.dim] * (2 * count), bits)]
+    return [from_rank_one(space, [pair]) for pair in zip(vecs[::2], vecs[1::2])]
+
+
 def random_ball_point(
     rng: np.random.Generator, n: int, radius: float = 0.7, bits: int = 5
 ) -> tuple[complex, ...]:
@@ -80,10 +96,10 @@ def random_ball_point(
     squared moduli, summed left to right, fall below radius^2.  All 65 are
     drawn at once and tested together; the generator is then rewound and
     redraws exactly the samples up to the accepted one, so it ends where a
-    sample-by-sample loop would leave it.  Rejection keeps the coordinates on
-    the grid but its acceptance rate collapses in high dimension, so when the
-    first 64 samples all miss, the 65th is halved into the ball instead
-    (halving a dyadic stays dyadic).
+    sample-by-sample loop would leave it (one call draws the stream of many:
+    ``tests/test_sampling.py``).  Rejection keeps the coordinates on the grid but
+    its acceptance rate collapses in high dimension, so when the first 64 samples
+    all miss, the 65th is halved into the ball instead (halving a dyadic stays dyadic).
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")

@@ -155,9 +155,10 @@ class Vector:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.complex128, copy=True).ravel()
-        if arr.size != self.space.dim:
-            raise ValueError(f"vector length {arr.size} does not match dim {self.space.dim}")
+        arr = np.array(self.data, dtype=np.complex128, copy=True)
+        arr = arr if arr.ndim == 2 else arr.ravel()  # a (trials, dim) array: a stack, a trial a row
+        if arr.shape[-1] != self.space.dim:
+            raise ValueError(f"vector length {arr.shape[-1]} does not match dim {self.space.dim}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -249,7 +250,7 @@ class Operator:
 
     def apply(self, v: Vector) -> Vector:
         _check_same_space(self.domain, v.space)
-        return Vector(self.codomain, csr_matvec(self.csr[0][None], *self.csr[1:], v.data)[0])
+        return Vector(self.codomain, csr_matvec(*self.csr, v.data))
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self.domain, other.codomain)
@@ -370,15 +371,14 @@ def _csr_product(a: Operator, b: Operator) -> tuple:
 
 
 def csr_matvec(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for canonical CSR arrays, ``data`` of shape (k, nnz) holding k matrices: a (k, dim) result.
+    """A x for canonical CSR arrays and ``data`` (..., nnz), ``x`` (..., dim) broadcast: (..., rows).
 
     Each row sums its :func:`schoolbook_product` terms in column order from +0.0, real and imaginary
     parts apart, as the compiled CSR matvec sums them: the result is the same to the bit."""
-    (k, _), rows = data.shape, indptr.size - 1
-    bins = (np.arange(k)[:, None] * rows + np.repeat(np.arange(rows), np.diff(indptr))).ravel()
-    terms = schoolbook_product(data, x[indices]).ravel()
-    out = np.empty((k, rows), dtype=np.complex128)
-    out.real, out.imag = (np.bincount(bins, t, k * rows).reshape(k, rows) for t in (terms.real, terms.imag))
+    terms, rows = schoolbook_product(data, x[..., indices]), indptr.size - 1
+    out = np.empty(terms.shape[:-1] + (rows,), dtype=np.complex128)
+    bins = (np.arange(out.size // rows)[:, None] * rows + np.repeat(np.arange(rows), np.diff(indptr))).ravel()
+    out.real, out.imag = (np.bincount(bins, t.ravel(), out.size).reshape(out.shape) for t in (terms.real, terms.imag))
     return out
 
 

@@ -6,6 +6,9 @@ and results are assembled in canonical (config, suite, registration) order.
 A check yields one defect per trial or tested condition, and its row reports
 the worst of them, a NaN defect failing.  The registry marks each check
 exact (threshold 0) or an oracle comparison (the configured tolerance).
+Most trial loops run a chunk of trials (TRIAL_ENTRIES) at a time, one draw
+(:func:`sampling.dyadic_trials`) and one array pass a chunk, with the bits of a
+loop over trials; README lists the checks that stay per trial, and why.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .words import Alphabet, Word
 
 ALL_SUITES = ("regrep", "hopf", "predual", "corep", "wandering")
 NON_TENSOR_SUITES = ("regrep", "predual")
+# A trial's entries: the 16-byte entries of all arrays its pass holds at its peak (tracemalloc's count).
+TRIAL_ENTRIES = 2**15  # the entries a chunk of stacked trials holds, at most (or one trial)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,12 @@ class Check:
         }
 
 
+def _chunks(trials: int, entries: int) -> Iterator[int]:
+    """The sizes of successive chunks of ``trials`` trials of ``entries`` entries each."""
+    step = max(1, TRIAL_ENTRIES // entries)
+    return (min(step, trials - start) for start in range(0, trials, step))
+
+
 # ---------------------------------------------------------------------------
 # regrep suite
 
@@ -150,31 +161,34 @@ def _chk_right_reversal(cfg: SuiteConfig, rng) -> Iterator[float]:
 CESARO_ORDERS = range(4, 13)
 
 
-def _cesaro_error_vectors(s: reg.FourierSeries, space: FockSpace, x: np.ndarray) -> np.ndarray:
-    """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s).
+def _cesaro_error_vectors(s, space: FockSpace, x: np.ndarray) -> np.ndarray:
+    """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s), or
+    one such block a trial for coefficient rows ``s`` (trials, words) and x (trials, dim).
 
     Every difference lies on A's realize pattern, holding at each entry of a word w
     the coefficient of ``cesaro_sum(s, k)`` at w minus a_w; :func:`spaces.csr_matvec`
     sums each output row in A's column order, as the matvec of one difference matrix
-    does (the entries of words with a_w = 0, which A drops, add exact zeros).
+    does (the entries of words with a_w = 0, which A drops, add exact zeros).  The empty word's
+    entries, last in their rows, are left out: (1 - 0) a_e - a_e = +0.0, and no row sum is -0.0.
     """
-    indptr, indices, word = reg._realize_pattern(space, s.degree, 1)
-    data = reg.cesaro_coefficients(s, CESARO_ORDERS)[:, word] - s.coeffs[word]
-    return csr_matvec(data, indices, indptr, x)
+    coeffs = s.coeffs if isinstance(s, reg.FourierSeries) else s
+    lengths = space.lengths[: coeffs.shape[-1]]
+    indptr, indices, word = reg._realize_pattern(space, int(lengths[-1]), 1)
+    keep = word > 0
+    data = reg.cesaro_arrays(coeffs, lengths, CESARO_ORDERS)[0][..., word[keep]] - coeffs[..., None, word[keep]]
+    return csr_matvec(data, indices[keep], indptr - np.arange(indptr.size, dtype=indptr.dtype), x[..., None, :])
 
 
 def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> Iterator[float]:
-    space = cfg.space
-    degree = min(3, cfg.depth - 1)
-    zone = graded.within(space, space.depth - degree)
-    for _ in range(cfg.trials):
-        s = sampling.random_series(rng, cfg.alphabet, degree)
-        x = np.zeros(space.dim, dtype=np.complex128)
-        x[zone] = sampling.dyadic_complex(rng, zone.size)
-        nx = float(np.linalg.norm(x))
-        bounds = reg.cesaro_error_bounds(s, CESARO_ORDERS).tolist()
-        for diff, bound in zip(_cesaro_error_vectors(s, space, x), bounds):
-            yield float(np.linalg.norm(diff)) - bound * nx
+    space, degree = cfg.space, min(3, cfg.depth - 1)
+    size, zone = space._block_starts[degree + 1], graded.within(space, space.depth - degree).size
+    for count in _chunks(cfg.trials, 3 * len(CESARO_ORDERS) * reg._realize_pattern(space, degree, 1)[1].size):
+        coeffs, x_zone = sampling.dyadic_trials(rng, count, [size, zone])
+        x = np.append(x_zone, np.zeros((count, space.dim - zone)), axis=1)
+        bounds = reg.cesaro_arrays(coeffs, space.lengths[:size], CESARO_ORDERS)[1]
+        rows = np.concatenate([_cesaro_error_vectors(coeffs, space, x), x[:, None]], axis=1)
+        norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))  # as np.linalg.norm
+        yield from (norms[:, :-1] - bounds * norms[:, -1:]).ravel().tolist()
 
 
 def _chk_membership_realize(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -205,20 +219,22 @@ def _chk_tensor_lr_commutation(cfg: SuiteConfig, rng) -> Iterator[float]:
 # hopf suite
 
 
-def _hopf_trials(defect, cap: int | None, cfg: SuiteConfig, rng) -> Iterator[float]:
-    """``defect(s, space)`` for one random exact series of degree min(2, depth) per trial;
-    ``cfg.trials`` trials, capped at ``cap`` unless it is None."""
-    for _ in range(cfg.trials if cap is None else min(cfg.trials, cap)):
-        s = sampling.random_series(rng, cfg.alphabet, min(2, cfg.depth), bits=sampling.EXACT_BITS)
-        yield defect(s, cfg.space)
+def _hopf_trials(defects, cap: int | None, cfg: SuiteConfig, rng) -> Iterator[float]:
+    """``defects(coefs, space)`` on chunks of random exact series of degree min(2, depth), ``cap`` at most."""
+    size = cfg.space._block_starts[min(2, cfg.depth) + 1]
+    for count in _chunks(cfg.trials if cap is None else min(cfg.trials, cap), 8 * size):
+        coefs = sampling.dyadic_trials(rng, count, [size], bits=sampling.EXACT_BITS)[0]
+        yield from defects(coefs, cfg.space).tolist()
 
 
 def _chk_homomorphism(cfg: SuiteConfig, rng) -> Iterator[float]:
     degree = min(2, cfg.depth // 2)
-    for _ in range(cfg.trials):
-        s = sampling.random_series(rng, cfg.alphabet, degree, bits=sampling.EXACT_BITS)
-        t = sampling.random_series(rng, cfg.alphabet, degree, bits=sampling.EXACT_BITS)
-        yield hopf_mod.homomorphism_defect(s, t, cfg.space)
+    slot, *_, word = hopf_mod._homomorphism_plan(cfg.space, degree, degree, 2 * degree)
+    size = cfg.space._block_starts[degree + 1]
+    for count in _chunks(cfg.trials, 4 * (slot.size + word.size)):
+        draws = sampling.dyadic_trials(rng, count, [size, size], bits=sampling.EXACT_BITS)
+        s, t = ([reg.FourierSeries(cfg.alphabet, c) for c in coeffs] for coeffs in draws)
+        yield from hopf_mod.homomorphism_defect(s, t, cfg.space).tolist()
 
 
 def _chk_grouplike(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -235,41 +251,38 @@ def _chk_grouplike(cfg: SuiteConfig, rng) -> Iterator[float]:
 # predual suite
 
 
-def _slice_oracle_defect(legs, conv_values, xi1, eta1, xi2, eta2) -> float:
-    """Largest miss, over w, between (Delta(L_w)(xi1 (x) xi2), eta1 (x) eta2) and the convolution values.
+def _slice_oracle_defect(legs, conv_values, xi1, eta1, xi2, eta2):
+    """Largest miss, over w, between (Delta(L_w)(xi1 (x) xi2), eta1 (x) eta2) and the convolution values,
+    one a trial where the arrays stack trials.
 
     As Delta(L_w) = A_w (x) B_w (:func:`hopf.comult_legs`), the pairing is the
     product of (A_w xi1, eta1) and (B_w xi2, eta2): the same sum over the same
     entries, with no (dim, dim) outer product formed.
     """
     ce1, ce2 = np.conj(eta1), np.conj(eta2)
-    oracle = [(ce1[a] @ xi1[: a.shape[1]]) * (ce2[b] @ xi2[: b.shape[1]]) for a, b in legs]
-    return float(np.abs(np.concatenate(oracle) - conv_values).max(initial=0.0))
+    oracle = [(ce1[..., a] @ xi1[..., : a.shape[1], None]) * (ce2[..., b] @ xi2[..., : b.shape[1], None])
+              for a, b in legs]
+    return np.abs(np.concatenate(oracle, axis=-2)[..., 0] - conv_values).max(axis=-1, initial=0.0)
 
 
 def _chk_convolve_slice_oracle(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     legs = hopf_mod.comult_legs(space)
-    for _ in range(cfg.trials):
-        f = sampling.random_rank_one_functional(rng, space)
-        g = sampling.random_rank_one_functional(rng, space)
+    for count in _chunks(cfg.trials, 10 * space.dim):
+        f, g = sampling.random_rank_one_functionals(rng, space, 2, count)
         conv = predual_mod.convolve(f, g)
         (xi1, eta1), (xi2, eta2) = f.provenance[0], g.provenance[0]
-        yield _slice_oracle_defect(legs, conv.values, xi1.data, eta1.data, xi2.data, eta2.data)
+        yield from _slice_oracle_defect(legs, conv.values, xi1.data, eta1.data, xi2.data, eta2.data).tolist()
 
 
 def _chk_convolve_algebra(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    for _ in range(min(cfg.trials, 25)):
-        f = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
-        g = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
-        h = sampling.random_rank_one_functional(rng, space, bits=sampling.EXACT_BITS)
-        fg = predual_mod.convolve(f, g)
-        gf = predual_mod.convolve(g, f)
-        yield float(np.abs(fg.values - gf.values).max(initial=0.0))
-        assoc1 = predual_mod.convolve(fg, h)
-        assoc2 = predual_mod.convolve(f, predual_mod.convolve(g, h))
-        yield float(np.abs(assoc1.values - assoc2.values).max(initial=0.0))
+    for count in _chunks(min(cfg.trials, 25), 16 * space.dim):
+        f, g, h = sampling.random_rank_one_functionals(rng, space, 3, count, bits=sampling.EXACT_BITS)
+        fg, gf = predual_mod.convolve(f, g), predual_mod.convolve(g, f)
+        assoc = predual_mod.convolve(fg, h), predual_mod.convolve(f, predual_mod.convolve(g, h))
+        misses = [np.abs(a.values - b.values).max(axis=-1, initial=0.0) for a, b in ((fg, gf), assoc)]
+        yield from np.stack(misses, axis=-1).ravel().tolist()
 
 
 def _chk_predual_comult(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -298,12 +311,13 @@ def _chk_point_family(cfg: SuiteConfig, rng) -> Iterator[float]:
 
 
 def _chk_counit_positive(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(cfg.trials):
-        lam = sampling.random_ball_point(rng, cfg.n, radius=0.97)
-        d = predual_mod.counit_defect(predual_mod.point_functional(cfg.space, lam).functional)
-        lower = 1.0 - max(abs(z) for z in lam) if lam else 1.0
-        yield lower - d
-        yield float(not d > 0.0)
+    for count in _chunks(cfg.trials, 5 * cfg.space.dim):  # rejection draws the ball points one a call
+        points = [sampling.random_ball_point(rng, cfg.n, radius=0.97) for _ in range(count)]
+        values = predual_mod._monomial_values(cfg.space, points)  # one point_functional value row a point
+        defects = predual_mod.counit_defect(predual_mod.Functional(cfg.space, values))
+        for lam, d in zip(points, defects.tolist()):
+            yield (1.0 - max(abs(z) for z in lam) if lam else 1.0) - d
+            yield float(not d > 0.0)
 
 
 def _chk_all_ones_unit(cfg: SuiteConfig, rng) -> Iterator[float]:

@@ -364,9 +364,10 @@ def test_every_check_is_a_generator_and_five_use_the_tolerance():
 def test_checks_call_the_library_defects_as_bound_when_run(monkeypatch):
     # perfbench's tracer rebinds module attributes after import; a registry of
     # partials made at import would keep calling the functions it saw then.
+    # The hopf check takes one defect a stacked trial, here one trial.
     called = []
-    for module, attr in ((regular, "isometry_defect"), (hopf, "coassociativity_defect")):
-        monkeypatch.setattr(module, attr, lambda *args, attr=attr: called.append(attr) or 0.0)
+    for module, attr, zero in ((regular, "isometry_defect", 0.0), (hopf, "coassociativity_defect", np.zeros(1))):
+        monkeypatch.setattr(module, attr, lambda *args, attr=attr, zero=zero: called.append(attr) or zero)
     build_report([SuiteConfig(n=2, depth=2, trials=1, suites=("regrep", "hopf"))], with_timestamp=False)
     assert called == ["isometry_defect", "coassociativity_defect"]
 
@@ -426,14 +427,22 @@ def test_a_nan_shift_entry_fails_the_shift_relation_rows(monkeypatch):
         assert math.isnan(rows[name]["defect"]) and rows[name]["pass"] is False, name
 
 
-@pytest.mark.parametrize("module,attr,name,flags", [
-    (regular, "membership_defect", "membership_rejects", [1.0, 1.0]),
-    (corep, "criterion_defect", "decomposable_not_corep", [0.0, 1.0]),
-    (predual, "counit_defect", "counit_positive", [1.0, 1.0, 1.0]),
+def _nan(*args):
+    return math.nan
+
+
+def _nan_a_row(f):
+    return np.full(f.values.shape[:-1], math.nan)  # the counit check stacks its trials
+
+
+@pytest.mark.parametrize("module,attr,name,flags,nan", [
+    (regular, "membership_defect", "membership_rejects", [1.0, 1.0], _nan),
+    (corep, "criterion_defect", "decomposable_not_corep", [0.0, 1.0], _nan),
+    (predual, "counit_defect", "counit_positive", [1.0, 1.0, 1.0], _nan_a_row),
 ], ids=["membership_rejects", "decomposable_not_corep", "counit_positive"])
-def test_a_nan_defect_raises_each_flag(monkeypatch, module, attr, name, flags):
+def test_a_nan_defect_raises_each_flag(monkeypatch, module, attr, name, flags, nan):
     # A flag written float(d <= bound) reads 0.0 on a NaN d, and its check passes.
-    monkeypatch.setattr(module, attr, lambda *args: math.nan)
+    monkeypatch.setattr(module, attr, nan)
     config = SuiteConfig(n=2, depth=2, trials=3)
     (check,) = [c for c in build_checks(config) if c.name == name]
     defects = list(check.fn(config, rng_for(0, name)))

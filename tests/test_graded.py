@@ -59,8 +59,8 @@ from fockhopf.predual import (
 from fockhopf.regular import (
     FourierSeries,
     cesaro_coefficients,
+    cesaro_arrays,
     cesaro_error_bound,
-    cesaro_error_bounds,
     cesaro_sum,
     fourier_coefficients,
     membership_defect,
@@ -627,7 +627,7 @@ def test_batched_cesaro_rows_match_each_order(n, depth):
     kinds += [FourierSeries(space.alphabet, coeffs) for coeffs in sparse_kinds]
     orders = (1, 2, 3, *CESARO_ORDERS, 13)
     for s in kinds:
-        coeffs, bounds = cesaro_coefficients(s, orders), cesaro_error_bounds(s, orders)
+        coeffs, bounds = cesaro_arrays(s.coeffs, FockSpace(s.alphabet, s.degree).lengths, orders)
         assert coeffs.shape == (len(orders), s.coeffs.size) and bounds.shape == (len(orders),)
         for row, bound, k in zip(coeffs, bounds, orders):
             partial = cesaro_sum(s, k).coeffs
