@@ -15,11 +15,7 @@ from .spaces import (
     TensorSpace,
     Vector,
     basis_vector,
-    flip_operator,
     max_entry_diff,
-    slice_left,
-    slice_right,
-    tensor_op,
     tensor_space,
 )
 from .regular import (

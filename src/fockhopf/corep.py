@@ -24,7 +24,8 @@ table with the assembly it checks.  The three-leg identity
 V_{1,3} V_{2,3} = sum_w L_w (x) L_w (x) B_w is an entry join too: V's
 entries join themselves on the aux index and meet the entries of
 :func:`shift_tensor_entries` in one keyed sum, so no operator on the
-H (x) H (x) K ambient is built.
+H (x) H (x) K ambient is built.  The fundamental identities compose the
+index maps of W, the shifts and I, tensor legs included (``regular._map_defect``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import graded
 from .predual import Functional
-from .regular import FourierSeries, _realize_pattern, word_shift
+from .regular import FourierSeries, _map_defect, _realize_pattern, word_shift
 from .spaces import (
     SCALAR_SPACE,
     AuxSpace,
@@ -52,7 +53,6 @@ from .spaces import (
     max_entry_diff,
     schoolbook_product,
     sum_by_key,
-    tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
@@ -224,21 +224,17 @@ def fundamental_corep(space: FockSpace) -> Corepresentation:
 
 
 def fundamental_intertwining_defect(space: FockSpace, w: Word) -> float:
-    """Defect of (L_w (x) L_w) W = W (I (x) L_w) on the slack-|w| safe zone."""
-    corep = fundamental_corep(space)
-    shift = word_shift(space, w, "left")
-    lhs = tensor_op(shift, shift) @ corep.operator
-    rhs = corep.operator @ tensor_op(Operator.identity(space), shift)
+    """Defect of (L_w (x) L_w) W = W (I (x) L_w) on the slack-|w| safe zone, composed as index maps."""
+    w_op, shift = fundamental_corep(space).operator, word_shift(space, w, "left")
     cols = graded.within(space, space.depth - len(w), fold=2)
-    return max_entry_diff(lhs, rhs, cols)
+    return _map_defect(((shift, shift), w_op), (w_op, (Operator.identity(space), shift)), cols)
 
 
 def fundamental_right_commutation_defect(space: FockSpace, u: Word) -> float:
-    """Defect of W (R_u (x) I) = (R_u (x) I) W on the slack-|u| safe zone."""
-    corep = fundamental_corep(space)
-    side = tensor_op(word_shift(space, u, "right"), Operator.identity(space))
+    """Defect of W (R_u (x) I) = (R_u (x) I) W on the slack-|u| safe zone, composed as index maps."""
+    w_op, side = fundamental_corep(space).operator, (word_shift(space, u, "right"), Operator.identity(space))
     cols = graded.within(space, space.depth - len(u), fold=2)
-    return max_entry_diff(corep.operator @ side, side @ corep.operator, cols)
+    return _map_defect((w_op, side), (side, w_op), cols)
 
 
 @dataclass(eq=False)
@@ -300,8 +296,8 @@ def corep_from_rep(rep: PredualRep, space: FockSpace) -> Corepresentation:
     stored entry (y, x) of pi_u pairs with every entry (index(u a), index(a))
     that the realize pattern of the depth assigns to u, landing at row
     index(u a) dk + y and column index(a) dk + x.  The result is verified
-    entrywise against the independent Kronecker-product sum
-    sum_w L_w (x) pi_w, whose shifts come from :func:`word_shift`.
+    entrywise against :func:`shift_tensor_sum`, the entry join of
+    sum_w L_w (x) pi_w whose shifts come from :func:`word_shift` alone.
     """
     if rep.space != space:
         raise ValueError("representation indicator basis does not match the space")

@@ -26,6 +26,9 @@ one array pass, only gathers its coefficients through a plan:
   graded Cauchy product of :meth:`FourierSeries.__mul__`, formed a pair at a
   time.  On dyadic coefficients those products and their sums are exact
   doubles, so the order of summation cannot matter.
+
+The flip and the vacuum slices relabel and select Delta's stored entries,
+and :func:`grouplike_defect` forms A (x) A only in the compared columns.
 """
 
 from __future__ import annotations
@@ -42,16 +45,11 @@ from .spaces import (
     FockSpace,
     Operator,
     StackedFamily,
-    basis_vector,
+    _merge,
     column_entries,
-    flip_operator,
     gather_groups,
-    max_entry_diff,
-    slice_left,
-    slice_right,
     sort_positions,
     sorted_unique,
-    tensor_op,
     vacuum_leg_decomposition,
 )
 from .words import Word
@@ -207,10 +205,13 @@ def coassociativity_defect(series, space: FockSpace):
 
 @lru_cache(maxsize=32)
 def _cocommutativity_plan(space: FockSpace, degree: int) -> np.ndarray:
-    """The flipped and the plain pair comultiplication of the tagged series."""
-    delta = comult(_tagged_series(space, degree), space, fold=2)
-    flip = flip_operator(delta.domain)  # square: both factors equal
-    return _read_tags([(flip @ delta @ flip).coo(), delta.coo()], delta.shape, space.dim)
+    """The flipped and the plain pair comultiplication of the tagged series.
+
+    The flip (r1, r2) -> (r2, r1) relabels the rows and the columns of the stored entries."""
+    rows, cols, vals = comult(_tagged_series(space, degree), space, fold=2).coo()
+    dim = space.dim
+    flipped = [(index % dim) * dim + index // dim for index in (rows, cols)]
+    return _read_tags([(*flipped, vals), (rows, cols, vals)], (dim**2, dim**2), dim)
 
 
 def cocommutativity_defect(series, space: FockSpace):
@@ -269,15 +270,17 @@ def integral_value(series: FourierSeries) -> complex:
 
 @lru_cache(maxsize=32)
 def _integral_plan(space: FockSpace, degree: int) -> np.ndarray:
-    """Both vacuum slices of the tagged comultiplication and their target."""
+    """Both vacuum slices of the tagged comultiplication and their target.
+
+    Slicing a leg against the vacuum keeps the entries whose row and column lie
+    in that leg's vacuum block, indexed by the other leg."""
     tagged = _tagged_series(space, degree)
-    delta = comult(tagged, space, fold=2)
-    vacuum = basis_vector(space, Word())
-    pairs = [(vacuum, vacuum)]
-    target = integral_value(tagged) * Operator.identity(space)
-    left = slice_right(pairs, delta)
-    right = slice_left(pairs, delta)
-    return _read_tags([left.coo(), right.coo(), target.coo()], target.shape, space.dim)
+    rows, cols, vals = comult(tagged, space, fold=2).coo()
+    dim = space.dim
+    left, right = (rows % dim == 0) & (cols % dim == 0), (rows < dim) & (cols < dim)
+    target = (integral_value(tagged) * Operator.identity(space)).coo()
+    parts = [(rows[left] // dim, cols[left] // dim, vals[left]), (rows[right], cols[right], vals[right]), target]
+    return _read_tags(parts, (dim, dim), dim)
 
 
 def integral_invariance_defect(series, space: FockSpace):
@@ -349,11 +352,19 @@ def comult_legs(space: FockSpace) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def grouplike_defect(series: FourierSeries, space: FockSpace) -> float:
-    """Entrywise defect of Delta(A) = A (x) A on the slack-degree safe zone."""
-    delta = comult(series, space, fold=2)
-    a = realize(series, space)
+    """Entrywise defect of Delta(A) = A (x) A on the slack-degree safe zone.
+
+    A (x) A is formed only in the compared columns (x, y): each stored A[r, x]
+    meets each stored A[s, y] at row r dim + s, their product numpy's complex ``*``.
+    """
     cols = graded.within(space, space.depth - series.degree, fold=2)
-    return max_entry_diff(delta, tensor_op(a, a), cols)
+    a = realize(series, space)
+    (kx, rx, vx), (ky, ry, vy) = (column_entries(a, part) for part in np.divmod(cols, space.dim))
+    first, second = gather_groups(ky, kx, cols.size)
+    square = (rx[first] * space.dim + ry[second], kx[first], vx[first] * vy[second])
+    k, rows, vals = column_entries(comult(series, space, fold=2), cols)
+    diff = _merge((rows, k, vals), square, (space.dim**2, cols.size), np.subtract)[1]
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def grouplike_series(space: FockSpace) -> list[FourierSeries]:

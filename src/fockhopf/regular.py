@@ -14,6 +14,8 @@ Shift and membership indices come from the graded concatenation rule
 :func:`word_shift` applies it to one word and the realize pattern to every
 word of a length at once; they share no table, so the word shifts can serve
 as an independent check of what reads the pattern.
+The shift relations and the package's tensor-leg identities compose partial
+maps in the one composer :func:`_product_map`, a tensor factor a tuple of legs.
 A :class:`FourierSeries` holds its coefficients in that basis order, so its
 product s t is the graded Cauchy product: block k + m of s t accumulates, k
 ascending, the outer product of s on block k with t on block m.
@@ -327,26 +329,56 @@ def membership_defect(t: Operator) -> float:
     return on_pattern + off_pattern
 
 
-def _product_map(ops: tuple[Operator, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(image, value) per column of the product of ``ops``, image -1 where the column goes to zero.
-    Each factor must store at most one entry a column, as a word shift and the adjoint of
-    an injective one do, so the product composes index maps; ValueError otherwise."""
-    image, value = np.arange(ops[-1].domain.dim), np.ones(ops[-1].domain.dim, dtype=np.complex128)
-    for op in reversed(ops):
-        data, cols, indptr = op.csr
-        if np.any(np.bincount(cols, minlength=op.domain.dim) > 1):
-            raise ValueError("a column stores two entries: the operator is no partial map")
-        # One extra last slot, read by image -1: no image, value 0.
-        step, weight = np.full(op.domain.dim + 1, -1), np.zeros(op.domain.dim + 1, dtype=np.complex128)
-        step[cols], weight[cols] = np.repeat(np.arange(op.codomain.dim), np.diff(indptr)), data
+def _product_map(ops: tuple, cols: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(image, value) of each of the given columns under the product of ``ops``, image -1 where
+    the column goes to zero.
+
+    A factor is an operator, or a tuple of operators: their tensor product (:func:`_column_map`).
+    Each operator must store at most one entry a column, as a word shift, W and the adjoint
+    of an injective shift do, so the product composes index maps; ValueError otherwise.
+    """
+    (image, value), rest = _column_map(ops[-1]), ops[-2::-1]
+    image, value = image[:-1][cols], value[:-1][cols]
+    for step, weight in map(_column_map, rest):
         image, value = step[image], weight[image] * value
     return image, value
 
 
+def _column_map(factor) -> tuple[np.ndarray, np.ndarray]:
+    """Row and value of each column's one stored entry, -1 and 0 where it has none, and a last
+    slot (-1, 0) that image -1 reads.
+
+    A tuple of operators maps the columns of their tensor product, the first leg the slowest
+    index, its values the legs' multiplied left to right by numpy's complex ``*``, as a
+    Kronecker product forms them.
+    """
+    step = weight = None
+    for op in factor if isinstance(factor, tuple) else (factor,):
+        data, cols, indptr = op.csr
+        if np.any(np.bincount(cols, minlength=op.domain.dim) > 1):
+            raise ValueError("a column stores two entries: the operator is no partial map")
+        s, w = np.full(op.domain.dim + 1, -1), np.zeros(op.domain.dim + 1, dtype=np.complex128)
+        s[cols], w[cols] = np.repeat(np.arange(op.codomain.dim), np.diff(indptr)), data
+        if step is not None:  # a further leg: column (x, y) goes to (image of x, image of y)
+            gone = (step[:-1] < 0)[:, None] | (s[:-1] < 0)
+            s = np.append(np.where(gone, -1, step[:-1, None] * op.codomain.dim + s[:-1]), -1)
+            w = np.append(weight[:-1, None] * w[:-1], 0)
+        step, weight = s, w
+    return step, weight
+
+
 def _map_defect(lhs: tuple, rhs: tuple, cols: np.ndarray | slice = slice(None)) -> float:
     """Largest entry modulus of A - B over the given columns, A and B the products of ``lhs`` and ``rhs``."""
-    (ia, va), (ib, vb) = ((image[cols], value[cols]) for image, value in map(_product_map, (lhs, rhs)))
+    (ia, va), (ib, vb) = (_product_map(ops, cols) for ops in (lhs, rhs))
     return float(np.where(ia == ib, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb))).max(initial=0.0))
+
+
+def map_entries(ops: tuple, cols: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of the product of ``ops`` (:func:`_product_map`) in the given columns,
+    as (k, row, value) arrays, k ascending: one entry of the k-th column, where it has one."""
+    image, value = _product_map(ops, cols)
+    k = np.flatnonzero(image >= 0)
+    return k, image[k], value[k]
 
 
 def isometry_defect(space: FockSpace) -> float:

@@ -88,7 +88,7 @@ class FockSpace:
 
     @cached_property
     def lengths(self) -> np.ndarray:
-        out = np.empty(self.dim, dtype=np.int16)
+        out = np.empty(self.dim, dtype=np.int32)
         starts = self._block_starts
         for k in range(self.depth + 1):
             out[starts[k] : starts[k + 1]] = k
@@ -190,8 +190,7 @@ class Operator:
     ``csr`` is (data, indices, indptr): each row's columns strictly increase, and the
     index dtype is int32 unless a dimension or nnz passes it.
     Every method works on these arrays, and each arithmetic result is the one a CSR
-    library's canonical product, sum, scalar multiple or Kronecker product gives,
-    to the bit."""
+    library's canonical product, sum or scalar multiple gives, to the bit."""
 
     domain: Space
     codomain: Space
@@ -393,89 +392,6 @@ def coo_sum(space: Space, rows: list, cols: list, vals: list) -> Operator:
     return Operator(space, space, coo_to_csr((space.dim, space.dim), *entries, drop_zeros=True))
 
 
-def tensor_op(*ops: Operator) -> Operator:
-    """Kronecker product, row-major: first factor is the slowest index."""
-    if not ops:
-        raise ValueError("tensor_op needs at least one operator")
-    out = ops[0]
-    for op in ops[1:]:
-        out = _kron(out, op)
-    return out
-
-
-def _kron(a: Operator, b: Operator) -> Operator:
-    """A (x) B: each entry of A times every entry of B, by numpy's complex product."""
-    domain, codomain = tensor_space(a.domain, b.domain), tensor_space(a.codomain, b.codomain)
-    (ra, ca, da), (rb, cb, db) = a.coo(), b.coo()
-    if not (da.size and db.size):
-        return Operator.zero(domain, codomain)
-    data = (da.repeat(db.size).reshape(-1, db.size) * db).ravel()
-    rows = (ra[:, None] * b.codomain.dim + rb).ravel()
-    cols = (ca.astype(np.int64)[:, None] * b.domain.dim + cb).ravel()
-    shape = (codomain.dim, domain.dim)
-    order, _, keys = sort_positions(rows, cols, shape)
-    return Operator(domain, codomain, _csr_from_keys(shape, keys, data[order]))
-
-
-def permutation_operator(domain: Space, codomain: Space, perm: np.ndarray) -> Operator:
-    """Operator sending basis j of the domain to basis perm[j] of the codomain."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.size != domain.dim:
-        raise ValueError("permutation length does not match domain dimension")
-    return Operator.from_entries(domain, codomain, perm, np.arange(domain.dim), np.ones(domain.dim))
-
-
-def flip_operator(space: TensorSpace) -> Operator:
-    """The flip x (x) y -> y (x) x on a two-factor tensor space."""
-    if len(space.factors) != 2:
-        raise ValueError("flip is defined on two-factor tensor spaces")
-    f1, f2 = space.factors
-    a, b = divmod(np.arange(space.dim, dtype=np.int64), f2.dim)
-    return permutation_operator(space, tensor_space(f2, f1), b * f1.dim + a)
-
-
-RankOnePairs = Sequence[tuple[Vector, Vector]]
-
-
-def slice_left(pairs: RankOnePairs, t: Operator) -> Operator:
-    """Pair the first tensor leg of ``t`` against a sum of rank-one functionals.
-
-    With ``pairs = [(xi_j, eta_j)]`` the result S satisfies
-    ``(S x, y) = sum_j (t(xi_j (x) x), eta_j (x) y)``.
-    """
-    return _slice(pairs, t, leg=0)
-
-
-def slice_right(pairs: RankOnePairs, t: Operator) -> Operator:
-    """Same as :func:`slice_left` with the roles of the tensor legs swapped."""
-    return _slice(pairs, t, leg=1)
-
-
-def _slice(pairs: RankOnePairs, t: Operator, leg: int) -> Operator:
-    factors = _tensor_pair(t)
-    paired, kept = factors[leg], factors[1 - leg]
-    ident = Operator.identity(kept)
-
-    def on_leg(op: Operator, domain: Space, codomain: Space) -> Operator:
-        # op joins the scalars and the paired leg, so op (x) I has the shape of a map domain -> codomain
-        return Operator(domain, codomain, tensor_op(*((op, ident) if leg == 0 else (ident, op))).csr)
-
-    acc = Operator.zero(kept)
-    for xi, eta in pairs:
-        _check_same_space(xi.space, paired)
-        _check_same_space(eta.space, paired)
-        column, row = (Operator.from_dense(SCALAR_SPACE, paired, v.data.reshape(-1, 1)) for v in (xi, eta))
-        acc = acc + on_leg(row.adjoint(), t.domain, kept) @ t @ on_leg(column, kept, t.domain)
-    return acc
-
-
-def _tensor_pair(t: Operator) -> tuple[Space, Space]:
-    space = t.domain
-    if t.codomain != space or not isinstance(space, TensorSpace) or len(space.factors) != 2:
-        raise ValueError("slice maps expect a square operator on a two-factor space")
-    return space.factors[0], space.factors[1]
-
-
 @dataclass(frozen=True, eq=False)
 class StackedFamily(Mapping):
     """A word-keyed family {w: B_w} of operators on ``aux``, held as its entries.
@@ -556,7 +472,10 @@ def vacuum_leg_decomposition(t: Operator, leg: int = 1) -> StackedFamily:
     """
     if leg not in (1, 2):
         raise ValueError(f"leg must be 1 or 2, got {leg}")
-    first, second = _tensor_pair(t)
+    space = t.domain
+    if t.codomain != space or not isinstance(space, TensorSpace) or len(space.factors) != 2:
+        raise ValueError("vacuum_leg_decomposition expects a square operator on a two-factor space")
+    first, second = space.factors
     fock, other = (first, second) if leg == 1 else (second, first)
     if not isinstance(fock, FockSpace):
         raise ValueError(f"tensor factor {leg} is not a Fock space")

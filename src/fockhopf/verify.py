@@ -30,7 +30,7 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_entry_diff, tensor_op,
+    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_entry_diff, tensor_space,
 )
 from .words import Alphabet, Word
 
@@ -422,10 +422,11 @@ def _chk_corrupted_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
         u, v = Word((1,)), Word((1, 1))
     else:
         u, v = Word(), Word((1,))  # no two distinct non-vacuum words fit
-    ident = Operator.identity(space)
-    bad = tensor_op(reg.word_shift(space, u, "left"), ident) + tensor_op(
-        reg.word_shift(space, v, "left"), ident
-    )
+    # L_u (x) I + L_v (x) I from the shifts' index maps; the two terms share no position.
+    ident, pair = Operator.identity(space), tensor_space(space, space)
+    terms = [reg.map_entries(((reg.word_shift(space, w, "left"), ident),)) for w in (u, v)]
+    cols, rows, vals = (np.concatenate(arrs) for arrs in zip(*terms))
+    bad = Operator.from_entries(pair, pair, rows, cols, vals)
     corep = corep_mod.Corepresentation.from_operator(bad)
     yield abs(corep_mod.criterion_defect(corep) - 1.0)
     yield corep_mod._reconstruction_defect(corep)

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import graded
-from .regular import word_shift
-from .spaces import AuxSpace, FockSpace, Operator, _worst_defect, column_entries, max_entry_diff, tensor_op
+from .regular import map_entries, word_shift
+from .spaces import AuxSpace, FockSpace, Operator, _worst_defect, max_entry_diff, tensor_space
 from .words import Alphabet, count_words
 
 # wandering_check forms the shifted-column Gram over every word up to this many basis tuples.
@@ -122,13 +122,13 @@ def shifted_gram_defect(space: FockSpace, k: int, mask: np.ndarray, words) -> fl
     cols = np.flatnonzero(mask.ravel())
     rows, stacked_cols, vals = [], [], []
     for block, w in enumerate(words):
-        power = tensor_op(*([word_shift(space, space.word_at(int(w)), "left")] * k))
-        col, row, val = column_entries(power, cols)
+        col, row, val = map_entries((tuple([word_shift(space, space.word_at(int(w)), "left")] * k),), cols)
         rows.append(row)
         stacked_cols.append(block * cols.size + col)
         vals.append(val)
     blocks = AuxSpace(len(words) * cols.size, "shifted wandering columns")
-    stacked = Operator.from_entries(blocks, power.codomain, *map(np.concatenate, (rows, stacked_cols, vals)))
+    power = tensor_space(*([space] * k))
+    stacked = Operator.from_entries(blocks, power, *map(np.concatenate, (rows, stacked_cols, vals)))
     longest = space.lengths[np.stack(np.unravel_index(cols, mask.shape))].max(axis=0, initial=0)
     fit = (space.lengths[np.asarray(words)][:, None] + longest <= space.depth).ravel()
     diagonal = np.arange(blocks.dim)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fockhopf import corep, verify
+from fockhopf import corep, graded, verify
 from fockhopf.corep import (
     SCALAR_SPACE,
     Corepresentation,
@@ -45,15 +45,13 @@ from fockhopf.spaces import (
     basis_vector,
     coo_sum,
     max_entry_diff,
-    slice_left,
-    tensor_op,
     tensor_space,
 )
 from fockhopf.verify import SuiteConfig
 from fockhopf.words import Alphabet, Word, count_words, word
 
-from leg_reference import leg_embed
-from scipy_oracle import from_scipy, max_abs, scipy_csr
+from leg_reference import kron, leg_embed, slice_left
+from scipy_oracle import assert_same_arrays, from_scipy, max_abs, scipy_csr
 
 A2 = Alphabet(2)
 H3 = FockSpace(A2, 3)
@@ -124,7 +122,7 @@ def test_character_corep_is_word_operator():
     for w in H3.words:
         char = PredualRep.character(H3, w)
         v = corep_from_rep(char, H3)
-        expected = tensor_op(word_shift(H3, w, "left"), Operator.identity(SCALAR_SPACE))
+        expected = kron(word_shift(H3, w, "left"), Operator.identity(SCALAR_SPACE))
         assert max_entry_diff(v.operator, expected) == 0.0
         report = corep_check(v)
         assert report.max_defect == 0.0
@@ -169,7 +167,7 @@ def test_rep_multiplicativity():
 
 def test_corrupted_sum_fails_criterion():
     ident = Operator.identity(H3)
-    bad = tensor_op(word_shift(H3, word(1)), ident) + tensor_op(word_shift(H3, word(2)), ident)
+    bad = kron(word_shift(H3, word(1)), ident) + kron(word_shift(H3, word(2)), ident)
     report = corep_check(bad)
     assert report.reconstruction_defect == 0.0
     assert report.criterion_defect == 1.0
@@ -182,7 +180,7 @@ def test_non_decomposable_operator_fails_reconstruction():
     # vacuum block, so the sliced family cannot rebuild it; the leg identity
     # sees the same junk even though the extracted family is idempotent.
     ident = Operator.identity(H3)
-    v = tensor_op(word_shift(H3, word(1), "right"), ident)
+    v = kron(word_shift(H3, word(1), "right"), ident)
     report = corep_check(v)
     assert report.reconstruction_defect > 0.0
     assert report.criterion_defect == 0.0
@@ -199,7 +197,7 @@ def test_decomposable_but_not_corep():
     }
     total = Operator.zero(tensor_space(H3, aux))
     for w, b in family.items():
-        total = total + tensor_op(word_shift(H3, w, "left"), b)
+        total = total + kron(word_shift(H3, w, "left"), b)
     report = corep_check(total)
     assert report.reconstruction_defect == 0.0
     assert report.criterion_defect >= 2.0
@@ -210,7 +208,7 @@ def test_leg_identity_equivalence_with_criterion():
     good = fundamental_corep(H3)
     assert leg_identity_defect(good) == 0.0 and criterion_defect(good) == 0.0
     ident = Operator.identity(H3)
-    bad = tensor_op(word_shift(H3, word(1)), ident) + tensor_op(word_shift(H3, word(2)), ident)
+    bad = kron(word_shift(H3, word(1)), ident) + kron(word_shift(H3, word(2)), ident)
     bad_corep = Corepresentation.from_operator(bad)
     assert criterion_defect(bad_corep) > 0.0
     assert leg_identity_defect(bad_corep) > 0.0
@@ -231,7 +229,7 @@ def test_three_defects_agree_on_random_valid_and_corrupted_inputs():
             )
         valid = Operator.zero(tensor_space(H3, aux))
         for w, b in family.items():
-            valid = valid + tensor_op(word_shift(H3, w, "left"), b)
+            valid = valid + kron(word_shift(H3, w, "left"), b)
         report = corep_check(valid)
         assert report.reconstruction_defect == 0.0
         assert report.criterion_defect == 0.0
@@ -242,7 +240,7 @@ def test_three_defects_agree_on_random_valid_and_corrupted_inputs():
         corrupt[some_word] = 2.0 * corrupt[some_word]
         broken = Operator.zero(tensor_space(H3, aux))
         for w, b in corrupt.items():
-            broken = broken + tensor_op(word_shift(H3, w, "left"), b)
+            broken = broken + kron(word_shift(H3, w, "left"), b)
         report = corep_check(broken)
         assert report.reconstruction_defect == 0.0
         assert report.criterion_defect > 0.0
@@ -662,7 +660,7 @@ def test_shift_tensor_sum_literal_check_catches_right_shifts_and_a_missing_copy(
         # The first of several legs is left as the identity.
         if copies == 1:
             return honest(family)
-        return tensor_op(Operator.identity(family.fock), honest(family, copies - 1))
+        return kron(Operator.identity(family.fock), honest(family, copies - 1))
 
     monkeypatch.setitem(globals(), "shift_tensor_sum", one_copy_short)
     with pytest.raises(AssertionError):
@@ -733,7 +731,7 @@ def test_tensor_product_with_trivial_rep():
     trivial = trivial_rep(rep.space, SCALAR_SPACE)
     prod = tensor_product_rep(rep, trivial)
     for w, op in rep.family.items():
-        assert max_entry_diff(prod.family[w], tensor_op(op, Operator.identity(SCALAR_SPACE))) == 0.0
+        assert max_entry_diff(prod.family[w], kron(op, Operator.identity(SCALAR_SPACE))) == 0.0
 
 
 @pytest.mark.parametrize("n,depth", [(2, 3), (3, 3), (2, 4)])
@@ -778,3 +776,61 @@ def test_corep_serialization():
     blob = corep_json(w_corep)
     assert set(blob) == {"e", "1", "2"}
     assert blob["1"][1][1] == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Tensor-leg identities on index maps against their scipy routes
+
+
+def reference_fundamental_defects(space, w):
+    # Kronecker products and sparse products in scipy, the differences read in the
+    # slack-|w| columns.  The shifts are read through the module, so a patched
+    # word_shift reaches both routes.
+    w_op = scipy_csr(fundamental_corep(space).operator)
+    ident = Operator.identity(space)
+    shift, right = (corep.word_shift(space, w, side) for side in ("left", "right"))
+    cols = graded.within(space, space.depth - len(w), fold=2)
+    lhs = scipy_csr(kron(shift, shift)) @ w_op
+    intertwining = max_abs(lhs - w_op @ scipy_csr(kron(ident, shift)), cols)
+    side = scipy_csr(kron(right, ident))
+    return intertwining, max_abs(w_op @ side - side @ w_op, cols)
+
+
+def _letters_and_random_words(space, rng):
+    words = [Word((a,)) for a in space.alphabet.letters]
+    return words + [space.word_at(int(i)) for i in rng.integers(0, space.dim, 3)]
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_fundamental_defects_match_the_kronecker_route_to_the_bit(monkeypatch, n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    words = _letters_and_random_words(space, rng_for(depth, "corep-fundamental-maps", n))
+
+    def both(w):
+        got = (fundamental_intertwining_defect(space, w), fundamental_right_commutation_defect(space, w))
+        want = reference_fundamental_defects(space, w)
+        assert [np.float64(d).tobytes() for d in got] == [np.float64(d).tobytes() for d in want], w
+        return got
+
+    assert all(both(w) == (0.0, 0.0) for w in words)
+    # Each side's shift swapped for the other's: L_w (x) L_w meets I (x) R_w, and R_u (x) I
+    # becomes L_u (x) I, which W does not commute with.
+    monkeypatch.setattr(corep, "word_shift", lambda s, w, side: word_shift(s, w, "right" if side == "left" else "left"))
+    missed = [both(w) for w in words]
+    assert n == 1 or min(max(pair) for pair in missed[:n]) > 0.0
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_corrupted_corep_operator_is_the_scipy_kronecker_sum(monkeypatch, n, depth):
+    # verify's L_u (x) I + L_v (x) I, built from index maps, holds scipy's arrays of the sum.
+    built = []
+    honest = Corepresentation.from_operator
+    monkeypatch.setattr(Corepresentation, "from_operator", lambda op: built.append(op) or honest(op))
+    cfg = SuiteConfig(n=n, depth=depth)
+    assert list(verify._chk_corrupted_corep(cfg, None)) == [0.0, 0.0]
+    (bad,) = built
+    u, v = (word(1), word(2)) if n >= 2 else (word(1), word(1, 1))
+    ident = Operator.identity(cfg.space)
+    want = scipy_csr(kron(word_shift(cfg.space, u), ident)) + scipy_csr(kron(word_shift(cfg.space, v), ident))
+    assert bad.domain == bad.codomain == tensor_space(cfg.space, cfg.space)
+    assert_same_arrays(bad, want)

@@ -84,7 +84,6 @@ from fockhopf.spaces import (
     TensorSpace,
     basis_vector,
     max_entry_diff,
-    tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
@@ -96,6 +95,7 @@ from fockhopf.verify import (
     _slice_oracle_defect,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words
+from leg_reference import kron
 from scipy_oracle import entries_csc, from_scipy, scipy_csr
 
 # Every point of ``verify --full`` plus the deep (2, 7) point.
@@ -884,7 +884,7 @@ def literal_tensor_product_rep(r1, r2):
         for v, pv in r2.family.items():
             w = u.concat(v)
             if len(w) <= space.depth:
-                terms.setdefault(w, []).append(tensor_op(pu, pv))
+                terms.setdefault(w, []).append(kron(pu, pv))
     return PredualRep(space, aux, {w: literal_operator_sum(aux, ops) for w, ops in terms.items()})
 
 
@@ -988,15 +988,15 @@ def test_realize_tensor_power_matches_kronecker_sum(n, depth, seed):
         rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         vals = [np.empty(0, dtype=np.complex128)]
         for w, c in series.items():
-            term = (c * scipy_csr(tensor_op(*([literal_word_shift(space, w, "left")] * fold)))).tocoo()
+            term = (c * scipy_csr(kron(*([literal_word_shift(space, w, "left")] * fold)))).tocoo()
             rows.append(term.row)
             cols.append(term.col)
             vals.append(term.data)
         entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        kron = sparse.coo_matrix(entries, shape=(target.dim, target.dim)).tocsr()
+        literal = sparse.coo_matrix(entries, shape=(target.dim, target.dim)).tocsr()
         realized = realize(series, space, fold)
         assert realized.domain == realized.codomain == target
-        assert (scipy_csr(realized) != kron).nnz == 0
+        assert (scipy_csr(realized) != literal).nnz == 0
 
 
 def literal_realize(series, space, fold=1):

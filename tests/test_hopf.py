@@ -26,15 +26,12 @@ from fockhopf.spaces import (
     Operator,
     basis_vector,
     max_entry_diff,
-    permutation_operator,
-    slice_left,
-    slice_right,
-    tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
 from fockhopf.verify import SuiteConfig, build_report
 from fockhopf.words import Alphabet, Word, word
+from leg_reference import flip_permutation, kron, slice_left, slice_right
 from scipy_oracle import entries_csc, max_abs, scipy_csr
 
 A2 = Alphabet(2)
@@ -51,7 +48,7 @@ def test_comult_on_generators():
     for i in (1, 2):
         image = comult(FourierSeries.indicator(A2, word(i)), H3, fold=2)
         shift = word_shift(H3, word(i), "left")
-        assert max_entry_diff(image, tensor_op(shift, shift)) == 0.0
+        assert max_entry_diff(image, kron(shift, shift)) == 0.0
 
 
 def test_comult_unit_is_identity():
@@ -63,7 +60,7 @@ def test_comult_unit_is_identity():
 def test_comult_threefold_generator():
     image = comult(FourierSeries.indicator(A2, word(1)), H3, fold=3)
     shift = word_shift(H3, word(1), "left")
-    assert max_entry_diff(image, tensor_op(shift, shift, shift)) == 0.0
+    assert max_entry_diff(image, kron(shift, shift, shift)) == 0.0
 
 
 def test_comult_rejects_bad_input():
@@ -101,7 +98,7 @@ def test_comult_determined_by_vacuum_column():
     base = image.apply(vac)
     for alpha in H3.words:
         for beta in H3.words:
-            mover = tensor_op(
+            mover = kron(
                 word_shift(H3, alpha.reverse(), "right"),
                 word_shift(H3, beta.reverse(), "right"),
             )
@@ -227,7 +224,7 @@ def test_grouplike_rejects_sum_of_indicators():
     assert grouplike_defect(double, H3) == 1.0
     # and the offending entry is the cross term of the tensor square
     image = comult(double, H3)
-    square = tensor_op(realize(double, H3), realize(double, H3))
+    square = kron(realize(double, H3), realize(double, H3))
     row = H3.index_of(word(1)) * H3.dim + H3.index_of(word(2))
     col = 0  # (e, e)
     assert scipy_csr(square)[row, col] == 1.0
@@ -257,7 +254,7 @@ def reference_coassociativity(series, space):
 
 def reference_cocommutativity(series, space):
     delta = hopf.comult(series, space, fold=2)
-    flip = hopf.flip_operator(delta.domain)
+    flip = flip_permutation(delta.domain)
     return max_entry_diff(flip @ delta @ flip, delta)
 
 
@@ -277,8 +274,8 @@ def reference_integral_invariance(series, space):
     vacuum = basis_vector(space, Word())
     pairs = [(vacuum, vacuum)]
     target = hopf.integral_value(series) * Operator.identity(space)
-    left = hopf.slice_right(pairs, delta)
-    right = hopf.slice_left(pairs, delta)
+    left = slice_right(pairs, delta)
+    right = slice_left(pairs, delta)
     return max(max_entry_diff(left, target), max_entry_diff(right, target))
 
 
@@ -447,27 +444,18 @@ def test_coassociativity_plan_matches_the_per_word_comult_loop(monkeypatch, fres
 
 
 def test_cocommutativity_plan_is_cached_per_space(fresh_plans):
-    # The flip is built once per (space, degree), inside the cached plan.
+    # The flipped entries are read once per (space, degree), inside the cached plan.
     space = FockSpace(A2, 2)
     assert hopf._cocommutativity_plan(space, 2) is hopf._cocommutativity_plan(space, 2)
     assert hopf._cocommutativity_plan.cache_info().misses == 1
 
 
-def _collapsed_flip(space):
-    # The flip index a d + a instead of b d + a: every (a, b) lands on (a, a).
-    d1, d2 = (f.dim for f in space.factors)
-    a, _ = np.divmod(np.arange(space.dim), d2)
-    return permutation_operator(space, space, a * d1 + a)
-
-
 def _left_leg_only(series, space, fold=2):
     # A (x) 1 instead of the tensor square: not flip-invariant.
-    return tensor_op(realize(series, space), Operator.identity(space))
+    return kron(realize(series, space), Operator.identity(space))
 
 
-@pytest.mark.parametrize(
-    "name,mutant", [("flip_operator", _collapsed_flip), ("comult", _left_leg_only)]
-)
+@pytest.mark.parametrize("name,mutant", [("comult", _left_leg_only)])
 def test_cocommutativity_plan_carries_route_mutants(monkeypatch, fresh_plans, name, mutant):
     monkeypatch.setattr(hopf, name, mutant)
     defects = [cocommutativity_defect(s, H4) for s in _mutant_series(2)]
@@ -495,15 +483,7 @@ def test_plans_reject_entries_that_are_not_one_tag(monkeypatch, fresh_plans):
         homomorphism_defect(s, s, H4)
 
 
-def _slice_against_word_1(pairs, t):
-    # The output leg pairs against xi_1 instead of the vacuum.
-    return slice_left([(xi, basis_vector(xi.space, word(1))) for xi, _ in pairs], t)
-
-
-@pytest.mark.parametrize(
-    "name,mutant",
-    [("slice_left", _slice_against_word_1), ("integral_value", lambda s: s.coefficient(word(1)))],
-)
+@pytest.mark.parametrize("name,mutant", [("integral_value", lambda s: s.coefficient(word(1)))])
 def test_integral_plan_carries_route_mutants(monkeypatch, fresh_plans, name, mutant):
     monkeypatch.setattr(hopf, name, mutant)
     defects = [integral_invariance_defect(s, H4) for s in _mutant_series(3)]
@@ -665,3 +645,50 @@ def test_decode_tags_reads_the_words_of_the_tagged_comult(n, depth):
     got = hopf._decode_tags(values, space.dim)
     want = literal_decode_tags(values, space.dim)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Tensor-leg identities on stored entries against their scipy routes
+
+
+def reference_grouplike(series, space):
+    # Delta(A) - A (x) A in scipy, A (x) A by scipy's kron, read in the slack-degree columns.
+    a = realize(series, space)
+    cols = within(space, space.depth - series.degree, fold=2)
+    return max_abs(scipy_csr(comult(series, space)) - scipy_csr(kron(a, a)), cols)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_grouplike_defect_matches_the_kronecker_route_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "hopf-grouplike-kron", n)
+    for degree in range(min(3, depth) + 1):
+        size = space._block_starts[degree + 1]
+        for _ in range(5):
+            series = FourierSeries(space.alphabet, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            got, want = grouplike_defect(series, space), reference_grouplike(series, space)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (degree, got, want)
+    assert grouplike_defect(FourierSeries.indicator(space.alphabet, space.words[-1]), space) == 0.0
+
+
+def reference_plans(space, degree):
+    # The cocommutativity plan of flip Delta flip and the integral plan of the two vacuum
+    # slices, each formed by scipy, then read by the one tag reader.
+    tagged = hopf._tagged_series(space, degree)
+    delta = comult(tagged, space)
+    flip = scipy_csr(flip_permutation(delta.domain))
+    flipped = (flip @ scipy_csr(delta) @ flip).tocoo()
+    cocommutativity = hopf._read_tags([(flipped.row, flipped.col, flipped.data), delta.coo()], delta.shape, space.dim)
+    vacuum = basis_vector(space, Word())
+    target = hopf.integral_value(tagged) * Operator.identity(space)
+    slices = [slicer([(vacuum, vacuum)], delta).coo() for slicer in (slice_right, slice_left)]
+    return cocommutativity, hopf._read_tags([*slices, target.coo()], target.shape, space.dim)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_flip_and_slice_plans_match_the_scipy_routes(fresh_plans, n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    for degree in range(depth + 1):
+        planned = (hopf._cocommutativity_plan(space, degree), hopf._integral_plan(space, degree))
+        for got, want in zip(planned, reference_plans(space, degree)):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), degree

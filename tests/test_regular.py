@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +27,10 @@ from fockhopf.regular import (
     word_shift,
 )
 from fockhopf.sampling import dyadic_complex, random_series, rng_for
-from fockhopf.spaces import FockSpace, Operator, Vector, _worst_defect, basis_vector, max_entry_diff, tensor_op
+from fockhopf.spaces import FockSpace, Operator, Vector, _worst_defect, basis_vector, max_entry_diff
 from fockhopf.verify import SuiteConfig, build_checks
 from fockhopf.words import Alphabet, Word, word
+from leg_reference import kron
 from scipy_oracle import scipy_csr
 
 A2 = Alphabet(2)
@@ -277,8 +280,8 @@ def _kronecker_commutation_defect(space, left_words, right_words):
     # The shifts are read through the module, so a patched word_shift reaches both routes.
     (u, v), (a, b) = left_words, right_words
     shift = regular.word_shift
-    lw = tensor_op(shift(space, u, "left"), shift(space, v, "left"))
-    rw = tensor_op(shift(space, a, "right"), shift(space, b, "right"))
+    lw = kron(shift(space, u, "left"), shift(space, v, "left"))
+    rw = kron(shift(space, a, "right"), shift(space, b, "right"))
     slack = max(len(u) + len(a), len(v) + len(b))
     return max_entry_diff(lw @ rw, rw @ lw, within(space, space.depth - slack, fold=2))
 
@@ -680,3 +683,31 @@ def test_realize_pattern_rejects_tables_that_miss_its_slots(monkeypatch):
             realize(FourierSeries(A2, {word(1): 1.0, word(1, 2, 2): 0.5}), space)
     finally:
         regular._realize_pattern.cache_clear()
+
+
+def test_the_composer_refuses_a_leg_that_is_no_partial_map():
+    # A column storing two entries cannot be composed as an index map, on one leg or two.
+    space = FockSpace(A2, 2)
+    two = Operator.from_entries(space, space, [0, 1], [0, 0], [1.0, 1.0])
+    shift = word_shift(space, word(1))
+    for ops in [(two,), (shift, two), ((shift, two),), ((two, shift), shift)]:
+        with pytest.raises(ValueError, match="no partial map"):
+            regular._product_map(ops)
+
+
+def test_no_source_module_builds_a_kronecker_product_flip_or_slice():
+    # The tensor-leg identities compose index maps: the Kronecker product, the flip and
+    # the slice maps live in the tests (leg_reference), and regular alone composes maps.
+    removed = {"tensor_op", "_kron", "flip_operator", "permutation_operator", "slice_left", "slice_right"}
+    composers = {"_product_map", "_column_map", "_map_defect", "map_entries"}
+    naming, composing = set(), set()
+    for path in sorted(Path(regular.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname", "value")}
+            if any(isinstance(name, str) and name in removed for name in names):
+                naming.add(path.name)
+            is_def = isinstance(node, ast.FunctionDef)
+            if is_def and (node.name in composers or "no partial map" in ast.unparse(node)):
+                composing.add(path.name)
+    assert naming == set()
+    assert composing == {"regular.py"}

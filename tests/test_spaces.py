@@ -1,10 +1,11 @@
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from fockhopf import spaces
+from fockhopf import graded, spaces
 from fockhopf.spaces import (
     AuxSpace,
     FockSpace,
@@ -13,22 +14,17 @@ from fockhopf.spaces import (
     Vector,
     basis_vector,
     coo_sum,
-    flip_operator,
     max_entry_diff,
-    permutation_operator,
-    slice_left,
-    slice_right,
     sorted_unique,
-    tensor_op,
     tensor_space,
     vacuum_leg_decomposition,
 )
 from fockhopf.words import Alphabet, Word, word
 
-from leg_reference import leg_embed
+from leg_reference import flip_permutation, kron, leg_embed, permutation, slice_left, slice_right
 from fockhopf.corep import fundamental_corep
 from fockhopf.hopf import comult
-from fockhopf.regular import FourierSeries, realize, word_shift
+from fockhopf.regular import FourierSeries, map_entries, realize, word_shift
 from fockhopf.sampling import rng_for
 from scipy_oracle import assert_same_arrays, from_scipy, max_abs as scipy_max_abs, scipy_csr
 
@@ -167,16 +163,17 @@ def test_shape_mismatch_raises():
 
 
 def test_tensor_op_matches_dense_kron():
+    # The tests' Kronecker product (leg_reference.kron, scipy's) against numpy's dense one.
     space = FockSpace(A2, 1)
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        direct = scipy_csr(tensor_op(a, b)).toarray()
+        direct = scipy_csr(kron(a, b)).toarray()
         oracle = np.kron(scipy_csr(a).toarray(), scipy_csr(b).toarray())
         assert np.allclose(direct, oracle, atol=1e-12)
     ident = Operator.identity(space)
-    assert max_entry_diff(tensor_op(ident, ident), Operator.identity(tensor_space(space, space))) == 0.0
+    assert max_entry_diff(kron(ident, ident), Operator.identity(tensor_space(space, space))) == 0.0
 
 
 def test_tensor_op_associative_after_flattening():
@@ -187,30 +184,31 @@ def test_tensor_op_associative_after_flattening():
         Operator.from_dense(space, space, rng.integers(-3, 4, (space.dim, space.dim)).astype(complex))
         for _ in range(3)
     ]
-    left = tensor_op(tensor_op(ops[0], ops[1]), ops[2])
-    right = tensor_op(ops[0], tensor_op(ops[1], ops[2]))
+    left = kron(kron(ops[0], ops[1]), ops[2])
+    right = kron(ops[0], kron(ops[1], ops[2]))
     assert left.domain == right.domain
     assert max_entry_diff(left, right) == 0.0
 
 
 def test_flip_involution_and_conjugation():
+    # The tests' flip (leg_reference.flip, a scipy permutation matrix).
     space = FockSpace(A2, 1)
     pair = tensor_space(space, space)
-    flip = flip_operator(pair)
+    flip = flip_permutation(pair)
     assert max_entry_diff(flip @ flip, Operator.identity(pair)) == 0.0
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = rnd_sparse_operator(rng, space)
         b = rnd_sparse_operator(rng, space)
-        lhs = scipy_csr(flip @ tensor_op(a, b) @ flip).toarray()
-        rhs = scipy_csr(tensor_op(b, a)).toarray()
+        lhs = scipy_csr(flip @ kron(a, b) @ flip).toarray()
+        rhs = scipy_csr(kron(b, a)).toarray()
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_flip_on_vectors():
     space = FockSpace(A2, 1)
     pair = tensor_space(space, space)
-    flip = flip_operator(pair)
+    flip = flip_permutation(pair)
     x = basis_vector(pair, space.index_of(word(1)) * space.dim + space.index_of(word(2)))
     y = basis_vector(pair, space.index_of(word(2)) * space.dim + space.index_of(word(1)))
     assert np.array_equal(flip.apply(x).data, y.data)
@@ -221,7 +219,7 @@ def leg_embed_oracle(v, legs, ambient):
     # permutation moving the ambient legs into place.
     h1, h2 = v.domain.factors
     other = ambient.factors[({1, 2, 3} - set(legs)).pop() - 1]
-    base = tensor_op(v, Operator.identity(other))
+    base = kron(v, Operator.identity(other))
     perm = np.empty(ambient.dim, dtype=np.int64)
     for i in range(ambient.dim):
         labels = labels_at(ambient, i)
@@ -233,9 +231,7 @@ def leg_embed_oracle(v, legs, ambient):
             (f.index_of(lab) if isinstance(f, FockSpace) else lab) * stride
             for f, stride, lab in zip(base.domain.factors, base.domain.strides, reordered)
         )
-    from fockhopf.spaces import permutation_operator
-
-    mover = permutation_operator(ambient, base.domain, perm)
+    mover = permutation(ambient, base.domain, perm)
     return mover.adjoint() @ base @ mover
 
 
@@ -246,12 +242,12 @@ def test_leg_embed_against_permutation_oracle():
     rng = np.random.default_rng(13)
     a = rnd_sparse_operator(rng, space)
     b = rnd_sparse_operator(rng, space)
-    v = tensor_op(a, b)
+    v = kron(a, b)
     ident = Operator.identity(space)
-    assert max_entry_diff(leg_embed(v, (1, 2), ambient), tensor_op(a, b, ident)) == 0.0
-    assert max_entry_diff(leg_embed(v, (2, 3), ambient), tensor_op(ident, a, b)) == 0.0
+    assert max_entry_diff(leg_embed(v, (1, 2), ambient), kron(a, b, ident)) == 0.0
+    assert max_entry_diff(leg_embed(v, (2, 3), ambient), kron(ident, a, b)) == 0.0
     thirteen = leg_embed(v, (1, 3), ambient)
-    assert max_entry_diff(thirteen, tensor_op(a, ident, b)) < 1e-12
+    assert max_entry_diff(thirteen, kron(a, ident, b)) < 1e-12
     for legs in [(1, 2), (1, 3), (2, 3)]:
         got = leg_embed(v, legs, ambient)
         oracle = leg_embed_oracle(v, legs, ambient)
@@ -271,11 +267,12 @@ def test_leg_embed_validates_factors():
 
 
 def test_slice_elementary_tensor():
+    # The tests' slice maps (leg_reference, scipy sums), the references of the vacuum slices.
     space = FockSpace(A2, 2)
     rng = np.random.default_rng(17)
     a = rnd_sparse_operator(rng, space)
     b = rnd_sparse_operator(rng, space)
-    t = tensor_op(a, b)
+    t = kron(a, b)
     xi = basis_vector(space, word(1))
     eta = basis_vector(space, word(2, 1))
     left = slice_left([(xi, eta)], t)
@@ -295,7 +292,7 @@ def test_slice_reads_first_leg_coefficients():
     families = {w: rnd_sparse_operator(rng, space) for w in space.words[:4]}
     t = Operator.zero(tensor_space(space, space))
     for w, b in families.items():
-        t = t + tensor_op(word_shift(space, w, "left"), b)
+        t = t + kron(word_shift(space, w, "left"), b)
     vac = basis_vector(space, Word())
     for w, b in families.items():
         got = slice_left([(vac, basis_vector(space, w))], t)
@@ -331,10 +328,10 @@ def test_vacuum_families_on_unequal_legs():
     families = {w: rnd_sparse_operator(rng, aux) for w in space.words[1:5]}
     shifts = {w: word_shift(space, w, "left") for w in families}
     first = literal_operator_sum(
-        tensor_space(space, aux), (tensor_op(shifts[w], b) for w, b in families.items())
+        tensor_space(space, aux), (kron(shifts[w], b) for w, b in families.items())
     )
     second = literal_operator_sum(
-        tensor_space(aux, space), (tensor_op(b, shifts[w]) for w, b in families.items())
+        tensor_space(aux, space), (kron(b, shifts[w]) for w, b in families.items())
     )
     for t, leg in ((first, 1), (second, 2)):
         family = vacuum_leg_decomposition(t, leg=leg)
@@ -395,7 +392,7 @@ def test_operator_entries_serialization():
     entries = operator_entries(op)
     assert entries == [{"row": "1", "col": "e", "re": 1.0, "im": 2.0}]
     pair = tensor_space(space, space)
-    flip_entries = operator_entries(flip_operator(pair))
+    flip_entries = operator_entries(flip_permutation(pair))
     assert {"row": "2,1", "col": "1,2", "re": 1.0, "im": 0.0} in flip_entries
 
 
@@ -545,30 +542,54 @@ def test_pair_space_products_match_scipy_to_the_bit(n, depth):
     w = fundamental_corep(space).operator
     series = FourierSeries(space.alphabet, _signed_values(rng, space._block_starts[min(2, depth) + 1]))
     delta = comult(series, space)
-    flip = flip_operator(delta.domain)
+    flip = flip_permutation(delta.domain)
     noise = Operator.from_entries(space, space, *_spread_entries(rng, space, 2, space.dim))
     for x, y in [
-        (tensor_op(shift, shift), w),
-        (w, tensor_op(ident, shift)),
+        (kron(shift, shift), w),
+        (w, kron(ident, shift)),
         (flip, delta),
         (flip @ delta, flip),
-        (tensor_op(noise, realize(series, space)), delta),
+        (kron(noise, realize(series, space)), delta),
     ]:
         assert_same_arrays(x @ y, _canonical(scipy_csr(x) @ scipy_csr(y)))
         assert_same_arrays(x - y, _canonical(scipy_csr(x) - scipy_csr(y)))
 
 
+def _partial_maps(space, rng, count):
+    # Operators storing at most one entry a column, some columns empty, rows repeating, non-dyadic values.
+    maps = []
+    for _ in range(count):
+        cols = np.flatnonzero(rng.random(space.dim) < 0.7)
+        rows = rng.integers(0, space.dim, cols.size)
+        maps.append(Operator.from_entries(space, space, rows, cols, _signed_values(rng, cols.size)))
+    return maps
+
+
+def _column_entries_of(mat):
+    # Each column's one stored (row, value) of a scipy matrix, -1 and 0 where it stores none.
+    mat = sparse.csc_matrix(mat)
+    assert np.all(np.diff(mat.indptr) <= 1)
+    image, value = np.full(mat.shape[1], -1), np.zeros(mat.shape[1], dtype=np.complex128)
+    cols = np.flatnonzero(np.diff(mat.indptr))
+    image[cols], value[cols] = mat.indices, mat.data
+    return image, value
+
+
 @pytest.mark.parametrize("n,depth", KERNEL_GRID)
 def test_tensor_products_match_scipy_kron_to_the_bit(n, depth):
+    # regular's composer reads a tuple factor as the tensor product of its legs:
+    # each column's image and value are scipy's kron to the bit.
     space = FockSpace(Alphabet(n), depth)
-    a, a_star, shift, right, noise, zero = _kernel_operands(space, rng_for(depth, "kernel-kron", n))
-    for x, y in [(a, noise), (noise, a_star), (shift, shift), (right, noise), (zero, a), (a, zero)]:
-        assert_same_arrays(tensor_op(x, y), _canonical(sparse.kron(scipy_csr(x), scipy_csr(y), format="csr")))
+    rng = rng_for(depth, "kernel-kron", n)
+    x, y, z = _partial_maps(space, rng, 3)
+    shift, zero = word_shift(space, word(1), "left"), Operator.zero(space)
     small = FockSpace(Alphabet(n), min(depth, 2))
-    b, _, s, _, c, _ = _kernel_operands(small, rng_for(depth, "kernel-kron-3", n))
-    want = sparse.kron(sparse.kron(scipy_csr(b), scipy_csr(c), format="csr"), scipy_csr(s), format="csr")
-    assert_same_arrays(tensor_op(b, c, s), want)
-    assert_same_arrays(Operator.identity(space), sparse.identity(space.dim, dtype=np.complex128, format="csr"))
+    b, c, s = _partial_maps(small, rng_for(depth, "kernel-kron-3", n), 3)
+    for legs in [(x, y), (y, x), (shift, z), (z, shift), (zero, x), (x, zero), (b, c, s)]:
+        image, value = _column_entries_of(reduce(sparse.kron, map(scipy_csr, legs)))
+        k, rows, vals = map_entries((legs,))
+        assert np.array_equal(k, np.flatnonzero(image >= 0)) and np.array_equal(rows, image[k])
+        assert vals.tobytes() == value[k].tobytes()
 
 
 @pytest.mark.parametrize("n,depth", KERNEL_GRID)
@@ -588,9 +609,6 @@ def test_coordinate_and_dense_constructors_match_scipy_to_the_bit(n, depth):
         dense = np.zeros(shape, dtype=np.complex128)
         dense[rows, cols] = vals
         assert_same_arrays(Operator.from_dense(space, space, dense), sparse.csr_matrix(dense))
-    perm = rng.permutation(space.dim)
-    literal = sparse.coo_matrix((np.ones(space.dim), (perm, np.arange(space.dim))), shape=shape).tocsr()
-    assert_same_arrays(permutation_operator(space, space, perm), _canonical(literal.astype(np.complex128)))
 
 
 @pytest.mark.parametrize("n,depth", KERNEL_GRID)
@@ -604,32 +622,26 @@ def test_column_restricted_entry_diff_matches_scipy(n, depth):
             assert max_entry_diff(x, y, columns) == scipy_max_abs(diff, columns)
 
 
-def literal_slice(pairs, t, leg):
-    # The slice as scipy sums it: sum_j (eta_j* on the leg) t (xi_j on the leg),
-    # the partial product made canonical as an Operator holds it.  (scipy leaves
-    # a product's rows unsorted, and a product taken of that sums in its stored
-    # order, which can round otherwise on non-dyadic data.)
-    paired, kept = t.domain.factors[leg], t.domain.factors[1 - leg]
-    ident = sparse.identity(kept.dim, dtype=np.complex128, format="csr")
-
-    def on_leg(column):
-        return sparse.kron(*((column, ident) if leg == 0 else (ident, column)), format="csr")
-
-    acc = sparse.csr_matrix((kept.dim, kept.dim), dtype=np.complex128)
-    for xi, eta in pairs:
-        embed = on_leg(sparse.csr_matrix(xi.data.reshape(-1, 1)))
-        pair_out = on_leg(sparse.csr_matrix(eta.data.reshape(-1, 1)).conjugate().transpose())
-        acc = acc + _canonical(pair_out @ scipy_csr(t)) @ embed
-    return _canonical(acc)
-
-
 @pytest.mark.parametrize("n,depth", KERNEL_GRID)
 def test_slices_match_the_scipy_sum_to_the_bit(n, depth):
+    # Each vacuum-leg family member is the scipy slice of its leg against the vacuum/word pair.
     space = FockSpace(Alphabet(n), depth)
     rng = rng_for(depth, "kernel-slice", n)
     series = FourierSeries(space.alphabet, _signed_values(rng, space._block_starts[min(2, depth) + 1]))
     t = comult(series, space)
-    vectors = [Vector(space, _signed_values(rng, space.dim) * (rng.random(space.dim) < 0.5)) for _ in range(4)]
-    pairs = [(vectors[0], vectors[1]), (vectors[2], vectors[3])]
-    assert_same_arrays(slice_left(pairs, t), literal_slice(pairs, t, 0))
-    assert_same_arrays(slice_right(pairs, t), literal_slice(pairs, t, 1))
+    vac = basis_vector(space, Word())
+    for leg, slicer in ((1, slice_left), (2, slice_right)):
+        family = vacuum_leg_decomposition(t, leg=leg)
+        for w in space.words[: min(space.dim, 12)]:
+            got = family[w] if w in family else Operator.zero(space)
+            assert_same_arrays(got, scipy_csr(slicer([(vac, basis_vector(space, w))], t)))
+
+
+def test_word_lengths_pass_int16_at_depth_40000():
+    # n = 1 admits depths up to 2^18 - 1: the lengths hold 32,768 and more.
+    space = FockSpace(Alphabet(1), 40000)
+    assert space.lengths[-1] == 40000 and space.lengths.dtype == np.int32
+    k, rank = graded.length_rank(space, np.array([0, 32767, 32768, 40000]))
+    assert k.tolist() == [0, 32767, 32768, 40000] and rank.tolist() == [0, 0, 0, 0]
+    slack = space.depth + 1 - space.lengths
+    assert slack[0] == 40001 and slack[-1] == 1 and np.all(np.diff(slack) == -1)

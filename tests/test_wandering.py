@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fockhopf import graded, verify, wandering
 from fockhopf.regular import word_shift
 from fockhopf.sampling import rng_for
-from fockhopf.spaces import FockSpace, Operator, _worst_defect, basis_vector, tensor_op, tensor_space
+from fockhopf.spaces import FockSpace, Operator, _worst_defect, basis_vector, tensor_space
 from fockhopf.wandering import (
     _wandering_mask,
     first_letters,
@@ -19,11 +20,14 @@ from fockhopf.wandering import (
     wandering_dim_closed_form,
 )
 from fockhopf.words import Alphabet, Word, count_words, enumerate_words, word
-from scipy_oracle import scipy_csr
+from leg_reference import kron
+from scipy_oracle import max_abs, scipy_csr
 
 A2 = Alphabet(2)
 # The tensor points of ``verify --full``, where the decompose check runs.
 TENSOR_GRID = [(n, depth) for n in (1, 2, 3) for depth in (2, 3, 4)]
+# Every point of ``verify --full`` plus the deep (2, 7) point.
+GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5), (2, 7)]
 
 
 def literal_strip_common_prefix(tup):
@@ -136,7 +140,7 @@ def test_orthogonality_by_sparse_inner_products():
     for w in space.words:
         if len(w) > space.depth:
             continue
-        shift = tensor_op(word_shift(space, w), word_shift(space, w))
+        shift = kron(word_shift(space, w), word_shift(space, w))
         at = [space.index_of(u) * space.dim + space.index_of(v) for u, v in kset]
         vecs[w] = [shift.apply(basis_vector(pair, i)) for i in at]
     for u in space.words:
@@ -183,7 +187,7 @@ def literal_gram_defect(alphabet, k, depth, mask):
     tuples = zip(*np.unravel_index(cols, mask.shape))
     longest = [max(len(space.word_at(int(i))) for i in tup) for tup in tuples]
     shifted = {
-        w: scipy_csr(tensor_op(*([word_shift(space, w, "left")] * k))).tocsc()[:, cols]
+        w: scipy_csr(kron(*([word_shift(space, w, "left")] * k))).tocsc()[:, cols]
         for w in space.words
     }
     words = list(space.words)
@@ -363,3 +367,33 @@ def test_wandering_check_holds_one_byte_per_tuple():
         tracemalloc.stop()
     assert report.passed
     assert peak < 6 * 2**20, peak
+
+
+def reference_shifted_gram(space, k, mask, words):
+    # The stacked columns of scipy's Kronecker powers, their Gram in scipy against diag(fit).
+    cols = np.flatnonzero(mask.ravel())
+    power = (scipy_csr(kron(*([word_shift(space, space.word_at(int(w)))] * k))).tocsc()[:, cols] for w in words)
+    stacked = sparse.hstack(list(power)).tocsr()
+    longest = space.lengths[np.stack(np.unravel_index(cols, mask.shape))].max(axis=0, initial=0)
+    fit = (space.lengths[np.asarray(words)][:, None] + longest <= space.depth).ravel()
+    return max_abs(stacked.conjugate().transpose() @ stacked - sparse.diags(fit.astype(float)))
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_shifted_gram_matches_the_kronecker_route_to_the_bit(n, depth):
+    # Every k whose tuples GRAM_LIMIT admits, over every word (wandering_check) and the
+    # letters (verify), on the wandering mask and on one with a common-prefix tuple added.
+    alphabet, space = Alphabet(n), FockSpace(Alphabet(n), depth)
+    cases = 0
+    for k in (k for k in (1, 2, 3) if space.dim**k <= wandering.GRAM_LIMIT):
+        mask = _wandering_mask(alphabet, k, depth)
+        broken = mask.copy()
+        broken[(1,) * k] = True
+        for words in (np.arange(space.dim), np.arange(1, n + 1)):
+            for m in (mask, broken):
+                got, want = shifted_gram_defect(space, k, m, words), reference_shifted_gram(space, k, m, words)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, got, want)
+                if words.size == space.dim:  # the vacuum's copy of the added tuple meets its 1-shifted copy
+                    assert got == float(m is broken)
+                cases += 1
+    assert cases or space.dim > wandering.GRAM_LIMIT
