@@ -9,14 +9,15 @@ and column rank(u), so every "pair against w u" loop is a reshape plus a slice
 with no ``Word`` objects.  :func:`concat` is that rule: every shift, the
 realize pattern, the membership defect, each corepresentation assembly and
 coassociativity iterate takes its indices from it, and :func:`within` reads
-the safe zones of tensor powers off the same block starts.
+the safe zones of tensor powers off the same block starts; :func:`cauchy_product`
+forms the graded Cauchy product from the same blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spaces import FockSpace
+from .spaces import FockSpace, schoolbook_product
 
 
 def splits(depth: int) -> list[tuple[int, int]]:
@@ -68,3 +69,19 @@ def within(space: FockSpace, bound: int, fold: int = 1) -> np.ndarray:
         for k in range(min(bound, space.depth) + 1)
     ]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def cauchy_product(space: FockSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(s t)_{w u} = sum a_w b_u of coefficient rows ``left`` (..., words) and rows ``right`` (..., words)
+    of coefficients or vectors, each a prefix of blocks, leading axes broadcast: (..., dim), truncated.
+    Block k adds, |w| = k - m descending from +0.0, the outer :func:`spaces.schoolbook_product` of
+    left's block k - m with right's block m: the row sums of ``realize(s).apply(x)``, to the bit."""
+    starts = space._block_starts
+    dl, dr = (int(space.lengths[arr.shape[-1] - 1]) for arr in (left, right))
+    out = np.zeros(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]) + (space.dim,), dtype=np.complex128)
+    for k in range(space.depth + 1):
+        sums = out[..., starts[k] : starts[k + 1]]
+        for m in range(max(k - dl, 0), min(k, dr) + 1):  # |u| = m ascending: |w| = k - m descending
+            a, b = left[..., starts[k - m] : starts[k - m + 1], None], right[..., None, starts[m] : starts[m + 1]]
+            sums += schoolbook_product(a, b).reshape(sums.shape)
+    return out

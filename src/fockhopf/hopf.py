@@ -23,9 +23,9 @@ one array pass, only gathers its coefficients through a plan:
 * the homomorphism composes the tagged comultiplications of deg s and deg t
   over the safe-zone columns, recording which coefficient pairs a_u b_v each
   entry of Delta(s) Delta(t) sums, against that of the product s t, the
-  graded Cauchy product of :meth:`FourierSeries.__mul__`, formed a pair at a
-  time.  On dyadic coefficients those products and their sums are exact
-  doubles, so the order of summation cannot matter.
+  graded Cauchy product of :func:`graded.cauchy_product`, formed for every
+  row in one call.  On dyadic coefficients those products and their sums
+  are exact doubles, so the order of summation cannot matter.
 
 The flip and the vacuum slices relabel and select Delta's stored entries,
 and :func:`grouplike_defect` forms A (x) A only in the compared columns.
@@ -165,14 +165,17 @@ def _read_tags(parts: list[Entries], shape: tuple[int, int], dim: int) -> np.nda
     return plan
 
 
+def _row_degrees(rows: np.ndarray, space: FockSpace) -> np.ndarray:
+    """The degree of each coefficient row: that of its last nonzero coefficient, as a series trims it."""
+    return space.lengths[np.where(rows != 0, np.arange(rows.shape[1]), 0).max(axis=1)]
+
+
 def _plan_defects(plan_of, pairs, series, space: FockSpace):
     """The largest difference between the rows in ``pairs`` of ``plan_of(space, degree)``, read
-    off a series' coefficients (a float) or off each coefficient row (trials, words) (an array),
-    a row's degree that of its last nonzero coefficient, as a series trims it."""
+    off a series' coefficients (a float) or off each coefficient row (trials, words) (an array)."""
     if isinstance(series, FourierSeries):  # the one-row case
         return float(_plan_defects(plan_of, pairs, _coefficients_on(series, space)[None], space)[0])
-    degrees = space.lengths[np.where(series != 0, np.arange(series.shape[1]), 0).max(axis=1)]
-    out = np.empty(len(series))
+    degrees, out = _row_degrees(series, space), np.empty(len(series))
     for degree in sorted_unique(degrees).tolist():
         coefs = series[degrees == degree, : space._block_starts[degree + 1]]
         vals = np.append(coefs, np.zeros((len(coefs), 1)), axis=1)[:, plan_of(space, degree)]  # -1 reads 0
@@ -246,20 +249,21 @@ def _homomorphism_plan(space: FockSpace, ds: int, dt: int, dp: int) -> tuple[np.
 
 def homomorphism_defect(s, t, space: FockSpace):
     """Defect of multiplicativity on the slack-(deg s + deg t) safe zone: of two series (a float),
-    or of each pair (s[i], t[i]) of two lists (an array), a stacked pass per (deg s, deg t, deg s t)."""
+    or of each pair of rows (s[i], t[i]) of two (trials, words) coefficient arrays (an array), all
+    products s t in one :func:`graded.cauchy_product` call, a plan per (deg s, deg t, deg s t)."""
     if isinstance(s, FourierSeries):  # the one-pair case
-        return float(homomorphism_defect([s], [t], space)[0])
-    if any(a.degree + b.degree > space.depth for a, b in zip(s, t)):
+        s._check(t)
+        return float(homomorphism_defect(*(_coefficients_on(x, space)[None] for x in (s, t)), space)[0])
+    p = np.append(graded.cauchy_product(space, s, t), np.zeros((len(s), 1)), axis=1)  # w = -1 reads 0
+    degrees, out = np.stack([_row_degrees(x, space) for x in (s, t, p)], axis=1), np.empty(len(p))
+    if np.any(degrees[:, 0] + degrees[:, 1] > space.depth):
         raise ValueError("combined degree exceeds the depth")
-    triples = [(a, b, a * b) for a, b in zip(s, t)]
-    keys, out = [tuple(x.degree for x in triple) for triple in triples], np.empty(len(triples))
-    for key in sorted(set(keys)):
-        rows = [i for i, k in enumerate(keys) if k == key]
-        a, b, p = (np.array([_coefficients_on(triples[i][j], space) for i in rows]) for j in range(3))
+    for key in sorted(set(map(tuple, degrees.tolist()))):  # np.unique(axis=0) would import numpy.ma
+        rows = np.all(degrees == key, axis=1)
         slot, u, v, w = _homomorphism_plan(space, *key)
-        composed = np.zeros((len(rows), w.size), dtype=np.complex128)
-        np.add.at(composed, (slice(None), slot), a[:, u] * b[:, v])
-        out[rows] = np.abs(composed - np.append(p, np.zeros((len(rows), 1)), axis=1)[:, w]).max(axis=-1, initial=0.0)
+        composed = np.zeros((np.count_nonzero(rows), w.size), dtype=np.complex128)
+        np.add.at(composed, (slice(None), slot), s[rows][:, u] * t[rows][:, v])
+        out[rows] = np.abs(composed - p[rows][:, w]).max(axis=-1, initial=0.0)
     return out
 
 

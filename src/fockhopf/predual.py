@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Vector, _worst_defect, basis_vector
+from .spaces import FockSpace, Vector, _worst_defect, basis_vector, schoolbook_product
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
@@ -237,23 +237,17 @@ def _ball_point(space: FockSpace, point: Sequence[complex]) -> tuple[complex, ..
 
 
 def _monomial_values(space: FockSpace, points: Sequence[tuple[complex, ...]]) -> np.ndarray:
-    """The values w -> w(p) of each point p, one row per point, block k + 1 from block k.
-
-    w a -> w(p) p_a on (real, imaginary) pairs: (x, y) p_a = x (Re p_a, Im p_a) +
-    y (-Im p_a, Re p_a) are the four real products of Python's complex product, so
-    each value rounds as the letter-by-letter product does (x + (-y) is x - y in IEEE
-    arithmetic, signed zeros included).
-    """
+    """The values w -> w(p) of each point p, one row per point: block k + 1 is the outer
+    :func:`spaces.schoolbook_product` of block k with p, so each value w a -> w(p) p_a rounds
+    as the letter-by-letter product of Python's complex numbers does, signed zeros included."""
     starts, count = space._block_starts, len(points)
-    by_re = np.array(points, dtype=np.complex128).view(np.float64).reshape(count, 1, space.n, 2)
-    by_im = by_re[..., ::-1] * (-1.0, 1.0)  # exact: (-Im p_a, Re p_a), signs of zeros included
-    parts = np.zeros((count, space.dim, 2))
-    parts[:, 0, 0] = 1.0
+    p = np.array(points, dtype=np.complex128).reshape(count, 1, space.n)
+    values = np.zeros((count, space.dim), dtype=np.complex128)
+    values[:, 0] = 1.0
     for k in range(space.depth):
-        prefix = parts[:, starts[k] : starts[k + 1], None]
-        image = prefix[..., :1] * by_re + prefix[..., 1:] * by_im
-        parts[:, starts[k + 1] : starts[k + 2]] = image.reshape(count, -1, 2)
-    return parts.view(np.complex128)[..., 0]
+        image = schoolbook_product(values[:, starts[k] : starts[k + 1], None], p)
+        values[:, starts[k + 1] : starts[k + 2]] = image.reshape(count, -1)
+    return values
 
 
 def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctional:

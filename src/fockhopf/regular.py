@@ -17,8 +17,8 @@ as an independent check of what reads the pattern.
 The shift relations and the package's tensor-leg identities compose partial
 maps in the one composer :func:`_product_map`, a tensor factor a tuple of legs.
 A :class:`FourierSeries` holds its coefficients in that basis order, so its
-product s t is the graded Cauchy product: block k + m of s t accumulates, k
-ascending, the outer product of s on block k with t on block m.
+product s t is the graded Cauchy product of :func:`graded.cauchy_product`,
+rounded as ``realize(s)`` applied to t's coefficients.
 """
 
 from __future__ import annotations
@@ -164,12 +164,7 @@ class FourierSeries:
             return FourierSeries(self.alphabet, self.coeffs * other)
         self._check(other)
         space = _layout(self.alphabet, self.degree + other.degree)
-        out = np.zeros(space.dim, dtype=np.complex128)
-        for k in range(self.degree + 1):
-            for m in range(other.degree + 1):
-                a, b = graded.block(space, self.coeffs, k), graded.block(space, other.coeffs, m)
-                graded.split_block(space, out, k, m)[:] += np.multiply.outer(a, b)
-        return FourierSeries(self.alphabet, out)
+        return FourierSeries(self.alphabet, graded.cauchy_product(space, self.coeffs, other.coeffs))
 
     def __rmul__(self, scalar: complex) -> "FourierSeries":
         return self * scalar

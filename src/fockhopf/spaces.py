@@ -370,14 +370,13 @@ def _csr_product(a: Operator, b: Operator) -> tuple:
 
 
 def csr_matvec(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for canonical CSR arrays and ``data`` (..., nnz), ``x`` (..., dim) broadcast: (..., rows).
-
-    Each row sums its :func:`schoolbook_product` terms in column order from +0.0, real and imaginary
-    parts apart, as the compiled CSR matvec sums them: the result is the same to the bit."""
-    terms, rows = schoolbook_product(data, x[..., indices]), indptr.size - 1
-    out = np.empty(terms.shape[:-1] + (rows,), dtype=np.complex128)
-    bins = (np.arange(out.size // rows)[:, None] * rows + np.repeat(np.arange(rows), np.diff(indptr))).ravel()
-    out.real, out.imag = (np.bincount(bins, t.ravel(), out.size).reshape(out.shape) for t in (terms.real, terms.imag))
+    """A x for canonical CSR arrays and a vector ``x``: each row sums its :func:`schoolbook_product`
+    terms in column order from +0.0, real and imaginary parts apart, as the compiled CSR matvec
+    sums them, so the result is the same to the bit."""
+    terms, rows = schoolbook_product(data, x[indices]), indptr.size - 1
+    bins = np.repeat(np.arange(rows), np.diff(indptr))
+    out = np.empty(rows, dtype=np.complex128)
+    out.real, out.imag = (np.bincount(bins, t, rows) for t in (terms.real, terms.imag))
     return out
 
 

@@ -30,7 +30,7 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, csr_matvec, max_entry_diff, tensor_space,
+    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_entry_diff, tensor_space,
 )
 from .words import Alphabet, Word
 
@@ -163,26 +163,18 @@ CESARO_ORDERS = range(4, 13)
 
 def _cesaro_error_vectors(s, space: FockSpace, x: np.ndarray) -> np.ndarray:
     """(sigma_k(A) - A) x for each k in CESARO_ORDERS, one row per k, with A = realize(s), or
-    one such block a trial for coefficient rows ``s`` (trials, words) and x (trials, dim).
-
-    Every difference lies on A's realize pattern, holding at each entry of a word w
-    the coefficient of ``cesaro_sum(s, k)`` at w minus a_w; :func:`spaces.csr_matvec`
-    sums each output row in A's column order, as the matvec of one difference matrix
-    does (the entries of words with a_w = 0, which A drops, add exact zeros).  The empty word's
-    entries, last in their rows, are left out: (1 - 0) a_e - a_e = +0.0, and no row sum is -0.0.
-    """
+    one such block a trial for coefficient rows ``s`` (trials, words) and x (trials, dim): the
+    :func:`graded.cauchy_product` of the coefficients of ``cesaro_sum(s, k)`` minus s with x,
+    which sums each row as the matvec of sigma_k(A) - A does, with no matrix formed."""
     coeffs = s.coeffs if isinstance(s, reg.FourierSeries) else s
-    lengths = space.lengths[: coeffs.shape[-1]]
-    indptr, indices, word = reg._realize_pattern(space, int(lengths[-1]), 1)
-    keep = word > 0
-    data = reg.cesaro_arrays(coeffs, lengths, CESARO_ORDERS)[0][..., word[keep]] - coeffs[..., None, word[keep]]
-    return csr_matvec(data, indices[keep], indptr - np.arange(indptr.size, dtype=indptr.dtype), x[..., None, :])
+    cesaro = reg.cesaro_arrays(coeffs, space.lengths[: coeffs.shape[-1]], CESARO_ORDERS)[0]
+    return graded.cauchy_product(space, cesaro - coeffs[..., None, :], x[..., None, :])
 
 
 def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> Iterator[float]:
     space, degree = cfg.space, min(3, cfg.depth - 1)
     size, zone = space._block_starts[degree + 1], graded.within(space, space.depth - degree).size
-    for count in _chunks(cfg.trials, 3 * len(CESARO_ORDERS) * reg._realize_pattern(space, degree, 1)[1].size):
+    for count in _chunks(cfg.trials, 4 * len(CESARO_ORDERS) * space.dim):  # about what a trial holds
         coeffs, x_zone = sampling.dyadic_trials(rng, count, [size, zone])
         x = np.append(x_zone, np.zeros((count, space.dim - zone)), axis=1)
         bounds = reg.cesaro_arrays(coeffs, space.lengths[:size], CESARO_ORDERS)[1]
@@ -232,8 +224,7 @@ def _chk_homomorphism(cfg: SuiteConfig, rng) -> Iterator[float]:
     slot, *_, word = hopf_mod._homomorphism_plan(cfg.space, degree, degree, 2 * degree)
     size = cfg.space._block_starts[degree + 1]
     for count in _chunks(cfg.trials, 4 * (slot.size + word.size)):
-        draws = sampling.dyadic_trials(rng, count, [size, size], bits=sampling.EXACT_BITS)
-        s, t = ([reg.FourierSeries(cfg.alphabet, c) for c in coeffs] for coeffs in draws)
+        s, t = sampling.dyadic_trials(rng, count, [size, size], bits=sampling.EXACT_BITS)
         yield from hopf_mod.homomorphism_defect(s, t, cfg.space).tolist()
 
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import fockhopf
-from fockhopf import graded, hopf, predual, regular, verify, wandering, words
+from fockhopf import graded, hopf, predual, regular, spaces, verify, wandering, words
 from fockhopf.corep import (
     SCALAR_SPACE,
     PredualRep,
@@ -82,6 +82,7 @@ from fockhopf.spaces import (
     FockSpace,
     Operator,
     TensorSpace,
+    Vector,
     basis_vector,
     max_entry_diff,
     tensor_space,
@@ -591,6 +592,115 @@ def test_series_product_check_catches_transposed_blocks(monkeypatch):
     assert products_match_literal(space, rng_for(0, "transposed"))
     monkeypatch.setattr(FourierSeries, "__mul__", transposed_star)
     assert not products_match_literal(space, rng_for(0, "transposed"))
+
+
+# ---------------------------------------------------------------------------
+# The one graded Cauchy product against oracles that share none of its code:
+# the realize matvec, np.convolve at n = 1, and the block loop it replaced.
+
+
+def signed_rows(rng, shape):
+    """Normal complex entries, about a quarter of each part a zero of either sign."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (x.real, x.imag):
+        part[rng.random(shape) < 0.25] = 0.0
+        part[...] = np.copysign(part, rng.choice([-1.0, 1.0], size=shape))
+    return x
+
+
+def blockwise_product(s, t):
+    # The series product before the kernel: block k + m adds numpy's complex
+    # outer product of s on block k with t on block m, k ascending.
+    space = FockSpace(s.alphabet, s.degree + t.degree)
+    out = np.zeros(space.dim, dtype=np.complex128)
+    for k in range(s.degree + 1):
+        for m in range(t.degree + 1):
+            a, b = graded.block(space, s.coeffs, k), graded.block(space, t.coeffs, m)
+            graded.split_block(space, out, k, m)[:] += np.multiply.outer(a, b)
+    return FourierSeries(s.alphabet, out)
+
+
+CAUCHY_POINTS = GRID + [(2, 11)]
+
+
+@pytest.mark.parametrize("n,depth", CAUCHY_POINTS)
+def test_cauchy_product_is_the_realize_matvec_to_the_bit(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "cauchy-matvec", n)
+    for degree in range(min(depth, 4) + 1):
+        size = space._block_starts[degree + 1]
+        left, right = signed_rows(rng, (3, size)), signed_rows(rng, (3, space.dim))
+        stacked = graded.cauchy_product(space, left, right)
+        for a, x, got in zip(left, right, stacked):
+            want = realize(FourierSeries(space.alphabet, a), space).apply(Vector(space, x)).data
+            assert graded.cauchy_product(space, a, x).tobytes() == got.tobytes() == want.tobytes()
+        # Leading axes broadcast: every left row against every right row of coefficients.
+        coeffs = right[:, : space._block_starts[depth - degree + 1]]
+        crossed = graded.cauchy_product(space, left[:, None], coeffs[None])
+        for i, j in np.ndindex(3, 3):
+            assert crossed[i, j].tobytes() == graded.cauchy_product(space, left[i], coeffs[j]).tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 9])
+def test_cauchy_product_at_one_letter_is_the_truncated_convolution(depth):
+    # At n = 1 the word of length k is basis index k, so s t is the product of
+    # polynomials in one variable: np.convolve, cut at the depth.
+    space = FockSpace(Alphabet(1), depth)
+    rng = rng_for(depth, "cauchy-convolve")
+    for bits in (EXACT_BITS, FINE_BITS):
+        for dl in range(depth + 1):
+            for dr in range(depth + 1):
+                a, b = dyadic_complex(rng, dl + 1, bits=bits), dyadic_complex(rng, dr + 1, bits=bits)
+                want = np.zeros(depth + 1, dtype=np.complex128)
+                full = np.convolve(a, b)[: depth + 1]
+                want[: full.size] = full
+                assert np.array_equal(graded.cauchy_product(space, a, b), want)
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_series_product_keeps_the_block_loop_bits_on_dyadic_data(n, depth):
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "series-block-loop", n)
+    for bits in (EXACT_BITS, FINE_BITS):
+        kinds = series_kinds(rng, space, bits)
+        for s in kinds:
+            for t in kinds:
+                assert (s * t).coeffs.tobytes() == blockwise_product(s, t).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n,depth", GRID)
+def test_series_product_rounds_as_the_realize_matvec(n, depth):
+    # On normal data the product rounds as realize(s) applied to t's coefficients.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "series-product-rounding", n)
+    for ds in range(depth + 1):
+        dt = depth - ds
+        s = FourierSeries(space.alphabet, signed_rows(rng, space._block_starts[ds + 1]))
+        t = FourierSeries(space.alphabet, signed_rows(rng, space._block_starts[dt + 1]))
+        x = np.zeros(space.dim, dtype=np.complex128)
+        x[: t.coeffs.size] = t.coeffs
+        want = realize(s, space).apply(Vector(space, x)).data
+        got = (s * t).coeffs
+        assert got.tobytes() == want[: got.size].tobytes() and not np.any(want[got.size :])
+
+
+def test_cesaro_and_homomorphism_checks_use_only_the_cauchy_kernel(monkeypatch):
+    # Past the homomorphism's cached plans, neither check runs a CSR matvec,
+    # reads the realize pattern or builds a series: both pass with those refused.
+    cfg = SuiteConfig(n=2, depth=4, seed=7)
+    checks = [c for c in verify.build_checks(cfg) if c.name in ("cesaro_bound", "homomorphism")]
+    assert len(checks) == 2 and all(c.run()["pass"] for c in checks)  # builds the plans
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a retired route ran")
+
+    monkeypatch.setattr(spaces, "csr_matvec", refuse)
+    monkeypatch.setattr(regular, "_realize_pattern", refuse)
+    monkeypatch.setattr(FourierSeries, "__init__", refuse)
+    for check in checks:
+        row = check.run()
+        assert row["pass"] and "error" not in row, row
+    assert not {"csr_matvec", "_realize_pattern"} & set(vars(verify))
 
 
 @pytest.mark.parametrize("n,depth", GRID)

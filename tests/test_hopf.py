@@ -505,14 +505,10 @@ def test_homomorphism_plan_misses_a_dropped_factorization_pair(monkeypatch, fres
 
 
 def test_homomorphism_plan_catches_a_reversed_product(monkeypatch, fresh_plans):
-    def reversed_product(self, other):
-        out = {}
-        for u, a in self.items():
-            for v, b in other.items():
-                out[v.concat(u)] = out.get(v.concat(u), 0j) + a * b
-        return FourierSeries(self.alphabet, out)
-
-    monkeypatch.setattr(FourierSeries, "__mul__", reversed_product)
+    # The one Cauchy product kernel with its factors swapped forms t s for s t,
+    # in the planned defect and in the series product of the operator route.
+    honest = graded.cauchy_product
+    monkeypatch.setattr(graded, "cauchy_product", lambda space, left, right: honest(space, right, left))
     s, t, _ = _mutant_series(5)
     assert homomorphism_defect(s, t, H4) > 0.0
     assert homomorphism_defect(s, t, H4) == reference_homomorphism(s, t, H4)

@@ -202,8 +202,9 @@ def test_rows_read_the_plan_of_their_own_degree(monkeypatch):
     degrees = []
     honest = hopf._homomorphism_plan
     monkeypatch.setattr(hopf, "_homomorphism_plan", lambda *key: degrees.append(key[1:]) or honest(*key))
-    s = [FourierSeries(space.alphabet, row[:3]) for row in coefs[:3]]
+    s = coefs[:3, :3]
     defects = hopf.homomorphism_defect(s, s[::-1], space)
     assert sorted(degrees) == [(0, 1, 1), (1, 0, 1), (1, 1, 2)]
     monkeypatch.setattr(hopf, "_homomorphism_plan", honest)
-    assert defects.tolist() == [hopf.homomorphism_defect(a, b, space) for a, b in zip(s, s[::-1])]
+    pairs = [(FourierSeries(space.alphabet, a), FourierSeries(space.alphabet, b)) for a, b in zip(s, s[::-1])]
+    assert defects.tolist() == [hopf.homomorphism_defect(a, b, space) for a, b in pairs]
