@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import graded
-from .predual import Functional
+from .predual import Functional, convolve
 from .regular import FourierSeries, _map_defect, _realize_pattern, word_shift
 from .spaces import (
     SCALAR_SPACE,
@@ -47,11 +48,17 @@ from .spaces import (
     StackedFamily,
     TensorSpace,
     Vector,
+    _csr_from_keys,
+    _merge,
+    _position_sums,
+    _product_plan,
+    _product_values,
     _worst_defect,
     coo_sum,
     gather_groups,
     max_entry_diff,
     schoolbook_product,
+    sort_positions,
     sum_by_key,
     tensor_space,
     vacuum_leg_decomposition,
@@ -61,11 +68,12 @@ from .words import Word
 REP_LAW_TOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Corepresentation:
     """Operator on H (x) K together with its sliced decomposition family.
 
-    ``family`` holds the entries of the operator's vacuum columns.
+    ``family`` holds the entries of the operator's vacuum columns.  Frozen, over
+    read-only arrays, so a cached copy (:func:`fundamental_corep`) can be shared.
     """
 
     space: TensorSpace
@@ -202,12 +210,15 @@ def corep_check(corep: Corepresentation | Operator) -> CorepReport:
     return CorepReport(recon, crit, leg_identity_defect(corep))
 
 
+@lru_cache(maxsize=16)
 def fundamental_corep(space: FockSpace) -> Corepresentation:
     """The word-swap isometry (xi_u (x) xi_v) -> (xi_{vu} (x) xi_v) on H (x) H.
 
     Its decomposition family is the diagonal of rank-one word projections, so
     every corepresentation check is exact.  For |u| = a and |v| = b the
     entries are one :func:`graded.concat` broadcast over the block ranks.
+    Built once a space and shared (the 16 most recent spaces are kept); the
+    corepresentation is frozen and its arrays read-only.
     """
     pair = tensor_space(space, space)
     starts, dim = space._block_starts, space.dim
@@ -263,17 +274,55 @@ class PredualRep:
                 f"family violates the representation law (defect {self.law_defect:.3e})"
             )
 
+    @cached_property
+    def _pattern(self) -> tuple:
+        """The positions (y, x) the family stores: :func:`spaces.sort_positions` of its entries."""
+        return sort_positions(self.family.row, self.family.col, (self.aux.dim, self.aux.dim))
+
+    def _evaluation_values(self, values: np.ndarray) -> np.ndarray:
+        """The values of sum_w phi(L_w) pi_w at each position of the pattern, for functional
+        values (..., dim), one row a trial; each position adds its entries in stack order, and
+        a zero sum stays stored."""
+        order, first, _ = self._pattern
+        return _position_sums(order, first, self.family.val * values[..., self.family.word])
+
     def evaluate(self, f: Functional) -> Operator:
-        """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass over the stack."""
+        """Image of a general functional: sum_w phi(L_w) pi_w, in one COO pass over the stack,
+        zero sums dropped: one trial of the pattern's values."""
         if f.space != self.space:
             raise ValueError("functional lives on a different space")
-        fam = self.family
-        return coo_sum(self.aux, [fam.row], [fam.col], [fam.val * f.values[fam.word]])
+        shape, keys = (self.aux.dim, self.aux.dim), self._pattern[2]
+        sums = self._evaluation_values(f.values)
+        keep = sums != 0
+        return Operator(self.aux, self.aux, _csr_from_keys(shape, keys[keep], sums[keep]))
 
     @classmethod
     def character(cls, space: FockSpace, w: Word) -> "PredualRep":
         """The one-dimensional representation picking out the word w."""
         return cls(space, SCALAR_SPACE, {w: Operator.identity(SCALAR_SPACE)})
+
+
+def multiplicativity_defect(rep: PredualRep, f: Functional, g: Functional) -> np.ndarray:
+    """Largest entry miss of pi(f * g) against pi(f) pi(g), one a trial of (trials, dim) stacks.
+
+    Both sides are formed on the family's fixed pattern: pi(f * g) as
+    :meth:`PredualRep.evaluate` sums it, pi(f) pi(g) by one pattern plan of
+    the sparse product (:func:`spaces._product_plan`) and one values step over
+    every trial, rounded as ``Operator.__matmul__`` rounds one trial; it shares
+    nothing with the family join of the law check.  An entry that a trial's
+    values make zero stays stored as a zero, where one trial's operators drop
+    it.  That leaves every defect's bytes unchanged: a product with a zero
+    factor adds a zero to a sum that starts at +0.0, and so is never -0.0,
+    which changes no sum; and a stored zero subtracted from, or taken from,
+    an entry gives the modulus that a missing entry, read as 0 + 0j, gives.
+    """
+    shape, keys = (rep.aux.dim, rep.aux.dim), rep._pattern[2]
+    pattern = _csr_from_keys(shape, keys, keys)[1:]  # (indices, indptr)
+    plan = _product_plan(pattern, pattern, shape)
+    lhs = rep._evaluation_values(convolve(f, g).values)
+    rhs = _product_values(plan, rep._evaluation_values(f.values), rep._evaluation_values(g.values))
+    sides = [(*np.divmod(k, shape[1]), vals) for k, vals in ((keys, lhs), (plan[-1], rhs))]
+    return np.abs(_merge(*sides, shape, np.subtract)[1]).max(axis=-1, initial=0.0)
 
 
 def rep_from_corep(corep: Corepresentation) -> PredualRep:

@@ -32,8 +32,10 @@ def block(space: FockSpace, arr, k: int):
 
 
 def split_block(space: FockSpace, arr: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Block k + m of ``arr`` as an (n^k, n^m) view: [rank(w), rank(u)] is arr[index(w u)]."""
-    return block(space, arr, k + m).reshape(space.n**k, space.n**m)
+    """Block k + m of ``arr`` as an (n^k, n^m) view: [rank(w), rank(u)] is arr[index(w u)];
+    the leading axes of a (..., dim) stack are kept."""
+    starts = space._block_starts
+    return arr[..., starts[k + m] : starts[k + m + 1]].reshape(arr.shape[:-1] + (space.n**k, space.n**m))
 
 
 def length_rank(space: FockSpace, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,6 @@ so every pairing against a concatenation w u is a block reshape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Vector, _worst_defect, basis_vector, schoolbook_product
+from .spaces import FockSpace, Vector, basis_vector, schoolbook_product
 from .words import Word
 
 RankOnePair = tuple[Vector, Vector]
@@ -168,7 +167,18 @@ def _coassociativity_plan(space: FockSpace) -> tuple[tuple[tuple[int, int], ...]
     return keys, direct
 
 
-def predual_coassociativity_defect(f: Functional) -> float:
+def _raveled_blocks(t: TensorFunctional, keys) -> np.ndarray:
+    """The blocks of ``t`` at ``keys``, each raveled in C order, concatenated along the last axis."""
+    lead = t.blocks[keys[0]].shape[:-2]  # the trial axes of a stack
+    return np.concatenate([t.blocks[key].reshape(lead + (-1,)) for key in keys], axis=-1)
+
+
+def _per_trial(f: Functional, defects: np.ndarray):
+    """A float for one functional, the array of defects, one a trial, for a stack."""
+    return float(defects) if f.values.ndim == 1 else defects
+
+
+def predual_coassociativity_defect(f: Functional):
     """Both iterates of the predual comultiplication agree on triples exactly.
 
     On triple (a, b, c) one iterate is block (a + b, c) of :func:`predual_comult`
@@ -177,19 +187,21 @@ def predual_coassociativity_defect(f: Functional) -> float:
     the raveled order, so every triple compares its block, raveled, with the
     values at the direct indices of its pairs (u v, w) or (u, v w); both
     iterates read every block, so each block is compared once, in one pass.
+    A (trials, dim) stack gives one defect a trial.
     """
     keys, direct = _coassociativity_plan(f.space)
-    blocks = predual_comult(f).blocks
-    miss = np.concatenate([blocks[key].ravel() for key in keys])
-    miss -= f.values[direct]
-    return float(np.abs(miss).max())
+    miss = _raveled_blocks(predual_comult(f), keys)
+    miss -= f.values[..., direct]
+    return _per_trial(f, np.abs(miss).max(axis=-1))
 
 
-def predual_homomorphism_defect(f: Functional, g: Functional) -> float:
-    """Defect of comult(f * g) = comult(f) * comult(g), componentwise."""
-    lhs = predual_comult(convolve(f, g))
-    rhs = tensor_convolve(predual_comult(f), predual_comult(g))
-    return _worst_defect(float(np.abs(lhs.blocks[key] - rhs.blocks[key]).max()) for key in lhs.blocks)
+def predual_homomorphism_defect(f: Functional, g: Functional):
+    """Defect of comult(f * g) = comult(f) * comult(g), componentwise: the largest miss
+    over every block, read in one pass; one a trial for (trials, dim) stacks."""
+    keys = _coassociativity_plan(f.space)[0]
+    lhs = _raveled_blocks(predual_comult(convolve(f, g)), keys)
+    lhs -= _raveled_blocks(tensor_convolve(predual_comult(f), predual_comult(g)), keys)
+    return _per_trial(f, np.abs(lhs).max(axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,26 +232,31 @@ class PointFunctional:
 
     def reconstruction_tail_bound(self) -> np.ndarray:
         """The tail bound of every basis word, from one value per length."""
-        t, depth = self.ball_norm_sq, self.space.depth
-        # Python's float power: np.power can round the last bit differently.
-        per_length = [t ** (depth - k + 1) / (1.0 - t) for k in range(depth + 1)]
-        return np.array(per_length)[self.space.lengths]
+        return _tail_bound(self.space, self.ball_norm_sq)
 
 
-def _ball_point(space: FockSpace, point: Sequence[complex]) -> tuple[complex, ...]:
-    """The point as a tuple of complex coordinates; ValueError unless it lies in the open ball."""
-    point = tuple(complex(z) for z in point)
-    if len(point) != space.n:
-        raise ValueError(f"point must have {space.n} coordinates, got {len(point)}")
-    if sum(abs(z) ** 2 for z in point) >= 1.0:
+def _tail_bound(space: FockSpace, t: float) -> np.ndarray:
+    """t^(N - |w| + 1) / (1 - t) at every basis word w, from one value per length."""
+    # Python's float power: np.power can round the last bit differently.
+    per_length = [t ** (space.depth - k + 1) / (1.0 - t) for k in range(space.depth + 1)]
+    return np.array(per_length)[space.lengths]
+
+
+def _ball_points(space: FockSpace, points) -> np.ndarray:
+    """The points as a complex (..., n) array; ValueError unless each lies in the open ball."""
+    points = np.asarray(points, dtype=np.complex128)
+    if points.ndim == 0 or points.shape[-1] != space.n:
+        raise ValueError(f"point must have {space.n} coordinates, got {points.shape[-1:] or 'a scalar'}")
+    if np.any(np.sum(np.hypot(points.real, points.imag) ** 2, axis=-1) >= 1.0):  # as Python's abs
         raise ValueError("point must lie in the open unit ball")
-    return point
+    return points
 
 
-def _monomial_values(space: FockSpace, points: Sequence[tuple[complex, ...]]) -> np.ndarray:
-    """The values w -> w(p) of each point p, one row per point: block k + 1 is the outer
-    :func:`spaces.schoolbook_product` of block k with p, so each value w a -> w(p) p_a rounds
-    as the letter-by-letter product of Python's complex numbers does, signed zeros included."""
+def _monomial_values(space: FockSpace, points) -> np.ndarray:
+    """The values w -> w(p) of each point p, one row per point (a sequence or a (count, n) array):
+    block k + 1 is the outer :func:`spaces.schoolbook_product` of block k with p, so each value
+    w a -> w(p) p_a rounds as the letter-by-letter product of Python's complex numbers does,
+    signed zeros included."""
     starts, count = space._block_starts, len(points)
     p = np.array(points, dtype=np.complex128).reshape(count, 1, space.n)
     values = np.zeros((count, space.dim), dtype=np.complex128)
@@ -250,38 +267,58 @@ def _monomial_values(space: FockSpace, points: Sequence[tuple[complex, ...]]) ->
     return values
 
 
+def _point_vectors(values: np.ndarray) -> np.ndarray:
+    """The vector of each row of point values: its conjugate over its norm."""
+    weights = np.conj(values)
+    return weights / np.sqrt(np.sum(np.abs(weights) ** 2, axis=-1, keepdims=True))
+
+
 def point_functional(space: FockSpace, point: Sequence[complex]) -> PointFunctional:
     """Evaluation at a ball point: the values of :func:`_monomial_values` and their vector."""
-    point = _ball_point(space, point)
+    point = _ball_points(space, point)
+    if point.ndim != 1:
+        raise ValueError("point_functional takes one point")
     values = _monomial_values(space, [point])[0]
-    weights = np.conj(values)
-    norm = math.sqrt(float(np.sum(np.abs(weights) ** 2)))
-    vec = Vector(space, weights / norm)
-    return PointFunctional(space, point, Functional(space, values), vec)
+    point = tuple(complex(z) for z in point)
+    return PointFunctional(space, point, Functional(space, values), Vector(space, _point_vectors(values)))
 
 
-def pointwise_product(lam: Sequence[complex], mu: Sequence[complex]) -> tuple[complex, ...]:
-    """Componentwise product of ball points; stays in the open ball."""
-    if len(lam) != len(mu):
+def reconstruction_defect(space: FockSpace, points) -> np.ndarray:
+    """max_w |[nu nu*](L_w) - w(p)| less the tail bound of w, one a row of the (count, n) ``points``:
+    at most 0 when the rank-one functional of p's vector nu reconstructs p's monomial values
+    within their geometric tail (:class:`PointFunctional`).  One :func:`_rank_one_values` call
+    forms every point's rank-one values."""
+    points = _ball_points(space, points)
+    values = _monomial_values(space, points)
+    nu = Vector(space, _point_vectors(values))
+    diff = _rank_one_values(space, [(nu, nu)]) - values
+    bounds = [_tail_bound(space, float(sum(abs(z) ** 2 for z in p))) for p in points.tolist()]
+    return (np.hypot(diff.real, diff.imag) - np.array(bounds)).max(axis=-1)
+
+
+def pointwise_product(lam, mu):
+    """Componentwise product of ball points, rounded as Python's complex product; stays in the
+    open ball.  A tuple for two points, a (..., n) array for arrays of points."""
+    if np.shape(lam)[-1:] != np.shape(mu)[-1:]:
         raise ValueError("points must have the same length")
-    return tuple(complex(a) * complex(b) for a, b in zip(lam, mu))
+    out = schoolbook_product(np.asarray(lam, dtype=np.complex128), np.asarray(mu, dtype=np.complex128))
+    return tuple(complex(z) for z in out) if out.ndim == 1 else out
 
 
-def point_convolution_defect(
-    space: FockSpace, lam: Sequence[complex], mu: Sequence[complex]
-) -> float:
+def point_convolution_defect(space: FockSpace, lam, mu):
     """Largest value-array miss of convolve(phi_lam, phi_mu) = phi_{lam*mu}.
 
     Also folds in the involution identities: dagger(phi_lam) must equal the
     evaluation at the conjugate point, and dagger twice must be the identity.
-    The four evaluations are the rows of one :func:`_monomial_values`.
+    The evaluations are the rows of one :func:`_monomial_values`, four a trial.
+    Two points give a float; two (trials, n) arrays of points, one defect a trial.
     """
-    lam = _ball_point(space, lam)
-    mu = _ball_point(space, mu)
-    points = [lam, mu, _ball_point(space, pointwise_product(lam, mu))]
-    points.append(_ball_point(space, tuple(z.conjugate() for z in lam)))
-    pl, pm, target, conj = (Functional(space, v) for v in _monomial_values(space, points))
-    conv = convolve(pl, pm)
+    lam, mu = _ball_points(space, lam), _ball_points(space, mu)
+    points = (lam, mu, _ball_points(space, pointwise_product(lam, mu)), _ball_points(space, np.conj(lam)))
+    stacked = np.stack(points, axis=-2)  # (..., 4, n)
+    values = _monomial_values(space, stacked.reshape(-1, space.n)).reshape(stacked.shape[:-1] + (space.dim,))
+    pl, pm, target, conj = (Functional(space, values[..., k, :]) for k in range(4))
     dag = dagger(pl)
-    pairs = ((conv, target), (dag, conj), (dagger(dag), pl))
-    return _worst_defect(float(np.abs(a.values - b.values).max(initial=0.0)) for a, b in pairs)
+    pairs = ((convolve(pl, pm), target), (dag, conj), (dagger(dag), pl))
+    misses = [np.abs(a.values - b.values).max(axis=-1, initial=0.0) for a, b in pairs]
+    return _per_trial(pl, np.max(misses, axis=0))

@@ -80,45 +80,68 @@ def random_rank_one_functionals(rng, space: FockSpace, count: int, trials: int, 
     return [from_rank_one(space, [pair]) for pair in zip(vecs[::2], vecs[1::2])]
 
 
-def random_ball_point(
-    rng: np.random.Generator, n: int, radius: float = 0.7, bits: int = 5
-) -> tuple[complex, ...]:
-    """A point of the open ball of the given radius, coordinates on a dyadic grid.
+def random_ball_points(
+    rng: np.random.Generator, n: int, count: int, radius: float = 0.7, bits: int = 5
+) -> np.ndarray:
+    """``count`` points of the open ball of the given radius, one row each, coordinates on a dyadic grid.
 
-    The coarse default grid keeps monomial identities exact in double
-    precision only up to depth 5: the numerators of w(lambda) w(mu) and
-    w(lambda mu) need about 11 |w| bits, so past depth 5 the two float routes
-    can round apart (``predual.point_family`` misses its threshold-0 contract
-    by about 1e-19 at depths 7, 9 and 11).
+    Each point is the first of up to 65 grid samples, each drawn as by
+    :func:`dyadic_complex` (n real parts, then n imaginary parts), whose squared
+    moduli, summed left to right, fall below radius^2.  Rejection keeps the
+    coordinates on the grid, but its acceptance rate collapses in high dimension,
+    so when a point's first 64 samples all miss, its 65th is halved into the ball
+    instead (halving a dyadic stays dyadic).  One look-ahead call draws 65 samples
+    a point, enough for any outcome, and the rule is walked over them; the
+    generator is then rewound and redraws exactly the samples used, so it ends
+    where drawing sample by sample would leave it (one call draws the stream of
+    many: ``tests/test_sampling.py``).  The look-ahead holds 65 * 2n integers a
+    point, and about as many entries again for the samples and their moduli.
 
-    The point is the first of up to 65 grid samples, each drawn as by
-    :func:`dyadic_complex` (n real parts, then n imaginary parts), whose
-    squared moduli, summed left to right, fall below radius^2.  All 65 are
-    drawn at once and tested together; the generator is then rewound and
-    redraws exactly the samples up to the accepted one, so it ends where a
-    sample-by-sample loop would leave it (one call draws the stream of many:
-    ``tests/test_sampling.py``).  Rejection keeps the coordinates on the grid but
-    its acceptance rate collapses in high dimension, so when the first 64 samples
-    all miss, the 65th is halved into the ball instead (halving a dyadic stays dyadic).
+    The coarse default grid keeps monomial identities exact in double precision
+    only up to depth 5: the numerators of w(lambda) w(mu) and w(lambda mu) need
+    about 11 |w| bits, so past depth 5 the two float routes can round apart
+    (``predual.point_family`` misses its threshold-0 contract by about 1e-19
+    from depth 7 at n = 1 and from depth 6 at n = 2 and n = 3; ROADMAP item 3).
     """
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     bound = radius**2
     scale = 1 << bits
     state = rng.bit_generator.state
-    draws = rng.integers(-scale, scale + 1, size=(65, 2, n))
+    draws = rng.integers(-scale, scale + 1, size=(65 * count, 2, n))
     samples = (draws[:, 0] + 1j * draws[:, 1]) / scale
+    del draws
     squares = np.abs(samples) ** 2
     norms = squares[:, 0]
     for j in range(1, n):
         norms = norms + squares[:, j]
-    inside = np.flatnonzero(norms[:64] < bound)
-    if inside.size:
-        used = int(inside[0]) + 1
+    # ahead[i]: the first sample at or after i inside the ball (past the last sample if none).
+    ahead = np.where(norms < bound, np.arange(norms.size), norms.size)
+    ahead = np.minimum.accumulate(ahead[::-1])[::-1].tolist()
+    picks, halved, start = [], [], 0
+    for k in range(count):
+        first = ahead[start]
+        if first < start + 64:
+            picks.append(first)
+            start = first + 1
+        else:
+            picks.append(start + 64)
+            halved.append(k)
+            start += 65
+    points = samples[picks]
+    for k in halved:
+        coords = points[k]
+        while sum(abs(z) ** 2 for z in coords) >= bound:
+            coords = coords / 2
+        points[k] = coords
+    if start < samples.shape[0]:
         rng.bit_generator.state = state
-        rng.integers(-scale, scale + 1, size=(used, 2, n))
-        return tuple(complex(z) for z in samples[used - 1])
-    coords = samples[64]
-    while sum(abs(z) ** 2 for z in coords) >= bound:
-        coords = coords / 2
-    return tuple(complex(z) for z in coords)
+        rng.integers(-scale, scale + 1, size=(start, 2, n))
+    return points
+
+
+def random_ball_point(
+    rng: np.random.Generator, n: int, radius: float = 0.7, bits: int = 5
+) -> tuple[complex, ...]:
+    """One point of :func:`random_ball_points`, as a tuple of complex coordinates."""
+    return tuple(complex(z) for z in random_ball_points(rng, n, 1, radius, bits)[0])

@@ -44,7 +44,7 @@ class FockSpace:
     def n(self) -> int:
         return self.alphabet.n
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return count_words(self.alphabet, self.depth)
 
@@ -312,14 +312,15 @@ def _csr_from_keys(shape: tuple[int, int], keys: np.ndarray, vals: np.ndarray) -
 def _merge(a: tuple, b: tuple, shape: tuple[int, int], op) -> tuple[np.ndarray, np.ndarray]:
     """``op`` over the union of the positions of two sets of distinct (row, col, value) entries,
     a missing entry read as 0 + 0j: the positions' keys (as :func:`sort_positions` gives them)
-    and the results."""
+    and the results.  Values may carry leading trial axes, (..., entries), over one pattern."""
     (ra, ca, va), (rb, cb, vb) = a, b
     order, first, keys = sort_positions(np.concatenate((ra, rb)), np.concatenate((ca, cb)), shape)
     slot = np.empty(first.size, dtype=np.int64)
     slot[order] = np.cumsum(first) - 1
-    left, right = np.zeros((2, keys.size), dtype=np.complex128)
-    left[slot[: va.size]] = va
-    right[slot[va.size :]] = vb
+    lead = np.broadcast_shapes(va.shape[:-1], vb.shape[:-1])
+    left, right = np.zeros((2, *lead, keys.size), dtype=np.complex128)
+    left[..., slot[: ra.size]] = va
+    right[..., slot[ra.size :]] = vb
     return keys, op(left, right)
 
 
@@ -337,36 +338,62 @@ def coo_to_csr(shape: tuple[int, int], rows, cols, vals, drop_zeros: bool = Fals
     if vals.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0] or cols.max() >= shape[1]):
         raise ValueError(f"an entry lies outside the {shape} matrix")
     order, first, keys = sort_positions(rows, cols, shape)
-    vals = vals[order]
-    sums = vals[first]
-    np.add.at(sums, np.cumsum(first)[~first] - 1, vals[~first])  # in array order
+    sums = _position_sums(order, first, vals)
     if drop_zeros:
         keep = sums != 0
         keys, sums = keys[keep], sums[keep]
     return _csr_from_keys(shape, keys, sums)
 
 
-def _csr_product(a: Operator, b: Operator) -> tuple:
-    """CSR arrays of A B, formed as the row-by-row (SMMP) sparse product forms them.
+def _position_sums(order: np.ndarray, first: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The values of each distinct position (``order`` and ``first`` as :func:`sort_positions`
+    gives them), added in array order from the first of them; leading trial axes of ``vals`` kept."""
+    vals = vals[..., order]
+    sums = vals[..., first]
+    np.add.at(sums, (..., np.cumsum(first)[~first] - 1), vals[..., ~first])
+    return sums
 
-    Each stored A[i, j] meets every stored B[j, k] in turn; the products are
-    :func:`schoolbook_product`'s, and each position (i, k) sums its products
-    from +0.0 in that order, real and imaginary parts apart.  Zero sums are
-    dropped.
+
+def _product_plan(a: tuple, b: tuple, shape: tuple[int, int]) -> tuple:
+    """The pattern step of the sparse product of the CSR patterns ``a`` and ``b``, (indices, indptr):
+    for each product A[i, j] B[j, k] in the order its position sums it, A's entry and B's entry,
+    and its position's slot; then the positions' ascending keys.
+
+    Each stored A[i, j] meets every stored B[j, k] in turn, row by row, as the
+    SMMP sparse product forms them, and a stable sort groups them by position.
     """
-    (ad, ai, ap), (bd, bi, bp) = a.csr, b.csr
-    shape = (a.codomain.dim, b.domain.dim)
+    (ai, ap), (bi, bp) = a, b
     counts = np.diff(bp)[ai]  # the products each entry of A forms
     entry = np.repeat(np.arange(ai.size), counts)
     pos = np.arange(entry.size) + np.repeat(bp[ai] - (np.cumsum(counts) - counts), counts)  # B's entry
-    order, first, keys = sort_positions(a.coo()[0][entry], bi[pos], shape)
-    terms = schoolbook_product(ad[entry], bd[pos])[order]
-    del entry, pos
-    slot = np.cumsum(first) - 1
-    sums = np.empty(keys.size, dtype=np.complex128)
-    sums.real, sums.imag = (np.bincount(slot, part, keys.size) for part in (terms.real, terms.imag))
+    rows = np.repeat(np.arange(ap.size - 1), np.diff(ap))[entry]
+    order, first, keys = sort_positions(rows, bi[pos], shape)
+    return entry[order], pos[order], np.cumsum(first) - 1, keys
+
+
+def _product_values(plan: tuple, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """The values step of the sparse product: each position of ``plan`` sums its
+    :func:`schoolbook_product` terms from +0.0 in the plan's order, real and imaginary
+    parts apart, one row a trial of the leading axes of ``ad`` and ``bd`` (broadcast)."""
+    entry, pos, slot, keys = plan
+    terms = schoolbook_product(ad[..., entry], bd[..., pos])
+    lead, size = terms.shape[:-1], keys.size
+    trials = math.prod(lead)
+    bins = (slot + size * np.arange(trials)[:, None]).ravel() if lead else slot  # one bin range a trial
+    sums = np.empty((*lead, size), dtype=np.complex128)
+    for part, out in ((terms.real, sums.real), (terms.imag, sums.imag)):
+        out[...] = np.bincount(bins, part.ravel(), trials * size).reshape(out.shape)
+    return sums
+
+
+def _csr_product(a: Operator, b: Operator) -> tuple:
+    """CSR arrays of A B, formed as the row-by-row (SMMP) sparse product forms them: one trial of
+    :func:`_product_plan` and :func:`_product_values`.  Zero sums are dropped."""
+    shape = (a.codomain.dim, b.domain.dim)
+    plan = _product_plan(a.csr[1:], b.csr[1:], shape)
+    sums = _product_values(plan, a.csr[0], b.csr[0])
     keep = sums != 0
-    return _csr_from_keys(shape, keys[keep], sums[keep])
+    return _csr_from_keys(shape, plan[-1][keep], sums[keep])
 
 
 def csr_matvec(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, x: np.ndarray) -> np.ndarray:

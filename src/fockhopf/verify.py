@@ -7,8 +7,12 @@ A check yields one defect per trial or tested condition, and its row reports
 the worst of them, a NaN defect failing.  The registry marks each check
 exact (threshold 0) or an oracle comparison (the configured tolerance).
 Most trial loops run a chunk of trials (TRIAL_ENTRIES) at a time, one draw
-(:func:`sampling.dyadic_trials`) and one array pass a chunk, with the bits of a
-loop over trials; README lists the checks that stay per trial, and why.
+(:func:`sampling.dyadic_trials`, or :func:`sampling.random_ball_points`'
+look-ahead and replay) and one array pass a chunk, with the bits of a loop
+over trials.  Some stay per trial: the checks of operator-returning routes
+(``realize``, ``word_shift``) a series or a word at a time, and the draws of
+random words, whose lengths decide how many letters they draw (``spectrum``
+still forms its products in one pass); README lists them, and why.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_entry_diff, tensor_space,
+    AuxSpace, FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_entry_diff, tensor_space,
 )
 from .words import Alphabet, Word
 
@@ -278,11 +282,11 @@ def _chk_convolve_algebra(cfg: SuiteConfig, rng) -> Iterator[float]:
 
 def _chk_predual_comult(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
-    for _ in range(min(cfg.trials, 10)):
-        f = sampling.random_rank_one_functional(rng, space)
-        g = sampling.random_rank_one_functional(rng, space)
-        yield predual_mod.predual_coassociativity_defect(f)
-        yield predual_mod.predual_homomorphism_defect(f, g)
+    pairs = predual_mod._coassociativity_plan(space)[1].size  # the (u, v) with |uv| <= depth
+    for count in _chunks(min(cfg.trials, 10), 8 * space.dim + 4 * pairs):
+        f, g = sampling.random_rank_one_functionals(rng, space, 2, count)
+        defects = predual_mod.predual_coassociativity_defect(f), predual_mod.predual_homomorphism_defect(f, g)
+        yield from np.stack(defects, axis=-1).ravel().tolist()
     for target in range(min(8, space.dim)):
         w = space.word_at(target)
         split = predual_mod.predual_comult(predual_mod.indicator_functional(space, w))
@@ -294,21 +298,24 @@ def _chk_predual_comult(cfg: SuiteConfig, rng) -> Iterator[float]:
         yield float(support != len(w) + 1)
 
 
+def _ball_entries(n: int) -> int:
+    """The entries the look-ahead of :func:`sampling.random_ball_points` holds a point."""
+    return 2 * 65 * 2 * n
+
+
 def _chk_point_family(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(min(cfg.trials, 50)):
-        lam = sampling.random_ball_point(rng, cfg.n)
-        mu = sampling.random_ball_point(rng, cfg.n)
-        yield predual_mod.point_convolution_defect(cfg.space, lam, mu)
+    for count in _chunks(min(cfg.trials, 50), 12 * cfg.space.dim + 2 * _ball_entries(cfg.n)):
+        lam, mu = sampling.random_ball_points(rng, cfg.n, 2 * count).reshape(count, 2, cfg.n).swapaxes(0, 1)
+        yield from predual_mod.point_convolution_defect(cfg.space, lam, mu).tolist()
 
 
 def _chk_counit_positive(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for count in _chunks(cfg.trials, 5 * cfg.space.dim):  # rejection draws the ball points one a call
-        points = [sampling.random_ball_point(rng, cfg.n, radius=0.97) for _ in range(count)]
+    for count in _chunks(cfg.trials, 5 * cfg.space.dim + _ball_entries(cfg.n)):
+        points = sampling.random_ball_points(rng, cfg.n, count, radius=0.97)
         values = predual_mod._monomial_values(cfg.space, points)  # one point_functional value row a point
-        defects = predual_mod.counit_defect(predual_mod.Functional(cfg.space, values))
-        for lam, d in zip(points, defects.tolist()):
-            yield (1.0 - max(abs(z) for z in lam) if lam else 1.0) - d
-            yield float(not d > 0.0)
+        d = predual_mod.counit_defect(predual_mod.Functional(cfg.space, values))
+        lower = 1.0 - np.hypot(points.real, points.imag).max(axis=-1)  # Python's abs; np.abs can differ
+        yield from np.stack([lower - d, (~(d > 0.0)).astype(float)], axis=-1).ravel().tolist()
 
 
 def _chk_all_ones_unit(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -321,12 +328,9 @@ def _chk_all_ones_unit(cfg: SuiteConfig, rng) -> Iterator[float]:
 
 
 def _chk_nu_reconstruction(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(5):
-        lam = sampling.random_ball_point(rng, cfg.n)
-        pf = predual_mod.point_functional(cfg.space, lam)
-        diff = pf.rank_one_functional().values - pf.functional.values
-        err = np.hypot(diff.real, diff.imag)
-        yield float(np.max(err - pf.reconstruction_tail_bound()))
+    for count in _chunks(5, 12 * cfg.space.dim + _ball_entries(cfg.n)):
+        points = sampling.random_ball_points(rng, cfg.n, count)
+        yield from predual_mod.reconstruction_defect(cfg.space, points).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +370,9 @@ def _chk_roundtrips(cfg: SuiteConfig, rng) -> Iterator[float]:
 def _chk_rep_multiplicativity(cfg: SuiteConfig, rng) -> Iterator[float]:
     space = cfg.space
     rep = corep_mod.rep_from_corep(corep_mod.fundamental_corep(space))
-    for _ in range(min(cfg.trials, 25)):
-        f = sampling.random_rank_one_functional(rng, space)
-        g = sampling.random_rank_one_functional(rng, space)
-        lhs = rep.evaluate(predual_mod.convolve(f, g))
-        rhs = rep.evaluate(f) @ rep.evaluate(g)
-        yield max_entry_diff(lhs, rhs)
+    for count in _chunks(min(cfg.trials, 25), 10 * space.dim + 12 * rep.family.val.size):
+        f, g = sampling.random_rank_one_functionals(rng, space, 2, count)
+        yield from corep_mod.multiplicativity_defect(rep, f, g).tolist()
 
 
 def _chk_spectrum(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -379,14 +380,20 @@ def _chk_spectrum(cfg: SuiteConfig, rng) -> Iterator[float]:
     chars = corep_mod.spectrum(space)
     yield float(list(chars) != list(space.words))
     yield float(set(chars) != {s.support[0] for s in hopf_mod.grouplike_series(space)})
+    pairs = []
     for _ in range(min(cfg.trials, 10)):
         u = _random_word(rng, cfg.space, cfg.depth // 2)
-        v = _random_word(rng, cfg.space, cfg.depth - len(u))
-        prod = corep_mod.tensor_product_rep(
-            corep_mod.PredualRep.character(space, u),
-            corep_mod.PredualRep.character(space, v),
-        )
-        yield float(list(prod.family) != [u.concat(v)])
+        pairs.append((u, _random_word(rng, cfg.space, cfg.depth - len(u))))
+    # The direct sums of the characters chi_u and of the chi_v on C^T, trial t on
+    # basis vector t; their product's (t, t) block, position t (T + 1), is chi_u (x) chi_v.
+    aux, t = AuxSpace(len(pairs)), np.arange(len(pairs))
+    sums = [StackedFamily(space, aux, [space.index_of(w) for w in side], t, t, np.ones(t.size))
+            for side in zip(*pairs)]
+    prod = corep_mod.tensor_product_rep(*(corep_mod.PredualRep(space, aux, fam) for fam in sums)).family
+    trial, off = np.divmod(prod.row, len(pairs) + 1)
+    block = (prod.row == prod.col) & (off == 0)
+    for k, (u, v) in enumerate(pairs):
+        yield float([space.words[i] for i in prod.word[block & (trial == k)]] != [u.concat(v)])
 
 
 def _chk_coefficient_membership(cfg: SuiteConfig, rng) -> Iterator[float]:

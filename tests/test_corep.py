@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import reduce
 
 import numpy as np
@@ -834,3 +835,19 @@ def test_corrupted_corep_operator_is_the_scipy_kronecker_sum(monkeypatch, n, dep
     want = scipy_csr(kron(word_shift(cfg.space, u), ident)) + scipy_csr(kron(word_shift(cfg.space, v), ident))
     assert bad.domain == bad.codomain == tensor_space(cfg.space, cfg.space)
     assert_same_arrays(bad, want)
+
+
+def test_fundamental_corep_is_built_once_a_space_and_cannot_be_changed():
+    # The corepresentation is cached a space, so every caller shares one object:
+    # it is frozen, and its operator's and family's arrays are read-only.
+    space = FockSpace(A2, 3)
+    w_corep = fundamental_corep(space)
+    assert fundamental_corep(FockSpace(A2, 3)) is w_corep
+    assert fundamental_corep.cache_info().maxsize == 16
+    with pytest.raises(FrozenInstanceError):
+        w_corep.operator = Operator.identity(w_corep.space)
+    family = w_corep.family
+    for arr in (*w_corep.operator.csr, family.word, family.row, family.col, family.val):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:1] = 0

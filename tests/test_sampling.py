@@ -1,18 +1,20 @@
 """One stacked draw against the per-sample draws it stands for.
 
 ``sampling.dyadic_trials`` draws the samples of many trials with one
-``rng.integers`` call; the stacked checks of ``verify`` and the rewind of
-``sampling.random_ball_point`` rest on that call giving the values, and
-leaving the generator in the state, of one call a sample.
+``rng.integers`` call; the stacked checks of ``verify`` and the look-ahead and
+rewind of ``sampling.random_ball_points`` rest on that call giving the values,
+and leaving the generator in the state, of one call a sample.
 """
 
 import numpy as np
 import pytest
 
 from fockhopf import verify
-from fockhopf.sampling import EXACT_BITS, FINE_BITS, dyadic_complex, dyadic_trials, rng_for, random_ball_point
+from fockhopf.sampling import (
+    EXACT_BITS, FINE_BITS, dyadic_complex, dyadic_trials, random_ball_point, random_ball_points, rng_for,
+)
 
-from trial_reference import dyadic
+from trial_reference import ball_point, dyadic
 
 SIZES = [[1], [2], [7], [8], [3, 9], [7, 5], [4, 1, 6], [13, 13]]
 
@@ -76,3 +78,41 @@ def test_ball_point_rewinds_to_the_sample_by_sample_stream(n):
                 assert point == tuple(complex(z) for z in sample)
                 break
         assert rng.bit_generator.state == looped.bit_generator.state
+
+
+class CountingDraws:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("count", [1, 7, 100])
+@pytest.mark.parametrize("radius", [0.7, 0.97])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_points_are_the_per_call_stream(n, radius, count):
+    # One look-ahead for all the points gives the points, bit for bit, and the
+    # final generator state of one per-call draw a point.  A per-call draw that
+    # makes one ``integers`` call found no sample inside among 64 and halved the
+    # 65th (it has nothing to rewind): at n = 3 and radius 0.7 about half do.
+    stacked = rng_for(count, "ball-points", n, radius)
+    looped = CountingDraws(rng_for(count, "ball-points", n, radius))
+    got = random_ball_points(stacked, n, count, radius)
+    want, halved = [], 0
+    for _ in range(count):
+        before = looped.calls
+        want.append(ball_point(looped, n, radius))
+        halved += looped.calls - before == 1
+    assert got.shape == (count, n) and got.dtype == np.complex128
+    assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+    assert stacked.bit_generator.state == looped.bit_generator.state
+    if (n, radius, count) == (3, 0.7, 100):
+        assert 25 <= halved <= 75
+    assert random_ball_point(rng_for(count, "ball-points", n, radius), n, radius) == want[0]

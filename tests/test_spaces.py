@@ -14,6 +14,8 @@ from fockhopf.spaces import (
     Vector,
     basis_vector,
     coo_sum,
+    _product_plan,
+    _product_values,
     max_entry_diff,
     sorted_unique,
     tensor_space,
@@ -553,6 +555,34 @@ def test_pair_space_products_match_scipy_to_the_bit(n, depth):
     ]:
         assert_same_arrays(x @ y, _canonical(scipy_csr(x) @ scipy_csr(y)))
         assert_same_arrays(x - y, _canonical(scipy_csr(x) - scipy_csr(y)))
+
+
+@pytest.mark.parametrize("n,depth", KERNEL_GRID)
+def test_stacked_product_rows_are_the_one_trial_products(n, depth):
+    # One pattern plan, one values step over four trials of values, some of them
+    # zero: a zero entry stays stored, where a trial's own operator drops it.
+    # Each row is the one-trial values step, its nonzero sums are that trial's
+    # product, scipy's to the bit, and every other sum is zero.
+    space = FockSpace(Alphabet(n), depth)
+    rng = rng_for(depth, "stacked-product", n)
+    a, b = (Operator.from_entries(space, space, *_spread_entries(rng, space, k, space.dim)) for k in (3, 2))
+    ad, bd = (np.stack([_signed_values(rng, op.nnz) for _ in range(4)]) for op in (a, b))
+    ad[1] = 0.0
+    ad[2, ::3] = -0.0
+    bd[3, 1::2] = 0.0
+    plan = _product_plan(a.csr[1:], b.csr[1:], a.shape)
+    sums = _product_values(plan, ad, bd)
+    assert sums.shape == (4, plan[-1].size)
+    for row, av, bv in zip(sums, ad, bd):
+        assert row.tobytes() == _product_values(plan, av, bv).tobytes()
+        at, bt = (Operator.from_entries(space, space, *(x[v != 0] for x in (*op.coo()[:2], v)))
+                  for op, v in ((a, av), (b, bv)))  # the trial's operators drop its zeros
+        want = _canonical(scipy_csr(at) @ scipy_csr(bt))
+        assert_same_arrays(at @ bt, want)
+        kept = row != 0
+        rows, cols = np.divmod(plan[-1][kept], space.dim)
+        assert np.array_equal(rows, np.repeat(np.arange(space.dim), np.diff(want.indptr)))
+        assert np.array_equal(cols, want.indices) and row[kept].tobytes() == want.data.tobytes()
 
 
 def _partial_maps(space, rng, count):

@@ -4,21 +4,30 @@
 array pass a chunk; the tests compare every defect it yields with these
 loops, byte for byte.  The loops keep their own copies of the per-trial
 kernels the stacked code replaced: the sample draw (two ``rng.integers``
-rows a sample), the rank-one values (one product a block), the slice-oracle
-pairing, the plan gather and the homomorphism's scatter, and the Cesaro
-vectors are a stacked scipy matvec of the nine difference matrices.  They
-share with ``verify`` the hopf plans, the comultiplication leg maps, the
-ball-point sampler, the monomial values, the series type and its product, and
-``vacuum_expansion_defect``, which stays a trial at a time.
+rows a sample), the ball-point sampler (one look-ahead a point), the
+rank-one values (one product a block), the slice-oracle pairing, the plan
+gather and the homomorphism's scatter, the point-family and reconstruction
+defects, the two comultiplication defects (a block at a time), and the
+product of representations is scipy's sparse product; the Cesaro vectors are
+a stacked scipy matvec of the nine difference matrices.  They share with
+``verify`` the hopf plans, the comultiplication leg maps, the monomial
+values, the series type and its product, ``vacuum_expansion_defect``, which
+stays a trial at a time, a representation's evaluation and the characters'
+product ``tensor_product_rep``.
 """
+
+import math
 
 import numpy as np
 from scipy import sparse
 
-from fockhopf import graded, hopf, predual, regular, sampling
+from fockhopf import corep, graded, hopf, predual, regular, sampling, verify
 from fockhopf.regular import FourierSeries
+from fockhopf.spaces import _worst_defect, max_entry_diff
 from fockhopf.verify import CESARO_ORDERS
 from fockhopf.words import count_words
+
+from scipy_oracle import from_scipy, scipy_csr
 
 
 def dyadic(rng, size, bits=sampling.FINE_BITS):
@@ -151,9 +160,117 @@ def convolve_algebra(cfg, rng):
         yield float(np.abs((f * g) * h - f * (g * h)).max(initial=0.0))
 
 
+def ball_point(rng, n, radius=0.7, bits=5):
+    """One point a call: 65 grid samples drawn at once, the first of the leading 64 inside the
+    ball taken and the generator rewound to just after it, else the 65th halved into the ball."""
+    bound, scale = radius**2, 1 << bits
+    state = rng.bit_generator.state
+    draws = rng.integers(-scale, scale + 1, size=(65, 2, n))
+    samples = (draws[:, 0] + 1j * draws[:, 1]) / scale
+    squares = np.abs(samples) ** 2
+    norms = squares[:, 0]
+    for j in range(1, n):
+        norms = norms + squares[:, j]
+    inside = np.flatnonzero(norms[:64] < bound)
+    if inside.size:
+        used = int(inside[0]) + 1
+        rng.bit_generator.state = state
+        rng.integers(-scale, scale + 1, size=(used, 2, n))
+        return tuple(complex(z) for z in samples[used - 1])
+    coords = samples[64]
+    while sum(abs(z) ** 2 for z in coords) >= bound:
+        coords = coords / 2
+    return tuple(complex(z) for z in coords)
+
+
+def point_convolution_defect(space, lam, mu):
+    """phi_lam phi_mu against phi_{lam mu}, dagger(phi_lam) against phi_{conj lam}, and dagger twice."""
+    product = tuple(complex(a) * complex(b) for a, b in zip(lam, mu))
+    points = [lam, mu, product, tuple(z.conjugate() for z in lam)]
+    pl, pm, target, conj = predual._monomial_values(space, points)
+    pairs = ((pl * pm, target), (np.conj(pl), conj), (np.conj(np.conj(pl)), pl))
+    return _worst_defect(float(np.abs(a - b).max(initial=0.0)) for a, b in pairs)
+
+
+def point_family(cfg, rng):
+    for _ in range(min(cfg.trials, 50)):
+        lam = ball_point(rng, cfg.n)
+        mu = ball_point(rng, cfg.n)
+        yield point_convolution_defect(cfg.space, lam, mu)
+
+
+def nu_reconstruction(cfg, rng):
+    space = cfg.space
+    for _ in range(5):
+        lam = ball_point(rng, cfg.n)
+        values = predual._monomial_values(space, [lam])[0]
+        weights = np.conj(values)
+        nu = weights / math.sqrt(float(np.sum(np.abs(weights) ** 2)))
+        diff = rank_one_values(space, nu, nu) - values
+        t = float(sum(abs(z) ** 2 for z in lam))
+        bound = np.array([t ** (space.depth - k + 1) / (1.0 - t) for k in range(space.depth + 1)])
+        yield float(np.max(np.hypot(diff.real, diff.imag) - bound[space.lengths]))
+
+
+def comult_defects(space, f, g):
+    """Both comultiplication defects, a block (k, m) at a time: block k + m reshaped to
+    (n^k, n^m) against the values at index(u v), and comult(f g) against comult(f) comult(g)."""
+    starts, n = space._block_starts, space.n
+    coassoc, hom = [], []
+    for k, m in graded.splits(space.depth):
+        cut = slice(starts[k + m], starts[k + m + 1])
+        fb, gb = f[cut].reshape(n**k, n**m), g[cut].reshape(n**k, n**m)
+        direct = starts[k + m] + np.arange(n**k)[:, None] * n**m + np.arange(n**m)
+        coassoc.append(float(np.abs(fb - f[direct]).max()))
+        hom.append(float(np.abs((f * g)[cut].reshape(n**k, n**m) - fb * gb).max()))
+    return _worst_defect(coassoc), _worst_defect(hom)
+
+
+def predual_comult(cfg, rng):
+    space = cfg.space
+    for _ in range(min(cfg.trials, 10)):
+        f = rank_one(rng, space)[0]
+        g = rank_one(rng, space)[0]
+        yield from comult_defects(space, f, g)
+    # The indicator targets, as verify checks them.
+    for target in range(min(8, space.dim)):
+        w = space.word_at(target)
+        split = predual.predual_comult(predual.indicator_functional(space, w))
+        support = 0
+        for (k, m), b in split.blocks.items():
+            ru, rv = np.nonzero(b)
+            support += ru.size
+            yield float(np.any(graded.concat(space, k, ru, m, rv) != target))
+        yield float(support != len(w) + 1)
+
+
+def rep_multiplicativity(cfg, rng):
+    space = cfg.space
+    rep = corep.rep_from_corep(corep.fundamental_corep(space))
+    for _ in range(min(cfg.trials, 25)):
+        f = predual.Functional(space, rank_one(rng, space)[0])
+        g = predual.Functional(space, rank_one(rng, space)[0])
+        lhs = rep.evaluate(predual.convolve(f, g))
+        rhs = scipy_csr(rep.evaluate(f)) @ scipy_csr(rep.evaluate(g))
+        yield max_entry_diff(lhs, from_scipy(rep.aux, rep.aux, rhs))
+
+
+def spectrum(cfg, rng):
+    space = cfg.space
+    chars = corep.spectrum(space)
+    yield float(list(chars) != list(space.words))
+    yield float(set(chars) != {s.support[0] for s in hopf.grouplike_series(space)})
+    for _ in range(min(cfg.trials, 10)):
+        u = verify._random_word(rng, space, cfg.depth // 2)
+        v = verify._random_word(rng, space, cfg.depth - len(u))
+        chi_u, chi_v = corep.PredualRep.character(space, u), corep.PredualRep.character(space, v)
+        prod = corep.tensor_product_rep(chi_u, chi_v)
+        yield float(list(prod.family) != [u.concat(v)])
+
+
 def counit_positive(cfg, rng):
     for _ in range(cfg.trials):
-        lam = sampling.random_ball_point(rng, cfg.n, radius=0.97)
+        lam = ball_point(rng, cfg.n, radius=0.97)
         values = predual._monomial_values(cfg.space, [lam])[0]
         miss = values[: cfg.n + 1] - 1.0
         d = float(np.hypot(miss.real, miss.imag).max())
@@ -173,6 +290,30 @@ LOOPS = {
     ("predual", "convolve_slice_oracle"): convolve_slice_oracle,
     ("predual", "convolve_algebra"): convolve_algebra,
     ("predual", "counit_positive"): counit_positive,
+    ("predual", "predual_comult"): predual_comult,
+    ("predual", "point_family"): point_family,
+    ("predual", "nu_reconstruction"): nu_reconstruction,
+    ("corep", "rep_multiplicativity"): rep_multiplicativity,
+    ("corep", "spectrum"): spectrum,
 }
 # The checks that stack their arrays; vacuum_expansion only draws a chunk at a time.
 STACKED = [key for key in LOOPS if key != ("hopf", "vacuum_expansion")]
+# The trials a check runs for a trial count: some cap it, and nu_reconstruction always runs 5.
+CAPS = {
+    ("hopf", "integral_invariance"): 25,
+    ("hopf", "vacuum_expansion"): 25,
+    ("predual", "convolve_algebra"): 25,
+    ("predual", "predual_comult"): 10,
+    ("predual", "point_family"): 50,
+    ("corep", "rep_multiplicativity"): 25,
+    ("corep", "spectrum"): 10,
+}
+# spectrum draws its words a trial at a time and forms its products in one pass of
+# at most 10 trials, so it makes no chunks and no one draw a chunk.
+UNCHUNKED = [("corep", "spectrum")]
+# The checks that draw ball points: a look-ahead and a replay, two draws a chunk.
+BALL_POINTS = [("predual", "counit_positive"), ("predual", "point_family"), ("predual", "nu_reconstruction")]
+
+
+def trial_count(key, trials):
+    return 5 if key == ("predual", "nu_reconstruction") else min(trials, CAPS.get(key, trials))
