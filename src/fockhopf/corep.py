@@ -279,6 +279,13 @@ class PredualRep:
         """The positions (y, x) the family stores: :func:`spaces.sort_positions` of its entries."""
         return sort_positions(self.family.row, self.family.col, (self.aux.dim, self.aux.dim))
 
+    @cached_property
+    def _square_plan(self) -> tuple:
+        """The pattern step of the sparse product of the pattern with itself (:func:`spaces._product_plan`)."""
+        shape, keys = (self.aux.dim, self.aux.dim), self._pattern[2]
+        pattern = _csr_from_keys(shape, keys, keys)[1:]  # (indices, indptr)
+        return _product_plan(pattern, pattern, shape)
+
     def _evaluation_values(self, values: np.ndarray) -> np.ndarray:
         """The values of sum_w phi(L_w) pi_w at each position of the pattern, for functional
         values (..., dim), one row a trial; each position adds its entries in stack order, and
@@ -306,9 +313,10 @@ def multiplicativity_defect(rep: PredualRep, f: Functional, g: Functional) -> np
     """Largest entry miss of pi(f * g) against pi(f) pi(g), one a trial of (trials, dim) stacks.
 
     Both sides are formed on the family's fixed pattern: pi(f * g) as
-    :meth:`PredualRep.evaluate` sums it, pi(f) pi(g) by one pattern plan of
-    the sparse product (:func:`spaces._product_plan`) and one values step over
-    every trial, rounded as ``Operator.__matmul__`` rounds one trial; it shares
+    :meth:`PredualRep.evaluate` sums it, pi(f) pi(g) by the representation's
+    pattern plan of the sparse product (``PredualRep._square_plan``, built once)
+    and one values step over every trial, rounded as ``Operator.__matmul__``
+    rounds one trial; it shares
     nothing with the family join of the law check.  An entry that a trial's
     values make zero stays stored as a zero, where one trial's operators drop
     it.  That leaves every defect's bytes unchanged: a product with a zero
@@ -316,9 +324,7 @@ def multiplicativity_defect(rep: PredualRep, f: Functional, g: Functional) -> np
     which changes no sum; and a stored zero subtracted from, or taken from,
     an entry gives the modulus that a missing entry, read as 0 + 0j, gives.
     """
-    shape, keys = (rep.aux.dim, rep.aux.dim), rep._pattern[2]
-    pattern = _csr_from_keys(shape, keys, keys)[1:]  # (indices, indptr)
-    plan = _product_plan(pattern, pattern, shape)
+    shape, keys, plan = (rep.aux.dim, rep.aux.dim), rep._pattern[2], rep._square_plan
     lhs = rep._evaluation_values(convolve(f, g).values)
     rhs = _product_values(plan, rep._evaluation_values(f.values), rep._evaluation_values(g.values))
     sides = [(*np.divmod(k, shape[1]), vals) for k, vals in ((keys, lhs), (plan[-1], rhs))]
@@ -389,8 +395,9 @@ def spectrum(space: FockSpace) -> list[Word]:
     return list(characters(space).family)
 
 
-def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries:
-    """The series c with c_w = (pi_w x, y), realizable inside the shift algebra.
+def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries | np.ndarray:
+    """The series c with c_w = (pi_w x, y), realizable inside the shift algebra; for stacks of
+    vectors x and y (trials, aux), one coefficient row c (trials, dim) a pair.
 
     Each stored entry pi_w[r, s] = b adds b x_s to (pi_w x)_r, in column
     order, and each (pi_w x)_r then adds its product with conj(y_r) to c_w.
@@ -398,10 +405,10 @@ def coefficient_operator(rep: PredualRep, x: Vector, y: Vector) -> FourierSeries
     if x.space != rep.aux or y.space != rep.aux:
         raise ValueError("coefficient vectors must live on the auxiliary space")
     fam = rep.family
-    (word, row), images = sum_by_key([fam.word, fam.row], fam.val * x.data[fam.col])
-    coeffs = np.zeros(rep.space.dim, dtype=np.complex128)
-    np.add.at(coeffs, word, images * np.conj(y.data[row]))
-    return FourierSeries(rep.space.alphabet, coeffs)
+    (word, row), images = sum_by_key([fam.word, fam.row], fam.val * x.data[..., fam.col])
+    coeffs = np.zeros(images.shape[:-1] + (rep.space.dim,), dtype=np.complex128)
+    np.add.at(coeffs, (..., word), images * np.conj(y.data[..., row]))
+    return coeffs if coeffs.ndim > 1 else FourierSeries(rep.space.alphabet, coeffs)
 
 
 def tensor_product_rep(r1: PredualRep, r2: PredualRep) -> PredualRep:

@@ -11,11 +11,12 @@ one at a time, so the word operator ``R_w`` appends the REVERSAL of w:
 
 Shift and membership indices come from the graded concatenation rule
 :func:`graded.concat`, index(w u) = start[|w| + |u|] + rank(w) n^|u| + rank(u).
-:func:`word_shift` applies it to one word and the realize pattern to every
-word of a length at once; they share no table, so the word shifts can serve
-as an independent check of what reads the pattern.
+:func:`_shift_maps` applies it to stacked words, one per trial, and the
+realize pattern to every word of a length at once; they share no table, so
+the word shifts can serve as an independent check of what reads the pattern.
 The shift relations and the package's tensor-leg identities compose partial
-maps in the one composer :func:`_product_map`, a tensor factor a tuple of legs.
+maps in the one composer :func:`_compose`, (trials, dim + 1) stacks or one
+operator's map (:func:`_product_map`, a tensor factor a tuple of legs).
 A :class:`FourierSeries` holds its coefficients in that basis order, so its
 product s t is the graded Cauchy product of :func:`graded.cauchy_product`,
 rounded as ``realize(s)`` applied to t's coefficients.
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import graded
-from .spaces import FockSpace, Operator, _worst_defect, column_entries, tensor_space
+from .spaces import FockSpace, Operator, _worst_defect, tensor_space
 from .words import Alphabet, Word, count_words
 
 
@@ -52,25 +53,40 @@ def word_shift(space: FockSpace, w: Word, side: str = "left") -> Operator:
     R_w with R_w xi_u = xi_{u w~} (generators append letters, hence the
     reversal).  Both agree entrywise with composing single-letter shifts.
     The admissible u, |u| <= depth - |w|, are the leading basis indices, and
-    their images are one :func:`graded.concat` broadcast over their lengths
-    and block ranks.  A word longer than the depth admits no u, so its
-    shift is the zero operator (its letters are still checked).
+    their images are one row of :func:`_shift_maps`.  A word longer than the
+    depth admits no u, so its shift is the zero operator (its letters are
+    still checked).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    k = len(w)
-    if k > space.depth:
+    if len(w) > space.depth:
         if max(w.letters) > space.n:
             raise ValueError(f"word {w} uses letters beyond alphabet size {space.n}")
         return Operator.zero(space)
-    rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
-    src = graded.within(space, space.depth - k)
-    m, ru = graded.length_rank(space, src)
-    table = graded.concat(space, k, rank, m, ru) if side == "left" else graded.concat(space, m, ru, k, rank)
+    src = graded.within(space, space.depth - len(w))
+    table = _shift_maps(space, [w], side)[0][0, : src.size]
     # The images ascend with src, one a row, so they are the CSR arrays already.
     idx = np.int32 if space.dim <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(table, np.arange(space.dim + 1)).astype(idx)
     return Operator(space, space, (np.ones(src.size, dtype=np.complex128), src.astype(idx), indptr))
+
+
+def _shift_maps(space: FockSpace, words, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_column_map` (image, value) of the shifts S_w of ``words`` (|w| <= depth), a
+    (words, dim + 1) stack each: u goes to index(w u) (left) or index(u w~) (right) with value 1
+    for |u| <= depth - |w|, one :func:`graded.concat` broadcast over (words, dim), else to -1."""
+    index = [space.index_of(w if side == "left" else w.reverse()) for w in words]
+    k, rank = (a[:, None] for a in graded.length_rank(space, np.array(index, dtype=np.int64)))
+    size = space._block_starts[space.depth + 1 - int(k.min(initial=0))]  # the shortest word's columns
+    m, ru = graded.length_rank(space, np.arange(size))
+    fits = k + m <= space.depth
+    m, ru = np.where(fits, m, 0), np.where(fits, ru, 0)
+    table = graded.concat(space, k, rank, m, ru) if side == "left" else graded.concat(space, m, ru, k, rank)
+    image = np.full((len(index), space.dim + 1), -1, dtype=np.int64)
+    image[:, :size] = np.where(fits, table, -1)
+    value = np.zeros(image.shape, dtype=np.complex128)  # zeroed lazily: its pages past size stay untouched
+    value[:, :size] = fits
+    return image, value
 
 
 def length_projection(space: FockSpace, max_len: int) -> Operator:
@@ -251,18 +267,28 @@ def realize(series: FourierSeries, space: FockSpace, fold: int = 1) -> Operator:
     return Operator(target, target, (data, indices, indptr))
 
 
-def fourier_coefficients(t: Operator) -> FourierSeries:
-    """Read the coefficients a_w = (T xi_e, xi_w) off the vacuum column T xi_e, exactly.
+def _vacuum_read(indices: np.ndarray, indptr: np.ndarray, dim: int):
+    """The vacuum column T xi_e of CSR arrays: its stored entries' positions, and the values step
+    taking their values (..., entries) to rows (..., dim), each added to +0.0 as a matvec adds it."""
+    pos = np.flatnonzero(indices == 0)
+    rows = np.searchsorted(indptr, pos, side="right") - 1
 
-    Column 0 (xi_e) is read off the stored entries, each added to +0.0 as a matvec's row sum adds it.
-    """
+    def read(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape[:-1] + (dim,), dtype=np.complex128)
+        out[..., rows] += values
+        return out
+
+    return pos, read
+
+
+def fourier_coefficients(t: Operator) -> FourierSeries:
+    """The coefficients a_w = (T xi_e, xi_w), one trial of :func:`_vacuum_read`, exactly."""
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("fourier_coefficients expects a square operator on a Fock space")
-    _, rows, data = column_entries(t, np.zeros(1, dtype=np.int64))
-    coeffs = np.zeros(space.dim, dtype=np.complex128)
-    coeffs[rows] += data
-    return FourierSeries(space.alphabet, coeffs)
+    data, indices, indptr = t.csr
+    pos, read = _vacuum_read(indices, indptr, space.dim)
+    return FourierSeries(space.alphabet, read(data[pos]))
 
 
 def cesaro_arrays(coeffs: np.ndarray, lengths: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -301,41 +327,66 @@ def membership_defect(t: Operator) -> float:
 
     The defect is the largest mismatch on structured entries (T xi_w, xi_{uw})
     against the vacuum-column coefficient a_u, plus the largest stray entry at
-    unstructured positions.  It vanishes exactly on realized series.  By
-    :func:`graded.concat`, a stored (r, c) is structured iff |r| >= |c| and
-    rank(r) = rank(c) mod n^|c|, with u at start[|r| - |c|] + rank(r) // n^|c|;
-    a u with fewer than T_{d-|u|} stored ones has a zero one, missing by |a_u|.
+    unstructured positions.  It vanishes exactly on realized series.  One trial
+    of :func:`_membership_plan` and :func:`_membership_values`.
     """
     space = t.domain
     if t.codomain != space or not isinstance(space, FockSpace):
         raise ValueError("membership_defect expects a square operator on a Fock space")
     vals, cols, indptr = t.csr
-    rows = np.repeat(np.arange(space.dim), np.diff(indptr))
-    coeff = np.zeros(space.dim, dtype=np.complex128)
-    coeff[rows[cols == 0]] = vals[cols == 0]
-    (kr, rr), (kc, rc) = graded.length_rank(space, rows), graded.length_rank(space, cols)
-    scale = space.n**kc
+    return float(_membership_values(_membership_plan(space, cols, indptr), vals))
+
+
+def _membership_plan(space: FockSpace, cols: np.ndarray, indptr: np.ndarray) -> tuple:
+    """The pattern step of :func:`membership_defect`: the vacuum read, the structured entries of
+    the pattern (indices, indptr), their prefixes u, and the u that miss an entry.
+
+    By :func:`graded.concat`, a stored (r, c) is structured iff |r| >= |c| and
+    rank(r) = rank(c) mod n^|c|, with u at start[|r| - |c|] + rank(r) // n^|c|;
+    a u with fewer than T_{d-|u|} stored ones has a zero one, missing by |a_u|.
+    """
+    kr, rr = (np.repeat(a, np.diff(indptr)) for a in graded.length_rank(space, np.arange(space.dim)))
+    kc, rc = graded.length_rank(space, cols)
+    scale = (space.n ** np.arange(space.depth + 1))[kc]
     on = (kr >= kc) & (rr % scale == rc)
     starts = np.asarray(space._block_starts)
-    prefix = starts[kr[on] - kc[on]] + rr[on] // scale[on]
+    prefix = (starts[np.maximum(kr - kc, 0)] + rr // scale)[on]
     missing = np.bincount(prefix, minlength=space.dim) < starts[space.depth + 1 - space.lengths]
-    on_pattern = float(np.abs(np.concatenate([vals[on] - coeff[prefix], coeff[missing]])).max(initial=0.0))
-    off_pattern = float(np.abs(vals[~on]).max(initial=0.0))
-    return on_pattern + off_pattern
+    return _vacuum_read(cols, indptr, space.dim), on, prefix, missing
+
+
+def _membership_values(plan: tuple, vals: np.ndarray) -> np.ndarray:
+    """The values step of :func:`membership_defect`, one defect a row of values (..., nnz).
+
+    Stored zeros that one trial's operator drops (``realize`` drops a zero a_u's) leave
+    every defect's bytes unchanged.  Off the structure one adds |0| to a maximum from
+    0.0.  On it, one of u gives |0 - a_u|; dropped, it leaves u missing, which gives
+    |a_u|: a zero a_u gives |0 - 0| or |0|.  A zero's sign moves no modulus.
+    """
+    (pos, read), on, prefix, missing = plan
+    coeff = read(vals[..., pos])
+    structured = np.concatenate([vals[..., on] - coeff[..., prefix], coeff[..., missing]], axis=-1)
+    return np.abs(structured).max(axis=-1, initial=0.0) + np.abs(vals[..., ~on]).max(axis=-1, initial=0.0)
 
 
 def _product_map(ops: tuple, cols: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(image, value) of each of the given columns under the product of ``ops``, image -1 where
-    the column goes to zero.
+    the column goes to zero: :func:`_compose` of the factors' column maps.
 
     A factor is an operator, or a tuple of operators: their tensor product (:func:`_column_map`).
     Each operator must store at most one entry a column, as a word shift, W and the adjoint
     of an injective shift do, so the product composes index maps; ValueError otherwise.
     """
-    (image, value), rest = _column_map(ops[-1]), ops[-2::-1]
-    image, value = image[:-1][cols], value[:-1][cols]
-    for step, weight in map(_column_map, rest):
-        image, value = step[image], weight[image] * value
+    return _compose([_column_map(factor) for factor in ops], cols)
+
+
+def _compose(maps: list, cols: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The product of :func:`_column_map` (image, value) pairs, (..., dim + 1) stacks, on the given
+    columns: each map read at the image so far (-1 reads the last slot), values by numpy's ``*``."""
+    (image, value), rest = maps[-1], maps[-2::-1]
+    image, value = image[..., :-1][..., cols], value[..., :-1][..., cols]
+    for step, weight in rest:
+        image, value = np.take_along_axis(step, image, -1), np.take_along_axis(weight, image, -1) * value
     return image, value
 
 
@@ -364,8 +415,13 @@ def _column_map(factor) -> tuple[np.ndarray, np.ndarray]:
 
 def _map_defect(lhs: tuple, rhs: tuple, cols: np.ndarray | slice = slice(None)) -> float:
     """Largest entry modulus of A - B over the given columns, A and B the products of ``lhs`` and ``rhs``."""
-    (ia, va), (ib, vb) = (_product_map(ops, cols) for ops in (lhs, rhs))
-    return float(np.where(ia == ib, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb))).max(initial=0.0))
+    return float(_miss(*(_product_map(ops, cols) for ops in (lhs, rhs))).max(initial=0.0))
+
+
+def _miss(a: tuple, b: tuple) -> np.ndarray:
+    """|A - B| in each column of two (image, value) maps: |a - b| at one image, else max(|a|, |b|)."""
+    (ia, va), (ib, vb) = a, b
+    return np.where(ia == ib, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb)))
 
 
 def map_entries(ops: tuple, cols: np.ndarray | slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -421,7 +477,16 @@ def tensor_commutation_defect(
 
 
 def shift_composition_defect(space: FockSpace, u: Word, v: Word, side: str = "left") -> float:
-    """Defect of S_u S_v = S_{uv} on the slack-(|u|+|v|) safe zone."""
-    cols = graded.within(space, space.depth - len(u) - len(v))
-    composed = (word_shift(space, u, side), word_shift(space, v, side))
-    return _map_defect(composed, (word_shift(space, u.concat(v), side),), cols)
+    """Defect of S_u S_v = S_{uv} on the slack-(|u|+|v|) safe zone: :func:`_composition_defects`
+    of the three ``word_shift`` operators' column maps."""
+    maps = [_column_map(word_shift(space, w, side)) for w in (u, v, u.concat(v))]
+    return float(_composition_defects(space, maps, np.array(len(u) + len(v))))
+
+
+def _composition_defects(space: FockSpace, maps: list, lengths: np.ndarray) -> np.ndarray:
+    """Defects of S_u S_v = S_{uv}, one a trial of column-map stacks (S_u, S_v, S_uv) and lengths
+    |u| + |v|, over each slack-|uv| safe zone; no miss is below +0.0, so 0.0 past a zone is inert."""
+    zone = np.asarray(space._block_starts)[np.clip(space.depth + 1 - lengths, 0, space.depth + 1)]
+    cols = np.arange(zone.max(initial=0))
+    miss = _miss(_compose(maps[:2], cols), _compose(maps[2:], cols))
+    return np.where(cols < zone[..., None], miss, 0.0).max(axis=-1, initial=0.0)

@@ -543,14 +543,14 @@ def sum_by_key(keys: Sequence[np.ndarray], vals: np.ndarray) -> tuple[list, np.n
 
     ``keys`` are parallel index arrays, the first most significant.  The
     values of one key are added in array order, starting from zero, as a
-    sparse product accumulates them.
+    sparse product accumulates them; leading trial axes of ``vals`` are kept.
     """
     order = np.lexsort(keys[::-1])
     keys = [k[order] for k in keys]
     new = np.ones(order.size, dtype=bool)
     new[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
-    sums = np.zeros(np.count_nonzero(new), dtype=np.complex128)
-    np.add.at(sums, np.cumsum(new) - 1, vals[order])
+    sums = np.zeros(vals.shape[:-1] + (np.count_nonzero(new),), dtype=np.complex128)
+    np.add.at(sums, (..., np.cumsum(new) - 1), vals[..., order])
     return [k[new] for k in keys], sums
 
 

@@ -6,13 +6,13 @@ and results are assembled in canonical (config, suite, registration) order.
 A check yields one defect per trial or tested condition, and its row reports
 the worst of them, a NaN defect failing.  The registry marks each check
 exact (threshold 0) or an oracle comparison (the configured tolerance).
-Most trial loops run a chunk of trials (TRIAL_ENTRIES) at a time, one draw
+Every trial loop runs a chunk of trials (TRIAL_ENTRIES) at a time, one array
+pass a chunk, with the bits of a loop over trials.  Most draw once a chunk
 (:func:`sampling.dyadic_trials`, or :func:`sampling.random_ball_points`'
-look-ahead and replay) and one array pass a chunk, with the bits of a loop
-over trials.  Some stay per trial: the checks of operator-returning routes
-(``realize``, ``word_shift``) a series or a word at a time, and the draws of
-random words, whose lengths decide how many letters they draw (``spectrum``
-still forms its products in one pass); README lists them, and why.
+look-ahead and replay).  The checks whose trials draw a random degree, word
+length or tuple size still draw a trial at a time, as that draw sets the size
+of the next: the realize, shift and prefix checks and ``spectrum``; README
+lists them, and why.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from . import regular as reg
 from . import sampling
 from . import wandering as wandering_mod
 from .spaces import (
-    AuxSpace, FockSpace, Operator, StackedFamily, _worst_defect, basis_vector, max_entry_diff, tensor_space,
+    AuxSpace, FockSpace, Operator, StackedFamily, Vector, _worst_defect, max_entry_diff, tensor_space,
 )
 from .words import Alphabet, Word
 
@@ -109,10 +109,15 @@ class Check:
         }
 
 
+def _spans(total: int, entries: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) of successive chunks of ``total`` items of ``entries`` entries each."""
+    step = max(1, TRIAL_ENTRIES // entries)
+    return ((start, min(start + step, total)) for start in range(0, total, step))
+
+
 def _chunks(trials: int, entries: int) -> Iterator[int]:
     """The sizes of successive chunks of ``trials`` trials of ``entries`` entries each."""
-    step = max(1, TRIAL_ENTRIES // entries)
-    return (min(step, trials - start) for start in range(0, trials, step))
+    return (stop - start for start, stop in _spans(trials, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +129,31 @@ def _on_space(defect, cfg: SuiteConfig, rng) -> Iterator[float]:
     yield defect(cfg.space)
 
 
+def _series_by_degree(rng, space: FockSpace, count: int) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """``count`` random series, each drawn as a degree up to the depth and then its coefficients,
+    as ``sampling.random_series`` draws them, a trial at a time (the degree sets the next
+    draw's size); grouped by degree, ascending: (degree, trials, coefficient rows)."""
+    drawn = []
+    for _ in range(count):
+        degree = int(rng.integers(0, space.depth + 1))
+        drawn.append((degree, sampling.dyadic_complex(rng, space._block_starts[degree + 1])))
+    for degree in sorted({d for d, _ in drawn}):
+        trials = [t for t, (d, _) in enumerate(drawn) if d == degree]
+        yield degree, trials, np.stack([drawn[t][1] for t in trials])
+
+
 def _chk_fourier_round_trip(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(cfg.trials):
-        s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
-        back = reg.fourier_coefficients(reg.realize(s, cfg.space))
-        yield float(np.abs((s - back).coeffs).max())
+    # The series a_w less its read back off realize's vacuum column: the pattern's vacuum
+    # positions once a degree, the values of every trial there.
+    space = cfg.space
+    for count in _chunks(cfg.trials, 2 * space.dim):
+        defects = np.empty(count)
+        for degree, trials, coefs in _series_by_degree(rng, space, count):
+            indptr, indices, word = reg._realize_pattern(space, degree, 1)
+            pos, read = reg._vacuum_read(indices, indptr, space.dim)
+            back = read(coefs[:, word[pos]])[:, : coefs.shape[1]]
+            defects[trials] = np.abs(coefs + back * -1.0).max(axis=-1)  # as FourierSeries s - back
+        yield from defects.tolist()
 
 
 def _random_index(rng, space: FockSpace, max_len: int) -> int:
@@ -145,21 +170,28 @@ def _random_word(rng, space: FockSpace, max_len: int) -> Word:
 
 
 def _chk_shift_composition(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(min(cfg.trials, 25)):
-        u = _random_word(rng, cfg.space, cfg.depth // 2)
-        v = _random_word(rng, cfg.space, cfg.depth - len(u))
-        for side in ("left", "right"):
-            yield reg.shift_composition_defect(cfg.space, u, v, side)
+    # uv from Word.concat, not from the graded rule the shift maps use.
+    space = cfg.space
+    for count in _chunks(min(cfg.trials, 25), 10 * space.dim):
+        pairs = []
+        for _ in range(count):
+            u = _random_word(rng, space, cfg.depth // 2)
+            pairs.append((u, _random_word(rng, space, cfg.depth - len(u))))
+        words = [*zip(*pairs), [u.concat(v) for u, v in pairs]]
+        lengths = np.array([len(w) for w in words[2]])
+        sides = [reg._composition_defects(space, [reg._shift_maps(space, ws, side) for ws in words], lengths)
+                 for side in ("left", "right")]
+        yield from np.stack(sides, axis=-1).ravel().tolist()
 
 
 def _chk_right_reversal(cfg: SuiteConfig, rng) -> Iterator[float]:
+    # R_w xi_e against xi_{w~}, its index from Word.reverse: the miss of their column-0 maps.
     space = cfg.space
-    vac = basis_vector(space, Word())
-    for _ in range(min(cfg.trials, 25)):
-        w = _random_word(rng, cfg.space, cfg.depth)
-        out = reg.word_shift(space, w, "right").apply(vac)
-        expected = basis_vector(space, w.reverse())
-        yield float(np.abs(out.data - expected.data).max(initial=0.0))
+    for count in _chunks(min(cfg.trials, 25), 4 * space.dim):
+        words = [_random_word(rng, space, cfg.depth) for _ in range(count)]
+        image, value = reg._shift_maps(space, words, "right")
+        expected = np.array([space.index_of(w.reverse()) for w in words]), np.ones(count, dtype=np.complex128)
+        yield from reg._miss((image[:, 0], value[:, 0]), expected).tolist()
 
 
 CESARO_ORDERS = range(4, 13)
@@ -188,9 +220,13 @@ def _chk_cesaro_bound(cfg: SuiteConfig, rng) -> Iterator[float]:
 
 
 def _chk_membership_realize(cfg: SuiteConfig, rng) -> Iterator[float]:
-    for _ in range(min(cfg.trials, 25)):
-        s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
-        yield reg.membership_defect(reg.realize(s, cfg.space))
+    space = cfg.space
+    for count in _chunks(min(cfg.trials, 25), 2 * reg._realize_pattern(space, cfg.depth, 1)[1].size):
+        defects = np.empty(count)
+        for degree, trials, coefs in _series_by_degree(rng, space, count):
+            indptr, indices, word = reg._realize_pattern(space, degree, 1)  # realize's values: coefs[:, word]
+            defects[trials] = reg._membership_values(reg._membership_plan(space, indices, indptr), coefs[:, word])
+        yield from defects.tolist()
 
 
 def _chk_membership_rejects(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -397,19 +433,25 @@ def _chk_spectrum(cfg: SuiteConfig, rng) -> Iterator[float]:
 
 
 def _chk_coefficient_membership(cfg: SuiteConfig, rng) -> Iterator[float]:
+    # Every series is realized on the full-degree pattern: a zero coefficient's entries stay
+    # stored, which moves no membership defect (regular._membership_values).
     space = cfg.space
+    indptr, indices, word = reg._realize_pattern(space, space.depth, 1)
+    plan, entries = reg._membership_plan(space, indices, indptr), 2 * indices.size
+
+    def defects(rep, x, y) -> tuple[np.ndarray, np.ndarray]:
+        coefs = corep_mod.coefficient_operator(rep, Vector(rep.aux, x), Vector(rep.aux, y))
+        return coefs, reg._membership_values(plan, coefs[:, word])
+
     rep = corep_mod.rep_from_corep(corep_mod.fundamental_corep(space))
-    for _ in range(min(cfg.trials, 10)):
-        x = sampling.random_vector(rng, rep.aux)
-        y = sampling.random_vector(rng, rep.aux)
-        series = corep_mod.coefficient_operator(rep, x, y)
-        yield reg.membership_defect(reg.realize(series, space))
+    for count in _chunks(min(cfg.trials, 10), entries):
+        yield from defects(rep, *sampling.dyadic_trials(rng, count, [rep.aux.dim] * 2))[1].tolist()
+    # Each character's coefficients on its basis vector: the indicator of its word.
     chars = corep_mod.characters(space)
-    for k, w in enumerate(space.words):
-        e_w = basis_vector(chars.aux, k)
-        series = corep_mod.coefficient_operator(chars, e_w, e_w)
-        yield float(series != reg.FourierSeries.indicator(cfg.alphabet, w))
-        yield reg.membership_defect(reg.realize(series, space))
+    for start, stop in _spans(space.dim, entries):
+        units = (np.arange(start, stop)[:, None] == np.arange(space.dim)).astype(np.complex128)
+        coefs, membership = defects(chars, units, units)
+        yield from np.stack([np.any(coefs != units, axis=-1), membership], axis=-1).ravel().tolist()
 
 
 def _chk_corrupted_corep(cfg: SuiteConfig, rng) -> Iterator[float]:
@@ -457,14 +499,20 @@ def _chk_wandering_report(k: int, cfg: SuiteConfig, rng) -> Iterator[float]:
 
 
 def _chk_wandering_decompose(cfg: SuiteConfig, rng) -> Iterator[float]:
+    # Each tuple draws its size k, then k words; the tuples of one size strip at once.
     space = cfg.space
-    for _ in range(min(cfg.trials, 50)):
-        k = int(rng.integers(2, 4))
-        tup = np.array([_random_index(rng, space, cfg.depth) for _ in range(k)])
-        prefix, kappa = wandering_mod.strip_common_prefix(space, tup)
-        yield float(wandering_mod.share_a_first_letter(wandering_mod.first_letters(space, kappa)))
-        (p, rp), (m, rm) = graded.length_rank(space, prefix), graded.length_rank(space, kappa)
-        yield float(np.any(graded.concat(space, p, rp, m, rm) != tup))
+    for count in _chunks(min(cfg.trials, 50), 16 * 3):
+        tuples = [[_random_index(rng, space, cfg.depth) for _ in range(int(rng.integers(2, 4)))]
+                  for _ in range(count)]
+        defects = np.empty((count, 2))
+        for k in sorted({len(tup) for tup in tuples}):
+            trials = [t for t, tup in enumerate(tuples) if len(tup) == k]
+            tup = np.array([tuples[t] for t in trials], dtype=np.int64)
+            prefix, kappa = wandering_mod.strip_common_prefix(space, tup)
+            defects[trials, 0] = wandering_mod.share_a_first_letter(wandering_mod.first_letters(space, kappa).T)
+            (p, rp), (m, rm) = graded.length_rank(space, prefix[:, None]), graded.length_rank(space, kappa)
+            defects[trials, 1] = np.any(graded.concat(space, p, rp, m, rm) != tup, axis=-1)
+        yield from defects.ravel().tolist()
 
 
 def _chk_wandering_isometry(cfg: SuiteConfig, rng) -> Iterator[float]:

@@ -29,18 +29,26 @@ GRAM_LIMIT = 4096
 COVER_SLICE = 2**16
 
 
-def strip_common_prefix(space: FockSpace, tup) -> tuple[int, np.ndarray]:
+def strip_common_prefix(space: FockSpace, tup) -> tuple:
     """Factor a tuple of basis indices as (w, wandering tuple), w the maximal common prefix.
 
-    Returns the basis index of w and the indices of the tuple's words with w cut off.
+    Returns the basis index of w and the indices of the tuple's words with w cut off;
+    for a (tuples, k) stack, one index w a tuple and a (tuples, k) stack.  The length of
+    w counts the q = 1, 2, .. at which every word has q letters and all share their
+    first q: a prefix shared at q is shared below it.
     """
     k, r = graded.length_rank(space, np.asarray(tup, dtype=np.int64))
-    p = int(k.min())
-    while p and np.any(r // space.n ** (k - p) != r[0] // space.n ** (k[0] - p)):
-        p -= 1
-    cut = space.n ** (k - p)
+    p = np.zeros(k.shape[:-1], dtype=np.int64)
+    for q in range(1, space.depth + 1):
+        head = r // space.n ** np.maximum(k - q, 0)
+        shared = (k.min(axis=-1) >= q) & (head == head[..., :1]).all(axis=-1)
+        if not shared.any():
+            break
+        p += shared
+    cut = space.n ** (k - p[..., None])
     starts = np.asarray(space._block_starts)
-    return int(starts[p] + r[0] // cut[0]), starts[k - p] + r % cut
+    prefix = starts[p] + r[..., 0] // cut[..., 0]
+    return int(prefix) if prefix.ndim == 0 else prefix, starts[k - p[..., None]] + r % cut
 
 
 def first_letters(space: FockSpace, idx: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -394,14 +395,21 @@ def test_every_check_yields_and_its_row_reports_the_worst(config):
 
 def test_a_nan_defect_fails_its_row(monkeypatch):
     # The reduction keeps a NaN: max(0.0, nan) is 0.0, which would pass the row.
-    honest = regular.fourier_coefficients
+    # The round trip reads the vacuum column through regular._vacuum_read; verify sees a copy
+    # of the module whose read puts a NaN at the vacuum, so no other check's read changes.
+    honest = regular._vacuum_read
 
-    def nan_at_vacuum(t):
-        coeffs = np.array(honest(t).coeffs)
-        coeffs[0] = math.nan
-        return regular.FourierSeries(t.domain.alphabet, coeffs)
+    def nan_at_vacuum(indices, indptr, dim):
+        pos, read = honest(indices, indptr, dim)
 
-    monkeypatch.setattr(regular, "fourier_coefficients", nan_at_vacuum)
+        def nan_read(values):
+            coeffs = read(values)
+            coeffs[..., 0] = math.nan
+            return coeffs
+
+        return pos, nan_read
+
+    monkeypatch.setattr(verify, "reg", types.SimpleNamespace(**{**vars(regular), "_vacuum_read": nan_at_vacuum}))
     report = build_report([SuiteConfig(n=2, depth=3, suites=("regrep",))], with_timestamp=False)
     (row,) = [r for r in report["checks"] if r["name"] == "fourier_round_trip"]
     assert math.isnan(row["defect"]) and row["pass"] is False

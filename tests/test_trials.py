@@ -1,23 +1,26 @@
 """Stacked trials: ``verify``'s chunked checks against their per-trial loops.
 
-Each stacked check draws a chunk of trials with one ``rng.integers`` call, or
-two for ball points (the look-ahead and its replay), and checks it in one
-array pass.  It must yield, byte for byte, the defects of the per-trial loops
-in ``trial_reference`` and leave the generator where they leave it; it must
-draw once a chunk; and its memory must not grow with the trial count.
-``spectrum`` draws its words a trial at a time (a word's length decides how
-many letters it draws) and forms its products in one pass, so only the first
-and last guards cover it.  The checks that stay per trial, and why, are listed
-in the README.  The hopf plans keep one column of each set of words a position
-reads, and the defects over those columns are those over every position.
+Every check with a trial loop runs a chunk of trials in one array pass.  It
+must yield, byte for byte, the defects of the per-trial loops in
+``trial_reference`` and leave the generator where they leave it, and its
+memory must not grow with the trial count.  Most draw a chunk with one
+``rng.integers`` call, or two for ball points (the look-ahead and its replay).
+The checks of ``PER_TRIAL_DRAWS`` draw a trial at a time inside a chunk,
+because a trial's degree, word lengths or tuple size sets the size of its next
+draw, from a different integer range: they must make as many ``integers``
+calls as their loops.  ``spectrum`` forms its products in one pass of at most
+10 trials and makes no chunks.  Every registered check is a chunk-drawn, a
+per-trial-drawn or a fixed-input check, and the realize, shift and prefix
+checks build no operator or series a trial.  The hopf plans keep one column of
+each set of words a position reads, and the defects over those columns are
+those over every position.
 """
-
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fockhopf import hopf, predual, verify
+from fockhopf import corep, hopf, predual, regular, verify, wandering
 from fockhopf.regular import FourierSeries
 from fockhopf.sampling import EXACT_BITS, FINE_BITS, random_rank_one_functionals, rng_for
 from fockhopf.spaces import FockSpace, Vector, sort_positions
@@ -25,10 +28,12 @@ from fockhopf.verify import SuiteConfig
 from fockhopf.words import Alphabet
 
 import trial_reference
-from trial_reference import BALL_POINTS, LOOPS, STACKED, UNCHUNKED, trial_count
+from trial_reference import (
+    BALL_POINTS, CHUNK_DRAWS, FIXED_INPUTS, LOOPS, PER_TRIAL_DRAWS, STACKED, UNCHUNKED, trial_count,
+)
 
 GRID = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5)]
-POINTS = GRID + [(2, 7), (3, 5)]
+POINTS = GRID + [(2, 7), (3, 5), (1, 9)]
 
 
 def _check(key, cfg):
@@ -77,22 +82,23 @@ def test_stacked_check_yields_the_per_trial_defects(monkeypatch, key, n, depth):
     assert [sizes for *_, sizes in calls] == [[3, 3, 1] if trial_count(key, 7) == 7 else [3, 2]]
 
 
-@pytest.mark.parametrize(
-    "key", [k for k in STACKED if k not in UNCHUNKED] + [("hopf", "vacuum_expansion")], ids="/".join
-)
+class Counting:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("key", CHUNK_DRAWS, ids="/".join)
 def test_stacked_check_makes_one_draw_a_chunk(monkeypatch, key):
     # A ball-point chunk makes two draws: the look-ahead and the replay of the samples it used.
-    class Counting:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, 0
-
-        def integers(self, *args, **kwargs):
-            self.calls += 1
-            return self.rng.integers(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
     calls = _chunk_spy(monkeypatch)
     cfg = SuiteConfig(n=2, depth=3, trials=100, seed=7)
     rng = Counting(rng_for(7, *key))
@@ -101,6 +107,90 @@ def test_stacked_check_makes_one_draw_a_chunk(monkeypatch, key):
     assert sum(sizes) == trials == trial_count(key, 100)
     assert len(defects) >= trials and len(sizes) < trials
     assert rng.calls <= (2 if key in BALL_POINTS else 1) * len(sizes)
+
+
+@pytest.mark.parametrize("key", PER_TRIAL_DRAWS, ids="/".join)
+def test_per_trial_draw_check_draws_as_its_loop(monkeypatch, key):
+    # A trial's degree, word lengths or tuple size sets the size of its next draw, so
+    # these checks draw a trial at a time inside a chunk: as many integers calls as the
+    # loop, in fewer chunks than trials (spectrum makes no chunks).
+    calls = _chunk_spy(monkeypatch)
+    cfg = SuiteConfig(n=2, depth=3, trials=100, seed=7)
+    stacked, loop = Counting(rng_for(7, *key)), Counting(rng_for(7, *key))
+    list(_check(key, cfg).fn(cfg, stacked))
+    list(LOOPS[key](cfg, loop))
+    assert stacked.calls == loop.calls > 0
+    if key not in UNCHUNKED:
+        (trials, _, sizes), = calls
+        assert sum(sizes) == trials == trial_count(key, 100)
+        assert len(sizes) < trials
+
+
+def test_every_check_is_chunk_drawn_per_trial_drawn_or_fixed():
+    # A new trial loop lands with an oracle in LOOPS, or with a stated reason in FIXED_INPUTS.
+    keys = [(c.suite, c.name) for c in verify.build_checks(SuiteConfig(n=2, depth=3), inject_fault=True)]
+    lists = (CHUNK_DRAWS, PER_TRIAL_DRAWS, list(FIXED_INPUTS))
+    assert [sum(key in keys for keys in lists) for key in keys] == [1] * len(keys)
+    assert sorted(key for keys in lists for key in keys) == sorted(keys)
+    assert sorted(CHUNK_DRAWS + PER_TRIAL_DRAWS) == sorted(LOOPS)
+
+
+REALIZE_AND_SHIFT = [
+    ("regrep", "fourier_round_trip"),
+    ("regrep", "shift_composition"),
+    ("regrep", "right_shift_reversal"),
+    ("regrep", "membership_realize"),
+    ("corep", "coefficient_membership"),
+    ("wandering", "decompose_roundtrip"),
+]
+
+
+def test_realize_and_shift_checks_build_no_operator_or_series_a_trial(monkeypatch):
+    # After a warm run, the six checks make no more realize, word_shift or series
+    # constructions at 100 trials than at 3: their trials run on shared patterns.
+    counts = dict.fromkeys(("realize", "word_shift", "FourierSeries"), 0)
+
+    def counting(name, honest):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return honest(*args, **kwargs)
+
+        return call
+
+    def run(trials):
+        for key in counts:
+            counts[key] = 0
+        for key in REALIZE_AND_SHIFT:
+            cfg = SuiteConfig(n=2, depth=4, trials=trials, seed=7)
+            list(_check(key, cfg).fn(cfg, rng_for(7, *key)))
+        return dict(counts)
+
+    run(3)
+    for module in (regular, corep, wandering):
+        for name in ("realize", "word_shift"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(FourierSeries, "__init__", counting("FourierSeries", FourierSeries.__init__))
+    few, many = run(3), run(100)
+    assert all(many[name] <= few[name] for name in counts), (few, many)
+
+
+def test_multiplicativity_plan_is_built_once_a_check(monkeypatch):
+    # The product plan is a property of the representation: one build a check call,
+    # however many chunks its trials take.
+    key, built = ("corep", "rep_multiplicativity"), []
+    honest = corep._product_plan
+    monkeypatch.setattr(corep, "_product_plan", lambda *args: built.append(args) or honest(*args))
+    calls = _chunk_spy(monkeypatch)
+    cfg = SuiteConfig(n=2, depth=3, trials=100, seed=7)
+    list(_check(key, cfg).fn(cfg, rng_for(0, "entries")))
+    (_, entries, _), = calls
+    monkeypatch.setattr(verify, "TRIAL_ENTRIES", 8 * entries)
+    calls.clear()
+    built.clear()
+    assert _yields(_check(key, cfg).fn, cfg, key) == _yields(LOOPS[key], cfg, key)
+    (_, _, sizes), = calls
+    assert len(sizes) >= 3 and len(built) == 1
 
 
 def _peak(fn, cfg, key) -> int:

@@ -279,13 +279,15 @@ def test_decompose_check_draws_k_then_each_word(n, depth):
 
 
 def _one_letter_short(space, tup):
-    # The maximal common prefix less its last letter, which moves onto every component.
+    # The maximal common prefix less its last letter, which moves onto every component,
+    # for a (tuples, k) stack.
     prefix, kappa = strip_common_prefix(space, tup)
-    p, rank = graded.length_rank(space, np.array([prefix]))
-    if p[0] == 0:
-        return prefix, kappa
-    shorter = int(graded.concat(space, p - 1, rank // space.n, 0, 0)[0])
-    return shorter, graded.concat(space, 1, rank % space.n, *graded.length_rank(space, kappa))
+    p, rank = graded.length_rank(space, prefix)
+    cut = p > 0
+    prefix, kappa = prefix.copy(), kappa.copy()
+    prefix[cut] = graded.concat(space, p[cut] - 1, rank[cut] // space.n, 0, 0)
+    kappa[cut] = graded.concat(space, 1, (rank[cut] % space.n)[:, None], *graded.length_rank(space, kappa[cut]))
+    return prefix, kappa
 
 
 @pytest.mark.parametrize("n,depth", TENSOR_GRID)

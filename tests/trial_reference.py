@@ -1,31 +1,33 @@
 """The per-trial loops of the stacked checks: one trial drawn and checked at a time.
 
-``verify`` runs these checks a chunk of trials at a time, one draw and one
-array pass a chunk; the tests compare every defect it yields with these
-loops, byte for byte.  The loops keep their own copies of the per-trial
-kernels the stacked code replaced: the sample draw (two ``rng.integers``
-rows a sample), the ball-point sampler (one look-ahead a point), the
-rank-one values (one product a block), the slice-oracle pairing, the plan
-gather and the homomorphism's scatter, the point-family and reconstruction
-defects, the two comultiplication defects (a block at a time), and the
-product of representations is scipy's sparse product; the Cesaro vectors are
-a stacked scipy matvec of the nine difference matrices.  They share with
-``verify`` the hopf plans, the comultiplication leg maps, the monomial
-values, the series type and its product, ``vacuum_expansion_defect``, which
-stays a trial at a time, a representation's evaluation and the characters'
-product ``tensor_product_rep``.
+``verify`` runs these checks a chunk of trials at a time, one array pass a
+chunk, and most of them one draw a chunk; the tests compare every defect it
+yields with these loops, byte for byte.  The loops keep their own copies of
+the per-trial kernels the stacked code replaced: the sample draw (two
+``rng.integers`` rows a sample), the ball-point sampler (one look-ahead a
+point), the rank-one values (one product a block), the slice-oracle pairing,
+the plan gather and the homomorphism's scatter, the point-family and
+reconstruction defects, the two comultiplication defects (a block at a time),
+the vacuum-column read, the membership defect, the word shifts and their
+composed index maps, the coefficient series of one vector pair and the prefix
+stripped one letter at a time; the product of representations is scipy's
+sparse product, and the Cesaro vectors are a stacked scipy matvec of the nine
+difference matrices.  They share with ``verify`` the hopf plans, the
+comultiplication leg maps, the monomial values, the series type and its
+product, ``realize``, ``vacuum_expansion_defect``, which stays a trial at a
+time, a representation's evaluation and the characters' product
+``tensor_product_rep``.
 """
-
 import math
 
 import numpy as np
 from scipy import sparse
 
-from fockhopf import corep, graded, hopf, predual, regular, sampling, verify
+from fockhopf import corep, graded, hopf, predual, regular, sampling, verify, wandering
 from fockhopf.regular import FourierSeries
-from fockhopf.spaces import _worst_defect, max_entry_diff
+from fockhopf.spaces import Operator, _worst_defect, basis_vector, column_entries, max_entry_diff, sum_by_key
 from fockhopf.verify import CESARO_ORDERS
-from fockhopf.words import count_words
+from fockhopf.words import Word, count_words
 
 from scipy_oracle import from_scipy, scipy_csr
 
@@ -279,6 +281,137 @@ def counit_positive(cfg, rng):
         yield float(not d > 0.0)
 
 
+# The per-trial kernels the stacked realize, shift and prefix checks replaced.
+
+
+def fourier_coefficients(t):
+    space = t.domain
+    _, rows, data = column_entries(t, np.zeros(1, dtype=np.int64))
+    coeffs = np.zeros(space.dim, dtype=np.complex128)
+    coeffs[rows] += data
+    return FourierSeries(space.alphabet, coeffs)
+
+
+def membership_defect(t):
+    space = t.domain
+    vals, cols, indptr = t.csr
+    rows = np.repeat(np.arange(space.dim), np.diff(indptr))
+    coeff = np.zeros(space.dim, dtype=np.complex128)
+    coeff[rows[cols == 0]] = vals[cols == 0]
+    (kr, rr), (kc, rc) = graded.length_rank(space, rows), graded.length_rank(space, cols)
+    scale = space.n**kc
+    on = (kr >= kc) & (rr % scale == rc)
+    starts = np.asarray(space._block_starts)
+    prefix = starts[kr[on] - kc[on]] + rr[on] // scale[on]
+    missing = np.bincount(prefix, minlength=space.dim) < starts[space.depth + 1 - space.lengths]
+    on_pattern = float(np.abs(np.concatenate([vals[on] - coeff[prefix], coeff[missing]])).max(initial=0.0))
+    off_pattern = float(np.abs(vals[~on]).max(initial=0.0))
+    return on_pattern + off_pattern
+
+
+def word_shift(space, w, side):
+    k = len(w)
+    if k > space.depth:
+        return Operator.zero(space)
+    rank = space.index_of(w if side == "left" else w.reverse()) - space._block_starts[k]
+    src = graded.within(space, space.depth - k)
+    m, ru = graded.length_rank(space, src)
+    table = graded.concat(space, k, rank, m, ru) if side == "left" else graded.concat(space, m, ru, k, rank)
+    indptr = np.searchsorted(table, np.arange(space.dim + 1)).astype(np.int32)
+    return Operator(space, space, (np.ones(src.size, dtype=np.complex128), src.astype(np.int32), indptr))
+
+
+def _product_map(ops, cols):
+    (image, value), rest = regular._column_map(ops[-1]), ops[-2::-1]
+    image, value = image[:-1][cols], value[:-1][cols]
+    for step, weight in map(regular._column_map, rest):
+        image, value = step[image], weight[image] * value
+    return image, value
+
+
+def shift_composition_defect(space, u, v, side):
+    cols = graded.within(space, space.depth - len(u) - len(v))
+    composed = (word_shift(space, u, side), word_shift(space, v, side))
+    (ia, va), (ib, vb) = (_product_map(ops, cols) for ops in (composed, (word_shift(space, u.concat(v), side),)))
+    return float(np.where(ia == ib, np.abs(va - vb), np.maximum(np.abs(va), np.abs(vb))).max(initial=0.0))
+
+
+def coefficient_operator(rep, x, y):
+    fam = rep.family
+    (word, row), images = sum_by_key([fam.word, fam.row], fam.val * x.data[fam.col])
+    coeffs = np.zeros(rep.space.dim, dtype=np.complex128)
+    np.add.at(coeffs, word, images * np.conj(y.data[row]))
+    return FourierSeries(rep.space.alphabet, coeffs)
+
+
+def strip_common_prefix(space, tup):
+    k, r = graded.length_rank(space, np.asarray(tup, dtype=np.int64))
+    p = int(k.min())
+    while p and np.any(r // space.n ** (k - p) != r[0] // space.n ** (k[0] - p)):
+        p -= 1
+    cut = space.n ** (k - p)
+    starts = np.asarray(space._block_starts)
+    return int(starts[p] + r[0] // cut[0]), starts[k - p] + r % cut
+
+
+def fourier_round_trip(cfg, rng):
+    for _ in range(cfg.trials):
+        s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
+        back = fourier_coefficients(regular.realize(s, cfg.space))
+        yield float(np.abs((s - back).coeffs).max())
+
+
+def shift_composition(cfg, rng):
+    for _ in range(min(cfg.trials, 25)):
+        u = verify._random_word(rng, cfg.space, cfg.depth // 2)
+        v = verify._random_word(rng, cfg.space, cfg.depth - len(u))
+        for side in ("left", "right"):
+            yield shift_composition_defect(cfg.space, u, v, side)
+
+
+def right_shift_reversal(cfg, rng):
+    space = cfg.space
+    vac = basis_vector(space, Word())
+    for _ in range(min(cfg.trials, 25)):
+        w = verify._random_word(rng, cfg.space, cfg.depth)
+        out = word_shift(space, w, "right").apply(vac)
+        expected = basis_vector(space, w.reverse())
+        yield float(np.abs(out.data - expected.data).max(initial=0.0))
+
+
+def membership_realize(cfg, rng):
+    for _ in range(min(cfg.trials, 25)):
+        s = sampling.random_series(rng, cfg.alphabet, rng.integers(0, cfg.depth + 1))
+        yield membership_defect(regular.realize(s, cfg.space))
+
+
+def coefficient_membership(cfg, rng):
+    space = cfg.space
+    rep = corep.rep_from_corep(corep.fundamental_corep(space))
+    for _ in range(min(cfg.trials, 10)):
+        x = sampling.random_vector(rng, rep.aux)
+        y = sampling.random_vector(rng, rep.aux)
+        series = coefficient_operator(rep, x, y)
+        yield membership_defect(regular.realize(series, space))
+    chars = corep.characters(space)
+    for k, w in enumerate(space.words):
+        e_w = basis_vector(chars.aux, k)
+        series = coefficient_operator(chars, e_w, e_w)
+        yield float(series != FourierSeries.indicator(cfg.alphabet, w))
+        yield membership_defect(regular.realize(series, space))
+
+
+def decompose_roundtrip(cfg, rng):
+    space = cfg.space
+    for _ in range(min(cfg.trials, 50)):
+        k = int(rng.integers(2, 4))
+        tup = np.array([verify._random_index(rng, space, cfg.depth) for _ in range(k)])
+        prefix, kappa = strip_common_prefix(space, tup)
+        yield float(wandering.share_a_first_letter(wandering.first_letters(space, kappa)))
+        (p, rp), (m, rm) = graded.length_rank(space, prefix), graded.length_rank(space, kappa)
+        yield float(np.any(graded.concat(space, p, rp, m, rm) != tup))
+
+
 # (suite, check name) -> the per-trial loop of that check.
 LOOPS = {
     ("regrep", "cesaro_bound"): cesaro_bound,
@@ -295,11 +428,33 @@ LOOPS = {
     ("predual", "nu_reconstruction"): nu_reconstruction,
     ("corep", "rep_multiplicativity"): rep_multiplicativity,
     ("corep", "spectrum"): spectrum,
+    ("regrep", "fourier_round_trip"): fourier_round_trip,
+    ("regrep", "shift_composition"): shift_composition,
+    ("regrep", "right_shift_reversal"): right_shift_reversal,
+    ("regrep", "membership_realize"): membership_realize,
+    ("corep", "coefficient_membership"): coefficient_membership,
+    ("wandering", "decompose_roundtrip"): decompose_roundtrip,
 }
+# The checks that draw a trial at a time inside a chunk: a trial's degree, word lengths or
+# tuple size decides how much it draws next, from its own integer range, so no one
+# look-ahead call gives the stream; they stack only their compute.
+PER_TRIAL_DRAWS = [
+    ("regrep", "fourier_round_trip"),
+    ("regrep", "shift_composition"),
+    ("regrep", "right_shift_reversal"),
+    ("regrep", "membership_realize"),
+    ("corep", "spectrum"),
+    ("wandering", "decompose_roundtrip"),
+]
+# The checks that draw a chunk at a time: one draw, or a ball-point look-ahead and its replay.
+CHUNK_DRAWS = [key for key in LOOPS if key not in PER_TRIAL_DRAWS]
 # The checks that stack their arrays; vacuum_expansion only draws a chunk at a time.
 STACKED = [key for key in LOOPS if key != ("hopf", "vacuum_expansion")]
 # The trials a check runs for a trial count: some cap it, and nu_reconstruction always runs 5.
 CAPS = {
+    ("regrep", "shift_composition"): 25,
+    ("regrep", "right_shift_reversal"): 25,
+    ("regrep", "membership_realize"): 25,
     ("hopf", "integral_invariance"): 25,
     ("hopf", "vacuum_expansion"): 25,
     ("predual", "convolve_algebra"): 25,
@@ -307,12 +462,34 @@ CAPS = {
     ("predual", "point_family"): 50,
     ("corep", "rep_multiplicativity"): 25,
     ("corep", "spectrum"): 10,
+    ("corep", "coefficient_membership"): 10,
+    ("wandering", "decompose_roundtrip"): 50,
 }
 # spectrum draws its words a trial at a time and forms its products in one pass of
-# at most 10 trials, so it makes no chunks and no one draw a chunk.
+# at most 10 trials, so it makes no chunks.
 UNCHUNKED = [("corep", "spectrum")]
 # The checks that draw ball points: a look-ahead and a replay, two draws a chunk.
 BALL_POINTS = [("predual", "counit_positive"), ("predual", "point_family"), ("predual", "nu_reconstruction")]
+# The checks with no trial loop, and why: their inputs do not grow with --trials.
+FIXED_INPUTS = {
+    ("regrep", "isometry_relations"): "one identity over the whole space",
+    ("regrep", "row_contraction"): "one identity over the whole space",
+    ("regrep", "membership_rejects"): "two fixed non-members",
+    ("regrep", "lr_commutation"): "every letter pair",
+    ("regrep", "tensor_lr_commutation"): "every letter pair and three random word tuples",
+    ("hopf", "grouplike"): "every word of the space",
+    ("predual", "all_ones_unit"): "the all-ones functional and one random functional",
+    ("corep", "fundamental_corep"): "the one fundamental corepresentation",
+    ("corep", "fundamental_intertwining"): "every letter and three random words",
+    ("corep", "fundamental_r_commutation"): "every letter and three random words",
+    ("corep", "roundtrips"): "the fundamental corepresentation and the characters",
+    ("corep", "corrupted_corep"): "one fixed corrupted operator",
+    ("corep", "decomposable_not_corep"): "one family of at most four random members",
+    ("wandering", "wandering_k2"): "one report over every basis pair",
+    ("wandering", "wandering_k3"): "one report over every basis triple",
+    ("wandering", "shift_isometry"): "one Gram over every word",
+    ("selftest", "injected_fault"): "one perturbed generator",
+}
 
 
 def trial_count(key, trials):
